@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -337,4 +339,122 @@ func TestCompareReportsColdStart(t *testing.T) {
 			t.Fatalf("-17%% xrebuild should pass the 25%% bound:\n%s", sb.String())
 		}
 	})
+}
+
+// TestCompareReportsSkipsScalingWiderThanCPUs pins the CPU-width rule:
+// eff% of a parallel-N run is not gated, and a SKIP line says why, when
+// N exceeds the CPU count either report records; narrower runs and the
+// other metrics of wide runs are still gated, and a baseline without a
+// recorded CPU count defers to the new report's.
+func TestCompareReportsSkipsScalingWiderThanCPUs(t *testing.T) {
+	metrics := []metricSpec{
+		{unit: "allocs/op", threshold: 0.1},
+		{unit: "eff%", threshold: 0.25, lowerWorse: true},
+	}
+	curve := func(numCPU int, eff2, eff8 float64) Report {
+		return Report{NumCPU: numCPU, Runs: []Run{
+			run("BenchmarkPipeline/parallel-2-8", 3, map[string]float64{"allocs/op": 100, "eff%": eff2}),
+			run("BenchmarkPipeline/parallel-8-8", 3, map[string]float64{"allocs/op": 100, "eff%": eff8}),
+		}}
+	}
+
+	t.Run("new run narrower than N skips", func(t *testing.T) {
+		var sb strings.Builder
+		if !compareReports(&sb, curve(8, 90, 70), curve(2, 90, 20), metrics) {
+			t.Fatalf("eff%% of parallel-8 on 2 CPUs must not be gated:\n%s", sb.String())
+		}
+		if !strings.Contains(sb.String(), "SKIP BenchmarkPipeline/parallel-8 eff%: parallel-8 is wider than the 2 CPUs recorded (old 8, new 2)") {
+			t.Errorf("output missing the SKIP line with its reason:\n%s", sb.String())
+		}
+		if strings.Contains(sb.String(), "SKIP BenchmarkPipeline/parallel-2") {
+			t.Errorf("parallel-2 fits 2 CPUs and must be gated:\n%s", sb.String())
+		}
+	})
+	t.Run("baseline narrower than N skips", func(t *testing.T) {
+		var sb strings.Builder
+		if !compareReports(&sb, curve(2, 90, 20), curve(8, 90, 70), metrics) {
+			t.Fatalf("a baseline recorded on 2 CPUs must not gate parallel-8:\n%s", sb.String())
+		}
+		if !strings.Contains(sb.String(), "SKIP BenchmarkPipeline/parallel-8 eff%") {
+			t.Errorf("output missing the SKIP line:\n%s", sb.String())
+		}
+	})
+	t.Run("runs that fit are still gated", func(t *testing.T) {
+		var sb strings.Builder
+		if compareReports(&sb, curve(2, 90, 70), curve(2, 50, 70), metrics) {
+			t.Fatalf("a parallel-2 eff%% collapse on 2 CPUs must fail:\n%s", sb.String())
+		}
+	})
+	t.Run("other metrics of a wide run are still gated", func(t *testing.T) {
+		new_ := curve(2, 90, 20)
+		new_.Runs[1].Metrics["allocs/op"] = 200
+		var sb strings.Builder
+		if compareReports(&sb, curve(8, 90, 70), new_, metrics) {
+			t.Fatalf("allocs/op of parallel-8 must be gated on any width:\n%s", sb.String())
+		}
+	})
+	t.Run("baseline without a CPU count uses the new one", func(t *testing.T) {
+		var sb strings.Builder
+		if !compareReports(&sb, curve(0, 90, 70), curve(2, 90, 20), metrics) {
+			t.Fatalf("want SKIP from the new report's CPU count:\n%s", sb.String())
+		}
+		if !strings.Contains(sb.String(), "SKIP BenchmarkPipeline/parallel-8 eff%") {
+			t.Errorf("output missing the SKIP line:\n%s", sb.String())
+		}
+		sb.Reset()
+		if compareReports(&sb, curve(0, 90, 70), curve(8, 90, 20), metrics) {
+			t.Fatalf("parallel-8 fits 8 CPUs; its eff%% collapse must fail:\n%s", sb.String())
+		}
+	})
+	t.Run("neither report records a CPU count", func(t *testing.T) {
+		var sb strings.Builder
+		if compareReports(&sb, curve(0, 90, 70), curve(0, 90, 20), metrics) {
+			t.Fatalf("without a recorded CPU count eff%% is gated as before:\n%s", sb.String())
+		}
+		if strings.Contains(sb.String(), "SKIP") {
+			t.Errorf("unexpected SKIP without a recorded CPU count:\n%s", sb.String())
+		}
+	})
+}
+
+func TestParallelWidth(t *testing.T) {
+	cases := map[string]int{
+		"BenchmarkPipeline/parallel-8":  8,
+		"BenchmarkPipeline/parallel-16": 16,
+		"BenchmarkPipeline/seed":        0,
+		"BenchmarkPipeline/parallel-x":  0,
+		"BenchmarkParallelAcquisition":  0,
+	}
+	for in, want := range cases {
+		if got := parallelWidth(in); got != want {
+			t.Errorf("parallelWidth(%q) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// TestReportCPUFields pins the JSON names of the recorded machine width
+// and that a baseline written before they existed still loads.
+func TestReportCPUFields(t *testing.T) {
+	rep, err := parseBenchText("BenchmarkPipeline/seed-8   3   100 ns/op\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stampHost(&rep)
+	if rep.NumCPU != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) {
+		t.Errorf("stamped %d CPUs / GOMAXPROCS %d, want %d / %d", rep.NumCPU, rep.GOMAXPROCS, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"num_cpu":`) || !strings.Contains(string(data), `"gomaxprocs":`) {
+		t.Errorf("report JSON lacks num_cpu/gomaxprocs: %s", data)
+	}
+	var old Report
+	if err := json.Unmarshal([]byte(`{"cpu": "x", "runs": [{"name": "BenchmarkPipeline/seed-8", "iterations": 3, "metrics": {"ns/op": 1}}]}`), &old); err != nil {
+		t.Fatalf("baseline without CPU fields: %v", err)
+	}
+	if old.NumCPU != 0 || old.GOMAXPROCS != 0 || len(old.Runs) != 1 {
+		t.Errorf("baseline without CPU fields loaded as %+v", old)
+	}
 }

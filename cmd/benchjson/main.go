@@ -30,6 +30,15 @@
 // as "NEW" informationally and do not affect the verdict. Deltas beyond
 // the threshold in a unit's worse direction on any -metrics unit exit
 // nonzero.
+//
+// A report records the CPU count and GOMAXPROCS of the machine that
+// converted it, which must be the machine that ran the benchmarks (the
+// Makefile pipes one into the other under the same GOMAXPROCS). The
+// scaling efficiency of a parallel-N run means nothing when N exceeds
+// the CPUs that ran it, so the compare mode does not gate eff% for such
+// a run: it prints a SKIP line with the reason instead. A baseline
+// written before the CPU count was recorded is still accepted; the
+// check then uses the other report's count alone.
 package main
 
 import (
@@ -40,6 +49,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,7 +69,22 @@ type Report struct {
 	Goarch string `json:"goarch,omitempty"`
 	Pkg    string `json:"pkg,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
-	Runs   []Run  `json:"runs"`
+	// NumCPU and GOMAXPROCS describe the machine the runs came from;
+	// zero in reports written before they were recorded.
+	NumCPU     int   `json:"num_cpu,omitempty"`
+	GOMAXPROCS int   `json:"gomaxprocs,omitempty"`
+	Runs       []Run `json:"runs"`
+}
+
+// scalingUnit is the parallel-N scaling efficiency metric, which is
+// only comparable while N fits the CPUs of both runs.
+const scalingUnit = "eff%"
+
+// stampHost records this process's CPU count and GOMAXPROCS in rep:
+// the benchmarks were run in the same pipe, on the same machine.
+func stampHost(rep *Report) {
+	rep.NumCPU = runtime.NumCPU()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 }
 
 func main() {
@@ -122,6 +147,7 @@ func convert() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	stampHost(&rep)
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
@@ -202,7 +228,11 @@ func loadReport(path string) (Report, error) {
 		if jsonErr := json.Unmarshal(data, &rep); jsonErr == nil {
 			return rep, nil
 		}
-		return parseBenchText(string(data))
+		rep, err = parseBenchText(string(data))
+		if err == nil {
+			stampHost(&rep)
+		}
+		return rep, err
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -314,6 +344,32 @@ func baseName(name string) string {
 	return name[:i]
 }
 
+// parallelWidth returns N for a benchmark named ".../parallel-N" (after
+// baseName), or 0 for any other benchmark.
+func parallelWidth(name string) int {
+	_, after, ok := strings.Cut(name, "/parallel-")
+	if !ok {
+		return 0
+	}
+	n, err := strconv.Atoi(after)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+// recordedCPUs returns the smaller CPU count the two reports record,
+// ignoring a report that records none; 0 when neither does.
+func recordedCPUs(old, new_ Report) int {
+	switch {
+	case old.NumCPU == 0:
+		return new_.NumCPU
+	case new_.NumCPU == 0:
+		return old.NumCPU
+	}
+	return min(old.NumCPU, new_.NumCPU)
+}
+
 // compareReports prints a per-metric delta table and reports whether
 // the gate passes: every old run present in new, and no watched metric
 // regressed — increased, or for lower-is-worse units decreased — by
@@ -322,8 +378,11 @@ func baseName(name string) string {
 // and missing in new fails — the gate must not pass because
 // instrumentation was dropped. Runs present only in the new report are
 // listed as NEW, informationally: a freshly added benchmark must not
-// fail the gate before the baseline is refreshed to record it.
+// fail the gate before the baseline is refreshed to record it. eff% of
+// a parallel-N run wider than the recorded CPU count is listed as SKIP
+// and not gated.
 func compareReports(w io.Writer, old, new_ Report, specs []metricSpec) bool {
+	cpus := recordedCPUs(old, new_)
 	newByName := map[string]Run{}
 	for _, r := range new_.Runs {
 		newByName[baseName(r.Name)] = r
@@ -356,6 +415,11 @@ func compareReports(w io.Writer, old, new_ Report, specs []metricSpec) bool {
 		for _, spec := range specs {
 			ov, hasOld := or.Metrics[spec.unit]
 			if !hasOld {
+				continue
+			}
+			if n := parallelWidth(name); spec.unit == scalingUnit && cpus > 0 && n > cpus {
+				fmt.Fprintf(w, "SKIP %s %s: parallel-%d is wider than the %d CPUs recorded (old %d, new %d); its scaling efficiency is not comparable\n",
+					name, spec.unit, n, cpus, old.NumCPU, new_.NumCPU)
 				continue
 			}
 			nv, hasNew := nr.Metrics[spec.unit]

@@ -82,10 +82,35 @@ func (sc *editScratch) foldedSimAtLeast(fa []byte, la int, fb []byte, lb int, t 
 	if len(fb) > maxLen {
 		maxLen = len(fb)
 	}
-	m := float64(maxLen)
+	dmax := EditBudget(maxLen, t)
+	if dmax <= 0 {
+		// No distance admits similarity >= t, or only distance 0 does
+		// and the values differ.
+		return false
+	}
 
-	// Largest distance dmax with 1 − dmax/maxLen >= t; start from the
-	// float estimate and nudge until exact.
+	// Length lower bound. Rune counts, not byte lengths: for non-ASCII
+	// the byte-length difference can exceed the rune-level distance.
+	diff := la - lb
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff > dmax {
+		return false
+	}
+
+	return sc.levenshtein(fa, fb, dmax) <= dmax
+}
+
+// EditBudget returns the largest edit distance d in [0, maxLen] with
+// 1 − d/maxLen >= t — the distance budget EditSimAtLeast grants a pair
+// whose longer folded value is maxLen bytes — or -1 when no distance
+// qualifies (maxLen 0, or t > 1). It evaluates the similarity exactly
+// as EditSim does, in float64, starting from the float estimate and
+// nudging until exact, so a caller that derives a length window from
+// the budget can never drift from the threshold the comparison applies.
+func EditBudget(maxLen int, t float64) int {
+	m := float64(maxLen)
 	dmax := int(m * (1 - t))
 	if dmax < 0 {
 		dmax = 0
@@ -99,22 +124,10 @@ func (sc *editScratch) foldedSimAtLeast(fa []byte, la int, fb []byte, lb int, t 
 	for dmax > 0 && 1-float64(dmax)/m < t {
 		dmax--
 	}
-	if 1-float64(dmax)/m < t {
-		return false // no distance admits similarity >= t
+	if !(1-float64(dmax)/m >= t) {
+		return -1
 	}
-
-	// Length lower bound. Rune counts, not byte lengths: for non-ASCII
-	// the byte-length difference can exceed the rune-level distance.
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > dmax {
-		return false
-	}
-
-	d := sc.levenshtein(fa, fb, dmax)
-	return d <= dmax && 1-float64(d)/m >= t
+	return dmax
 }
 
 // levenshtein computes the rune-level edit distance between two folded

@@ -127,6 +127,26 @@ func TestEditSimAtLeastExact(t *testing.T) {
 	}
 }
 
+// TestEditBudgetMatchesFloatDefinition pins EditBudget to its
+// definition, the largest d in [0, maxLen] with 1 − d/maxLen >= t in
+// float64, over every length a value list realistically holds and the
+// thresholds around the 0.9 borrowing cut.
+func TestEditBudgetMatchesFloatDefinition(t *testing.T) {
+	for _, th := range []float64{0.8, 0.85, 0.9, 0.95} {
+		for maxLen := 0; maxLen <= 512; maxLen++ {
+			want := -1
+			for d := 0; d <= maxLen; d++ {
+				if 1-float64(d)/float64(maxLen) >= th {
+					want = d
+				}
+			}
+			if got := EditBudget(maxLen, th); got != want {
+				t.Errorf("EditBudget(%d, %v) = %d, want %d", maxLen, th, got, want)
+			}
+		}
+	}
+}
+
 func TestEditSimZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; pool behavior differs under -race")

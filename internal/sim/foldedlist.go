@@ -4,10 +4,13 @@ import "unicode/utf8"
 
 // FoldedList stores the case-folded forms of a list of values — each
 // fold(v) plus its rune count — in one reusable arena. Callers that
-// compare every value of one list against every value of another
-// (borrow-donor selection is the hot case) fold each side once instead
-// of once per pair, and the precomputed rune counts make the
-// length-difference cut of EditSimAtLeastFolded O(1).
+// compare values of one list against values of many others fold each
+// list once instead of once per pair: borrow-donor selection keeps one
+// FoldedList per attribute value list for a whole acquisition run and
+// refolds it only when the attribute acquires values. The precomputed
+// rune counts make the length-difference cut of EditSimAtLeastFolded
+// O(1), and a value is ASCII exactly when its folded byte length equals
+// its rune count (folding writes invalid bytes as the 3-byte U+FFFD).
 type FoldedList struct {
 	arena []byte
 	offs  []int

@@ -1,7 +1,6 @@
 package webiq
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -198,6 +197,7 @@ func (a *Acquirer) AcquireAllCtx(ctx context.Context, ds *schema.Dataset) *Repor
 	all.Label("domain", ds.Domain)
 	ctx, sink := a.newDegradeCtx(ctx)
 	rep := &Report{}
+	ix := newDonorIndex()
 	var pre map[string][]string
 	if a.cfg.Parallelism > 1 && a.enabled.Surface && a.surface != nil {
 		pre = a.parallelSurface(ctx, ds, rep)
@@ -209,7 +209,7 @@ loop:
 				rep.Interrupted = err
 				break loop
 			}
-			out := a.acquireOne(ctx, rep, ds, ifc, attr, pre)
+			out := a.acquireOne(ctx, rep, ix, ds, ifc, attr, pre)
 			rep.Outcomes = append(rep.Outcomes, out)
 			switch {
 			case out.HadInstances:
@@ -291,8 +291,9 @@ func readClock(probe func() (time.Duration, int)) (time.Duration, int) {
 
 // acquireOne applies the Section-5 policy to a single attribute. When
 // pre is non-nil it holds precomputed Surface discovery results (from
-// the parallel phase) keyed by attribute ID.
-func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, pre map[string][]string) Outcome {
+// the parallel phase) keyed by attribute ID. ix is the run's donor
+// index.
+func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *donorIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, pre map[string][]string) Outcome {
 	out := Outcome{AttrID: attr.ID, Label: attr.Label, HadInstances: attr.HasInstances()}
 
 	if !attr.HasInstances() {
@@ -326,7 +327,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 		if len(attr.Acquired) < a.cfg.K && a.enabled.AttrDeep && a.attrDeep != nil {
 			spCtx, sp := a.componentSpanCtx(ctx, "attr-deep", attr.ID, attr.Label)
 			t0, q0 := readClock(a.deepClock)
-			donors := a.borrowDonorsFreeText(ds, ifc, attr)
+			donors := a.borrowDonorsFreeText(ix, ds, ifc, attr)
 			a.trace(Event{Kind: "borrow-deep", AttrID: attr.ID, Label: attr.Label,
 				Detail: fmt.Sprintf("%d candidate donors", len(donors)), Count: len(donors)})
 			for _, donor := range donors {
@@ -383,7 +384,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 	// the source would reject values outside the predefined list, so
 	// Attr-Deep is not applicable.
 	if a.enabled.AttrSurface && a.attrSurface != nil {
-		borrowed := a.borrowValuesPredef(ds, ifc, attr)
+		borrowed := a.borrowValuesPredef(ix, ds, ifc, attr)
 		if len(borrowed) > 0 {
 			a.mBorrowed.With("attr-surface").Add(float64(len(borrowed)))
 			spCtx, sp := a.componentSpanCtx(ctx, "attr-surface", attr.ID, attr.Label)
@@ -422,25 +423,26 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ds *schema.Datas
 // X1's, and whose domains differ from every predefined-value attribute Y
 // on X1's interface (if Y had a similar domain, X1 would likely have
 // been predefined too). Donors are ordered by label similarity.
-func (a *Acquirer) borrowDonorsFreeText(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []*schema.Attribute {
+func (a *Acquirer) borrowDonorsFreeText(ix *donorIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []*schema.Attribute {
 	type scored struct {
 		attr *schema.Attribute
 		sim  float64
 	}
 	var donors []scored
+	label := ix.labelVector(attr)
 	for _, other := range ds.Interfaces {
 		if other.ID == ifc.ID {
 			continue
 		}
 		for _, cand := range other.Attributes {
-			if len(cand.AllInstances()) == 0 {
+			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			ls := sim.LabelSim(attr.Label, cand.Label)
+			ls := label.Cosine(ix.labelVector(cand))
 			if ls < a.cfg.BorrowLabelSim {
 				continue
 			}
-			if a.domainMatchesSibling(ifc, attr, cand) {
+			if a.domainMatchesSibling(ix, ifc, attr, cand) {
 				continue
 			}
 			donors = append(donors, scored{cand, ls})
@@ -461,13 +463,15 @@ func (a *Acquirer) borrowDonorsFreeText(ds *schema.Dataset, ifc *schema.Interfac
 
 // domainMatchesSibling reports whether the candidate donor's domain
 // overlaps the domain of some predefined-value sibling of attr — the
-// exclusion condition of Section 5, case 1.
-func (a *Acquirer) domainMatchesSibling(ifc *schema.Interface, attr *schema.Attribute, cand *schema.Attribute) bool {
+// exclusion condition of Section 5, case 1 — by sim.ValueOverlap over
+// the index's fold sets.
+func (a *Acquirer) domainMatchesSibling(ix *donorIndex, ifc *schema.Interface, attr *schema.Attribute, cand *schema.Attribute) bool {
+	candSet := ix.values(cand).foldSet()
 	for _, y := range ifc.Attributes {
 		if y.ID == attr.ID || !y.HasInstances() {
 			continue
 		}
-		if sim.ValueOverlap(cand.AllInstances(), y.Instances) >= 0.3 {
+		if sim.OverlapSets(candSet, ix.predefined(y).foldSet()) >= 0.3 {
 			return true
 		}
 	}
@@ -478,8 +482,8 @@ func (a *Acquirer) domainMatchesSibling(ifc *schema.Interface, attr *schema.Attr
 // attribute (Step 2): from attributes on other interfaces sharing at
 // least BorrowValueMatches very similar values, take the values X1 does
 // not already list.
-func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []string {
-	out := a.collectBorrowValues(ds, ifc, attr, true)
+func (a *Acquirer) borrowValuesPredef(ix *donorIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute) []string {
+	out := a.collectBorrowValues(ix, ds, ifc, attr, true)
 	if len(out) == 0 {
 		// No value-compatible donor exists (the Figure-1 situation:
 		// Airline's NA list shares nothing with Carrier's EU list). Fall
@@ -487,7 +491,7 @@ func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface,
 		// validation-based classifier decide membership — Section 3's
 		// example borrows Aer Lingus from Carrier for Airline exactly
 		// this way.
-		out = a.collectBorrowValues(ds, ifc, attr, false)
+		out = a.collectBorrowValues(ix, ds, ifc, attr, false)
 	}
 	if len(out) > a.cfg.MaxAcquired {
 		out = out[:a.cfg.MaxAcquired]
@@ -497,10 +501,10 @@ func (a *Acquirer) borrowValuesPredef(ds *schema.Dataset, ifc *schema.Interface,
 
 // collectBorrowValues gathers candidate values from other interfaces'
 // attributes, optionally restricted to donors sharing at least
-// BorrowValueMatches very similar values with attr.
-func (a *Acquirer) collectBorrowValues(ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, requireSimilar bool) []string {
-	buf := foldBuf()
-	fv := *buf
+// BorrowValueMatches very similar values with attr. It stops once it
+// holds MaxAcquired values: borrowValuesPredef keeps only that many, so
+// later donors could not change its result.
+func (a *Acquirer) collectBorrowValues(ix *donorIndex, ds *schema.Dataset, ifc *schema.Interface, attr *schema.Attribute, requireSimilar bool) []string {
 	have := map[string]bool{}
 	for _, v := range attr.Instances {
 		have[foldValue(v)] = true
@@ -512,138 +516,31 @@ func (a *Acquirer) collectBorrowValues(ds *schema.Dataset, ifc *schema.Interface
 			continue
 		}
 		for _, cand := range other.Attributes {
-			vals := cand.AllInstances()
-			if len(vals) == 0 {
+			if a.cfg.MaxAcquired > 0 && len(out) >= a.cfg.MaxAcquired {
+				return out
+			}
+			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			if requireSimilar && !domainsVerySimilar(attr.Instances, vals, a.cfg.BorrowValueMatches) {
+			if requireSimilar && !ix.verySimilar(attr, cand, a.cfg.BorrowValueMatches) {
 				continue
 			}
-			for _, v := range vals {
-				// Zero-copy map probes against the folded form; a string
-				// is only allocated when the value is genuinely new.
-				fv = appendFoldValue(fv[:0], v)
-				if have[string(fv)] || seen[string(fv)] {
-					continue
+			vals := ix.values(cand)
+			for k, list := range [2][]string{cand.Instances, cand.Acquired} {
+				for i, v := range list {
+					// Zero-copy map probes against the index's folded
+					// form; a string is only allocated for a new value.
+					fv := vals.ascii.at(k*len(cand.Instances) + i)
+					if have[string(fv)] || seen[string(fv)] {
+						continue
+					}
+					seen[string(fv)] = true
+					out = append(out, v)
 				}
-				seen[string(fv)] = true
-				out = append(out, v)
 			}
 		}
 	}
-	*buf = fv
-	putFoldBuf(buf)
 	return out
-}
-
-// donorSimScratch holds the pre-folded forms both similarity tests of
-// domainsVerySimilar consume: sim's fold (trim + Unicode lower) for the
-// exact-match count and the edit comparisons, and the ASCII foldValue
-// form for the distinct-fold guard. Folding each list once replaces the
-// per-pair folding that dominated borrow-donor selection.
-type donorSimScratch struct {
-	fa, fb sim.FoldedList
-	wa, wb asciiFoldList
-	ia, ib []int
-}
-
-var donorSimPool = sync.Pool{New: func() any { return new(donorSimScratch) }}
-
-// asciiFoldList is the appendFoldValue analogue of sim.FoldedList: the
-// ASCII-lowered forms of a value list in one reusable arena.
-type asciiFoldList struct {
-	arena []byte
-	offs  []int
-}
-
-func (fl *asciiFoldList) reset(vs []string) {
-	fl.arena = fl.arena[:0]
-	fl.offs = append(fl.offs[:0], 0)
-	for _, v := range vs {
-		fl.arena = appendFoldValue(fl.arena, v)
-		fl.offs = append(fl.offs, len(fl.arena))
-	}
-}
-
-func (fl *asciiFoldList) at(i int) []byte { return fl.arena[fl.offs[i]:fl.offs[i+1]] }
-
-// domainsVerySimilar reports whether at least minMatches pairs of
-// values, one from each domain, are very similar (exact fold match or
-// high edit similarity).
-func domainsVerySimilar(a, b []string, minMatches int) bool {
-	sc := donorSimPool.Get().(*donorSimScratch)
-	defer donorSimPool.Put(sc)
-	sc.fa.Reset(a)
-	sc.fb.Reset(b)
-
-	// Distinct folded values present in both lists — sim.SharedValues
-	// over the pre-folded forms, via sort-merge instead of per-call maps.
-	matches := sc.sharedFolded()
-	if matches >= minMatches {
-		return true
-	}
-	// Look for near-identical pairs beyond the exact matches. The O(n²)
-	// scan uses the thresholded comparison, which rejects dissimilar
-	// pairs (the overwhelming majority) by the precomputed rune-count
-	// cut without a full edit-distance computation or any allocation.
-	sc.wa.reset(a)
-	sc.wb.reset(b)
-	for i := range a {
-		if matches >= minMatches {
-			return true
-		}
-		for j := range b {
-			if sim.EditSimAtLeastFolded(sc.fa.At(i), sc.fa.Runes(i), sc.fb.At(j), sc.fb.Runes(j), 0.9) &&
-				!bytes.Equal(sc.wa.at(i), sc.wb.at(j)) {
-				matches++
-				break
-			}
-		}
-	}
-	return matches >= minMatches
-}
-
-// sortFoldedIdx orders idx by the folded values it indexes.
-func sortFoldedIdx(fl *sim.FoldedList, idx []int) {
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && bytes.Compare(fl.At(idx[j]), fl.At(idx[j-1])) < 0; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// sharedFolded counts distinct folded values present in both lists by
-// sorting index slices over the arenas and merging.
-func (sc *donorSimScratch) sharedFolded() int {
-	ia, ib := sc.ia[:0], sc.ib[:0]
-	for i := 0; i < sc.fa.Len(); i++ {
-		ia = append(ia, i)
-	}
-	for j := 0; j < sc.fb.Len(); j++ {
-		ib = append(ib, j)
-	}
-	// Insertion sort: value lists are short, and sort.Slice would
-	// allocate its reflection swapper on every call.
-	sortFoldedIdx(&sc.fa, ia)
-	sortFoldedIdx(&sc.fb, ib)
-	sc.ia, sc.ib = ia, ib
-	n := 0
-	for i, j := 0, 0; i < len(ia) && j < len(ib); {
-		va, vb := sc.fa.At(ia[i]), sc.fb.At(ib[j])
-		switch c := bytes.Compare(va, vb); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			n++
-			for i++; i < len(ia) && bytes.Equal(sc.fa.At(ia[i]), va); i++ {
-			}
-			for j++; j < len(ib) && bytes.Equal(sc.fb.At(ib[j]), va); j++ {
-			}
-		}
-	}
-	return n
 }
 
 // nonInstances gathers values of the other attributes on the interface —

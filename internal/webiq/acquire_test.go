@@ -43,7 +43,7 @@ func TestBorrowDonorsFreeTextLabelFilter(t *testing.T) {
 	ds := twoInterfaceDataset()
 	a := testAcquirer(DefaultConfig())
 	attr := ds.Interfaces[0].Attributes[0] // "From", no instances
-	donors := a.borrowDonorsFreeText(ds, ds.Interfaces[0], attr)
+	donors := a.borrowDonorsFreeText(newDonorIndex(), ds, ds.Interfaces[0], attr)
 	if len(donors) != 1 {
 		t.Fatalf("donors = %v", donors)
 	}
@@ -56,7 +56,7 @@ func TestBorrowDonorsExcludeSameInterface(t *testing.T) {
 	ds := twoInterfaceDataset()
 	a := testAcquirer(DefaultConfig())
 	attr := ds.Interfaces[1].Attributes[0] // y/from, has instances but eligible as target
-	donors := a.borrowDonorsFreeText(ds, ds.Interfaces[1], attr)
+	donors := a.borrowDonorsFreeText(newDonorIndex(), ds, ds.Interfaces[1], attr)
 	for _, d := range donors {
 		if d.InterfaceID == "y" {
 			t.Errorf("donor %s from the target's own interface", d.ID)
@@ -73,7 +73,7 @@ func TestBorrowDonorsDomainConflict(t *testing.T) {
 		mkAttr("x", "near", "Nearby city", "Boston", "Chicago", "Denver"))
 	a := testAcquirer(DefaultConfig())
 	attr := ds.Interfaces[0].Attributes[0] // "From"
-	donors := a.borrowDonorsFreeText(ds, ds.Interfaces[0], attr)
+	donors := a.borrowDonorsFreeText(newDonorIndex(), ds, ds.Interfaces[0], attr)
 	if len(donors) != 0 {
 		t.Errorf("donor with sibling-overlapping domain not excluded: %v", donors)
 	}
@@ -83,7 +83,7 @@ func TestBorrowValuesPredefRequiresSharedValues(t *testing.T) {
 	ds := twoInterfaceDataset()
 	a := testAcquirer(DefaultConfig())
 	attr := ds.Interfaces[0].Attributes[1] // Class {Economy, Business}
-	got := a.borrowValuesPredef(ds, ds.Interfaces[0], attr)
+	got := a.borrowValuesPredef(newDonorIndex(), ds, ds.Interfaces[0], attr)
 	// "Cabin" shares Economy (1 value) — below BorrowValueMatches=2 — so
 	// the strict pass fails; the fallback borrows from everything.
 	if len(got) == 0 {
@@ -102,7 +102,7 @@ func TestBorrowValuesPredefStrictPass(t *testing.T) {
 	ds.Interfaces[1].Attributes[1].Instances = []string{"Economy", "Business", "First Class"}
 	a := testAcquirer(DefaultConfig())
 	attr := ds.Interfaces[0].Attributes[1]
-	got := a.borrowValuesPredef(ds, ds.Interfaces[0], attr)
+	got := a.borrowValuesPredef(newDonorIndex(), ds, ds.Interfaces[0], attr)
 	want := []string{"First Class"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("borrowed = %v, want %v (strict donors only)", got, want)
@@ -110,19 +110,26 @@ func TestBorrowValuesPredefStrictPass(t *testing.T) {
 }
 
 func TestDomainsVerySimilar(t *testing.T) {
-	if !domainsVerySimilar([]string{"a", "b"}, []string{"A", "B", "c"}, 2) {
-		t.Error("two exact folds should qualify")
+	cases := []struct {
+		a, b []string
+		min  int
+		want bool
+		why  string
+	}{
+		{[]string{"a", "b"}, []string{"A", "B", "c"}, 2, true, "two exact folds should qualify"},
+		{[]string{"a"}, []string{"b"}, 2, false, "disjoint singletons should not qualify"},
+		// Near-identical pairs count (edit similarity >= 0.9).
+		{[]string{"Chevrolet", "Mitsubishi"}, []string{"Chevrolets", "Mitsubishis"}, 2, true, "edit-similar pairs should qualify"},
+		// Short words don't reach the 0.9 bar with one edit.
+		{[]string{"Kia"}, []string{"Ki"}, 1, false, "short near-pairs should not qualify"},
 	}
-	if domainsVerySimilar([]string{"a"}, []string{"b"}, 2) {
-		t.Error("disjoint singletons should not qualify")
-	}
-	// Near-identical pairs count (edit similarity >= 0.9).
-	if !domainsVerySimilar([]string{"Chevrolet", "Mitsubishi"}, []string{"Chevrolets", "Mitsubishis"}, 2) {
-		t.Error("edit-similar pairs should qualify")
-	}
-	// Short words don't reach the 0.9 bar with one edit.
-	if domainsVerySimilar([]string{"Kia"}, []string{"Ki"}, 1) {
-		t.Error("short near-pairs should not qualify")
+	for _, c := range cases {
+		if got := indexedVerySimilar(c.a, c.b, c.min); got != c.want {
+			t.Errorf("indexed %v vs %v (min %d) = %v: %s", c.a, c.b, c.min, got, c.why)
+		}
+		if got := referenceDomainsVerySimilar(c.a, c.b, c.min); got != c.want {
+			t.Errorf("reference %v vs %v (min %d) = %v: %s", c.a, c.b, c.min, got, c.why)
+		}
 	}
 }
 
