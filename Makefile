@@ -122,8 +122,10 @@ snapshot-smoke:
 	./scripts/snapshot_smoke.sh
 
 # End-to-end flight-recorder smoke test: boot webiq-serve under the p30
-# chaos profile with breaker-only triggers, drive concurrent traffic
-# until a breaker opens, and require a diagnostic bundle that
+# chaos profile with breaker-only triggers, drive concurrent
+# /source/{ifc}/search probes and /unified/{domain}/search fan-outs
+# (request-time probes through the resilient source client) until its
+# breaker opens, and require a diagnostic bundle that
 # webiq-flight can render, whose wide events account for every 5xx and
 # shed, and whose p99 trace exemplar resolves via /trace/{id}. Set
 # OUT=dir to keep the bundles and report (CI uploads them).
@@ -144,9 +146,10 @@ cluster-smoke:
 cluster-chaos:
 	./scripts/cluster_chaos.sh chaos
 
-# Provenance smoke test: boot the server, build a domain's unified
-# interface, and assert every instance is attributed with evidence via
-# /unified/{domain}/explain (see cmd/explain-demo).
+# Provenance smoke test: boot the server (building its world), assert
+# every instance of a domain's unified interface is attributed with
+# evidence via /unified/{domain}/explain, and resolve that request's
+# trace (see cmd/explain-demo).
 explain-demo:
 	$(GO) run ./cmd/explain-demo
 

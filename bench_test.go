@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
@@ -53,20 +52,11 @@ func acquireDomain(env *experiments.Env, key string, comps iq.Components, cfg iq
 
 // acquireDomainOn is acquireDomain querying through se (e.g. a
 // surfaceweb.CachedEngine wrapping the environment's engine).
-func acquireDomainOn(se iq.SearchEngine, env *experiments.Env, key string, comps iq.Components, cfg iq.Config) (*iq.Report, *schema.Dataset) {
+func acquireDomainOn(se iq.MeteredEngine, env *experiments.Env, key string, comps iq.Components, cfg iq.Config) (*iq.Report, *schema.Dataset) {
 	dom := kb.DomainByKey(key)
 	ds := dataset.Generate(dom, env.DataCfg)
 	pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
-	v := iq.NewValidator(se, cfg)
-	acq := iq.NewAcquirer(
-		iq.NewSurface(se, v, cfg),
-		iq.NewAttrDeep(pool, cfg),
-		iq.NewAttrSurface(v, cfg),
-		comps, cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return env.Engine.VirtualTime(), env.Engine.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
+	acq := iq.NewPipeline(se, pool, cfg, comps)
 	return acq.AcquireAll(ds), ds
 }
 
@@ -82,7 +72,7 @@ func BenchmarkPipeline(b *testing.B) {
 		{Surface: true, AttrDeep: true},
 		iq.AllComponents(),
 	}
-	run := func(se iq.SearchEngine, env *experiments.Env, cfg iq.Config) {
+	run := func(se iq.MeteredEngine, env *experiments.Env, cfg iq.Config) {
 		for _, comps := range conditions {
 			acquireDomainOn(se, env, "book", comps, cfg)
 		}

@@ -1,9 +1,10 @@
 // Command explain-demo is the provenance smoke test behind
 // `make explain-demo`: it boots the HTTP server in-process on a
-// loopback port, requests /unified/{domain}/explain (triggering the
-// lazy acquisition+matching build), and asserts that the provenance
-// payload is non-empty and that every unified-interface instance is
-// attributed to a component with numeric evidence. It exits non-zero
+// loopback port (building the world, acquisition and matching included,
+// at startup), requests /unified/{domain}/explain, and asserts that the
+// provenance payload is non-empty, that every unified-interface
+// instance is attributed to a component with numeric evidence, and that
+// the request's own trace resolves via /trace/{id}. It exits non-zero
 // on any gap, printing what was missing.
 package main
 
@@ -28,7 +29,10 @@ func main() {
 	flag.Parse()
 
 	start := time.Now()
-	srv := server.New(*seed)
+	srv, err := server.New(*seed)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -71,20 +75,20 @@ func main() {
 		}
 		log.Fatalf("provenance incomplete: %d of %d instances attributed", payload.Attributed, payload.Instances)
 	}
-	if payload.TraceID == "" {
-		log.Fatal("payload carries no build trace ID")
+	if traceHeader == "" {
+		log.Fatal("explain response carries no X-Trace-ID header")
 	}
 
-	// The build trace must be resolvable to a span tree.
-	tresp, err := http.Get(base + "/trace/" + payload.TraceID)
+	// The request's trace must be resolvable to a span tree.
+	tresp, err := http.Get(base + "/trace/" + traceHeader)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer tresp.Body.Close()
 	if tresp.StatusCode != http.StatusOK {
-		log.Fatalf("GET /trace/%s: status %d", payload.TraceID, tresp.StatusCode)
+		log.Fatalf("GET /trace/%s: status %d", traceHeader, tresp.StatusCode)
 	}
 
-	fmt.Printf("OK: %d attributes, %d/%d instances attributed; build trace %s (request trace %s)\n",
-		len(payload.Attributes), payload.Attributed, payload.Instances, payload.TraceID, traceHeader)
+	fmt.Printf("OK: %d attributes, %d/%d instances attributed; request trace %s\n",
+		len(payload.Attributes), payload.Attributed, payload.Instances, traceHeader)
 }

@@ -225,9 +225,6 @@ func reportErrors(evs []obs.WideEvent) {
 		if ev.TraceID != "" {
 			line += " trace=" + ev.TraceID
 		}
-		if ev.BreakerSearch != "" && ev.BreakerSearch != "closed" {
-			line += " breaker_search=" + ev.BreakerSearch
-		}
 		if ev.BreakerDeep != "" && ev.BreakerDeep != "closed" {
 			line += " breaker_deep=" + ev.BreakerDeep
 		}

@@ -73,14 +73,14 @@ func main() {
 
 	addr := flag.String("addr", ":8080", "listen address")
 	seed := flag.Int64("seed", 1, "random seed for all generators")
-	snapPath := flag.String("snapshot", "", "boot from a webiq-snapshot world file instead of rebuilding: every domain is ready immediately (the file's seed overrides -seed)")
+	snapPath := flag.String("snapshot", "", "boot from a webiq-snapshot world file instead of building the world at startup (the file's seed overrides -seed)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "how long to wait for in-flight requests on shutdown")
 	slow := flag.Duration("slow", 0, "log requests at or above this duration as NDJSON lines (with trace IDs); 0 disables")
 	slowLog := flag.String("slow-log", "", "write the slow-request NDJSON to this file (size-rotated) instead of stderr")
 	slowLogMax := flag.Int64("slow-log-max-bytes", obs.DefRotateMaxBytes, "rotate the -slow-log file when it would exceed this size")
 	slowLogKeep := flag.Int("slow-log-keep", obs.DefRotateKeep, "rotated -slow-log files to keep (file.1 .. file.N)")
-	faults := flag.String("faults", "", "inject the named fault profile into the pipeline backends (p10, p30, latency2x, burst, malformed)")
+	faults := flag.String("faults", "", "inject the named fault profile (p10, p30, latency2x, burst, malformed) into the request-time source probes of /source/{ifc}/search and the /unified/{domain}/search fan-out; a probe that still fails after retries answers 503 or is listed as unavailable")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault-injection stream")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrent requests (admission control); 0 disables")
 	queue := flag.Int("queue", 16, "requests allowed to wait for an admission slot before shedding with 503")
@@ -177,7 +177,11 @@ func main() {
 			*snapPath, world.Meta.Seed, world.Meta.Scale, world.Meta.Docs,
 			time.Since(start).Round(time.Millisecond))
 	} else {
-		srv = server.New(*seed, opts...)
+		var err error
+		srv, err = server.New(*seed, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
 	}
 	srv.RecordStartup(time.Since(start))
 	defer srv.Close()

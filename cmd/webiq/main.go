@@ -113,41 +113,19 @@ func main() {
 
 	cfg := webiq.DefaultConfig()
 	cfg.Parallelism = *workers
-	var se webiq.SearchEngine = engine
+	var se webiq.MeteredEngine = engine
 	var cache *surfaceweb.CachedEngine
 	if *queryCache {
 		cache = surfaceweb.NewCachedEngine(engine, surfaceweb.DefaultCacheShards)
 		se = cache
 	}
-	v := webiq.NewValidator(se, cfg)
-	acq := webiq.NewAcquirer(
-		webiq.NewSurface(se, v, cfg),
-		webiq.NewAttrDeep(pool, cfg),
-		webiq.NewAttrSurface(v, cfg),
-		comps, cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return engine.VirtualTime(), engine.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
+	acq := webiq.NewPipeline(se, pool, cfg, comps)
 	if *faults != "" {
 		prof, err := resilience.ProfileByName(*faults)
 		if err != nil {
 			log.Fatal(err)
 		}
-		inj := resilience.NewInjector(prof, *faultSeed)
-		fe := resilience.NewEngineClient(
-			resilience.FaultyEngine(resilience.AdaptEngine(se), inj),
-			resilience.ClientOptions{Seed: *faultSeed})
-		fs := resilience.NewSourceClient(
-			resilience.FaultySource(resilience.ProbeFunc(func(ifcID, attrID, value string) (string, error) {
-				src := pool.Source(ifcID)
-				if src == nil {
-					return "", resilience.ErrUnknownSource
-				}
-				return src.Probe(attrID, value), nil
-			}), inj),
-			resilience.ClientOptions{Seed: *faultSeed})
-		acq.SetFallible(fe, fs)
+		acq.SetFallible(webiq.FaultClients(prof, *faultSeed, se, pool.Source))
 		fmt.Printf("Fault injection on: profile %s, seed %d (retry + circuit breaker active)\n", prof.Name, *faultSeed)
 	}
 

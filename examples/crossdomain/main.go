@@ -32,13 +32,7 @@ func main() {
 		base := matcher.Evaluate(
 			matcher.New(matcher.DefaultConfig()).Match(ds).Pairs, ds.GoldPairs())
 
-		cfg := webiq.DefaultConfig()
-		v := webiq.NewValidator(engine, cfg)
-		acq := webiq.NewAcquirer(
-			webiq.NewSurface(engine, v, cfg),
-			webiq.NewAttrDeep(pool, cfg),
-			webiq.NewAttrSurface(v, cfg),
-			webiq.AllComponents(), cfg)
+		acq := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents())
 		q0 := engine.QueryCount()
 		rep := acq.AcquireAll(ds)
 

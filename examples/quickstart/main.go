@@ -91,14 +91,7 @@ func main() {
 	match("Baseline matches (labels + predefined instances only):")
 
 	// WebIQ acquisition.
-	cfg := webiq.DefaultConfig()
-	v := webiq.NewValidator(engine, cfg)
-	acq := webiq.NewAcquirer(
-		webiq.NewSurface(engine, v, cfg),
-		webiq.NewAttrDeep(pool, cfg),
-		webiq.NewAttrSurface(v, cfg),
-		webiq.AllComponents(), cfg)
-	rep := acq.AcquireAll(ds)
+	rep := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents()).AcquireAll(ds)
 
 	fmt.Println("\nAcquired instances:")
 	for _, o := range rep.Outcomes {

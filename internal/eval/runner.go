@@ -178,28 +178,9 @@ func evalOne(cfg *RunConfig, reg *MetricRegistry, engine *surfaceweb.Engine, dom
 	iqCfg := iq.DefaultConfig()
 	iqCfg.Parallelism = cfg.Workers
 	se := surfaceweb.NewCachedEngine(engine, surfaceweb.DefaultCacheShards)
-	v := iq.NewValidator(se, iqCfg)
-	acq := iq.NewAcquirer(
-		iq.NewSurface(se, v, iqCfg),
-		iq.NewAttrDeep(pool, iqCfg),
-		iq.NewAttrSurface(v, iqCfg),
-		iq.Components{Surface: true, AttrDeep: true, AttrSurface: true},
-		iqCfg)
+	acq := iq.NewPipeline(se, pool, iqCfg, iq.AllComponents())
 	if profile != nil {
-		inj := resilience.NewInjector(*profile, seed)
-		fe := resilience.NewEngineClient(
-			resilience.FaultyEngine(resilience.AdaptEngine(se), inj),
-			resilience.ClientOptions{Seed: seed})
-		fs := resilience.NewSourceClient(
-			resilience.FaultySource(resilience.ProbeFunc(func(ifcID, attrID, value string) (string, error) {
-				src := pool.Source(ifcID)
-				if src == nil {
-					return "", resilience.ErrUnknownSource
-				}
-				return src.Probe(attrID, value), nil
-			}), inj),
-			resilience.ClientOptions{Seed: seed})
-		acq.SetFallible(fe, fs)
+		acq.SetFallible(iq.FaultClients(*profile, seed, se, pool.Source))
 	}
 
 	ledger := obs.NewLedger(nil)

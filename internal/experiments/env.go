@@ -82,7 +82,7 @@ func NewEnvWithSeed(seed int64) *Env {
 
 // searchEngine returns the engine acquisitions should query: the cache
 // when enabled, the raw engine otherwise.
-func (e *Env) searchEngine() webiq.SearchEngine {
+func (e *Env) searchEngine() webiq.MeteredEngine {
 	if e.UseQueryCache && e.Cache != nil {
 		return e.Cache
 	}
@@ -111,19 +111,9 @@ func (e *Env) acquirerUncached(ds *schema.Dataset, dom *kb.Domain, comps webiq.C
 	return e.acquirerOn(e.Engine, ds, dom, comps)
 }
 
-func (e *Env) acquirerOn(se webiq.SearchEngine, ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
+func (e *Env) acquirerOn(se webiq.MeteredEngine, ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
 	pool := deepweb.BuildPool(ds, dom, e.DeepCfg)
-	v := webiq.NewValidator(se, e.WebIQCfg)
-	acq := webiq.NewAcquirer(
-		webiq.NewSurface(se, v, e.WebIQCfg),
-		webiq.NewAttrDeep(pool, e.WebIQCfg),
-		webiq.NewAttrSurface(v, e.WebIQCfg),
-		comps, e.WebIQCfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return e.Engine.VirtualTime(), e.Engine.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
-	return acq, pool
+	return webiq.NewPipeline(se, pool, e.WebIQCfg, comps), pool
 }
 
 // matchF1 runs the matcher at threshold tau and scores against gold.

@@ -55,10 +55,9 @@ type WideEvent struct {
 	// Degradations is the cumulative graceful-degradation count across
 	// all domains when the request finished.
 	Degradations int `json:"degradations,omitempty"`
-	// BreakerSearch / BreakerDeep are the circuit-breaker states at
-	// completion, when fault-injection clients are installed.
-	BreakerSearch string `json:"breaker_search,omitempty"`
-	BreakerDeep   string `json:"breaker_deep,omitempty"`
+	// BreakerDeep is the deep-web source client's circuit-breaker state
+	// at completion, when a fault profile is on.
+	BreakerDeep string `json:"breaker_deep,omitempty"`
 	// AdmInFlight / AdmQueued are the admission-queue depths at
 	// completion, when admission control is on.
 	AdmInFlight int `json:"adm_in_flight,omitempty"`

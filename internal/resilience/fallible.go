@@ -51,16 +51,8 @@ func (a *engineAdapter) NumHits(ctx context.Context, query string) (int, error) 
 	return a.e.NumHits(query), nil
 }
 
-// ProbeFunc adapts a probing function into a FallibleSource; use it to
-// lift a deepweb.Pool:
-//
-//	resilience.ProbeFunc(func(ifc, attr, value string) (string, error) {
-//		src := pool.Source(ifc)
-//		if src == nil {
-//			return "", resilience.ErrUnknownSource
-//		}
-//		return src.Probe(attr, value), nil
-//	})
+// ProbeFunc adapts a probing function into a FallibleSource
+// (webiq.FaultClients lifts deep-web sources with it).
 type ProbeFunc func(interfaceID, attrID, value string) (string, error)
 
 // Probe implements FallibleSource.

@@ -199,7 +199,7 @@ func TestAdmissionDrainShedsNewKeepsInFlight(t *testing.T) {
 }
 
 func TestServerDrainFlipsReadyz(t *testing.T) {
-	s := New(1, WithAdmission(AdmissionConfig{MaxInFlight: 4, MaxQueued: 4}))
+	s := newTestServer(t, WithAdmission(AdmissionConfig{MaxInFlight: 4, MaxQueued: 4}))
 
 	get := func(path string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()

@@ -43,21 +43,12 @@ func (s *Server) Cluster() *cluster.Cluster { return s.cluster }
 
 // domainFromUnifiedPath extracts the domain of /unified/{domain}[/...].
 func domainFromUnifiedPath(r *http.Request) string {
-	rest := strings.TrimPrefix(r.URL.Path, "/unified/")
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	return rest
+	return domainOf(strings.TrimPrefix(r.URL.Path, "/unified/"))
 }
 
-// domainFromSourcePath extracts the domain of /source/{ifc}[/search],
-// where interface IDs are "{domain}/{name}".
+// domainFromSourcePath extracts the domain of /source/{ifc}[/search].
 func domainFromSourcePath(r *http.Request) string {
-	rest := strings.TrimPrefix(r.URL.Path, "/source/")
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		return rest[:i]
-	}
-	return rest
+	return domainOf(strings.TrimPrefix(r.URL.Path, "/source/"))
 }
 
 // clusterWrap inserts the ownership check in front of a domain-scoped
@@ -73,13 +64,8 @@ func (s *Server) clusterWrap(extract func(*http.Request) string, next http.Handl
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		domain := extract(r)
-		if domain != "" {
-			s.mu.Lock()
-			known := s.datasets[domain] != nil
-			s.mu.Unlock()
-			if known && s.cluster.Serve(w, r, domain) {
-				return
-			}
+		if domain != "" && s.byDomain[domain] != nil && s.cluster.Serve(w, r, domain) {
+			return
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -175,12 +161,10 @@ func fetchPeerStats(ctx context.Context, base string) ([]byte, error) {
 
 // domainKeys returns the served domain keys, sorted.
 func (s *Server) domainKeys() []string {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.datasets))
-	for k := range s.datasets {
+	keys := make([]string, 0, len(s.byDomain))
+	for k := range s.byDomain {
 		keys = append(keys, k)
 	}
-	s.mu.Unlock()
 	sort.Strings(keys)
 	return keys
 }

@@ -14,38 +14,7 @@ import (
 
 	"webiq/internal/cluster"
 	"webiq/internal/resilience"
-	"webiq/internal/snapshot"
 )
-
-// The cluster tests boot several snapshot-backed servers (instant
-// replica warm-up, every domain ready) behind real HTTP listeners; the
-// world is built once per test binary and shared read-only.
-var (
-	clusterWorldOnce sync.Once
-	clusterWorld     *snapshot.World
-	clusterWorldErr  error
-)
-
-func testWorld(t *testing.T) *snapshot.World {
-	t.Helper()
-	clusterWorldOnce.Do(func() {
-		world, err := snapshot.BuildWorld(snapshot.BuildConfig{Seed: snapSeed})
-		if err != nil {
-			clusterWorldErr = err
-			return
-		}
-		raw, err := world.Bytes()
-		if err != nil {
-			clusterWorldErr = err
-			return
-		}
-		clusterWorld, clusterWorldErr = snapshot.LoadBytes(raw)
-	})
-	if clusterWorldErr != nil {
-		t.Fatalf("build cluster test world: %v", clusterWorldErr)
-	}
-	return clusterWorld
-}
 
 // swapHandler lets the listener exist before the server it fronts:
 // member base URLs are needed to construct each node's cluster config.

@@ -15,8 +15,7 @@ import (
 // acquiring component) and the numeric evidence behind its acceptance
 // (PMI confidence, classifier posterior, or probe-success fraction),
 // plus the matcher merges that formed the attribute with their
-// LabelSim/DomSim breakdowns — all linked by trace ID to the build
-// request's span tree (GET /trace/{id}).
+// LabelSim/DomSim breakdowns.
 
 // ExplainInstance attributes one unified-interface instance.
 type ExplainInstance struct {
@@ -47,10 +46,7 @@ type ExplainAttribute struct {
 
 // ExplainPayload is the /unified/{domain}/explain response.
 type ExplainPayload struct {
-	Domain string `json:"domain"`
-	// TraceID identifies the build's trace; GET /trace/{TraceID}
-	// returns the span tree the ledger decisions link into.
-	TraceID    string             `json:"trace_id,omitempty"`
+	Domain     string             `json:"domain"`
 	Attributes []ExplainAttribute `json:"attributes"`
 	// Instances / Attributed count the unified instances and how many
 	// could be tied to a recorded decision (or a predefined value);
@@ -59,20 +55,14 @@ type ExplainPayload struct {
 	Attributed int `json:"attributed"`
 }
 
-// handleExplain serves GET /unified/{domain}/explain, building the
-// unified interface first if needed (sharing the singleflight build).
+// handleExplain serves GET /unified/{domain}/explain.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, domain string) {
-	u, err := s.unifiedFor(r.Context(), domain)
-	if err != nil {
+	d := s.byDomain[domain]
+	if d == nil {
 		http.NotFound(w, r)
 		return
 	}
-	s.mu.Lock()
-	ds := s.datasets[domain]
-	ledger := s.ledgers[domain]
-	traceID := s.buildTrace[domain]
-	s.mu.Unlock()
-	writeJSON(w, explainUnified(domain, u, ds, ledger, traceID))
+	writeJSON(w, explainUnified(domain, d.unified, d.ds, d.ledger))
 }
 
 // explainUnified resolves the provenance of every instance of the
@@ -81,7 +71,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, domain st
 // unified instance maps back to the member attribute that contributed
 // it; predefined values are attributed as "native", acquired values to
 // the ledger's accept decision recorded by the acquiring component.
-func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset, ledger *obs.Ledger, traceID string) *ExplainPayload {
+func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset, ledger *obs.Ledger) *ExplainPayload {
 	byID := map[string]*schema.Attribute{}
 	if ds != nil {
 		for _, ifc := range ds.Interfaces {
@@ -90,7 +80,7 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 			}
 		}
 	}
-	out := &ExplainPayload{Domain: domain, TraceID: traceID}
+	out := &ExplainPayload{Domain: domain}
 	for _, ua := range u.Attributes {
 		ea := ExplainAttribute{
 			Label:   ua.Label,

@@ -49,7 +49,7 @@ type snapshotInfo struct {
 }
 
 // setupFlight builds the recorder and wires the breaker-open trigger;
-// it runs inside finish, after the resilient clients exist.
+// it runs inside finish, after the resilient source client exists.
 func (s *Server) setupFlight() {
 	if s.flightCfg == nil {
 		return
@@ -79,16 +79,12 @@ func (s *Server) setupFlight() {
 	}
 	s.flight.Start(interval)
 
-	if s.flight.Triggers().OnBreakerOpen && s.engClient != nil {
-		hook := func(backend string) func(from, to resilience.BreakerState) {
-			return func(_, to resilience.BreakerState) {
-				if to == resilience.BreakerOpen {
-					s.flight.Trigger("breaker-open-"+backend, "")
-				}
+	if s.flight.Triggers().OnBreakerOpen && s.srcClient != nil {
+		s.srcClient.OnBreakerTransition(func(_, to resilience.BreakerState) {
+			if to == resilience.BreakerOpen {
+				s.flight.Trigger("breaker-open-deep", "")
 			}
-		}
-		s.engClient.OnBreakerTransition(hook("search"))
-		s.srcClient.OnBreakerTransition(hook("deep"))
+		})
 	}
 	// Per-peer forwarding breakers dump a bundle too: a peer going dark
 	// is the incident the cluster chaos harness exists to diagnose.
@@ -117,22 +113,18 @@ func (w *statusCapture) WriteHeader(code int) {
 // probeCount sums the deep-web probes served across every pool.
 func (s *Server) probeCount() int {
 	n := 0
-	s.mu.Lock()
-	for _, p := range s.pools {
-		n += p.QueryCount()
+	for _, d := range s.byDomain {
+		n += d.pool.QueryCount()
 	}
-	s.mu.Unlock()
 	return n
 }
 
 // degradationCount sums recorded degradations across every domain.
 func (s *Server) degradationCount() int {
 	n := 0
-	s.mu.Lock()
-	for _, d := range s.degradations {
-		n += len(d)
+	for _, d := range s.byDomain {
+		n += len(d.degradations)
 	}
-	s.mu.Unlock()
 	return n
 }
 
@@ -165,8 +157,7 @@ func (s *Server) flightWrap(route string, next http.Handler) http.Handler {
 			ProbeQueries:  s.probeCount() - probeBefore,
 			Degradations:  s.degradationCount(),
 		}
-		if s.engClient != nil {
-			ev.BreakerSearch = s.engClient.BreakerState().String()
+		if s.srcClient != nil {
 			ev.BreakerDeep = s.srcClient.BreakerState().String()
 		}
 		if s.adm != nil {

@@ -60,7 +60,7 @@ func TestFlightDisabled(t *testing.T) {
 // and checks wide events carry trace IDs resolvable via /trace/{id}.
 func TestFlightEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	s := New(1, WithFlightRecorder(FlightConfig{
+	s := newTestServer(t, WithFlightRecorder(FlightConfig{
 		Dir:                dir,
 		Triggers:           obs.TriggerConfig{On5xx: true, Debounce: time.Hour},
 		CPUProfileDuration: -1,
@@ -139,7 +139,7 @@ func TestFlightEndpoints(t *testing.T) {
 func TestFlightShedWideEvents(t *testing.T) {
 	dir := t.TempDir()
 	block := make(chan struct{})
-	s := New(1,
+	s := newTestServer(t,
 		WithAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueued: 0}),
 		WithFlightRecorder(FlightConfig{
 			Dir:                dir,

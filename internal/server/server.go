@@ -5,6 +5,12 @@
 // turns the in-process simulation into something a browser (or the
 // paper's crawler) could actually visit.
 //
+// The server serves one built world (snapshot.World): acquisition and
+// matching run once per domain, offline, before the first request, as
+// in the paper. New builds that world in memory and NewFromSnapshot
+// loads it from a file; both boot it the same way, so every domain is
+// ready from the start and no request runs the pipeline.
+//
 // Routes:
 //
 //	GET /                     index of sources
@@ -18,17 +24,16 @@
 //	                          per-attribute decision provenance (JSON)
 //	GET /trace/{id}           span tree of one trace (JSON)
 //	GET /healthz              liveness (always 200 once serving)
-//	GET /readyz[?domain=d]    readiness; 503 while a domain is unbuilt
+//	GET /readyz[?domain=d]    readiness; 503 once draining
 //	GET /stats                substrate usage + route latency (JSON)
 //	GET /metrics              Prometheus text-format metrics
 //
 // Every route is instrumented (request counters by status class, a
 // latency histogram, an in-flight gauge) and minted a root trace span
 // (X-Trace-ID response header); the substrate and pipeline metrics of
-// internal/obs are exposed on /metrics. Unified interfaces are built
-// lazily under per-domain singleflight: concurrent requests for one
-// domain share a single acquisition+matching run, and requests for
-// other routes are never blocked behind it.
+// internal/obs are exposed on /metrics. Under a fault profile
+// (WithFaultProfile) the request-time deep-web probes go through a
+// resilient source client, whose breaker /stats reports.
 package server
 
 import (
@@ -39,16 +44,13 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"webiq/internal/cluster"
-	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
-	"webiq/internal/matcher"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
@@ -62,14 +64,11 @@ import (
 // Server is the HTTP facade over the simulated Deep Web.
 type Server struct {
 	mux     *http.ServeMux
-	domains []*kb.Domain
 	engine  *surfaceweb.Engine
 	reg     *obs.Registry
 	tracer  *obs.Tracer
 	httpm   *obs.HTTPMetrics
-	ready   *obs.GaugeVec   // webiq_unified_ready{domain}
-	builds  *obs.CounterVec // webiq_unified_builds_total{domain}
-	startup *obs.Gauge      // webiq_startup_seconds
+	startup *obs.Gauge // webiq_startup_seconds
 
 	// startupNs mirrors the startup gauge for /stats (gauges are
 	// write-only); set once by RecordStartup.
@@ -80,18 +79,17 @@ type Server struct {
 	adm       *admission
 	faults    resilience.Profile
 	faultSeed int64
-	engClient *resilience.EngineClient
 	srcClient *resilience.SourceClient
 	draining  atomic.Bool
 
 	// Trace retention override (WithTraceRetention). Options run before
-	// the tracer exists, so the value is held until New applies it; the
+	// the tracer exists, so the value is held until boot applies it; the
 	// set flag distinguishes "unset" from an explicit 0 (disable).
 	traceRetention    int
 	traceRetentionSet bool
 
 	// Flight recorder (WithFlightRecorder); the config is held until
-	// finish so the recorder can see the resilient clients. The runtime
+	// finish so the recorder can see the resilient client. The runtime
 	// sampler exists unconditionally — /stats serves its on-demand
 	// sample — but only samples in the background when the recorder is
 	// on. snapInfo identifies the snapshot world, when booted from one.
@@ -106,15 +104,25 @@ type Server struct {
 	clusterCfg *cluster.Config
 	cluster    *cluster.Cluster
 
-	mu           sync.Mutex
-	datasets     map[string]*schema.Dataset
-	pools        map[string]*deepweb.Pool
-	unified      map[string]*unify.UnifiedInterface
-	translators  map[string]*translate.Translator
-	ledgers      map[string]*obs.Ledger
-	buildTrace   map[string]string
-	building     map[string]*unifiedBuild
-	degradations map[string][]iq.Degradation
+	// byDomain is the served world, one entry per domain. It is fixed
+	// at boot, so handlers read it without locking.
+	byDomain map[string]*domainState
+}
+
+// domainState is one domain's slice of the served world: the
+// post-acquisition dataset, the deep-web pool behind its sources, and
+// the unified interface with its translator, provenance ledger, and the
+// degradations its build absorbed.
+type domainState struct {
+	ds           *schema.Dataset
+	pool         *deepweb.Pool
+	unified      *unify.UnifiedInterface
+	translator   *translate.Translator
+	ledger       *obs.Ledger
+	degradations []iq.Degradation
+	// probeFailures counts request-time probes that failed terminally
+	// under a fault profile.
+	probeFailures atomic.Int64
 }
 
 // Option configures optional server subsystems.
@@ -128,9 +136,11 @@ func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Server) { s.adm = newAdmission(cfg) }
 }
 
-// WithFaultProfile injects the named fault profile into the pipeline's
-// backends, wrapped in the resilient clients (retry + circuit breaker):
-// unified-interface builds then exercise the full degradation path. The
+// WithFaultProfile injects the named fault profile into the request-time
+// deep-web probes: /source/{ifc}/search and the /unified/{domain}/search
+// fan-out then reach the sources through a resilient source client
+// (retry + circuit breaker). A probe that still fails answers 503 on the
+// probe route and lists the source as unavailable in the fan-out. The
 // seed drives the deterministic fault stream.
 func WithFaultProfile(prof resilience.Profile, seed int64) Option {
 	return func(s *Server) {
@@ -150,32 +160,47 @@ func WithTraceRetention(n int) Option {
 	}
 }
 
-// unifiedBuild is one in-flight lazy build; waiters block on done
-// without holding the server lock.
-type unifiedBuild struct {
-	done chan struct{}
-	u    *unify.UnifiedInterface
-	err  error
+// New builds the world for seed in memory — corpus, datasets, and the
+// full acquisition, matching, and unification pipeline for every domain
+// (snapshot.BuildWorld) — and boots the server from it exactly as
+// NewFromSnapshot boots from a file, so every domain is ready before
+// the first request.
+func New(seed int64, opts ...Option) (*Server, error) {
+	world, err := snapshot.BuildWorld(snapshot.BuildConfig{Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("server: build world: %w", err)
+	}
+	return boot(world, nil, opts)
 }
 
-// newServer does the construction shared by New and NewFromSnapshot:
-// options, tracer, metric families, and the provided search engine
-// (mutable and empty, or snapshot-backed and frozen). The caller
-// populates datasets/pools/pipeline state and then calls finish.
-func newServer(engine *surfaceweb.Engine, opts ...Option) *Server {
+// NewFromSnapshot builds the server from a pre-built world loaded from a
+// snapshot file: the frozen snapshot index serves as the search engine,
+// and /healthz and /stats report the world's fingerprint, seed, and
+// scale. Responses are byte-identical to New with the snapshot's seed.
+//
+// The world must stay open (not Closed) for the server's lifetime.
+func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
+	if world == nil || world.Index == nil {
+		return nil, fmt.Errorf("server: nil snapshot world")
+	}
+	return boot(world, &snapshotInfo{
+		Fingerprint: fmt.Sprintf("%016x", world.Fingerprint),
+		Seed:        world.Meta.Seed,
+		Scale:       world.Meta.Scale,
+	}, opts)
+}
+
+// boot installs a built world: the frozen index as the search engine,
+// the stored datasets, deep-web pools rebuilt deterministically from
+// them, and the stored unified interfaces, ledgers, and degradations.
+// It then wires the optional subsystems and the HTTP surface.
+func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, error) {
 	s := &Server{
-		mux:          http.NewServeMux(),
-		domains:      kb.Domains(),
-		engine:       engine,
-		reg:          obs.NewRegistry(),
-		datasets:     map[string]*schema.Dataset{},
-		pools:        map[string]*deepweb.Pool{},
-		unified:      map[string]*unify.UnifiedInterface{},
-		translators:  map[string]*translate.Translator{},
-		ledgers:      map[string]*obs.Ledger{},
-		buildTrace:   map[string]string{},
-		building:     map[string]*unifiedBuild{},
-		degradations: map[string][]iq.Degradation{},
+		mux:      http.NewServeMux(),
+		engine:   world.NewEngine(),
+		reg:      obs.NewRegistry(),
+		snapInfo: info,
+		byDomain: map[string]*domainState{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -186,110 +211,53 @@ func newServer(engine *surfaceweb.Engine, opts ...Option) *Server {
 	}
 	s.sampler = obs.NewRuntimeSampler(0, time.Second)
 	s.engine.Instrument(s.reg)
-	s.ready = s.reg.GaugeVec("webiq_unified_ready", "1 when the domain's unified interface has been built, 0 while pending.", "domain")
-	s.builds = s.reg.CounterVec("webiq_unified_builds_total", "Unified-interface builds performed, by domain.", "domain")
+	ready := s.reg.GaugeVec("webiq_unified_ready", "1 when the domain's unified interface is installed.", "domain")
 	s.startup = s.reg.Gauge("webiq_startup_seconds", "Wall-clock seconds from process start until the server was constructed and ready to listen.")
-	return s
-}
 
-// New builds the server: datasets and sources for every domain, plus
-// the Surface-Web corpus used when a unified interface is requested
-// (acquisition runs lazily, once per domain, under per-domain
-// singleflight).
-func New(seed int64, opts ...Option) *Server {
-	s := newServer(surfaceweb.NewEngine(), opts...)
-	corpusCfg := surfaceweb.DefaultCorpusConfig()
-	corpusCfg.Seed = seed
-	surfaceweb.BuildCorpus(s.engine, s.domains, corpusCfg)
-
-	dataCfg := dataset.DefaultConfig()
-	dataCfg.Seed = seed
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = seed
-	for _, dom := range s.domains {
-		ds := dataset.Generate(dom, dataCfg)
-		s.datasets[dom.Key] = ds
-		pool := deepweb.BuildPool(ds, dom, deepCfg)
-		pool.Instrument(s.reg)
-		s.pools[dom.Key] = pool
-		s.ready.With(dom.Key).Set(0)
-	}
-	s.finish()
-	return s
-}
-
-// NewFromSnapshot builds the server from a pre-built world: the frozen
-// snapshot index serves as the search engine, datasets come from the
-// file, deep-web pools are rebuilt deterministically from them, and the
-// stored unified interfaces, ledgers, and degradations are installed so
-// every domain is ready before the first request — no corpus build, no
-// lazy acquisition. Responses are byte-identical to a fresh server with
-// the snapshot's seed after its lazy builds finish, except that
-// restored build ledgers carry no trace IDs (the offline build has no
-// tracer).
-//
-// The world must stay open (not Closed) for the server's lifetime.
-func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
-	if world == nil || world.Index == nil {
-		return nil, fmt.Errorf("server: nil snapshot world")
-	}
-	s := newServer(world.NewEngine(), opts...)
-	s.snapInfo = &snapshotInfo{
-		Fingerprint: fmt.Sprintf("%016x", world.Fingerprint),
-		Seed:        world.Meta.Seed,
-		Scale:       world.Meta.Scale,
-	}
+	domains := kb.Domains()
 	deepCfg := deepweb.DefaultConfig()
 	deepCfg.Seed = world.Meta.Seed
-	for _, dom := range s.domains {
+	for _, dom := range domains {
 		ds := world.Dataset(dom.Key)
 		if ds == nil {
-			return nil, fmt.Errorf("server: snapshot has no dataset for domain %q", dom.Key)
+			return nil, fmt.Errorf("server: world has no dataset for domain %q", dom.Key)
 		}
-		s.datasets[dom.Key] = ds
 		pool := deepweb.BuildPool(ds, dom, deepCfg)
 		pool.Instrument(s.reg)
-		s.pools[dom.Key] = pool
+		s.byDomain[dom.Key] = &domainState{ds: ds, pool: pool}
 	}
 	for _, dw := range world.Domains {
-		ds := s.datasets[dw.Domain]
-		if ds == nil {
-			return nil, fmt.Errorf("server: snapshot world for unknown domain %q", dw.Domain)
+		d := s.byDomain[dw.Domain]
+		if d == nil {
+			return nil, fmt.Errorf("server: world for unknown domain %q", dw.Domain)
 		}
-		// Replay after Instrument so webiq_decisions_total matches a
-		// server that ran the builds itself.
+		// Replay after Instrument so webiq_decisions_total counts every
+		// decision of the build.
 		ledger := obs.NewLedger(nil)
 		ledger.Instrument(s.reg)
-		for _, d := range dw.Decisions {
-			ledger.Record(d)
+		for _, dec := range dw.Decisions {
+			ledger.Record(dec)
 		}
-		s.unified[dw.Domain] = dw.Unified
-		s.translators[dw.Domain] = translate.New(dw.Unified, ds, s.pools[dw.Domain])
-		s.ledgers[dw.Domain] = ledger
-		s.degradations[dw.Domain] = dw.Degradations
-		s.ready.With(dw.Domain).Set(1)
+		d.unified = dw.Unified
+		d.translator = translate.New(dw.Unified, d.ds, s.probe)
+		d.ledger = ledger
+		d.degradations = dw.Degradations
+		ready.With(dw.Domain).Set(1)
 	}
-	for _, dom := range s.domains {
-		if s.unified[dom.Key] == nil {
-			return nil, fmt.Errorf("server: snapshot has no unified interface for domain %q", dom.Key)
+	for _, dom := range domains {
+		if s.byDomain[dom.Key].unified == nil {
+			return nil, fmt.Errorf("server: world has no unified interface for domain %q", dom.Key)
 		}
 	}
 	s.finish()
 	return s, nil
 }
 
-// finish wires the optional fault clients and the HTTP surface; it runs
-// after the pipeline substrate is in place.
+// finish wires the optional fault client and the HTTP surface; it runs
+// after the world is installed.
 func (s *Server) finish() {
 	if s.faults.Enabled() {
-		inj := resilience.NewInjector(s.faults, s.faultSeed)
-		s.engClient = resilience.NewEngineClient(
-			resilience.FaultyEngine(resilience.AdaptEngine(s.engine), inj),
-			resilience.ClientOptions{Seed: s.faultSeed})
-		s.engClient.Instrument(s.reg)
-		s.srcClient = resilience.NewSourceClient(
-			resilience.FaultySource(resilience.ProbeFunc(s.probePool), inj),
-			resilience.ClientOptions{Seed: s.faultSeed})
+		_, s.srcClient = iq.FaultClients(s.faults, s.faultSeed, nil, s.source)
 		s.srcClient.Instrument(s.reg)
 	}
 	s.adm.instrument(s.reg)
@@ -334,24 +302,39 @@ func (s *Server) RecordStartup(d time.Duration) {
 	s.startup.Set(d.Seconds())
 }
 
-// probePool routes a deep-web probe to the owning domain's pool; it is
-// the infallible bottom of the resilient source-client chain.
-func (s *Server) probePool(ifcID, attrID, value string) (string, error) {
-	domain := ifcID
-	if i := strings.IndexByte(ifcID, '/'); i >= 0 {
-		domain = ifcID[:i]
+// domainOf returns the domain key an interface ID like "airfare/if03"
+// belongs to.
+func domainOf(ifcID string) string {
+	domain, _, _ := strings.Cut(ifcID, "/")
+	return domain
+}
+
+// source returns the deep-web source behind an interface ID, or nil.
+func (s *Server) source(ifcID string) *deepweb.Source {
+	d := s.byDomain[domainOf(ifcID)]
+	if d == nil {
+		return nil
 	}
-	s.mu.Lock()
-	pool := s.pools[domain]
-	s.mu.Unlock()
-	if pool == nil {
-		return "", resilience.ErrUnknownSource
+	return d.pool.Source(ifcID)
+}
+
+// probe submits one form query at request time: through the resilient
+// source client under a fault profile, else straight to the source.
+func (s *Server) probe(ctx context.Context, ifcID, attrID, value string) (string, error) {
+	if s.srcClient == nil {
+		src := s.source(ifcID)
+		if src == nil {
+			return "", resilience.ErrUnknownSource
+		}
+		return src.Probe(attrID, value), nil
 	}
-	src := pool.Source(ifcID)
-	if src == nil {
-		return "", resilience.ErrUnknownSource
+	page, err := s.srcClient.Probe(ctx, ifcID, attrID, value)
+	if err != nil {
+		if d := s.byDomain[domainOf(ifcID)]; d != nil {
+			d.probeFailures.Add(1)
+		}
 	}
-	return src.Probe(attrID, value), nil
+	return page, err
 }
 
 // BeginDrain flips the server into draining: /readyz answers 503, new
@@ -383,26 +366,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// sourceFor resolves an interface ID like "airfare/if03" to its dataset,
-// interface, and source.
-func (s *Server) sourceFor(ifcID string) (*schema.Dataset, *schema.Interface, *deepweb.Source) {
-	domain := ifcID
-	if i := strings.IndexByte(ifcID, '/'); i >= 0 {
-		domain = ifcID[:i]
+// interfaceFor resolves an interface ID like "airfare/if03" to its
+// interface, or nil.
+func (s *Server) interfaceFor(ifcID string) *schema.Interface {
+	d := s.byDomain[domainOf(ifcID)]
+	if d == nil {
+		return nil
 	}
-	s.mu.Lock()
-	ds := s.datasets[domain]
-	pool := s.pools[domain]
-	s.mu.Unlock()
-	if ds == nil || pool == nil {
-		return nil, nil, nil
-	}
-	for _, ifc := range ds.Interfaces {
+	for _, ifc := range d.ds.Interfaces {
 		if ifc.ID == ifcID {
-			return ds, ifc, pool.Source(ifcID)
+			return ifc
 		}
 	}
-	return nil, nil, nil
+	return nil
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -413,19 +389,9 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	sl := getSlab()
 	fmt.Fprintln(&sl.buf, "<html><body><h1>Simulated Deep Web</h1>")
-	keys := make([]string, 0, len(s.datasets))
-	s.mu.Lock()
-	for k := range s.datasets {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	for _, k := range keys {
+	for _, k := range s.domainKeys() {
 		fmt.Fprintf(&sl.buf, "<h2>%s</h2><ul>", k)
-		s.mu.Lock()
-		ds := s.datasets[k]
-		s.mu.Unlock()
-		for _, ifc := range ds.Interfaces {
+		for _, ifc := range s.byDomain[k].ds.Interfaces {
 			fmt.Fprintf(&sl.buf, `<li><a href="/source/%s">%s</a></li>`, ifc.ID, ifc.Source)
 		}
 		fmt.Fprintf(&sl.buf, `</ul><p><a href="/unified/%s">unified interface</a></p>`, k)
@@ -444,16 +410,14 @@ type sourceInfo struct {
 
 func (s *Server) handleSources(w http.ResponseWriter, _ *http.Request) {
 	var out []sourceInfo
-	s.mu.Lock()
-	for _, ds := range s.datasets {
-		for _, ifc := range ds.Interfaces {
+	for _, d := range s.byDomain {
+		for _, ifc := range d.ds.Interfaces {
 			out = append(out, sourceInfo{
 				ID: ifc.ID, Domain: ifc.Domain, Name: ifc.Source,
 				Attributes: len(ifc.Attributes),
 			})
 		}
 	}
-	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, out)
 }
@@ -464,7 +428,7 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 		s.handleSearch(w, r, ifcID)
 		return
 	}
-	_, ifc, _ := s.sourceFor(rest)
+	ifc := s.interfaceFor(rest)
 	if ifc == nil {
 		http.NotFound(w, r)
 		return
@@ -475,10 +439,11 @@ func (s *Server) handleSource(w http.ResponseWriter, r *http.Request) {
 
 // handleSearch simulates a form submission: the first filled field f<i>
 // becomes the probe (the simulator's sources evaluate one attribute at a
-// time, like Attr-Deep's probing queries).
+// time, like Attr-Deep's probing queries). A probe that fails answers
+// 503: the source is unavailable, which says nothing about the value.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, ifcID string) {
-	_, ifc, src := s.sourceFor(ifcID)
-	if ifc == nil || src == nil {
+	ifc := s.interfaceFor(ifcID)
+	if ifc == nil || s.source(ifcID) == nil {
 		http.NotFound(w, r)
 		return
 	}
@@ -488,7 +453,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, ifcID stri
 		if strings.TrimSpace(v) == "" {
 			continue
 		}
-		io.WriteString(w, src.Probe(a.ID, v))
+		page, err := s.probe(r.Context(), ifcID, a.ID, v)
+		if err != nil {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintf(w, "<html><body><p>Error: source unavailable: %s</p></body></html>", resilience.Reason(err))
+			return
+		}
+		io.WriteString(w, page)
 		return
 	}
 	io.WriteString(w, "<html><body><p>Error: please fill in at least one field.</p></body></html>")
@@ -504,29 +475,27 @@ func (s *Server) handleUnified(w http.ResponseWriter, r *http.Request) {
 		s.handleExplain(w, r, domain)
 		return
 	}
-	u, err := s.unifiedFor(r.Context(), rest)
-	if err != nil {
+	d := s.byDomain[rest]
+	if d == nil {
 		http.NotFound(w, r)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	io.WriteString(w, htmlform.Render(u.AsInterface("unified-"+rest)))
+	io.WriteString(w, htmlform.Render(d.unified.AsInterface("unified-"+rest)))
 }
 
 // handleUnifiedSearch translates a unified query to every source and
 // reports which answered.
 func (s *Server) handleUnifiedSearch(w http.ResponseWriter, r *http.Request, domain string) {
-	if _, err := s.unifiedFor(r.Context(), domain); err != nil {
+	d := s.byDomain[domain]
+	if d == nil {
 		http.NotFound(w, r)
 		return
 	}
-	s.mu.Lock()
-	tr := s.translators[domain]
-	s.mu.Unlock()
 	attr := r.URL.Query().Get("attr")
 	value := r.URL.Query().Get("value")
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	results, err := tr.Query(attr, value)
+	results, err := d.translator.Query(r.Context(), attr, value)
 	if err != nil {
 		w.WriteHeader(http.StatusBadRequest)
 		fmt.Fprintf(w, "<html><body><p>Error: %s</p></body></html>", err)
@@ -538,100 +507,16 @@ func (s *Server) handleUnifiedSearch(w http.ResponseWriter, r *http.Request, dom
 		attr, value, ok, total)
 	for _, res := range results {
 		status := "no results"
-		if res.OK {
+		switch {
+		case res.Err != nil:
+			status = "unavailable"
+		case res.OK:
 			status = "results found"
 		}
 		fmt.Fprintf(&sl.buf, `<li><a href="/source/%s">%s</a>: %s</li>`, res.InterfaceID, res.InterfaceID, status)
 	}
 	fmt.Fprint(&sl.buf, "</ul></body></html>")
 	sl.flush(w)
-}
-
-// unifiedFor lazily runs acquisition + matching + unification for a
-// domain under per-domain singleflight: the global lock is held only
-// for map access, concurrent requests for one domain share a single
-// build, and requests for other routes (or other domains) are never
-// blocked behind it.
-func (s *Server) unifiedFor(ctx context.Context, domain string) (*unify.UnifiedInterface, error) {
-	s.mu.Lock()
-	if u, ok := s.unified[domain]; ok {
-		s.mu.Unlock()
-		return u, nil
-	}
-	if s.datasets[domain] == nil || s.pools[domain] == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("unknown domain %q", domain)
-	}
-	if b, ok := s.building[domain]; ok {
-		s.mu.Unlock()
-		<-b.done
-		return b.u, b.err
-	}
-	b := &unifiedBuild{done: make(chan struct{})}
-	s.building[domain] = b
-	s.mu.Unlock()
-
-	b.u, b.err = s.buildUnified(ctx, domain)
-
-	s.mu.Lock()
-	delete(s.building, domain)
-	s.mu.Unlock()
-	close(b.done)
-	return b.u, b.err
-}
-
-// buildUnified runs the full pipeline for one domain under a
-// "unified-build" span (a child of the requesting trace) with a
-// per-domain decision-provenance ledger, and caches the results.
-func (s *Server) buildUnified(ctx context.Context, domain string) (*unify.UnifiedInterface, error) {
-	s.mu.Lock()
-	ds := s.datasets[domain]
-	pool := s.pools[domain]
-	s.mu.Unlock()
-
-	ctx, span := s.tracer.StartSpan(ctx, "unified-build")
-	span.Label("domain", domain)
-	defer span.End()
-	traceID := obs.TraceIDFrom(ctx)
-
-	ledger := obs.NewLedger(nil)
-	ledger.Instrument(s.reg)
-
-	cfg := iq.DefaultConfig()
-	v := iq.NewValidator(s.engine, cfg)
-	acq := iq.NewAcquirer(
-		iq.NewSurface(s.engine, v, cfg),
-		iq.NewAttrDeep(pool, cfg),
-		iq.NewAttrSurface(v, cfg),
-		iq.AllComponents(), cfg)
-	acq.SetObserver(s.reg)
-	acq.SetSpanTracer(s.tracer)
-	acq.SetLedger(ledger)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return s.engine.VirtualTime(), s.engine.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
-	if s.engClient != nil {
-		acq.SetFallible(s.engClient, s.srcClient)
-	}
-	rep := acq.AcquireAllCtx(ctx, ds)
-	m := matcher.New(matcher.DefaultConfig())
-	m.Instrument(s.reg)
-	m.SetSpanTracer(s.tracer)
-	m.SetLedger(ledger)
-	res := m.MatchCtx(ctx, ds)
-	u := unify.Build(ds, res)
-
-	s.mu.Lock()
-	s.unified[domain] = u
-	s.translators[domain] = translate.New(u, ds, pool)
-	s.ledgers[domain] = ledger
-	s.buildTrace[domain] = traceID
-	s.degradations[domain] = rep.Degradations
-	s.mu.Unlock()
-	s.builds.With(domain).Inc()
-	s.ready.With(domain).Set(1)
-	return u, nil
 }
 
 // handleTrace serves the reconstructed span tree of one trace:
@@ -670,38 +555,25 @@ type readyzInfo struct {
 	Domains  map[string]bool `json:"domains"`
 }
 
-// handleReadyz reports per-domain acquisition state: with ?domain=d it
-// answers 200 once d's unified interface is built and 503 while it is
-// pending (404 for an unknown domain), so a load balancer can hold
-// traffic instead of timing out on a cold /unified/{domain}. Without a
-// domain parameter it reports every domain and is ready only when all
-// are built.
+// handleReadyz is the readiness probe. Every domain is installed at
+// boot, so the server is ready until BeginDrain. With ?domain=d the
+// report narrows to d (404 for an unknown domain), which is what
+// cluster peers probe.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining.Load()
-	s.mu.Lock()
-	info := readyzInfo{Ready: !draining, Draining: draining, Domains: make(map[string]bool, len(s.datasets))}
-	for k := range s.datasets {
-		_, built := s.unified[k]
-		info.Domains[k] = built
-		if !built {
-			info.Ready = false
-		}
-	}
-	s.mu.Unlock()
+	info := readyzInfo{Ready: !draining, Draining: draining, Domains: map[string]bool{}}
 	if d := r.URL.Query().Get("domain"); d != "" {
-		built, known := info.Domains[d]
-		if !known {
+		if s.byDomain[d] == nil {
 			http.NotFound(w, r)
 			return
 		}
-		ready := built && !draining
-		if !ready {
-			w.WriteHeader(http.StatusServiceUnavailable)
+		info.Domains[d] = true
+	} else {
+		for k := range s.byDomain {
+			info.Domains[k] = true
 		}
-		writeJSON(w, readyzInfo{Ready: ready, Draining: draining, Domains: map[string]bool{d: built}})
-		return
 	}
-	if !info.Ready {
+	if draining {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	writeJSON(w, info)
@@ -723,9 +595,12 @@ type statsInfo struct {
 	Routes               map[string]obs.RouteSummary `json:"routes"`
 	// Admission is present when the bounded admission queue is on.
 	Admission *admissionInfo `json:"admission,omitempty"`
-	// Breakers maps backend name to circuit-breaker state when fault
-	// injection (and hence the resilient clients) is on.
+	// Breakers maps backend name to circuit-breaker state when a fault
+	// profile (and hence the resilient source client) is on.
 	Breakers map[string]string `json:"breakers,omitempty"`
+	// ProbeFailuresByDomain counts request-time probes that failed
+	// after retries, under a fault profile.
+	ProbeFailuresByDomain map[string]int `json:"probe_failures_by_domain,omitempty"`
 	// DegradationsByDomain counts the graceful-degradation events
 	// absorbed while building each domain's unified interface.
 	DegradationsByDomain map[string]int `json:"degradations_by_domain,omitempty"`
@@ -775,28 +650,23 @@ func (s *Server) buildStats() statsInfo {
 			Draining: draining,
 		}
 	}
-	if s.engClient != nil {
-		info.Breakers = map[string]string{
-			"search": s.engClient.BreakerState().String(),
-			"deep":   s.srcClient.BreakerState().String(),
-		}
+	if s.srcClient != nil {
+		info.Breakers = map[string]string{"deep": s.srcClient.BreakerState().String()}
+		info.ProbeFailuresByDomain = make(map[string]int, len(s.byDomain))
 	}
 	if s.cluster != nil {
 		cs := s.cluster.Stats(s.domainKeys())
 		info.Cluster = &cs
 	}
-	s.mu.Lock()
-	for k, p := range s.pools {
-		info.ProbesByPool[k] = p.QueryCount()
-		info.ProbeVirtualByPool[k] = p.VirtualTime().Seconds()
-	}
-	if len(s.degradations) > 0 {
-		info.DegradationsByDomain = make(map[string]int, len(s.degradations))
-		for k, d := range s.degradations {
-			info.DegradationsByDomain[k] = len(d)
+	info.DegradationsByDomain = make(map[string]int, len(s.byDomain))
+	for k, d := range s.byDomain {
+		info.ProbesByPool[k] = d.pool.QueryCount()
+		info.ProbeVirtualByPool[k] = d.pool.VirtualTime().Seconds()
+		info.DegradationsByDomain[k] = len(d.degradations)
+		if info.ProbeFailuresByDomain != nil {
+			info.ProbeFailuresByDomain[k] = int(d.probeFailures.Load())
 		}
 	}
-	s.mu.Unlock()
 	return info
 }
 

@@ -4,19 +4,65 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
+
+	"webiq/internal/resilience"
+	"webiq/internal/snapshot"
 )
 
+// Building a world runs the full pipeline for every domain, so the
+// tests build one per test binary, round-trip it through the snapshot
+// encoding, and share it read-only: every test server boots from it.
 var (
+	worldOnce sync.Once
+	world     *snapshot.World
+	worldErr  error
+
 	srvOnce sync.Once
 	srv     *Server
 )
 
+const snapSeed = 1
+
+func testWorld(t *testing.T) *snapshot.World {
+	t.Helper()
+	worldOnce.Do(func() {
+		built, err := snapshot.BuildWorld(snapshot.BuildConfig{Seed: snapSeed})
+		if err != nil {
+			worldErr = err
+			return
+		}
+		raw, err := built.Bytes()
+		if err != nil {
+			worldErr = err
+			return
+		}
+		world, worldErr = snapshot.LoadBytes(raw)
+	})
+	if worldErr != nil {
+		t.Fatalf("build test world: %v", worldErr)
+	}
+	return world
+}
+
+// newTestServer boots a server with opts from the shared test world:
+// the boot New runs after building its world, minus the build.
+func newTestServer(t *testing.T, opts ...Option) *Server {
+	t.Helper()
+	s, err := boot(testWorld(t), nil, opts)
+	if err != nil {
+		t.Fatalf("boot test server: %v", err)
+	}
+	return s
+}
+
+// testServer is a shared server for tests that need no options.
 func testServer(t *testing.T) *Server {
 	t.Helper()
-	srvOnce.Do(func() { srv = New(1) })
+	srvOnce.Do(func() { srv = newTestServer(t) })
 	return srv
 }
 
@@ -197,31 +243,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsCoverAcquisition asserts the acquirer and matcher families
-// appear after a unified-interface build (the full pipeline run).
+// TestMetricsCoverAcquisition asserts the build's decisions are on
+// /metrics from boot: the replayed ledgers count every acquisition
+// component's and the matcher's decisions.
 func TestMetricsCoverAcquisition(t *testing.T) {
-	if testing.Short() {
-		t.Skip("unified endpoint runs acquisition; skipped with -short")
-	}
 	s := testServer(t)
-	get(t, s, "/unified/book")
 	_, body := get(t, s, "/metrics")
-	for _, fam := range []string{
-		"webiq_acquire_attributes_total",
-		"webiq_acquire_component_queries_total",
-		"webiq_matcher_pairs_scored_total",
-		"webiq_matcher_match_seconds",
-	} {
-		if !strings.Contains(body, fam) {
-			t.Errorf("metrics missing family %q after acquisition", fam)
+	for _, comp := range []string{"surface", "attr-surface", "attr-deep", "matcher"} {
+		if !strings.Contains(body, `webiq_decisions_total{component="`+comp+`"`) {
+			t.Errorf("metrics missing decisions of component %q", comp)
+		}
+	}
+	for _, dom := range []string{"airfare", "auto", "book", "job", "realestate"} {
+		if !strings.Contains(body, `webiq_unified_ready{domain="`+dom+`"} 1`) {
+			t.Errorf("metrics missing webiq_unified_ready{domain=%q} 1", dom)
 		}
 	}
 }
 
 func TestUnifiedInterface(t *testing.T) {
-	if testing.Short() {
-		t.Skip("unified endpoint runs acquisition; skipped with -short")
-	}
 	s := testServer(t)
 	code, body := get(t, s, "/unified/book")
 	if code != 200 {
@@ -232,10 +272,24 @@ func TestUnifiedInterface(t *testing.T) {
 			t.Errorf("unified page missing %q", want)
 		}
 	}
-	// Second hit is served from cache and identical.
-	_, body2 := get(t, s, "/unified/book")
-	if body != body2 {
-		t.Error("unified page not cached deterministically")
+	// Concurrent requests read the same installed interface.
+	const n = 4
+	bodies := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/unified/book", nil))
+			bodies[i] = rec.Body.String()
+		}(i)
+	}
+	wg.Wait()
+	for i, b := range bodies {
+		if b != body {
+			t.Errorf("concurrent request %d body differs", i)
+		}
 	}
 }
 
@@ -247,9 +301,6 @@ func TestUnifiedUnknownDomain(t *testing.T) {
 }
 
 func TestUnifiedSearch(t *testing.T) {
-	if testing.Short() {
-		t.Skip("unified search runs acquisition; skipped with -short")
-	}
 	s := testServer(t)
 	// Discover a queryable attribute from the unified form.
 	_, form := get(t, s, "/unified/book")
@@ -268,5 +319,83 @@ func TestUnifiedSearch(t *testing.T) {
 	code, _ = get(t, s, "/unified/book/search?attr=Nope&value=x")
 	if code != 400 {
 		t.Errorf("status = %d, want 400", code)
+	}
+}
+
+// TestChaosRequestProbes pins fault injection on the server: under p30
+// the request-time probes of /source/{ifc}/search and the
+// /unified/{domain}/search fan-out go through the resilient source
+// client on both boot paths. /stats then shows that client's breaker
+// and counts every probe that failed after retries, each of which
+// answered 503 or was listed as unavailable. Without a profile neither
+// block appears.
+func TestChaosRequestProbes(t *testing.T) {
+	prof, err := resilience.ProfileByName("p30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	world := testWorld(t)
+	fresh, err := New(snapSeed, WithFaultProfile(prof, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := NewFromSnapshot(world, WithFaultProfile(prof, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		s    *Server
+	}{{"new", fresh}, {"snapshot", snap}} {
+		t.Run(tc.name, func(t *testing.T) {
+			unavailable, refused := 0, 0
+			for _, dw := range world.Domains {
+				for _, ua := range dw.Unified.Attributes {
+					if len(ua.Instances) == 0 {
+						continue
+					}
+					path := "/unified/" + dw.Domain + "/search?attr=" + url.QueryEscape(ua.Label) + "&value=" + url.QueryEscape(ua.Instances[0])
+					code, body := get(t, tc.s, path)
+					if code != 200 {
+						t.Fatalf("%s: status %d", path, code)
+					}
+					unavailable += strings.Count(body, ": unavailable</li>")
+				}
+				for _, ifc := range world.Dataset(dw.Domain).Interfaces {
+					switch code, _ := get(t, tc.s, "/source/"+ifc.ID+"/search?f0=x"); code {
+					case 200:
+					case 503:
+						refused++
+					default:
+						t.Fatalf("probe %s: status %d", ifc.ID, code)
+					}
+				}
+			}
+			_, body := get(t, tc.s, "/stats")
+			var info statsInfo
+			if err := json.Unmarshal([]byte(body), &info); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := info.Breakers["deep"]; !ok || len(info.Breakers) != 1 {
+				t.Errorf("breakers = %v, want the deep source client's alone", info.Breakers)
+			}
+			total := 0
+			for _, n := range info.ProbeFailuresByDomain {
+				total += n
+			}
+			if unavailable == 0 || refused == 0 {
+				t.Errorf("fan-outs listed %d unavailable sources and the probe route answered %d 503s; want both > 0", unavailable, refused)
+			}
+			if total != unavailable+refused {
+				t.Errorf("/stats counts %d failed probes, responses showed %d", total, unavailable+refused)
+			}
+		})
+	}
+
+	_, body := get(t, testServer(t), "/stats")
+	for _, key := range []string{`"breakers"`, `"probe_failures_by_domain"`} {
+		if strings.Contains(body, key) {
+			t.Errorf("/stats without a fault profile has %s", key)
+		}
 	}
 }

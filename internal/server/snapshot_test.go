@@ -2,18 +2,19 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"webiq/internal/kb"
-	"webiq/internal/snapshot"
 )
 
-// Fresh and snapshot-backed servers are built once per test binary
-// (both run the full pipeline for every domain) and shared read-only.
+// The snapshot-backed server boots from the shared test world (which
+// went through the serialized form, so these tests cover the snapshot
+// server as deployed: zero-copy arrays, JSON-restored interfaces); the
+// fresh one comes from New, which builds its own world in memory. Both
+// are built once per test binary and shared read-only.
 var (
 	snapPairOnce sync.Once
 	snapSrv      *Server
@@ -21,34 +22,14 @@ var (
 	snapPairErr  error
 )
 
-const snapSeed = 1
-
 func snapshotPair(t *testing.T) (snap, fresh *Server) {
 	t.Helper()
+	world := testWorld(t)
 	snapPairOnce.Do(func() {
-		world, err := snapshot.BuildWorld(snapshot.BuildConfig{Seed: snapSeed})
-		if err != nil {
-			snapPairErr = fmt.Errorf("build world: %w", err)
+		if snapSrv, snapPairErr = NewFromSnapshot(world); snapPairErr != nil {
 			return
 		}
-		raw, err := world.Bytes()
-		if err != nil {
-			snapPairErr = fmt.Errorf("serialize world: %w", err)
-			return
-		}
-		// Go through the serialized form so the test covers the
-		// snapshot server as deployed: zero-copy arrays, JSON-restored
-		// interfaces.
-		loaded, err := snapshot.LoadBytes(raw)
-		if err != nil {
-			snapPairErr = fmt.Errorf("load world: %w", err)
-			return
-		}
-		snapSrv, snapPairErr = NewFromSnapshot(loaded)
-		if snapPairErr != nil {
-			return
-		}
-		freshSrv = New(snapSeed)
+		freshSrv, snapPairErr = New(snapSeed)
 	})
 	if snapPairErr != nil {
 		t.Fatalf("build snapshot/fresh server pair: %v", snapPairErr)
@@ -56,11 +37,11 @@ func snapshotPair(t *testing.T) (snap, fresh *Server) {
 	return snapSrv, freshSrv
 }
 
-// TestSnapshotServerReadyImmediately pins the cold-start payoff: every
-// domain reports ready before any request has triggered a build, while
-// a fresh server starts entirely unready.
+// TestSnapshotServerReadyImmediately pins one boot path: a snapshot
+// server and a fresh one both report every domain ready before any
+// request, with identical /readyz bodies.
 func TestSnapshotServerReadyImmediately(t *testing.T) {
-	snap, _ := snapshotPair(t)
+	snap, fresh := snapshotPair(t)
 	code, body := get(t, snap, "/readyz")
 	if code != 200 {
 		t.Fatalf("/readyz on a snapshot server = %d, want 200; body %s", code, body)
@@ -80,18 +61,15 @@ func TestSnapshotServerReadyImmediately(t *testing.T) {
 			t.Errorf("domain %s not ready at boot", dom.Key)
 		}
 	}
-
-	// A brand-new fresh server (no requests yet) must be the opposite.
-	cold := New(snapSeed + 1)
-	if code, _ := get(t, cold, "/readyz"); code != 503 {
-		t.Errorf("/readyz on a cold fresh server = %d, want 503", code)
+	if fc, fb := get(t, fresh, "/readyz"); fc != code || fb != body {
+		t.Errorf("/readyz on a fresh server = %d %s, want the snapshot server's %d %s", fc, fb, code, body)
 	}
 }
 
-// TestSnapshotServerUnifiedBytes is the tentpole equivalence at the
-// HTTP boundary: the rendered /unified/{domain} HTML must be
-// byte-identical between the snapshot-backed server and a fresh server
-// that built the same seed lazily.
+// TestSnapshotServerUnifiedBytes is the boot equivalence at the HTTP
+// boundary: the rendered /unified/{domain} HTML must be byte-identical
+// between the snapshot-backed server and a fresh server that built the
+// same seed in memory.
 func TestSnapshotServerUnifiedBytes(t *testing.T) {
 	snap, fresh := snapshotPair(t)
 	for _, dom := range kb.Domains() {
@@ -139,8 +117,8 @@ func TestSnapshotServerSourcesBytes(t *testing.T) {
 	}
 }
 
-// TestSnapshotServerExplain compares build provenance: identical except
-// the trace ID, which only a live traced build has.
+// TestSnapshotServerExplain compares build provenance: byte-identical,
+// since both worlds were built without a tracer.
 func TestSnapshotServerExplain(t *testing.T) {
 	snap, fresh := snapshotPair(t)
 	for _, dom := range kb.Domains() {
@@ -150,42 +128,8 @@ func TestSnapshotServerExplain(t *testing.T) {
 		if sc != 200 || fc != 200 {
 			t.Fatalf("%s: status snapshot=%d fresh=%d", path, sc, fc)
 		}
-		var sm, fm map[string]any
-		if err := json.Unmarshal([]byte(sb), &sm); err != nil {
-			t.Fatalf("%s: bad snapshot JSON: %v", path, err)
-		}
-		if err := json.Unmarshal([]byte(fb), &fm); err != nil {
-			t.Fatalf("%s: bad fresh JSON: %v", path, err)
-		}
-		if sm["trace_id"] != nil {
-			t.Errorf("%s: snapshot explain has a trace ID %v, offline builds have no tracer", path, sm["trace_id"])
-		}
-		// Trace and span IDs are the documented difference: offline
-		// builds run without a tracer, so embedded decisions carry
-		// empty IDs. Everything else must match.
-		stripTraceIDs(sm)
-		stripTraceIDs(fm)
-		ss, _ := json.Marshal(sm)
-		fs, _ := json.Marshal(fm)
-		if string(ss) != string(fs) {
-			t.Errorf("%s: provenance differs beyond the trace ID", path)
-		}
-	}
-}
-
-// stripTraceIDs removes trace_id/span_id keys recursively, the one
-// field family where offline and traced builds legitimately differ.
-func stripTraceIDs(v any) {
-	switch x := v.(type) {
-	case map[string]any:
-		delete(x, "trace_id")
-		delete(x, "span_id")
-		for _, child := range x {
-			stripTraceIDs(child)
-		}
-	case []any:
-		for _, child := range x {
-			stripTraceIDs(child)
+		if sb != fb {
+			t.Errorf("%s: provenance differs between snapshot and fresh servers", path)
 		}
 	}
 }
@@ -231,11 +175,9 @@ func TestSnapshotServerStartupMetric(t *testing.T) {
 }
 
 // TestSnapshotServerDecisionCounters checks ledger replay restored the
-// decision metrics a fresh server accumulates while building.
+// same decision metrics on both boot paths.
 func TestSnapshotServerDecisionCounters(t *testing.T) {
 	snap, fresh := snapshotPair(t)
-	// Fresh server has built every domain by now (earlier tests hit
-	// all /unified routes); counters must agree.
 	_, sm := get(t, snap, "/metrics")
 	_, fm := get(t, fresh, "/metrics")
 	want := grepMetric(fm, "webiq_decisions_total")

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
@@ -35,9 +34,7 @@ type Meta struct {
 // stored bytes round-trip exactly), the provenance ledger's decisions,
 // and any degradations.
 //
-// Offline builds run without a tracer, so restored decisions carry
-// empty trace IDs — /explain output differs from a fresh server build
-// in exactly that field.
+// Builds run without a tracer, so decisions carry empty trace IDs.
 type DomainWorld struct {
 	Domain       string                  `json:"domain"`
 	Unified      *unify.UnifiedInterface `json:"unified"`
@@ -112,9 +109,8 @@ type BuildConfig struct {
 // BuildWorld runs the full WebIQ pipeline offline — corpus, datasets,
 // deep-web pools, acquisition, matching, unification for every domain —
 // and returns the result with the index frozen at the pre-pipeline
-// vocabulary. At Scale 1 the outputs are byte-identical (report JSON,
-// ledger NDJSON, unified interfaces) to what a fresh server with the
-// same seed builds lazily per request.
+// vocabulary. It is the one way a world is made: a snapshot file stores
+// it, and server.New boots straight from it in memory.
 //
 // All domains are always built: the corpus generator draws from one
 // sequential stream across domains, so a subset would change every
@@ -150,22 +146,9 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		ds := dataset.Generate(dom, dataCfg)
 		pool := deepweb.BuildPool(ds, dom, deepCfg)
 
-		// Mirror server.buildUnified's wiring exactly, minus
-		// observability (tracer, registry, fault clients) — none of
-		// which changes pipeline outputs.
 		ledger := obs.NewLedger(nil)
-		icfg := iq.DefaultConfig()
-		val := iq.NewValidator(engine, icfg)
-		acq := iq.NewAcquirer(
-			iq.NewSurface(engine, val, icfg),
-			iq.NewAttrDeep(pool, icfg),
-			iq.NewAttrSurface(val, icfg),
-			iq.AllComponents(), icfg)
+		acq := iq.NewPipeline(engine, pool, iq.DefaultConfig(), iq.AllComponents())
 		acq.SetLedger(ledger)
-		acq.SetAccounting(
-			func() (time.Duration, int) { return engine.VirtualTime(), engine.QueryCount() },
-			func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-		)
 		rep := acq.AcquireAll(ds)
 
 		m := matcher.New(matcher.DefaultConfig())

@@ -10,14 +10,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/obs"
-	"webiq/internal/surfaceweb"
 	"webiq/internal/unify"
 	iq "webiq/internal/webiq"
 )
@@ -233,18 +231,8 @@ func TestPipelineEquivalenceOnFrozenEngine(t *testing.T) {
 		ds := dataset.Generate(dom, dataCfg)
 		pool := deepweb.BuildPool(ds, dom, deepCfg)
 		ledger := obs.NewLedger(nil)
-		icfg := iq.DefaultConfig()
-		val := iq.NewValidator(engine, icfg)
-		acq := iq.NewAcquirer(
-			iq.NewSurface(engine, val, icfg),
-			iq.NewAttrDeep(pool, icfg),
-			iq.NewAttrSurface(val, icfg),
-			iq.AllComponents(), icfg)
+		acq := iq.NewPipeline(engine, pool, iq.DefaultConfig(), iq.AllComponents())
 		acq.SetLedger(ledger)
-		acq.SetAccounting(
-			func() (time.Duration, int) { return engine.VirtualTime(), engine.QueryCount() },
-			func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-		)
 		rep := acq.AcquireAll(ds)
 		m := matcher.New(matcher.DefaultConfig())
 		m.SetLedger(ledger)
@@ -489,28 +477,4 @@ func TestConcurrentLoadedReaders(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSurfacewebGobUnchanged guards the legacy gob corpus snapshot: a
-// loaded binary snapshot writes the same gob bytes as the engine that
-// built it.
-func TestSurfacewebGobUnchanged(t *testing.T) {
-	want, raw := testWorld(t)
-	loaded, err := LoadBytes(raw)
-	if err != nil {
-		t.Fatalf("LoadBytes: %v", err)
-	}
-	var a, b bytes.Buffer
-	if err := want.NewEngine().WriteSnapshot(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.NewEngine().WriteSnapshot(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("gob corpus snapshot differs after binary round trip")
-	}
-	if _, err := surfaceweb.ReadSnapshot(&b); err != nil {
-		t.Errorf("gob snapshot from loaded engine unreadable: %v", err)
-	}
 }

@@ -274,6 +274,36 @@ func (e *Engine) NumDocs() int {
 	return e.docCountLocked()
 }
 
+// Vocabulary returns the number of distinct indexed terms — a cheap
+// sanity statistic for corpus inspection.
+func (e *Engine) Vocabulary() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.ro != nil {
+		return e.ro.vocab
+	}
+	return len(e.index)
+}
+
+// TermFrequency returns how many documents contain the (normalized)
+// term.
+func (e *Engine) TermFrequency(term string) int {
+	norm := ""
+	if ws := nlp.Words(term); len(ws) > 0 {
+		norm = ws[0]
+	}
+	id, ok := e.terms.Lookup(norm)
+	if !ok {
+		return 0
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.ro != nil {
+		return e.ro.docCount(id)
+	}
+	return len(e.index[id])
+}
+
 // QueryCount returns the number of queries served so far.
 func (e *Engine) QueryCount() int {
 	return int(e.queries.Load())

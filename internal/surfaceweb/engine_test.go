@@ -205,3 +205,18 @@ func TestSearchRankTieBreaksByID(t *testing.T) {
 		t.Errorf("tie-break order = %v, want [%d %d]", snips, a, b)
 	}
 }
+
+func TestTermFrequency(t *testing.T) {
+	e := NewEngine()
+	e.Add("a", "delta flies from boston")
+	e.Add("b", "Delta and United")
+	if got := e.TermFrequency("Delta"); got != 2 {
+		t.Errorf("TermFrequency(Delta) = %d, want 2", got)
+	}
+	if got := e.TermFrequency("zzz"); got != 0 {
+		t.Errorf("TermFrequency(zzz) = %d, want 0", got)
+	}
+	if got := e.TermFrequency(""); got != 0 {
+		t.Errorf("TermFrequency(\"\") = %d", got)
+	}
+}

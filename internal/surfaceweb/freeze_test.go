@@ -1,7 +1,6 @@
 package surfaceweb
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -172,23 +171,6 @@ func TestFrozenAddPanics(t *testing.T) {
 		}
 	}()
 	fro.Add("t", "text")
-}
-
-// TestFrozenGobSnapshot checks the legacy corpus snapshot is
-// byte-identical whether written from the mutable or frozen engine.
-func TestFrozenGobSnapshot(t *testing.T) {
-	mut := batchTestEngine()
-	fro := freezeEngine(t, batchTestEngine(), -1)
-	var a, b bytes.Buffer
-	if err := mut.WriteSnapshot(&a); err != nil {
-		t.Fatalf("mutable WriteSnapshot: %v", err)
-	}
-	if err := fro.WriteSnapshot(&b); err != nil {
-		t.Fatalf("frozen WriteSnapshot: %v", err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("gob snapshots differ between mutable and frozen engines")
-	}
 }
 
 // TestExtractFrozenRoundTrip checks Data() survives a reconstruction

@@ -10,6 +10,7 @@
 package translate
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -18,11 +19,16 @@ import (
 	"webiq/internal/unify"
 )
 
+// Probe submits one form query: the source behind interfaceID with
+// attribute attrID set to value. It returns the response page, or an
+// error when the source could not be reached.
+type Probe func(ctx context.Context, interfaceID, attrID, value string) (string, error)
+
 // Translator fans queries on a unified interface out to the sources.
 type Translator struct {
 	unified *unify.UnifiedInterface
 	ds      *schema.Dataset
-	pool    *deepweb.Pool
+	probe   Probe
 	// byLabel resolves unified attribute labels.
 	byLabel map[string]*unify.UnifiedAttribute
 	// owner maps member attribute ID to its interface ID.
@@ -30,12 +36,12 @@ type Translator struct {
 }
 
 // New builds a Translator over the unified interface, the source
-// dataset it was built from, and the sources' pool.
-func New(u *unify.UnifiedInterface, ds *schema.Dataset, pool *deepweb.Pool) *Translator {
+// dataset it was built from, and the probe that reaches the sources.
+func New(u *unify.UnifiedInterface, ds *schema.Dataset, probe Probe) *Translator {
 	t := &Translator{
 		unified: u,
 		ds:      ds,
-		pool:    pool,
+		probe:   probe,
 		byLabel: map[string]*unify.UnifiedAttribute{},
 		owner:   map[string]string{},
 	}
@@ -71,12 +77,16 @@ type SourceResult struct {
 	OK bool
 	// Page is the raw response page.
 	Page string
+	// Err is set when the source could not be reached; the source is
+	// then unavailable, not unsuccessful.
+	Err error
 }
 
 // Query sets the unified attribute with the given label to value and
 // submits the translated query to every source owning a member
-// attribute. Results come back in interface-ID order.
-func (t *Translator) Query(unifiedLabel, value string) ([]SourceResult, error) {
+// attribute. Results come back in interface-ID order; a source whose
+// probe failed is listed with Err set.
+func (t *Translator) Query(ctx context.Context, unifiedLabel, value string) ([]SourceResult, error) {
 	ua, ok := t.byLabel[unifiedLabel]
 	if !ok {
 		return nil, fmt.Errorf("translate: unified interface has no attribute %q", unifiedLabel)
@@ -84,16 +94,13 @@ func (t *Translator) Query(unifiedLabel, value string) ([]SourceResult, error) {
 	var out []SourceResult
 	for _, member := range ua.Members {
 		ifcID := t.owner[member]
-		src := t.pool.Source(ifcID)
-		if src == nil {
-			continue
-		}
-		page := src.Probe(member, value)
+		page, err := t.probe(ctx, ifcID, member, value)
 		out = append(out, SourceResult{
 			InterfaceID: ifcID,
 			AttrID:      member,
-			OK:          deepweb.AnalyzeResponse(page),
+			OK:          err == nil && deepweb.AnalyzeResponse(page),
 			Page:        page,
+			Err:         err,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].InterfaceID < out[j].InterfaceID })
@@ -101,7 +108,7 @@ func (t *Translator) Query(unifiedLabel, value string) ([]SourceResult, error) {
 }
 
 // Coverage summarizes a result set: how many sources answered
-// successfully out of those probed.
+// successfully out of those probed (unavailable ones included).
 func Coverage(results []SourceResult) (ok, total int) {
 	for _, r := range results {
 		total++

@@ -1,6 +1,8 @@
 package translate
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -20,7 +22,10 @@ func setup(t *testing.T) (*Translator, int) {
 	pool := deepweb.BuildPool(ds, dom, cfg)
 	res := matcher.New(matcher.DefaultConfig()).Match(ds)
 	u := unify.Build(ds, res)
-	return New(u, ds, pool), len(ds.Interfaces)
+	probe := func(_ context.Context, ifcID, attrID, value string) (string, error) {
+		return pool.Source(ifcID).Probe(attrID, value), nil
+	}
+	return New(u, ds, probe), len(ds.Interfaces)
 }
 
 func TestAttributesListed(t *testing.T) {
@@ -50,7 +55,7 @@ func TestQueryFansOut(t *testing.T) {
 	if label == "" {
 		t.Skip("no city-like unified attribute")
 	}
-	results, err := tr.Query(label, "Boston")
+	results, err := tr.Query(context.Background(), label, "Boston")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,7 @@ func TestQueryRejectsBadValue(t *testing.T) {
 	if label == "" {
 		t.Skip("no from attribute")
 	}
-	results, err := tr.Query(label, "NotACityAnywhere")
+	results, err := tr.Query(context.Background(), label, "NotACityAnywhere")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestQueryRejectsBadValue(t *testing.T) {
 
 func TestQueryUnknownAttribute(t *testing.T) {
 	tr, _ := setup(t)
-	if _, err := tr.Query("No Such Attribute", "x"); err == nil {
+	if _, err := tr.Query(context.Background(), "No Such Attribute", "x"); err == nil {
 		t.Error("want error for unknown unified attribute")
 	}
 }
@@ -96,5 +101,27 @@ func TestCoverageEmpty(t *testing.T) {
 	ok, total := Coverage(nil)
 	if ok != 0 || total != 0 {
 		t.Errorf("coverage = %d/%d", ok, total)
+	}
+}
+
+func TestQueryListsUnavailableSources(t *testing.T) {
+	tr, _ := setup(t)
+	label := tr.Attributes()[0]
+	down := errors.New("source down")
+	tr.probe = func(context.Context, string, string, string) (string, error) { return "", down }
+	results, err := tr.Query(context.Background(), label, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) == 0 {
+		t.Fatal("failed probes dropped from the fan-out")
+	}
+	for _, r := range results {
+		if r.OK || !errors.Is(r.Err, down) {
+			t.Errorf("%s: OK=%v Err=%v, want unavailable", r.InterfaceID, r.OK, r.Err)
+		}
+	}
+	if ok, total := Coverage(results); ok != 0 || total != len(results) {
+		t.Errorf("Coverage = %d of %d, want 0 of %d", ok, total, len(results))
 	}
 }

@@ -193,14 +193,7 @@ func TestBatchedCachedAcquisitionAccounting(t *testing.T) {
 		ds := dataset.Generate(dom, dataset.DefaultConfig())
 		pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 
-		v := NewValidator(cache, cfg)
-		acq := NewAcquirer(NewSurface(cache, v, cfg), NewAttrDeep(pool, cfg),
-			NewAttrSurface(v, cfg), AllComponents(), cfg)
-		acq.SetAccounting(
-			func() (time.Duration, int) { return cache.VirtualTime(), cache.QueryCount() },
-			func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-		)
-		rep := acq.AcquireAll(ds)
+		rep := NewPipeline(cache, pool, cfg, AllComponents()).AcquireAll(ds)
 		return rep, [5]int{cache.Hits(), cache.Misses(), cache.RawQueryCount(), cache.QueryCount(), cache.Len()}
 	}
 	sRep, sAcct := run(true)

@@ -196,13 +196,7 @@ func TestAcquirerFillsInstanceLessAttributes(t *testing.T) {
 	ds := dataset.Generate(dom, dataset.DefaultConfig()) // fresh copy to mutate
 	_ = data
 	cfg := DefaultConfig()
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(
-		NewSurface(eng, v, cfg),
-		NewAttrDeep(pools["book"], cfg),
-		NewAttrSurface(v, cfg),
-		AllComponents(), cfg)
-	rep := acq.AcquireAll(ds)
+	rep := NewPipeline(eng, pools["book"], cfg, AllComponents()).AcquireAll(ds)
 	if rep.SuccessRate() < 50 {
 		t.Errorf("book acquisition success = %.1f%%, want >= 50%%", rep.SuccessRate())
 	}
@@ -224,13 +218,7 @@ func TestAcquirerComponentsDisabled(t *testing.T) {
 	dom := kb.DomainByKey("job")
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	cfg := DefaultConfig()
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(
-		NewSurface(eng, v, cfg),
-		NewAttrDeep(pools["job"], cfg),
-		NewAttrSurface(v, cfg),
-		Components{}, cfg) // everything off
-	rep := acq.AcquireAll(ds)
+	rep := NewPipeline(eng, pools["job"], cfg, Components{}).AcquireAll(ds) // everything off
 	for _, o := range rep.Outcomes {
 		if o.Acquired != 0 {
 			t.Errorf("attribute %s acquired %d instances with all components off", o.AttrID, o.Acquired)

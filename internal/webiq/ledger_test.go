@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
@@ -89,13 +88,7 @@ func ledgerRun(t *testing.T, domain string, seed int64) (*Report, map[string][]s
 	pool := deepweb.BuildPool(ds, dom, deepCfg)
 
 	cfg := DefaultConfig()
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return eng.VirtualTime(), eng.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	tr := obs.NewTracer(nil)
 	acq.SetSpanTracer(tr)
 	acq.SetLedger(obs.NewLedger(nil))

@@ -20,13 +20,7 @@ func instrumentedAcquirer(t *testing.T, domain string, cfg Config) (*Acquirer, *
 	dom := kb.DomainByKey(domain)
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return eng.VirtualTime(), eng.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	reg := obs.NewRegistry()
 	acq.SetObserver(reg)
 	tr := obs.NewTracer(nil)
@@ -160,9 +154,7 @@ func TestBorrowDeepEventEmitted(t *testing.T) {
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
 	acq.AcquireAll(ds)

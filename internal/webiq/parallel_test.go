@@ -58,13 +58,7 @@ func TestParallelSurfaceAccounting(t *testing.T) {
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return eng.VirtualTime(), eng.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	rep := acq.AcquireAll(ds)
 	if rep.SurfaceQueries == 0 || rep.SurfaceTime <= 0 {
 		t.Errorf("parallel phase not accounted: %d queries, %v", rep.SurfaceQueries, rep.SurfaceTime)

@@ -15,9 +15,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
 	acq.AcquireAll(ds)
@@ -68,9 +66,7 @@ func TestTracerWithParallelism(t *testing.T) {
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
-	v := NewValidator(eng, cfg)
-	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
-		NewAttrSurface(v, cfg), AllComponents(), cfg)
+	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
 	acq.AcquireAll(ds)

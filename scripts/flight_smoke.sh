@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # End-to-end flight-recorder smoke test: boot webiq-serve under the p30
 # chaos profile with a tight admission queue and the flight recorder on,
-# drive concurrent unified-build traffic until the circuit breakers trip,
+# drive concurrent request-time probe traffic — /source/{ifc}/search
+# probes and /unified/{domain}/search fan-outs, which reach the sources
+# through the resilient source client — until its circuit breaker trips,
 # and require the incident pipeline to hold up end to end:
 #
 #   1. at least one diagnostic bundle is dumped (breaker-open trigger);
@@ -56,19 +58,53 @@ while ! curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; do
 	sleep 0.1
 done
 
+echo "==> collecting probe and fan-out requests"
+ROUNDS=60
+# Probes of every source and fan-outs over every unified attribute with
+# instances (its first instance as the value), for two domains. A
+# round is 16 requests, 4 probes and 12 fan-outs, widest fan-outs
+# first: with only two requests admitted at a time, fan-outs carry most
+# of the probe traffic the breaker needs to see.
+curl -fsS "http://$ADDR/sources" >"$DIR/sources.json"
+for d in airfare book; do
+	curl -fsS "http://$ADDR/unified/$d/explain" >"$DIR/explain-$d.json"
+done
+python3 - "$DIR" "$ROUNDS" >"$DIR/requests.txt" <<'EOF'
+import itertools, json, sys, urllib.parse
+
+d, ROUNDS = sys.argv[1], int(sys.argv[2])
+domains = ("airfare", "book")
+probes = [f"/source/{s['id']}/search?f0=Boston"
+          for s in json.load(open(f"{d}/sources.json")) if s["domain"] in domains]
+fanouts = []
+for dom in domains:
+    for a in json.load(open(f"{d}/explain-{dom}.json"))["attributes"]:
+        if a["instances"]:
+            q = urllib.parse.urlencode({"attr": a["label"], "value": a["instances"][0]["value"]})
+            fanouts.append((-len(a["members"]), f"/unified/{dom}/search?{q}"))
+fanouts = [path for _, path in sorted(fanouts)]
+probes, fanouts = itertools.cycle(probes), itertools.cycle(fanouts)
+for _ in range(ROUNDS):
+    for path in itertools.islice(probes, 4):
+        print(path)
+    for path in itertools.islice(fanouts, 12):
+        print(path)
+EOF
+
 echo "==> driving concurrent chaos traffic"
 round=0
-while [ "$round" -lt 10 ]; do
+while [ "$round" -lt "$ROUNDS" ]; do
 	round=$((round + 1))
 	# Collect the curl PIDs explicitly: a bare `wait` would also wait
-	# for the backgrounded server, which never exits.
+	# for the backgrounded server, which never exits. Globbing is off
+	# while the request paths (which contain '?') are word-split.
 	PIDS=""
-	for _ in 1 2 3 4 5 6 7 8; do
-		curl -s -m 30 -o /dev/null "http://$ADDR/unified/airfare" &
-		PIDS="$PIDS $!"
-		curl -s -m 30 -o /dev/null "http://$ADDR/unified/book" &
+	set -f
+	for path in $(sed -n "$(((round - 1) * 16 + 1)),$((round * 16))p" "$DIR/requests.txt"); do
+		curl -s -m 30 -o /dev/null "http://$ADDR$path" &
 		PIDS="$PIDS $!"
 	done
+	set +f
 	wait $PIDS || true
 	# Stop as soon as a bundle landed.
 	if ls "$BUNDLES"/flight-*.json >/dev/null 2>&1; then

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # End-to-end cold-start smoke test: build a world snapshot, verify it,
 # boot webiq-serve from it, and require the instant-readiness contract —
-# /readyz answers 200 with every domain ready before any request has
-# triggered a build, and /unified/{domain} renders for each domain.
+# /readyz answers 200 with every domain ready before any other request,
+# and /unified/{domain} renders for each domain.
 set -eu
 
 GO=${GO:-go}

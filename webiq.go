@@ -177,17 +177,7 @@ func (s *System) Acquire(ds *Dataset) *AcquireReport {
 		pool = deepweb.BuildPool(ds, d, deepCfg)
 		s.pools[ds.Domain] = pool
 	}
-	v := iq.NewValidator(s.engine, s.cfg)
-	acq := iq.NewAcquirer(
-		iq.NewSurface(s.engine, v, s.cfg),
-		iq.NewAttrDeep(pool, s.cfg),
-		iq.NewAttrSurface(v, s.cfg),
-		s.opts.Components, s.cfg)
-	acq.SetAccounting(
-		func() (time.Duration, int) { return s.engine.VirtualTime(), s.engine.QueryCount() },
-		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
-	)
-	return acq.AcquireAll(ds)
+	return iq.NewPipeline(s.engine, pool, s.cfg, s.opts.Components).AcquireAll(ds)
 }
 
 // Match clusters the dataset's attributes at threshold tau and scores
