@@ -80,9 +80,13 @@ eval-json:
 eval-gate:
 	$(GO) run ./cmd/webiq-eval -synth 20 -runs 1 -seed 1 -q -baseline EVAL_quality.json -max-drop 0.02
 
-# Static analysis: vet always; staticcheck when installed (CI installs
-# it; locally it is optional so the target works offline).
+# Static analysis: gofmt must list no file, vet always; staticcheck
+# when installed (CI installs it; locally it is optional so the target
+# works offline).
 lint: vet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files are not formatted:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./... ; \
 	else \
@@ -100,12 +104,14 @@ chaos:
 		./internal/resilience/ ./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
-# with the injector's malformed-page corpus) and the binary snapshot
+# with the injector's malformed-page corpus), the binary snapshot
 # loader (seeded with a real snapshot plus truncated/bit-flipped
-# variants — corruption must produce an error, never a panic).
+# variants — corruption must produce an error, never a panic), and the
+# packed snippet tags (expansion must equal tagging the text afresh).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
+	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

@@ -58,9 +58,13 @@ func main() {
 	// Step 3: snippets and raw candidates.
 	fmt.Println("\nSample snippets and extracted candidates:")
 	shown := 0
+	var tokens []nlp.TaggedToken
 	for _, q := range queries {
 		for _, snip := range engine.Search(q.Query, 2) {
-			cands := webiq.ExtractFromSnippet(q, snip.Text)
+			// The engine returns each snippet tagged; extraction reads
+			// those tags instead of re-tagging the text.
+			tokens = snip.Tokens(tokens[:0])
+			cands := webiq.ExtractFromTokens(q, tokens)
 			if len(cands) == 0 || shown >= 4 {
 				continue
 			}

@@ -87,11 +87,19 @@ func (tg Tagger) TagAppend(dst []TaggedToken, text string) []TaggedToken {
 	start := len(dst)
 	var sc TokenScanner
 	for sc.Reset(text); sc.Scan(); {
-		t := sc.Token()
-		dst = append(dst, TaggedToken{Token: t, Tag: initialTag(t)})
+		dst = append(dst, TaggedToken{Token: sc.Token()})
 	}
-	applyRules(dst[start:])
+	tagAll(dst[start:])
 	return dst
+}
+
+// tagAll tags a token sequence in place: the initial lexicon or
+// morphology tag of every token, then the contextual rules.
+func tagAll(tt []TaggedToken) {
+	for i := range tt {
+		tt[i].Tag = initialTag(tt[i].Token)
+	}
+	applyRules(tt)
 }
 
 // initialTag assigns the most likely tag from the lexicon, falling back

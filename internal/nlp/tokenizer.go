@@ -67,6 +67,9 @@ type TokenScanner struct {
 	text string
 	i    int
 	tok  Token
+	// keepCase leaves a Word token's Norm equal to its Text, for a
+	// caller that lowers words into its own buffer instead.
+	keepCase bool
 }
 
 // Reset points the scanner at text and rewinds it.
@@ -126,7 +129,11 @@ func (sc *TokenScanner) Scan() bool {
 				break
 			}
 			tok := text[start:j]
-			sc.tok = Token{Text: tok, Norm: strings.ToLower(tok), Kind: Word, Pos: start}
+			norm := tok
+			if !sc.keepCase {
+				norm = strings.ToLower(tok)
+			}
+			sc.tok = Token{Text: tok, Norm: norm, Kind: Word, Pos: start}
 			sc.i = j
 			return true
 		case unicode.IsDigit(r) || (r == '$' && i+w < len(text) && isDigitAt(text, i+w)):
@@ -177,6 +184,27 @@ func Tokenize(text string) []Token {
 		tokens = append(tokens, sc.Token())
 	}
 	return tokens
+}
+
+// AppendLower appends the lower-cased s to dst, byte-for-byte identical
+// to strings.ToLower(s) — including U+FFFD replacement of invalid
+// UTF-8 — without allocating a string.
+func AppendLower(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			dst = append(dst, c)
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		i += w
+	}
+	return dst
 }
 
 // isDigitAt reports whether the rune starting at byte i is a digit.

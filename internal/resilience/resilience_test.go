@@ -467,4 +467,4 @@ func TestAdaptEngineHonorsContext(t *testing.T) {
 type infallibleStub struct{}
 
 func (infallibleStub) Search(q string, limit int) []surfaceweb.Snippet { return nil }
-func (infallibleStub) NumHits(q string) int                           { return 0 }
+func (infallibleStub) NumHits(q string) int                            { return 0 }

@@ -33,6 +33,21 @@ type Document struct {
 type Snippet struct {
 	DocID int
 	Text  string
+	// Tagged is Text tokenized and POS-tagged once, where the engine
+	// built the snippet; a cached result shares it with every hit.
+	Tagged nlp.TaggedText
+}
+
+// Tokens appends the tagged tokens of the snippet text to dst: the
+// engine's packed tags, expanded, or — for a snippet built by hand
+// without them — Text tagged afresh. Either way the result equals
+// nlp.Tagger.TagAppend(dst, s.Text).
+func (s Snippet) Tokens(dst []nlp.TaggedToken) []nlp.TaggedToken {
+	if s.Tagged.Text() != s.Text {
+		var tg nlp.Tagger
+		return tg.TagAppend(dst, s.Text)
+	}
+	return s.Tagged.AppendTokens(dst)
 }
 
 // Query is a parsed search-engine query: an optional exact phrase (the
@@ -410,7 +425,8 @@ func (e *Engine) NumHitsCompiled(cq CompiledQuery, charged string) int {
 // Search returns up to k result snippets for the query, ranked by
 // relevance: documents with more phrase occurrences and more required-
 // term occurrences score higher, with document ID as a deterministic
-// tie-break.
+// tie-break. Each snippet comes tokenized and tagged (Snippet.Tagged),
+// so readers of a cached result never tag it again.
 func (e *Engine) Search(query string, k int) []Snippet {
 	return e.SearchCompiled(e.Compile(query), query, k)
 }
@@ -450,6 +466,7 @@ func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snipp
 		ranked = ranked[:k]
 	}
 	out := make([]Snippet, 0, len(ranked))
+	var tg nlp.Tagger
 	for _, r := range ranked {
 		var text string
 		if ro != nil {
@@ -457,7 +474,7 @@ func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snipp
 		} else {
 			text = e.snippetLocked(r.id, cq)
 		}
-		out = append(out, Snippet{DocID: r.id, Text: text})
+		out = append(out, Snippet{DocID: r.id, Text: text, Tagged: tg.PackWith(&sc.pack, text)})
 	}
 	searchPool.Put(sc)
 	return out
@@ -473,14 +490,15 @@ type scoredDoc struct {
 type termSpan struct{ lo, hi uint64 }
 
 // searchScratch holds the per-query working set — the posting-list
-// slice (mutable path) or span list (frozen path), matched IDs, and
-// ranking buffer — pooled so steady-state query execution allocates
-// only its result snippets.
+// slice (mutable path) or span list (frozen path), matched IDs, ranking
+// buffer, and the buffer snippets are tagged and packed in — pooled
+// so steady-state query execution allocates only its result snippets.
 type searchScratch struct {
 	lists  []postings
 	spans  []termSpan
 	ids    []int
 	ranked []scoredDoc
+	pack   nlp.PackBuffer
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"webiq/internal/nlp"
 )
 
 func newTestEngine() *Engine {
@@ -103,6 +105,32 @@ func TestSearchSnippets(t *testing.T) {
 	}
 	if !strings.Contains(snips[0].Text, "Boston") {
 		t.Errorf("snippet %q lacks completion", snips[0].Text)
+	}
+}
+
+// TestSnippetTokens pins Snippet.Tokens to tagging the snippet text:
+// engine snippets expand their packed tags, hand-built ones (no tags, or
+// tags of another text) are tagged afresh.
+func TestSnippetTokens(t *testing.T) {
+	var tg nlp.Tagger
+	snips := newTestEngine().Search(`"such as"`, 10)
+	if len(snips) == 0 {
+		t.Fatal("no snippets")
+	}
+	for _, s := range snips {
+		if s.Tagged.Text() != s.Text {
+			t.Errorf("engine snippet %q served without its tags", s.Text)
+		}
+		if got, want := s.Tokens(nil), tg.TagAppend(nil, s.Text); !reflect.DeepEqual(got, want) {
+			t.Errorf("Tokens(%q) = %v, want %v", s.Text, got, want)
+		}
+	}
+	stale := snips[0]
+	stale.Text = "Makes such as Honda and Ford."
+	for _, s := range []Snippet{{Text: "Airlines such as KLM."}, stale, {}} {
+		if got, want := s.Tokens(nil), tg.TagAppend(nil, s.Text); !reflect.DeepEqual(got, want) {
+			t.Errorf("hand-built Tokens(%q) = %v, want %v", s.Text, got, want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"webiq/internal/dataset"
 	"webiq/internal/kb"
+	"webiq/internal/nlp"
 	"webiq/internal/schema"
 	"webiq/internal/sim"
 	"webiq/internal/surfaceweb"
@@ -401,9 +402,11 @@ func TestEditLengthWindowMatchesLengthCut(t *testing.T) {
 }
 
 // donorSelectionInput is one dataset in the state Surface discovery
-// leaves it in, ready for donor selection.
+// leaves it in, ready for donor selection, with the engine over its
+// corpus.
 type donorSelectionInput struct {
 	name string
+	eng  *surfaceweb.Engine
 	ds   *schema.Dataset
 }
 
@@ -427,7 +430,7 @@ func surfacedDatasets(tb testing.TB) []donorSelectionInput {
 		}
 		paper := surfaceweb.NewEngine()
 		surfaceweb.BuildCorpus(paper, kb.Domains(), surfaceweb.DefaultCorpusConfig())
-		donorInputs = append(donorInputs, donorSelectionInput{"airfare",
+		donorInputs = append(donorInputs, donorSelectionInput{"airfare", paper,
 			surfaced(paper, dataset.Generate(kb.DomainByKey("airfare"), dataset.DefaultConfig()))})
 
 		// Scenario 2 of the sweep: doubled corpus noise and
@@ -436,7 +439,7 @@ func surfacedDatasets(tb testing.TB) []donorSelectionInput {
 		sc := synth.Sweep(3, 1)[2]
 		eng := surfaceweb.NewEngine()
 		surfaceweb.BuildCorpus(eng, []*kb.Domain{sc.Domain}, sc.CorpusConfig(1))
-		donorInputs = append(donorInputs, donorSelectionInput{sc.Domain.Key,
+		donorInputs = append(donorInputs, donorSelectionInput{sc.Domain.Key, eng,
 			surfaced(eng, dataset.Generate(sc.Domain, sc.DatasetConfig(1)))})
 	})
 	return donorInputs
@@ -532,6 +535,48 @@ func BenchmarkDonorSelection(b *testing.B) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSurfaceExtract measures Surface instance extraction —
+// extraction queries, snippet tokens and NP-list extraction, without
+// verification — over every attribute of a paper domain and a noisy
+// synthetic domain, on a warm query cache: the state the Figure-7
+// ablation runs its later conditions in, where the engine idles and
+// extraction carries the time. The cache is warmed by issuing the
+// extraction queries directly, so every engine search (and the snippet
+// tagging it does) stays outside Surface in a profile, and the timed
+// loop must not miss the cache once.
+func BenchmarkSurfaceExtract(b *testing.B) {
+	cfg := DefaultConfig()
+	for _, in := range surfacedDatasets(b) {
+		b.Run(in.name, func(b *testing.B) {
+			cache := surfaceweb.NewCachedEngine(in.eng, 0)
+			s := NewSurface(cache, NewValidator(cache, cfg), cfg)
+			for _, ifc := range in.ds.Interfaces {
+				for _, attr := range ifc.Attributes {
+					for _, np := range nlp.AnalyzeLabel(attr.Label).NPs {
+						for _, q := range FormulateQueries(np, in.ds.EntityName, in.ds.DomainKeyword, siblingLabels(attr, ifc), cfg) {
+							cache.Search(q.Query, cfg.SnippetsPerQuery)
+						}
+					}
+				}
+			}
+			misses := cache.Misses()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ifc := range in.ds.Interfaces {
+					for _, attr := range ifc.Attributes {
+						s.Extract(attr, ifc, in.ds)
+					}
+				}
+			}
+			b.StopTimer()
+			if cache.Misses() != misses {
+				b.Fatalf("extraction missed the warm cache %d times", cache.Misses()-misses)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package webiq
 
 import (
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 	"unicode"
@@ -28,17 +27,61 @@ const (
 	NumericDomain
 )
 
-var (
-	moneyRe = regexp.MustCompile(`^\$\s?\d{1,3}(,\d{3})*(\.\d+)?$|^\$\s?\d+(\.\d+)?$`)
-	intRe   = regexp.MustCompile(`^\d{1,3}(,\d{3})+$|^\d+$`)
-	realRe  = regexp.MustCompile(`^\d+\.\d+$`)
-)
-
 // IsNumericValue reports whether a single candidate is a monetary value,
-// integer, or real number.
+// integer, or real number. After trimming surrounding white space, a
+// candidate is numeric when it is one of
+//
+//	$ D [.F]    money: '$', at most one ASCII space, tab, CR, LF or FF,
+//	            an integer part D and an optional fraction
+//	D           an integer
+//	P.F         a real with an ungrouped integer part
+//
+// where D is a run of digits (P) or digits grouped in threes by commas
+// ("15,200"), F is one or more digits, and every digit is ASCII 0-9.
 func IsNumericValue(s string) bool {
 	s = strings.TrimSpace(s)
-	return moneyRe.MatchString(s) || intRe.MatchString(s) || realRe.MatchString(s)
+	money := len(s) > 0 && s[0] == '$'
+	if money {
+		s = s[1:]
+		if len(s) > 0 && isAmountSpace(s[0]) {
+			s = s[1:]
+		}
+	}
+	i := asciiDigits(s)
+	if i == 0 {
+		return false
+	}
+	grouped := false
+	if i <= 3 {
+		for i+4 <= len(s) && s[i] == ',' && asciiDigits(s[i+1:i+4]) == 3 {
+			i += 4
+			grouped = true
+		}
+	}
+	if i == len(s) {
+		return true
+	}
+	if s[i] != '.' || (grouped && !money) {
+		return false
+	}
+	f := asciiDigits(s[i+1:])
+	return f > 0 && i+1+f == len(s)
+}
+
+// asciiDigits returns the length of the leading run of ASCII digits.
+func asciiDigits(s string) int {
+	i := 0
+	for i < len(s) && '0' <= s[i] && s[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// isAmountSpace reports whether c may separate '$' from the amount:
+// an ASCII space, tab, newline, form feed or carriage return (not a
+// vertical tab).
+func isAmountSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\f' || c == '\r'
 }
 
 // parseNumeric extracts the numeric value of a candidate.
@@ -54,16 +97,30 @@ func parseNumeric(s string) (float64, bool) {
 // DetectDomainType types the candidate domain: numeric when at least
 // majority (e.g. 0.8) of candidates are numeric values.
 func DetectDomainType(candidates []string, majority float64) DomainType {
-	if len(candidates) == 0 {
+	return domainType(numericMask(candidates), majority)
+}
+
+// numericMask reports IsNumericValue for each candidate.
+func numericMask(candidates []string) []bool {
+	numeric := make([]bool, len(candidates))
+	for i, c := range candidates {
+		numeric[i] = IsNumericValue(c)
+	}
+	return numeric
+}
+
+// domainType is DetectDomainType over precomputed numeric flags.
+func domainType(numeric []bool, majority float64) DomainType {
+	if len(numeric) == 0 {
 		return StringDomain
 	}
 	n := 0
-	for _, c := range candidates {
-		if IsNumericValue(c) {
+	for _, isNum := range numeric {
+		if isNum {
 			n++
 		}
 	}
-	if float64(n) >= majority*float64(len(candidates)) {
+	if float64(n) >= majority*float64(len(numeric)) {
 		return NumericDomain
 	}
 	return StringDomain
@@ -76,13 +133,14 @@ func RemoveOutliers(candidates []string, cfg Config) []string {
 	if len(candidates) == 0 {
 		return nil
 	}
-	dt := DetectDomainType(candidates, cfg.NumericMajority)
+	numeric := numericMask(candidates)
+	dt := domainType(numeric, cfg.NumericMajority)
 
 	// Pre-processing: drop candidates that are not of the determined
 	// type.
 	var typed []string
-	for _, c := range candidates {
-		if (dt == NumericDomain) == IsNumericValue(c) {
+	for i, c := range candidates {
+		if (dt == NumericDomain) == numeric[i] {
 			typed = append(typed, c)
 		}
 	}

@@ -2,19 +2,95 @@ package webiq
 
 import (
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// The type-recognizing regular expressions IsNumericValue's byte
+// scanner replaced, kept as its oracle.
+var (
+	referenceMoneyRe = regexp.MustCompile(`^\$\s?\d{1,3}(,\d{3})*(\.\d+)?$|^\$\s?\d+(\.\d+)?$`)
+	referenceIntRe   = regexp.MustCompile(`^\d{1,3}(,\d{3})+$|^\d+$`)
+	referenceRealRe  = regexp.MustCompile(`^\d+\.\d+$`)
+)
+
+func referenceIsNumericValue(s string) bool {
+	s = strings.TrimSpace(s)
+	return referenceMoneyRe.MatchString(s) || referenceIntRe.MatchString(s) || referenceRealRe.MatchString(s)
+}
+
 func TestIsNumericValue(t *testing.T) {
-	for _, s := range []string{"$15,200", "42", "3.14", "$9.99", "10,000", "1995"} {
-		if !IsNumericValue(s) {
-			t.Errorf("IsNumericValue(%q) = false", s)
+	cases := []struct {
+		in   string
+		want bool
+	}{
+		{"$15,200", true}, {"42", true}, {"3.14", true}, {"$9.99", true},
+		{"10,000", true}, {"1995", true}, {"$ 1,234.5", true}, {"$\t7", true},
+		{"$\n7", true}, {"$\f7", true}, {"$\r7.5", true},
+		{"\u00a0 42\u2003", true}, {"\v12\n", true}, {"$1234.50", true},
+		{"1,234,567", true}, {"0", true}, {"$0.5", true},
+		{"Honda", false}, {"First Class", false}, {"a1b2", false}, {"", false},
+		{"12ab", false}, {"$x", false}, {"1,23", false}, {"12.", false},
+		{".5", false}, {"1,234.5", false}, {"1234,567", false}, {"$1,2345", false},
+		{"$\v7", false}, {"$\u00a07", false}, {"$  7", false}, {"$", false},
+		{"١٢٣", false}, {"１２３", false}, {"1.2.3", false}, {"$$5", false},
+		{"5$", false}, {"1, 234", false}, {"-5", false}, {"+5", false},
+	}
+	for _, c := range cases {
+		if got := IsNumericValue(c.in); got != c.want {
+			t.Errorf("IsNumericValue(%q) = %v, want %v", c.in, got, c.want)
+		}
+		if oracle := referenceIsNumericValue(c.in); oracle != c.want {
+			t.Errorf("oracle(%q) = %v, table says %v", c.in, oracle, c.want)
 		}
 	}
-	for _, s := range []string{"Honda", "First Class", "a1b2", "", "12ab", "$x"} {
-		if IsNumericValue(s) {
-			t.Errorf("IsNumericValue(%q) = true", s)
+}
+
+// TestIsNumericValueMatchesRegexps drives the scanner and the regexp
+// oracle with strings assembled from the alphabet both care about:
+// digits (ASCII and not), '$', ',', '.', ASCII and Unicode white space,
+// and letters.
+func TestIsNumericValueMatchesRegexps(t *testing.T) {
+	alphabet := []string{
+		"0", "1", "5", "9", "$", ",", ".", " ", "\t", "\v", "\n", "\f", "\r",
+		"\u00a0", "\u2003", "\u0085", "a", "x", "٣", "５", "-",
+	}
+	f := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks {
+			b.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		s := b.String()
+		if got, want := IsNumericValue(s), referenceIsNumericValue(s); got != want {
+			t.Logf("IsNumericValue(%q) = %v, regexps say %v", s, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Error(err)
+	}
+	// Every string of up to five symbols over the money/number subset.
+	small := []string{"1", "$", ",", ".", " ", "\f", "\v", "\u00a0"}
+	var walk func(prefix string, depth int)
+	walk = func(prefix string, depth int) {
+		if got, want := IsNumericValue(prefix), referenceIsNumericValue(prefix); got != want {
+			t.Errorf("IsNumericValue(%q) = %v, regexps say %v", prefix, got, want)
+		}
+		if depth == 0 {
+			return
+		}
+		for _, sym := range small {
+			walk(prefix+sym, depth-1)
+		}
+	}
+	walk("", 5)
+	// Digit groups need runs of up to four digits to probe {1,3}.
+	for _, s := range []string{"1111,111", "111,1111", "$111,111.11", "11,111,111", "$ 1111.1", "1111.1111"} {
+		if got, want := IsNumericValue(s), referenceIsNumericValue(s); got != want {
+			t.Errorf("IsNumericValue(%q) = %v, regexps say %v", s, got, want)
 		}
 	}
 }

@@ -131,7 +131,23 @@ func querySuffix(domainKeyword string, siblingLabels []string, cfg Config) strin
 // the NP list after the cue for After-direction patterns, or the NP list
 // between the preceding sentence boundary and the cue for
 // Before-direction patterns. Singleton patterns keep only the first NP.
+//
+// It tags snippet itself. A caller holding an engine snippet passes its
+// stored tags (surfaceweb.Snippet.Tokens) to ExtractFromTokens instead,
+// as Surface does, and skips the tagging.
 func ExtractFromSnippet(q ExtractionQuery, snippet string) []string {
+	var tg nlp.Tagger
+	bp := tagBufPool.Get().(*[]nlp.TaggedToken)
+	tagged := tg.TagAppend((*bp)[:0], snippet)
+	out := ExtractFromTokens(q, tagged)
+	*bp = tagged
+	tagBufPool.Put(bp)
+	return out
+}
+
+// ExtractFromTokens is ExtractFromSnippet over a snippet already
+// tokenized and tagged, such as surfaceweb.Snippet.Tokens returns.
+func ExtractFromTokens(q ExtractionQuery, tagged []nlp.TaggedToken) []string {
 	cueWords := q.CueWords
 	if cueWords == nil {
 		cueWords = nlp.Words(q.Cue)
@@ -139,13 +155,6 @@ func ExtractFromSnippet(q ExtractionQuery, snippet string) []string {
 	if len(cueWords) == 0 {
 		return nil
 	}
-	var tg nlp.Tagger
-	bp := tagBufPool.Get().(*[]nlp.TaggedToken)
-	tagged := tg.TagAppend((*bp)[:0], snippet)
-	defer func() {
-		*bp = tagged
-		tagBufPool.Put(bp)
-	}()
 	start, end, ok := findCue(tagged, cueWords)
 	if !ok {
 		return nil

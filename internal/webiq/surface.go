@@ -131,6 +131,8 @@ func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *sche
 
 	siblings := siblingLabels(a, ifc)
 	rej := labelRejectSet(a.Label)
+	tagged := tagBufPool.Get().(*[]nlp.TaggedToken)
+	defer tagBufPool.Put(tagged)
 	freq := map[string]int{}
 	var order []string
 	for _, np := range ls.NPs {
@@ -154,7 +156,8 @@ func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *sche
 				snips = s.engine.Search(q.Query, s.cfg.SnippetsPerQuery)
 			}
 			for _, snip := range snips {
-				for _, c := range ExtractFromSnippet(q, snip.Text) {
+				*tagged = snip.Tokens((*tagged)[:0])
+				for _, c := range ExtractFromTokens(q, *tagged) {
 					if rejectWith(rej, c) {
 						continue
 					}
@@ -335,7 +338,7 @@ func rejectWith(rej map[string]bool, c string) bool {
 		return true
 	}
 	bp := foldBuf()
-	buf := appendLower((*bp)[:0], c)
+	buf := nlp.AppendLower((*bp)[:0], c)
 	ok := rej[string(buf)]
 	*bp = buf
 	putFoldBuf(bp)

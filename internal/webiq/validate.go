@@ -4,8 +4,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"unicode"
-	"unicode/utf8"
 
 	"webiq/internal/nlp"
 	"webiq/internal/resilience"
@@ -153,7 +151,7 @@ func (v *Validator) PMICtx(ctx context.Context, phrase, x string) (float64, erro
 	buf = append(buf, '"')
 	buf = append(buf, phrase...)
 	buf = append(buf, ' ')
-	buf = appendLower(buf, x)
+	buf = nlp.AppendLower(buf, x)
 	buf = append(buf, '"')
 	joint, err := v.numHitsKeyCtx(ctx, buf)
 
@@ -179,7 +177,7 @@ func (v *Validator) PMICtx(ctx context.Context, phrase, x string) (float64, erro
 		return ret(0, err)
 	}
 	buf = append(buf[:0], '"')
-	buf = appendLower(buf, x)
+	buf = nlp.AppendLower(buf, x)
 	buf = append(buf, '"')
 	hx, err := v.numHitsKeyCtx(ctx, buf)
 	if err != nil {
@@ -189,28 +187,6 @@ func (v *Validator) PMICtx(ctx context.Context, phrase, x string) (float64, erro
 		return ret(0, nil)
 	}
 	return ret(float64(joint)/(float64(hv)*float64(hx)), nil)
-}
-
-// appendLower appends the lower-cased s to dst, byte-for-byte identical
-// to strings.ToLower(s) — including U+FFFD replacement of invalid
-// UTF-8 — because the result feeds engine queries whose simulated
-// latency is deterministic in the exact bytes.
-func appendLower(dst []byte, s string) []byte {
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, w := utf8.DecodeRuneInString(s[i:])
-		dst = utf8.AppendRune(dst, unicode.ToLower(r))
-		i += w
-	}
-	return dst
 }
 
 // Scores returns the per-phrase validation scores of candidate x for

@@ -3,6 +3,8 @@ package webiq
 import (
 	"context"
 	"sync"
+
+	"webiq/internal/nlp"
 )
 
 // Batched PMI validation. One attribute's validation burst scores every
@@ -103,7 +105,7 @@ func (v *Validator) ScoresBatchCtx(ctx context.Context, phrases []string, xs []s
 			keys.arena = append(keys.arena, '"')
 			keys.arena = append(keys.arena, p...)
 			keys.arena = append(keys.arena, ' ')
-			keys.arena = appendLower(keys.arena, x)
+			keys.arena = nlp.AppendLower(keys.arena, x)
 			keys.arena = append(keys.arena, '"')
 			keys.end()
 		}
@@ -151,7 +153,7 @@ func (v *Validator) ScoresBatchCtx(ctx context.Context, phrases []string, xs []s
 			hxAt[at] = keys.n
 			keys.begin()
 			keys.arena = append(keys.arena, '"')
-			keys.arena = appendLower(keys.arena, x)
+			keys.arena = nlp.AppendLower(keys.arena, x)
 			keys.arena = append(keys.arena, '"')
 			keys.end()
 		}
