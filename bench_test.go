@@ -11,6 +11,7 @@ package webiq_test
 // metrics (simulated-minutes, queries).
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,7 +58,7 @@ func acquireDomainOn(se iq.MeteredEngine, env *experiments.Env, key string, comp
 	ds := dataset.Generate(dom, env.DataCfg)
 	pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
 	acq := iq.NewPipeline(se, pool, cfg, comps)
-	return acq.AcquireAll(ds), ds
+	return acq.AcquireAllCtx(context.Background(), ds), ds
 }
 
 // BenchmarkPipeline measures the multi-condition acquisition pipeline —

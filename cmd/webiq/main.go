@@ -24,6 +24,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -183,7 +184,7 @@ func main() {
 
 	fmt.Println("Acquiring instances...")
 	start := time.Now()
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 	fmt.Printf("Acquisition done in %v (wall); %d search queries (%.1f simulated minutes), %d deep probes (%.1f simulated minutes)\n",
 		time.Since(start).Round(time.Millisecond),
 		engine.QueryCount(), engine.VirtualTime().Minutes(),

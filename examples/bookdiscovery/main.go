@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"webiq/internal/kb"
@@ -76,7 +77,7 @@ func main() {
 	// Step 4: full pipeline (extraction + outlier removal + validation).
 	fmt.Println("\nDiscovered instances per attribute:")
 	for _, attr := range ifc.Attributes {
-		got := surface.DiscoverInstances(attr, ifc, ds)
+		got := surface.DiscoverInstancesCtx(context.Background(), attr, ifc, ds)
 		fmt.Printf("  %-10s -> %d instances %v\n", attr.Label, len(got), head(got, 6))
 	}
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -34,7 +35,7 @@ func main() {
 
 		acq := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents())
 		q0 := engine.QueryCount()
-		rep := acq.AcquireAll(ds)
+		rep := acq.AcquireAllCtx(context.Background(), ds)
 
 		after := matcher.Evaluate(
 			matcher.New(matcher.DefaultConfig()).Match(ds).Pairs, ds.GoldPairs())

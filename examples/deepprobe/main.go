@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"webiq/internal/dataset"
@@ -56,9 +57,9 @@ func main() {
 	cities := []string{"Boston", "Chicago", "Seattle", "Denver", "Miami", "Atlanta", "Portland", "Austin"}
 	months := []string{"January", "February", "March", "April", "May", "June"}
 
-	accepted, ok := ad.ValidateBorrowed(attr.InterfaceID, attr.ID, cities)
+	accepted, ok := ad.ValidateBorrowedCtx(context.Background(), attr.InterfaceID, attr.ID, attr.Label, "City", cities)
 	fmt.Printf("\nBorrowed city instances: accepted=%v (%d values)\n", ok, len(accepted))
-	accepted, ok = ad.ValidateBorrowed(attr.InterfaceID, attr.ID, months)
+	accepted, ok = ad.ValidateBorrowedCtx(context.Background(), attr.InterfaceID, attr.ID, attr.Label, "Month", months)
 	fmt.Printf("Borrowed month instances: accepted=%v (%d values)\n", ok, len(accepted))
 
 	fmt.Printf("\nDeep-Web usage: %d probes, %.1f simulated minutes\n",

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"webiq/internal/dataset"
@@ -91,7 +92,7 @@ func main() {
 	match("Baseline matches (labels + predefined instances only):")
 
 	// WebIQ acquisition.
-	rep := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents()).AcquireAll(ds)
+	rep := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents()).AcquireAllCtx(context.Background(), ds)
 
 	fmt.Println("\nAcquired instances:")
 	for _, o := range rep.Outcomes {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -31,7 +32,7 @@ func (e *Env) Figure6() []Fig6Row {
 		// Baseline + WebIQ: acquire with all components, then match.
 		ds := e.freshDataset(dom)
 		acq, _ := e.acquirer(ds, dom, webiq.AllComponents())
-		acq.AcquireAll(ds)
+		acq.AcquireAllCtx(context.Background(), ds)
 		row.WithWebIQ = 100 * e.matchF1(ds, 0).F1
 
 		// Baseline + WebIQ + thresholding (τ = .1) on the same acquired
@@ -85,7 +86,7 @@ func (e *Env) Figure7() []Fig7Row {
 			ds := e.freshDataset(dom)
 			if comps != (webiq.Components{}) {
 				acq, _ := e.acquirer(ds, dom, comps)
-				acq.AcquireAll(ds)
+				acq.AcquireAllCtx(context.Background(), ds)
 			}
 			f1s[i] = 100 * e.matchF1(ds, 0).F1
 		}
@@ -150,7 +151,7 @@ func (e *Env) Figure8() []Fig8Row {
 	for _, dom := range e.Domains {
 		ds := e.freshDataset(dom)
 		acq, _ := e.acquirerUncached(ds, dom, webiq.AllComponents())
-		rep := acq.AcquireAll(ds)
+		rep := acq.AcquireAllCtx(context.Background(), ds)
 
 		// Matching cost: simulated per-pair cost over all attribute
 		// pairs, calibrated to the paper's hardware (see Env).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,7 @@ func (e *Env) TauSweep(taus []float64) []TauPoint {
 		base := e.freshDataset(dom)
 		acq := e.freshDataset(dom)
 		acquirer, _ := e.acquirer(acq, dom, webiq.AllComponents())
-		acquirer.AcquireAll(acq)
+		acquirer.AcquireAllCtx(context.Background(), acq)
 		baseSets = append(baseSets, dsHolder{base: base, acq: acq})
 	}
 	out := make([]TauPoint, 0, len(taus))
@@ -86,7 +87,7 @@ func SeedSweep(n int) SeedStats {
 
 			acqDS := env.freshDataset(dom)
 			acq, _ := env.acquirer(acqDS, dom, webiq.AllComponents())
-			rep := acq.AcquireAll(acqDS)
+			rep := acq.AcquireAllCtx(context.Background(), acqDS)
 			s += rep.SuccessRate()
 			w += 100 * env.matchF1(acqDS, 0).F1
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -51,12 +52,12 @@ func (e *Env) Table1() []Table1Row {
 		// Column 6: Surface only.
 		ds := e.freshDataset(dom)
 		acq, _ := e.acquirer(ds, dom, webiq.Components{Surface: true})
-		row.Surface = acq.AcquireAll(ds).SuccessRate()
+		row.Surface = acq.AcquireAllCtx(context.Background(), ds).SuccessRate()
 
 		// Column 7: Surface + borrowing validated via the Deep Web.
 		ds = e.freshDataset(dom)
 		acq, _ = e.acquirer(ds, dom, webiq.Components{Surface: true, AttrDeep: true})
-		row.SurfaceDeep = acq.AcquireAll(ds).SuccessRate()
+		row.SurfaceDeep = acq.AcquireAllCtx(context.Background(), ds).SuccessRate()
 
 		rows = append(rows, row)
 	}

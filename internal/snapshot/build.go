@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -149,7 +150,7 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		ledger := obs.NewLedger(nil)
 		acq := iq.NewPipeline(engine, pool, iq.DefaultConfig(), iq.AllComponents())
 		acq.SetLedger(ledger)
-		rep := acq.AcquireAll(ds)
+		rep := acq.AcquireAllCtx(context.Background(), ds)
 
 		m := matcher.New(matcher.DefaultConfig())
 		m.SetLedger(ledger)

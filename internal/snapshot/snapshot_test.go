@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -233,7 +234,7 @@ func TestPipelineEquivalenceOnFrozenEngine(t *testing.T) {
 		ledger := obs.NewLedger(nil)
 		acq := iq.NewPipeline(engine, pool, iq.DefaultConfig(), iq.AllComponents())
 		acq.SetLedger(ledger)
-		rep := acq.AcquireAll(ds)
+		rep := acq.AcquireAllCtx(context.Background(), ds)
 		m := matcher.New(matcher.DefaultConfig())
 		m.SetLedger(ledger)
 		res := m.Match(ds)

@@ -58,22 +58,23 @@ type Acquirer struct {
 	ledger *obs.Ledger
 }
 
-// SetFallible installs error-aware backends on every enabled component:
-// engine replaces the search engine for extraction and hit counting,
-// source replaces the probe pool for deep validation. Terminal backend
-// failures then degrade gracefully (see degrade.go) instead of being
-// impossible. Passing nils restores the infallible pass-through, whose
-// outputs are byte-identical to a build without this call.
+// SetFallible installs error-aware backends on every component: engine
+// replaces the zero-fault search-engine adapter for extraction and hit
+// counting, source replaces the zero-fault probe adapter over the pool
+// for deep validation. Terminal backend failures degrade gracefully
+// (see degrade.go). A nil argument restores that backend's zero-fault
+// adapter, whose outputs are byte-identical to a build without this
+// call.
 func (a *Acquirer) SetFallible(engine resilience.FallibleEngine, source resilience.FallibleSource) {
 	if a.surface != nil {
-		a.surface.fallible = engine
+		a.surface.setFallible(engine)
 		a.surface.validator.SetFallible(engine)
 	}
 	if a.attrSurface != nil {
 		a.attrSurface.validator.SetFallible(engine)
 	}
 	if a.attrDeep != nil {
-		a.attrDeep.fallible = source
+		a.attrDeep.setFallible(source)
 	}
 }
 
@@ -172,7 +173,7 @@ func (r *Report) SuccessRate() float64 {
 	return 100 * float64(ok) / float64(total)
 }
 
-// AcquireAll gathers instances for every attribute of the dataset,
+// AcquireAllCtx gathers instances for every attribute of the dataset,
 // mutating the attributes' Acquired fields, and returns the report.
 //
 // With Config.Parallelism > 1 the Surface discovery phase runs
@@ -184,14 +185,11 @@ func (r *Report) SuccessRate() float64 {
 // shift, because a validation query needed by both phases is charged to
 // whichever issues it first (the validator memoizes it), and the
 // up-front phase runs all discovery before any Attr-Surface validation.
-func (a *Acquirer) AcquireAll(ds *schema.Dataset) *Report {
-	return a.AcquireAllCtx(context.Background(), ds)
-}
-
-// AcquireAllCtx is AcquireAll with the caller's trace context: the
-// "acquire-all" span joins the trace carried by ctx (a server request,
-// typically) as a child, component spans nest under it, and every
-// ledger decision recorded during the run carries the trace identity.
+//
+// The "acquire-all" span joins the trace carried by ctx (a server
+// request, typically) as a child, component spans nest under it, and
+// every ledger decision recorded during the run carries the trace
+// identity.
 func (a *Acquirer) AcquireAllCtx(ctx context.Context, ds *schema.Dataset) *Report {
 	ctx, all := a.spans.StartSpan(ctx, "acquire-all")
 	all.Label("domain", ds.Domain)

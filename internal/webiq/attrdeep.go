@@ -17,49 +17,65 @@ import (
 // of the probed instances of the donor attribute B, all instances of B
 // are assumed to be instances of A.
 type AttrDeep struct {
-	pool   *deepweb.Pool
+	pool *deepweb.Pool
+	// source answers the probes: the zero-fault adapter over pool, or
+	// the error-aware client Acquirer.SetFallible installs. A failed
+	// probe is excluded from the one-third rule's sample instead of
+	// counting as a rejection.
+	source resilience.FallibleSource
 	cfg    Config
 	ledger *obs.Ledger
-
-	// fallible, when set, replaces direct pool probing with an
-	// error-aware backend; failed probes are excluded from the one-third
-	// rule's sample instead of counting as rejections.
-	fallible resilience.FallibleSource
 }
 
 // NewAttrDeep returns the Attr-Deep component over the source pool.
 func NewAttrDeep(pool *deepweb.Pool, cfg Config) *AttrDeep {
-	return &AttrDeep{pool: pool, cfg: cfg}
+	return &AttrDeep{pool: pool, source: sourceProbe(pool.Source), cfg: cfg}
+}
+
+// setFallible installs an error-aware probing backend; nil restores the
+// zero-fault adapter over the pool.
+func (ad *AttrDeep) setFallible(src resilience.FallibleSource) {
+	if src == nil {
+		src = sourceProbe(ad.pool.Source)
+	}
+	ad.source = src
+}
+
+// sourceProbe lifts the sources that sources returns per interface ID
+// into a zero-fault FallibleSource; an unknown interface fails with
+// resilience.ErrUnknownSource.
+func sourceProbe(sources func(ifcID string) *deepweb.Source) resilience.ProbeFunc {
+	return func(ifcID, attrID, value string) (string, error) {
+		src := sources(ifcID)
+		if src == nil {
+			return "", resilience.ErrUnknownSource
+		}
+		return src.Probe(attrID, value), nil
+	}
 }
 
 // SetLedger installs the decision-provenance ledger; nil disables
 // recording.
 func (ad *AttrDeep) SetLedger(l *obs.Ledger) { ad.ledger = l }
 
-// ValidateBorrowed probes the source behind interfaceID with attribute
-// attrID set to a sample of the donor's values. If at least one third of
-// the probes succeed, all donor values are accepted (the one-third
-// rule); otherwise none are.
+// ValidateBorrowedCtx probes the source behind interfaceID with
+// attribute attrID set to a sample of the donor's values. If at least
+// one third of the answered probes succeed, all donor values are
+// accepted (the one-third rule); otherwise none are. The batch verdict
+// and each accepted value are recorded as "attr-deep" ledger decisions
+// under the attribute and donor labels, carrying ctx's trace identity.
 //
 // With Config.Parallelism > 1 the probes run on a bounded worker pool.
 // Every probe is issued either way (the one-third rule needs the full
 // sample), so the probe count, the pool's virtual-time charge, and the
-// accept/reject decision are identical to the sequential run.
-func (ad *AttrDeep) ValidateBorrowed(interfaceID, attrID string, donorValues []string) ([]string, bool) {
-	return ad.ValidateBorrowedCtx(context.Background(), interfaceID, attrID, "", "", donorValues)
-}
-
-// ValidateBorrowedCtx is ValidateBorrowed with the caller's trace
-// context plus the attribute and donor labels for the provenance
-// ledger: the batch verdict (probe success fraction against the
-// one-third rule) and each accepted value are recorded as "attr-deep"
-// decisions.
+// accept/reject decision are identical to the sequential run. Probes
+// that fail, or that cancellation kept from running, shrink the sample
+// instead of voting.
 func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID, attrLabel, donorLabel string, donorValues []string) ([]string, bool) {
 	if len(donorValues) == 0 {
 		return nil, false
 	}
-	src := ad.pool.Source(interfaceID)
-	if src == nil {
+	if ad.pool.Source(interfaceID) == nil {
 		return nil, false
 	}
 	probes := donorValues
@@ -67,54 +83,46 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 		probes = probes[:ad.cfg.MaxBorrowProbes]
 	}
 	oks := make([]bool, len(probes))
-	answered := len(probes)
-	if ad.fallible != nil {
-		failed := make([]error, len(probes))
-		parallelForCtx(ctx, len(probes), ad.cfg.Parallelism, func(i int) {
-			page, err := ad.fallible.Probe(ctx, interfaceID, attrID, probes[i])
-			if err != nil {
-				failed[i] = err
-				return
-			}
-			oks[i] = deepweb.AnalyzeResponse(page)
-		})
-		answered = 0
-		for i := range probes {
-			switch {
-			case failed[i] != nil:
-				degrade(ctx, Degradation{
-					Stage: "attr-deep", Reason: resilience.Reason(failed[i]),
-					AttrID: attrID, Label: attrLabel,
-					Detail: "probe failed: " + probes[i],
-				})
-			case ctx.Err() != nil && !oks[i]:
-				// The slot may have been skipped by cancellation; an
-				// unanswered probe must not count as a rejection.
-			default:
-				answered++
-			}
+	ran := make([]bool, len(probes))
+	failed := make([]error, len(probes))
+	parallelForCtx(ctx, len(probes), ad.cfg.Parallelism, func(i int) {
+		page, err := ad.source.Probe(ctx, interfaceID, attrID, probes[i])
+		ran[i] = true
+		if err != nil {
+			failed[i] = err
+			return
 		}
-		if answered == 0 {
-			// Deep validation is entirely unavailable for this donor:
-			// skip it (no evidence either way) rather than reject.
+		oks[i] = deepweb.AnalyzeResponse(page)
+	})
+	answered := 0
+	for i := range probes {
+		switch {
+		case failed[i] != nil:
 			degrade(ctx, Degradation{
-				Stage: "attr-deep", Reason: "no-probes-answered",
+				Stage: "attr-deep", Reason: resilience.Reason(failed[i]),
 				AttrID: attrID, Label: attrLabel,
-				Detail: fmt.Sprintf("donor %q: deep validation skipped", donorLabel),
+				Detail: "probe failed: " + probes[i],
 			})
-			if ad.ledger != nil {
-				ad.ledger.RecordCtx(ctx, obs.Decision{
-					Component: "attr-deep", Verdict: "skip",
-					AttrID: attrID, Label: attrLabel, Count: len(probes),
-					Detail: fmt.Sprintf("donor %q: 0/%d probes answered", donorLabel, len(probes)),
-				})
-			}
-			return nil, false
+		case ran[i]:
+			answered++
 		}
-	} else {
-		parallelFor(len(probes), ad.cfg.Parallelism, func(i int) {
-			oks[i] = deepweb.AnalyzeResponse(src.Probe(attrID, probes[i]))
+	}
+	if answered == 0 {
+		// Deep validation is entirely unavailable for this donor: skip
+		// it (no evidence either way) rather than reject.
+		degrade(ctx, Degradation{
+			Stage: "attr-deep", Reason: "no-probes-answered",
+			AttrID: attrID, Label: attrLabel,
+			Detail: fmt.Sprintf("donor %q: deep validation skipped", donorLabel),
 		})
+		if ad.ledger != nil {
+			ad.ledger.RecordCtx(ctx, obs.Decision{
+				Component: "attr-deep", Verdict: "skip",
+				AttrID: attrID, Label: attrLabel, Count: len(probes),
+				Detail: fmt.Sprintf("donor %q: 0/%d probes answered", donorLabel, len(probes)),
+			})
+		}
+		return nil, false
 	}
 	success := 0
 	for _, ok := range oks {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
@@ -48,8 +47,8 @@ func TrainClassifier(v *Validator, label string, positives, negatives []string) 
 	return trainClassifierCtx(context.Background(), v, label, positives, negatives)
 }
 
-// trainClassifierCtx is TrainClassifier with error propagation from a
-// fallible validation backend: any training example whose validation
+// trainClassifierCtx is TrainClassifier with error propagation from the
+// validation backend: any training example whose validation
 // vector is unavailable makes the whole classifier untrainable (a
 // partially scored matrix would bias the thresholds), and the first
 // such error is returned for the caller's degradation policy.
@@ -62,59 +61,27 @@ func trainClassifierCtx(ctx context.Context, v *Validator, label string, positiv
 		return nil, errTooFewExamples
 	}
 	// Score every training example's validation vector (the expensive,
-	// query-issuing part) on a bounded worker pool; each example writes
-	// its own slot, so the training matrix is identical to a sequential
+	// query-issuing part) in contiguous chunks — each a single batched
+	// engine pass — spread over the worker pool. Each example writes its
+	// own slot, so the training matrix is identical to a sequential
 	// build and the validator's singleflight memo keeps the query count
 	// identical too.
-	posScores := make([][]float64, len(positives))
-	negScores := make([][]float64, len(negatives))
-	var firstErr error
-	if v.batchable() {
-		// Batched scoring: the examples are scored in contiguous chunks,
-		// each a single engine pass, spread over the worker pool.
-		n := len(positives) + len(negatives)
-		scores := make([][]float64, n)
-		errs := make([]error, n)
-		xs := make([]string, 0, n)
-		xs = append(xs, positives...)
-		xs = append(xs, negatives...)
-		v.scoresBatchChunkedCtx(ctx, phrases, xs, scores, errs)
-		copy(posScores, scores[:len(positives)])
-		copy(negScores, scores[len(positives):])
-		for _, err := range errs {
-			if err != nil {
-				firstErr = err
-				break
-			}
+	n := len(positives) + len(negatives)
+	scores := make([][]float64, n)
+	errs := make([]error, n)
+	xs := make([]string, 0, n)
+	xs = append(xs, positives...)
+	xs = append(xs, negatives...)
+	v.scoresBatchChunkedCtx(ctx, phrases, xs, scores, errs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-	} else {
-		var errMu sync.Mutex
-		parallelForCtx(ctx, len(positives)+len(negatives), v.cfg.Parallelism, func(i int) {
-			var sc []float64
-			var err error
-			if i < len(positives) {
-				sc, err = v.ScoresCtx(ctx, phrases, positives[i])
-				posScores[i] = sc
-			} else {
-				sc, err = v.ScoresCtx(ctx, phrases, negatives[i-len(positives)])
-				negScores[i-len(positives)] = sc
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		})
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return trainFromScores(phrases, posScores, negScores), nil
+	return trainFromScores(phrases, scores[:len(positives)], scores[len(positives):]), nil
 }
 
 // trainFromScores runs threshold and probability estimation over
@@ -260,32 +227,23 @@ func (as *AttrSurface) Instrument(r *obs.Registry) {
 	as.mDecisions = r.CounterVec("webiq_classifier_decisions_total", "Validation-based classifier decisions on borrowed values.", "decision")
 }
 
-// ValidateBorrowed trains a classifier for the attribute with the given
-// label (positives = its instances, negatives = sibling values), then
-// returns the subset of borrowed values classified as instances. It
-// returns nil (and no error) when training is impossible.
-func (as *AttrSurface) ValidateBorrowed(label string, positives, negatives, borrowed []string) []string {
-	out, _ := as.ValidateBorrowedChecked(label, positives, negatives, borrowed)
-	return out
-}
-
 // SetLedger installs the decision-provenance ledger; nil disables
 // recording.
 func (as *AttrSurface) SetLedger(l *obs.Ledger) { as.ledger = l }
 
-// ValidateBorrowedChecked is ValidateBorrowed plus a report of whether
-// the classifier could be trained at all: trained is false when there
-// were too few examples or no validation phrases, which callers surface
-// as a "classifier-skip" event rather than a unanimous rejection.
-func (as *AttrSurface) ValidateBorrowedChecked(label string, positives, negatives, borrowed []string) (accepted []string, trained bool) {
-	return as.ValidateBorrowedCheckedCtx(context.Background(), "", label, positives, negatives, borrowed)
-}
-
-// ValidateBorrowedCheckedCtx is ValidateBorrowedChecked with the
-// caller's trace context and attribute ID for the provenance ledger: it
-// records a "trained" decision carrying the information-gain thresholds
-// (or a "skip" when training was impossible) and one accept/reject per
-// borrowed value with its posterior against the 0.5 cutoff.
+// ValidateBorrowedCheckedCtx trains a classifier for the attribute with
+// the given label (positives = its instances, negatives = sibling
+// values), then returns the subset of borrowed values classified as
+// instances. trained is false when the classifier could not be trained
+// at all (too few examples, no validation phrases, or a backend
+// failure), which callers surface as a "classifier-skip" event rather
+// than a unanimous rejection.
+//
+// With the caller's trace context and attribute ID it records, for the
+// provenance ledger, a "trained" decision carrying the information-gain
+// thresholds (or a "skip" when training was impossible) and one
+// accept/reject per borrowed value with its posterior against the 0.5
+// cutoff.
 func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, label string, positives, negatives, borrowed []string) (accepted []string, trained bool) {
 	clf, err := trainClassifierCtx(ctx, as.validator, label, positives, negatives)
 	if err != nil {
@@ -317,18 +275,12 @@ func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, l
 		})
 	}
 	phrases := clf.Phrases
-	// Scoring each borrowed value is independent; run it on a bounded
-	// worker pool and decide in index order, so accepted preserves the
-	// borrowed order exactly as the sequential loop did.
+	// Scoring each borrowed value is independent; score them in chunks
+	// on the worker pool and decide in index order, so accepted
+	// preserves the borrowed order exactly as a sequential loop would.
 	scores := make([][]float64, len(borrowed))
 	errs := make([]error, len(borrowed))
-	if as.validator.batchable() {
-		as.validator.scoresBatchChunkedCtx(ctx, phrases, borrowed, scores, errs)
-	} else {
-		parallelForCtx(ctx, len(borrowed), as.cfg.Parallelism, func(i int) {
-			scores[i], errs[i] = as.validator.ScoresCtx(ctx, phrases, borrowed[i])
-		})
-	}
+	as.validator.scoresBatchChunkedCtx(ctx, phrases, borrowed, scores, errs)
 	for i, b := range borrowed {
 		if errs[i] != nil || scores[i] == nil {
 			// The value could not be scored (backend failure, or the

@@ -3,8 +3,12 @@ package webiq
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,81 +16,111 @@ import (
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/obs"
-	"webiq/internal/resilience"
 	"webiq/internal/surfaceweb"
 )
 
+// recordingEngine passes calls through to an engine and logs every
+// hit-count query that reaches it, batched or not.
+type recordingEngine struct {
+	inner   *surfaceweb.Engine
+	mu      sync.Mutex
+	queries []string
+}
+
+func (r *recordingEngine) Search(q string, limit int) []surfaceweb.Snippet {
+	return r.inner.Search(q, limit)
+}
+
+func (r *recordingEngine) NumHits(q string) int {
+	r.mu.Lock()
+	r.queries = append(r.queries, q)
+	r.mu.Unlock()
+	return r.inner.NumHits(q)
+}
+
+func (r *recordingEngine) NumHitsBatch(qs []string) []int {
+	r.mu.Lock()
+	r.queries = append(r.queries, qs...)
+	r.mu.Unlock()
+	return r.inner.NumHitsBatch(qs)
+}
+
+// multiset returns the logged queries sorted.
+func (r *recordingEngine) multiset() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := append([]string(nil), r.queries...)
+	sort.Strings(out)
+	return out
+}
+
 // TestScoresBatchMatchesScalar compares the batched scoring entry
-// points against fresh scalar validators on twin engines: values must
-// match exactly and the engines must be charged identically.
+// points against the scalar reference on fresh engines: values must
+// match exactly, and the multiset of queries reaching each engine must
+// be the same — every distinct query asked once, none the scalar loop
+// would not ask.
 func TestScoresBatchMatchesScalar(t *testing.T) {
+	eng, _, _ := fixture(t)
 	xs := []string{"Hemingway", "updike", "Toyota", "zzz-unknown", "Hemingway", "software engineer"}
 	for _, raw := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.UseRawHitCounts = raw
-
-		scalarCfg := cfg
-		scalarCfg.ScalarValidation = true
-		mkEngine := func() *surfaceweb.Engine {
-			e := surfaceweb.NewEngine()
-			surfaceweb.BuildCorpus(e, kb.Domains(), surfaceweb.DefaultCorpusConfig())
-			return e
-		}
-		scalarEng, batchEng := mkEngine(), mkEngine()
-		scalar := NewValidator(scalarEng, scalarCfg)
+		refEng, batchEng := &recordingEngine{inner: eng}, &recordingEngine{inner: eng}
+		ref := newRefValidator(refEng, cfg)
 		batched := NewValidator(batchEng, cfg)
-		phrases := scalar.Phrases("author")
+		phrases := batched.Phrases("author")
 
 		var wantScores [][]float64
 		var wantConfs []float64
 		for _, x := range xs {
-			wantScores = append(wantScores, scalar.Scores(phrases, x))
-			wantConfs = append(wantConfs, scalar.Confidence(phrases, x))
+			wantScores = append(wantScores, ref.scores(phrases, x))
+			wantConfs = append(wantConfs, ref.confidence(phrases, x))
 		}
-		gotScores := batched.ScoresBatch(phrases, xs)
-		if !reflect.DeepEqual(gotScores, wantScores) {
-			t.Errorf("raw=%v: ScoresBatch %v, scalar %v", raw, gotScores, wantScores)
+		gotScores, errs := batched.ScoresBatchCtx(context.Background(), phrases, xs)
+		if !reflect.DeepEqual(gotScores, wantScores) || !reflect.DeepEqual(errs, make([]error, len(xs))) {
+			t.Errorf("raw=%v: ScoresBatchCtx %v (errs %v), scalar %v", raw, gotScores, errs, wantScores)
 		}
 		// Confidence on the same validator replays from the memo, as
 		// the scalar sequence does.
-		gotConfs := batched.ConfidenceBatch(phrases, xs)
+		gotConfs, _ := batched.ConfidenceBatchCtx(context.Background(), phrases, xs)
 		if !reflect.DeepEqual(gotConfs, wantConfs) {
-			t.Errorf("raw=%v: ConfidenceBatch %v, scalar %v", raw, gotConfs, wantConfs)
+			t.Errorf("raw=%v: ConfidenceBatchCtx %v, scalar %v", raw, gotConfs, wantConfs)
 		}
-		if g, w := batchEng.QueryCount(), scalarEng.QueryCount(); g != w {
-			t.Errorf("raw=%v: engine charged %d queries batched, %d scalar", raw, g, w)
-		}
-		if g, w := batchEng.VirtualTime(), scalarEng.VirtualTime(); g != w {
-			t.Errorf("raw=%v: engine virtual time %v batched, %v scalar", raw, g, w)
+		if g, w := batchEng.multiset(), refEng.multiset(); !reflect.DeepEqual(g, w) {
+			t.Errorf("raw=%v: engine queries differ:\nbatched: %q\nscalar:  %q", raw, g, w)
 		}
 	}
 }
 
-// TestConfidenceDelegatesToScores pins the satellite fix: Confidence
-// and ConfidenceCtx are the mean of Scores/ScoresCtx, bit for bit.
+// TestConfidenceDelegatesToScores pins that ConfidenceBatchCtx is the
+// mean of the ScoresBatchCtx vector, bit for bit.
 func TestConfidenceDelegatesToScores(t *testing.T) {
 	eng, _, _ := fixture(t)
 	v := NewValidator(eng, DefaultConfig())
 	phrases := v.Phrases("author")
-	for _, x := range []string{"Hemingway", "zzz"} {
-		scores := v.Scores(phrases, x)
+	xs := []string{"Hemingway", "zzz"}
+	scores, _ := v.ScoresBatchCtx(context.Background(), phrases, xs)
+	confs, _ := v.ConfidenceBatchCtx(context.Background(), phrases, xs)
+	for i, x := range xs {
 		var sum float64
-		for _, s := range scores {
+		for _, s := range scores[i] {
 			sum += s
 		}
-		if got, want := v.Confidence(phrases, x), sum/float64(len(scores)); got != want {
-			t.Errorf("Confidence(%q) = %v, mean of Scores = %v", x, got, want)
+		if got, want := confs[i], sum/float64(len(scores[i])); got != want {
+			t.Errorf("confidence(%q) = %v, mean of scores = %v", x, got, want)
 		}
 	}
-	if got := v.Confidence(nil, "x"); got != 0 {
-		t.Errorf("Confidence with no phrases = %v, want 0", got)
+	if confs, _ := v.ConfidenceBatchCtx(context.Background(), nil, []string{"x"}); confs[0] != 0 {
+		t.Errorf("confidence with no phrases = %v, want 0", confs[0])
 	}
 }
 
-// ledgeredRun is acquisitionRun plus a decision ledger, for byte-level
-// comparison of the provenance stream.
-func ledgeredRun(t *testing.T, domain string, seed int64, compCfg, acqCfg Config) (*Report, map[string][]string, int, []byte) {
+// ledgeredRun does a full sequential acquisition of one domain at
+// seed 1 with a decision ledger, for byte-level comparison of the
+// Report and the provenance stream.
+func ledgeredRun(t *testing.T, domain string) (*Report, []byte) {
 	t.Helper()
+	const seed = 1
 	eng := surfaceweb.NewEngine()
 	corpusCfg := surfaceweb.DefaultCorpusConfig()
 	corpusCfg.Seed = seed
@@ -100,150 +134,97 @@ func ledgeredRun(t *testing.T, domain string, seed int64, compCfg, acqCfg Config
 	deepCfg.Seed = seed
 	pool := deepweb.BuildPool(ds, dom, deepCfg)
 
-	v := NewValidator(eng, compCfg)
-	acq := NewAcquirer(NewSurface(eng, v, compCfg), NewAttrDeep(pool, compCfg),
-		NewAttrSurface(v, compCfg), AllComponents(), acqCfg)
+	cfg := DefaultConfig()
+	v := NewValidator(eng, cfg)
+	acq := NewAcquirer(NewSurface(eng, v, cfg), NewAttrDeep(pool, cfg),
+		NewAttrSurface(v, cfg), AllComponents(), cfg)
 	acq.SetAccounting(
 		func() (time.Duration, int) { return eng.VirtualTime(), eng.QueryCount() },
 		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
 	)
 	var buf bytes.Buffer
 	acq.SetLedger(obs.NewLedger(&buf))
-	rep := acq.AcquireAll(ds)
-	got := map[string][]string{}
-	for _, a := range ds.AllAttributes() {
-		got[a.ID] = a.Acquired
-	}
-	return rep, got, eng.QueryCount(), buf.Bytes()
+	return acq.AcquireAllCtx(context.Background(), ds), buf.Bytes()
+}
+
+// pinnedAcquisition holds SHA-256 digests of the fault-free Report JSON
+// and ledger NDJSON of a sequential acquisition of each paper domain
+// (seed 1), recorded before the validation, extraction and probing
+// stages were collapsed onto one call path each. Scoring is batched and
+// every backend runs behind a zero-fault adapter; outputs must not move.
+var pinnedAcquisition = map[string][2]string{
+	"airfare":    {"fa675e52c252b8cdbb3011fabedb468ae994d6cec7d595956369c08b60f34d4f", "cf78deb3e0895ab816e60ed4af961fd83cd4fd0ec395379b7269f0bca77efce2"},
+	"auto":       {"5c137efc17184531c32d28c0252c5c8b542f5e44b837b127f676873ce8047b1a", "a496d516133d69468ade7b593ade27b1ae6cdeaf1aa63886bfe1201bf418943e"},
+	"book":       {"3a46822326b3804c762c3f20849ba94380bc8890f36cd15d60e387d39236e398", "d81fcb16631f24ed8284821f834b0b6603272e0c41db9a2f5b36126c313fa713"},
+	"job":        {"8323abfdd1f2fbde83b36e5fd0b93c77332b36b603ea8457d8d36d8374465e28", "abbeea599cba71dc6efd4c38a31002f5f8dc8819f0d7887c0d07d91d74dc9cca"},
+	"realestate": {"551daa7257e633138c4679e13d56eb9a9cc890fc3637f9c379f9f326c2eaa780", "d2f983e3a9cf441c0c883a0fe3af5cd1cfca7e04761437bf24cae6be99c6d417"},
+}
+
+func sha(b []byte) string {
+	h := sha256.Sum256(b)
+	return hex.EncodeToString(h[:])
 }
 
 // TestBatchedAcquisitionByteIdentical is the end-to-end equivalence
-// gate: a full acquisition with batched validation must produce a
-// byte-identical Report, identical acquired instances, identical engine
-// query accounting, and byte-identical ledger NDJSON versus the forced
-// scalar path — sequentially and with the worker pool on.
+// gate: a full sequential acquisition of each paper domain must
+// reproduce the pinned Report JSON and ledger NDJSON byte for byte.
 func TestBatchedAcquisitionByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acquisition runs; skipped in -short")
 	}
-	for _, parallelism := range []int{0, 8} {
-		scalarCfg := DefaultConfig()
-		scalarCfg.ScalarValidation = true
-		scalarCfg.Parallelism = parallelism
-		batchCfg := DefaultConfig()
-		batchCfg.Parallelism = parallelism
-
-		sRep, sGot, sQ, sLedger := ledgeredRun(t, "book", 1, scalarCfg, scalarCfg)
-		bRep, bGot, bQ, bLedger := ledgeredRun(t, "book", 1, batchCfg, batchCfg)
-
-		sJSON, err := json.Marshal(sRep)
+	for _, dom := range kb.Domains() {
+		rep, ledger := ledgeredRun(t, dom.Key)
+		j, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bJSON, err := json.Marshal(bRep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(sJSON) != string(bJSON) {
-			t.Errorf("parallelism %d: batched Report differs from scalar:\nscalar: %s\nbatched: %s",
-				parallelism, sJSON, bJSON)
-		}
-		if !reflect.DeepEqual(sGot, bGot) {
-			t.Errorf("parallelism %d: acquired instances differ", parallelism)
-		}
-		if sQ != bQ {
-			t.Errorf("parallelism %d: engine query counts differ: scalar %d, batched %d", parallelism, sQ, bQ)
-		}
-		// The ledger is ordered only in the sequential run; with workers
-		// the scalar path itself is order-nondeterministic, so compare
-		// bytes sequentially and entry counts in parallel.
-		if parallelism == 0 {
-			if !bytes.Equal(sLedger, bLedger) {
-				sl, bl := bytes.Split(sLedger, []byte("\n")), bytes.Split(bLedger, []byte("\n"))
-				for i := 0; i < len(sl) && i < len(bl); i++ {
-					if !bytes.Equal(sl[i], bl[i]) {
-						t.Fatalf("ledgers diverge at line %d:\nscalar:  %s\nbatched: %s", i+1, sl[i], bl[i])
-					}
-				}
-				t.Fatalf("ledgers differ in length: scalar %d lines, batched %d", len(sl), len(bl))
-			}
-		} else if bytes.Count(sLedger, []byte("\n")) != bytes.Count(bLedger, []byte("\n")) {
-			t.Errorf("parallelism %d: ledger entry counts differ: scalar %d, batched %d",
-				parallelism, bytes.Count(sLedger, []byte("\n")), bytes.Count(bLedger, []byte("\n")))
+		got := [2]string{sha(j), sha(ledger)}
+		if want := pinnedAcquisition[dom.Key]; got != want {
+			t.Errorf("%s: (report, ledger) digests %q, pinned %q", dom.Key, got, want)
 		}
 	}
 }
 
-// TestBatchedCachedAcquisitionAccounting runs the batched and scalar
-// paths over a CachedEngine — the benchmark's configuration — and
-// demands identical cache accounting on top of identical outputs.
+// pinnedCachedAcquisition holds, per paper domain, the SHA-256 of the
+// Report JSON of an 8-worker acquisition through a CachedEngine (the
+// benchmark's configuration) and the cache's accounting: hits, misses,
+// raw queries, deduplicated queries charged to the engine, entries.
+var pinnedCachedAcquisition = map[string]struct {
+	report string
+	acct   [5]int
+}{
+	"airfare":    {"224e1e725159a06d1833ed30150dec7ccde65d75419a5a7d31bbd6186501dc48", [5]int{80, 5259, 5339, 5259, 5259}},
+	"auto":       {"066f338983334d577668cf71963d6952a59101bac7d43d550dbf3ff0fd7e2fa6", [5]int{72, 3046, 3118, 3046, 3046}},
+	"book":       {"abe262598c323e62f295928c18af9e826d864c7a85244f6a7d1f20d99dbf5be8", [5]int{236, 1970, 2206, 1970, 1970}},
+	"job":        {"358403401235a90d010c71e8560e6651eebd18d53b6edfddac264cb24c6632b6", [5]int{160, 2111, 2271, 2111, 2111}},
+	"realestate": {"f69e0d65c49c4e58a90e5f9f7941548d4c95e529a2d2d18e3722344737c06ac3", [5]int{128, 2967, 3095, 2967, 2967}},
+}
+
+// TestBatchedCachedAcquisitionAccounting runs the worker-pool
+// acquisition over a CachedEngine and demands the pinned Report and
+// cache accounting: batching reaches the engine through the zero-fault
+// adapter without changing what it is charged.
 func TestBatchedCachedAcquisitionAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acquisition runs; skipped in -short")
 	}
-	run := func(scalar bool) (*Report, [5]int) {
+	eng := surfaceweb.NewEngine()
+	surfaceweb.BuildCorpus(eng, kb.Domains(), surfaceweb.DefaultCorpusConfig())
+	for _, dom := range kb.Domains() {
 		cfg := DefaultConfig()
-		cfg.ScalarValidation = scalar
 		cfg.Parallelism = 8
-		eng := surfaceweb.NewEngine()
-		surfaceweb.BuildCorpus(eng, kb.Domains(), surfaceweb.DefaultCorpusConfig())
 		cache := surfaceweb.NewCachedEngine(eng, 0)
-
-		dom := kb.DomainByKey("book")
+		q0 := cache.QueryCount()
 		ds := dataset.Generate(dom, dataset.DefaultConfig())
 		pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-
-		rep := NewPipeline(cache, pool, cfg, AllComponents()).AcquireAll(ds)
-		return rep, [5]int{cache.Hits(), cache.Misses(), cache.RawQueryCount(), cache.QueryCount(), cache.Len()}
-	}
-	sRep, sAcct := run(true)
-	bRep, bAcct := run(false)
-	sJSON, _ := json.Marshal(sRep)
-	bJSON, _ := json.Marshal(bRep)
-	if string(sJSON) != string(bJSON) {
-		t.Errorf("cached batched Report differs from scalar:\nscalar: %s\nbatched: %s", sJSON, bJSON)
-	}
-	if sAcct != bAcct {
-		t.Errorf("cache accounting differs (hits, misses, raw, deduped, entries): scalar %v, batched %v", sAcct, bAcct)
-	}
-}
-
-// TestBatchedChaosLedgerIdentical pins the fault-profile contract: with
-// the p30 profile injecting errors, the batched configuration falls
-// back to scalar scoring order, so its ledger NDJSON is byte-identical
-// to the forced-scalar run.
-func TestBatchedChaosLedgerIdentical(t *testing.T) {
-	prof, err := resilience.ProfileByName("p30")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := resilience.ClientOptions{
-		Retry:   resilience.RetryPolicy{MaxAttempts: 3},
-		Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
-	}
-	run := func(scalar bool) []byte {
-		cfg := DefaultConfig() // sequential: ordered ledger
-		cfg.ScalarValidation = scalar
-		acq, ds := buildChaosAcquirer(t, cfg, prof, 42, opts)
-		var buf bytes.Buffer
-		acq.SetLedger(obs.NewLedger(&buf))
-		rep := acq.AcquireAllCtx(context.Background(), ds)
-		if rep.Interrupted != nil {
-			t.Fatalf("run interrupted: %v", rep.Interrupted)
+		rep := NewPipeline(cache, pool, cfg, AllComponents()).AcquireAllCtx(context.Background(), ds)
+		j, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(rep.Degradations) == 0 {
-			t.Fatal("p30 run absorbed no degradations; the test is vacuous")
+		acct := [5]int{cache.Hits(), cache.Misses(), cache.RawQueryCount(), cache.QueryCount() - q0, cache.Len()}
+		if want := pinnedCachedAcquisition[dom.Key]; sha(j) != want.report || acct != want.acct {
+			t.Errorf("%s: report digest %q, accounting %v; pinned %q, %v", dom.Key, sha(j), acct, want.report, want.acct)
 		}
-		return buf.Bytes()
-	}
-	s, b := run(true), run(false)
-	if !bytes.Equal(s, b) {
-		sl, bl := bytes.Split(s, []byte("\n")), bytes.Split(b, []byte("\n"))
-		for i := 0; i < len(sl) && i < len(bl); i++ {
-			if !bytes.Equal(sl[i], bl[i]) {
-				t.Fatalf("p30 ledgers diverge at line %d:\nscalar:  %s\nbatched: %s", i+1, sl[i], bl[i])
-			}
-		}
-		t.Fatalf("p30 ledgers differ in length: %d vs %d lines", len(sl), len(bl))
 	}
 }

@@ -1,9 +1,11 @@
 package webiq
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
+	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/surfaceweb"
@@ -106,7 +109,7 @@ func TestAcquireAllCtxCancellation(t *testing.T) {
 	// Control: a complete run on an identical fresh dataset, for the
 	// expected outcome count.
 	control, controlDS := buildJobAcquirer(t, cfg)
-	full := control.AcquireAll(controlDS)
+	full := control.AcquireAllCtx(context.Background(), controlDS)
 	if full.Interrupted != nil {
 		t.Fatalf("control run interrupted: %v", full.Interrupted)
 	}
@@ -160,5 +163,68 @@ func TestAcquireAllCtxPreCanceled(t *testing.T) {
 	}
 	if len(rep.Outcomes) != 0 {
 		t.Fatalf("pre-canceled run produced %d outcomes", len(rep.Outcomes))
+	}
+}
+
+// cancelAfterSource probes the pool directly and cancels the context
+// once the given number of probes have answered.
+type cancelAfterSource struct {
+	pool     *deepweb.Pool
+	answered *atomic.Int64
+	after    int64
+	cancel   context.CancelFunc
+}
+
+func (c cancelAfterSource) Probe(ctx context.Context, ifcID, attrID, value string) (string, error) {
+	page := c.pool.Source(ifcID).Probe(attrID, value)
+	if c.answered.Add(1) == c.after {
+		c.cancel()
+	}
+	return page, nil
+}
+
+// TestAttrDeepLateCancelCountsAnsweredProbes pins the one-third rule
+// under late cancellation: when the context is canceled only after
+// every probe answered, a probe that answered with a rejection still
+// votes. The verdict and its ledger record must equal the uncanceled
+// run's.
+func TestAttrDeepLateCancelCountsAnsweredProbes(t *testing.T) {
+	_, _, pools := fixture(t)
+	pool := pools["airfare"]
+	const ifcID, attrID = "airfare/if01", "airfare/if01/a1" // "Going to"
+	unknown := []string{"Qzxv One", "Qzxv Two", "Qzxv Three", "Qzxv Four", "Qzxv Five"}
+	cases := []struct {
+		donors []string
+		want   string
+	}{
+		{append([]string{"Geneva"}, unknown...), `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0.16666666666666666,"threshold":0.3333333333333333,"count":6,"detail":"donor \"City\": 1/6 probes succeeded"`},
+		{append([]string{"Qzxv Six"}, unknown...), `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0,"threshold":0.3333333333333333,"count":6,"detail":"donor \"City\": 0/6 probes succeeded"`},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{0, 4} {
+			for _, late := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Parallelism = workers
+				ad := NewAttrDeep(pool, cfg)
+				var buf bytes.Buffer
+				ad.SetLedger(obs.NewLedger(&buf))
+				ctx, cancel := context.WithCancel(context.Background())
+				after := int64(-1)
+				if late {
+					after = int64(len(tc.donors))
+				}
+				NewAcquirer(nil, ad, nil, Components{AttrDeep: true}, cfg).SetFallible(nil,
+					cancelAfterSource{pool: pool, answered: new(atomic.Int64), after: after, cancel: cancel})
+				vals, ok := ad.ValidateBorrowedCtx(ctx, ifcID, attrID, "Going to", "City", tc.donors)
+				cancel()
+				if ok || vals != nil {
+					t.Errorf("donors %q, workers %d, late cancel %v: accepted %v", tc.donors, workers, late, vals)
+				}
+				if !strings.Contains(buf.String(), tc.want) {
+					t.Errorf("donors %q, workers %d, late cancel %v: ledger\n%s\nwant a decision containing %s",
+						tc.donors, workers, late, buf.String(), tc.want)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,9 @@ package webiq
 import (
 	"bytes"
 	"context"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +15,7 @@ import (
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
+	"webiq/internal/surfaceweb"
 )
 
 // buildChaosAcquirer assembles the full pipeline over a fresh
@@ -153,5 +157,100 @@ func TestChaosDifferentSeedsDiffer(t *testing.T) {
 	}
 	if bytes.Equal(run(1), run(2)) {
 		t.Error("seeds 1 and 2 produced identical ledgers; injector ignores its seed")
+	}
+}
+
+// failLog passes calls through to a fallible engine and remembers every
+// hit-count query that came back with an error.
+type failLog struct {
+	inner  resilience.FallibleEngine
+	mu     sync.Mutex
+	failed map[string]bool
+}
+
+func (f *failLog) Search(ctx context.Context, q string, limit int) ([]surfaceweb.Snippet, error) {
+	return f.inner.Search(ctx, q, limit)
+}
+
+func (f *failLog) NumHits(ctx context.Context, q string) (int, error) {
+	n, err := f.inner.NumHits(ctx, q)
+	if err != nil {
+		f.mu.Lock()
+		f.failed[q] = true
+		f.mu.Unlock()
+	}
+	return n, err
+}
+
+// TestChaosValidatorMatchesOracle runs batched PMI validation under
+// every named fault profile. A hit-count failure may only cost the
+// candidates that need the failed query: every candidate that scores
+// must equal the fault-free scalar reference exactly, and every
+// candidate that fails must need a query that failed. Two passes run
+// over the same validator, since failures are not cached and the
+// second pass asks again for exactly the failed queries. Retries are
+// off so the fault rates reach the validator undiluted.
+func TestChaosValidatorMatchesOracle(t *testing.T) {
+	eng, _, _ := fixture(t)
+	xs := []string{"Hemingway", "updike", "Toni Morrison", "Toyota", "zzz-unknown",
+		"Hemingway", "software engineer", "Boston", "January", "Penguin"}
+	names := make([]string, 0, len(resilience.Profiles))
+	for name := range resilience.Profiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			prof := resilience.Profiles[name]
+			cfg := DefaultConfig()
+			cfg.Parallelism = 4
+			ref := newRefValidator(eng, cfg)
+			v := NewValidator(eng, cfg)
+			phrases := v.Phrases("author")
+			log := &failLog{failed: map[string]bool{}, inner: resilience.NewEngineClient(
+				resilience.FaultyEngine(resilience.AdaptEngine(eng), resilience.NewInjector(prof, 7)),
+				resilience.ClientOptions{
+					Seed:    7,
+					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
+				})}
+			v.SetFallible(log)
+
+			scored, failed := 0, 0
+			for pass := 0; pass < 2; pass++ {
+				scores := make([][]float64, len(xs))
+				errs := make([]error, len(xs))
+				v.scoresBatchChunkedCtx(context.Background(), phrases, xs, scores, errs)
+				for i, x := range xs {
+					if errs[i] == nil {
+						scored++
+						if want := ref.scores(phrases, x); !reflect.DeepEqual(scores[i], want) {
+							t.Errorf("pass %d: %q scored %v, reference %v", pass, x, scores[i], want)
+						}
+						continue
+					}
+					failed++
+					if scores[i] != nil {
+						t.Errorf("pass %d: failed %q still carries scores %v", pass, x, scores[i])
+					}
+					needed := false
+					for _, p := range phrases {
+						for _, k := range ref.keys(p, x) {
+							needed = needed || log.failed[k]
+						}
+					}
+					if !needed {
+						t.Errorf("pass %d: %q failed (%v) without needing a failed query", pass, x, errs[i])
+					}
+				}
+			}
+			if scored == 0 {
+				t.Error("no candidate scored; the comparison is vacuous")
+			}
+			if faulty := prof.Search.ErrorRate > 0 || prof.Search.BurstLen > 0; faulty && failed == 0 {
+				t.Error("search faults injected but no candidate failed; the test is vacuous")
+			}
+			t.Logf("%s: %d scored, %d failed", name, scored, failed)
+		})
 	}
 }

@@ -17,24 +17,20 @@
 // a matcher.
 package webiq
 
-import "webiq/internal/surfaceweb"
+import "webiq/internal/resilience"
 
 // SearchEngine is the slice of a Web search engine WebIQ consumes:
 // result snippets for extraction queries and hit counts for validation
-// queries. *surfaceweb.Engine satisfies it.
-type SearchEngine interface {
-	Search(query string, limit int) []surfaceweb.Snippet
-	NumHits(query string) int
-}
+// queries. *surfaceweb.Engine satisfies it. It is resilience.Engine, the
+// bottom of every fault-client chain.
+type SearchEngine = resilience.Engine
 
 // BatchSearchEngine is implemented by engines that can answer many
 // hit-count queries in one pass (*surfaceweb.Engine and
-// *surfaceweb.CachedEngine both do). The Validator's batched scoring
-// uses it when available; results and accounting must be identical to
-// issuing the queries one by one.
-type BatchSearchEngine interface {
-	NumHitsBatch(queries []string) []int
-}
+// *surfaceweb.CachedEngine both do). The zero-fault adapter a component
+// wraps its engine in forwards batched validation to it; results and
+// accounting must be identical to issuing the queries one by one.
+type BatchSearchEngine = resilience.BatchEngine
 
 // Config bundles the tunables of all WebIQ components.
 type Config struct {
@@ -94,13 +90,6 @@ type Config struct {
 	// engine"; the flag implements the possibility the paper notes and
 	// the corresponding bench quantifies its cost/benefit.
 	SurfaceForPredef bool
-	// ScalarValidation forces the one-(V,x)-pair-at-a-time validation
-	// path even when the engine supports batched hit counting. The
-	// batched path is specified to be observationally identical —
-	// scores, ledger decisions, and query accounting — so this exists
-	// for the A/B equivalence tests and as an escape hatch, not as a
-	// tuning knob.
-	ScalarValidation bool
 	// CacheDiscovery memoizes Surface discovery per attribute label.
 	// This is an approximation: two same-labeled attributes on different
 	// interfaces narrow their queries with different sibling keywords,

@@ -21,8 +21,8 @@ import (
 // Every event lands in three places at once: the run's
 // Report.Degradations, the webiq_degraded_total{stage,reason} metric,
 // and the provenance ledger (component "resilience", verdict
-// "degraded"). Without fault injection no event ever fires and the only
-// cost is nil checks.
+// "degraded"). Without fault injection the zero-fault adapters never
+// fail, so no event ever fires.
 
 // Degradation records one graceful-degradation event of an acquisition
 // run.
@@ -62,7 +62,7 @@ func (a *Acquirer) newDegradeCtx(ctx context.Context) (context.Context, *degrade
 // degrade records one degradation event on the run's sink: appended to
 // the report, counted in webiq_degraded_total{stage,reason}, and
 // recorded in the ledger. A context without a sink drops the event
-// (components called outside AcquireAll).
+// (components called outside AcquireAllCtx).
 func degrade(ctx context.Context, d Degradation) {
 	s, _ := ctx.Value(degradeCtxKey{}).(*degradeSink)
 	if s == nil {

@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -40,7 +41,7 @@ func acquisitionRun(t *testing.T, domain string, seed int64, compCfg, acqCfg Con
 		func() (time.Duration, int) { return eng.VirtualTime(), eng.QueryCount() },
 		func() (time.Duration, int) { return pool.VirtualTime(), pool.QueryCount() },
 	)
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 	got := map[string][]string{}
 	for _, a := range ds.AllAttributes() {
 		got[a.ID] = a.Acquired
@@ -175,8 +176,8 @@ func TestParallelValidationStress(t *testing.T) {
 	borrowed := []string{"Delta", "United", "Lufthansa", "Aer Lingus", "Quantum Air", "Nonexistent Co"}
 	negatives := []string{"Boston", "Chicago", "May", "June"}
 	for i := 0; i < 4; i++ {
-		as.ValidateBorrowedChecked(attr.label, attr.pos, negatives, borrowed)
-		ad.ValidateBorrowed(attr.ifcID, attr.attrID, borrowed)
+		as.ValidateBorrowedCheckedCtx(context.Background(), attr.attrID, attr.label, attr.pos, negatives, borrowed)
+		ad.ValidateBorrowedCtx(context.Background(), attr.ifcID, attr.attrID, attr.label, "", borrowed)
 	}
 }
 

@@ -2,6 +2,7 @@ package webiq
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -425,7 +426,7 @@ func surfacedDatasets(tb testing.TB) []donorSelectionInput {
 			cfg := DefaultConfig()
 			v := NewValidator(eng, cfg)
 			acq := NewAcquirer(NewSurface(eng, v, cfg), nil, nil, Components{Surface: true}, cfg)
-			acq.AcquireAll(ds)
+			acq.AcquireAllCtx(context.Background(), ds)
 			return ds
 		}
 		paper := surfaceweb.NewEngine()

@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -61,7 +62,7 @@ func TestSurfaceDiscoversAirlines(t *testing.T) {
 	cfg := DefaultConfig()
 	v := NewValidator(eng, cfg)
 	s := NewSurface(eng, v, cfg)
-	got := s.DiscoverInstances(a, ifc, ds)
+	got := s.DiscoverInstancesCtx(context.Background(), a, ifc, ds)
 	if len(got) < cfg.K {
 		t.Fatalf("discovered %d instances for %q, want >= %d: %v", len(got), a.Label, cfg.K, got)
 	}
@@ -90,7 +91,7 @@ func TestSurfaceDiscoversAuthors(t *testing.T) {
 	cfg := DefaultConfig()
 	v := NewValidator(eng, cfg)
 	s := NewSurface(eng, v, cfg)
-	got := s.DiscoverInstances(a, ifc, ds)
+	got := s.DiscoverInstancesCtx(context.Background(), a, ifc, ds)
 	if len(got) < 5 {
 		t.Fatalf("discovered %d author instances: %v", len(got), got)
 	}
@@ -103,11 +104,11 @@ func TestSurfaceFailsOnBarePreposition(t *testing.T) {
 	v := NewValidator(eng, cfg)
 	s := NewSurface(eng, v, cfg)
 	a := &schema.Attribute{ID: "x", InterfaceID: ds.Interfaces[0].ID, Label: "From"}
-	if got := s.DiscoverInstances(a, ds.Interfaces[0], ds); len(got) != 0 {
+	if got := s.DiscoverInstancesCtx(context.Background(), a, ds.Interfaces[0], ds); len(got) != 0 {
 		t.Errorf("bare preposition should yield nothing, got %v", got)
 	}
 	a.Label = "Depart from"
-	if got := s.DiscoverInstances(a, ds.Interfaces[0], ds); len(got) != 0 {
+	if got := s.DiscoverInstancesCtx(context.Background(), a, ds.Interfaces[0], ds); len(got) != 0 {
 		t.Errorf("verb phrase should yield nothing, got %v", got)
 	}
 }
@@ -122,7 +123,7 @@ func TestSurfaceRejectsNonInstances(t *testing.T) {
 	cfg := DefaultConfig()
 	v := NewValidator(eng, cfg)
 	s := NewSurface(eng, v, cfg)
-	got := s.DiscoverInstances(a, ifc, ds)
+	got := s.DiscoverInstancesCtx(context.Background(), a, ifc, ds)
 	if len(got) == 0 {
 		t.Fatal("no instances for departure city")
 	}
@@ -148,7 +149,7 @@ func TestAttrSurfaceBorrowsAirlines(t *testing.T) {
 	positives := []string{"Air Canada", "American", "Delta", "United"}
 	negatives := []string{"Economy", "First Class", "January", "Sedan"}
 	borrowed := []string{"Aer Lingus", "Lufthansa", "Economy", "March"}
-	got := as.ValidateBorrowed("Airline", positives, negatives, borrowed)
+	got, _ := as.ValidateBorrowedCheckedCtx(context.Background(), "", "Airline", positives, negatives, borrowed)
 	gotSet := map[string]bool{}
 	for _, g := range got {
 		gotSet[g] = true
@@ -179,13 +180,13 @@ func TestAttrDeepOneThirdRule(t *testing.T) {
 	ad := NewAttrDeep(pool, DefaultConfig())
 
 	cities := []string{"Boston", "Chicago", "New York", "Seattle", "Denver", "Miami"}
-	got, ok := ad.ValidateBorrowed(a.InterfaceID, a.ID, cities)
+	got, ok := ad.ValidateBorrowedCtx(context.Background(), a.InterfaceID, a.ID, a.Label, "City", cities)
 	if !ok || len(got) != len(cities) {
 		t.Errorf("true cities rejected by deep validation: ok=%v got=%v", ok, got)
 	}
 
 	months := []string{"January", "February", "March", "April", "May", "June"}
-	if _, ok := ad.ValidateBorrowed(a.InterfaceID, a.ID, months); ok {
+	if _, ok := ad.ValidateBorrowedCtx(context.Background(), a.InterfaceID, a.ID, a.Label, "Month", months); ok {
 		t.Error("months accepted as origin cities by deep validation")
 	}
 }
@@ -196,7 +197,7 @@ func TestAcquirerFillsInstanceLessAttributes(t *testing.T) {
 	ds := dataset.Generate(dom, dataset.DefaultConfig()) // fresh copy to mutate
 	_ = data
 	cfg := DefaultConfig()
-	rep := NewPipeline(eng, pools["book"], cfg, AllComponents()).AcquireAll(ds)
+	rep := NewPipeline(eng, pools["book"], cfg, AllComponents()).AcquireAllCtx(context.Background(), ds)
 	if rep.SuccessRate() < 50 {
 		t.Errorf("book acquisition success = %.1f%%, want >= 50%%", rep.SuccessRate())
 	}
@@ -218,7 +219,7 @@ func TestAcquirerComponentsDisabled(t *testing.T) {
 	dom := kb.DomainByKey("job")
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	cfg := DefaultConfig()
-	rep := NewPipeline(eng, pools["job"], cfg, Components{}).AcquireAll(ds) // everything off
+	rep := NewPipeline(eng, pools["job"], cfg, Components{}).AcquireAllCtx(context.Background(), ds) // everything off
 	for _, o := range rep.Outcomes {
 		if o.Acquired != 0 {
 			t.Errorf("attribute %s acquired %d instances with all components off", o.AttrID, o.Acquired)

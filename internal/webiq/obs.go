@@ -26,7 +26,7 @@ import (
 // The component label matches the Method names ("surface", "attr-deep",
 // "attr-surface"); the per-component virtual seconds and queries
 // reconcile exactly with the Report's SurfaceTime/SurfaceQueries (etc.)
-// fields for a single AcquireAll run. Passing nil uninstalls nothing
+// fields for a single AcquireAllCtx run. Passing nil uninstalls nothing
 // and leaves the acquirer uninstrumented.
 func (a *Acquirer) SetObserver(r *obs.Registry) {
 	a.mAttrs = r.CounterVec("webiq_acquire_attributes_total", "Attributes processed by the acquisition policy, by result.", "result")
@@ -40,7 +40,7 @@ func (a *Acquirer) SetObserver(r *obs.Registry) {
 	}
 }
 
-// SetSpanTracer installs a span tracer: AcquireAll emits one
+// SetSpanTracer installs a span tracer: AcquireAllCtx emits one
 // "acquire-all" span per run and one span per component invocation
 // ("surface", "attr-deep", "attr-surface"), each carrying the wall
 // time, the virtual substrate time, and the query count attributed to

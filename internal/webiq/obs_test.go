@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func instrumentedAcquirer(t *testing.T, domain string, cfg Config) (*Acquirer, *
 // overhead fields agree on the same numbers.
 func TestAcquirerMetricsReconcileWithReport(t *testing.T) {
 	acq, ds, reg, tr := instrumentedAcquirer(t, "book", DefaultConfig())
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 
 	// Component query counters must equal the Report fields exactly.
 	queries := map[string]int{
@@ -130,7 +131,7 @@ func TestAcquirerMetricsReconcileParallel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
 	acq, ds, _, tr := instrumentedAcquirer(t, "job", cfg)
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 	totals := map[string]obs.Totals{}
 	for _, tot := range tr.TotalsByName() {
 		totals[tot.Name] = tot
@@ -157,7 +158,7 @@ func TestBorrowDeepEventEmitted(t *testing.T) {
 	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
-	acq.AcquireAll(ds)
+	acq.AcquireAllCtx(context.Background(), ds)
 	kinds := map[string]int{}
 	for _, e := range ct.Events() {
 		kinds[e.Kind]++
@@ -205,7 +206,7 @@ func TestClassifierSkipEventEmitted(t *testing.T) {
 		Components{AttrSurface: true}, cfg)
 	var ct CollectTracer
 	acq.SetTracer(&ct)
-	acq.AcquireAll(ds)
+	acq.AcquireAllCtx(context.Background(), ds)
 	found := false
 	for _, e := range ct.Events() {
 		if e.Kind == "classifier-skip" && e.AttrID == "book/t0/a0" {

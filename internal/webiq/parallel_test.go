@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func runAcquisition(t *testing.T, cfg Config) (map[string][]string, *Report) {
 		func() (time.Duration, int) { return 0, 0 },
 		func() (time.Duration, int) { return 0, 0 },
 	)
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 	got := map[string][]string{}
 	for _, a := range ds.AllAttributes() {
 		got[a.ID] = a.Acquired
@@ -59,7 +60,7 @@ func TestParallelSurfaceAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
 	acq := NewPipeline(eng, pool, cfg, AllComponents())
-	rep := acq.AcquireAll(ds)
+	rep := acq.AcquireAllCtx(context.Background(), ds)
 	if rep.SurfaceQueries == 0 || rep.SurfaceTime <= 0 {
 		t.Errorf("parallel phase not accounted: %d queries, %v", rep.SurfaceQueries, rep.SurfaceTime)
 	}
@@ -74,17 +75,17 @@ func TestCacheDiscoveryReturnsCopies(t *testing.T) {
 	s := NewSurface(eng, v, cfg)
 	a1 := &schema.Attribute{ID: "x1", InterfaceID: ds.Interfaces[0].ID, Label: "Publisher"}
 	a2 := &schema.Attribute{ID: "x2", InterfaceID: ds.Interfaces[1].ID, Label: "Publisher"}
-	got1 := s.DiscoverInstances(a1, ds.Interfaces[0], ds)
+	got1 := s.DiscoverInstancesCtx(context.Background(), a1, ds.Interfaces[0], ds)
 	if len(got1) == 0 {
 		t.Skip("no publisher instances discovered")
 	}
-	got2 := s.DiscoverInstances(a2, ds.Interfaces[1], ds)
+	got2 := s.DiscoverInstancesCtx(context.Background(), a2, ds.Interfaces[1], ds)
 	if !reflect.DeepEqual(got1, got2) {
 		t.Error("cache miss on identical label")
 	}
 	// Mutating one caller's slice must not corrupt the cache.
 	got1[0] = "CORRUPTED"
-	got3 := s.DiscoverInstances(a2, ds.Interfaces[1], ds)
+	got3 := s.DiscoverInstancesCtx(context.Background(), a2, ds.Interfaces[1], ds)
 	if got3[0] == "CORRUPTED" {
 		t.Error("cache shares backing array with callers")
 	}
@@ -101,7 +102,7 @@ func TestCacheDiscoverySavesQueries(t *testing.T) {
 		q0 := eng.QueryCount()
 		for i := 0; i < 3; i++ {
 			a := &schema.Attribute{ID: "y", InterfaceID: ds.Interfaces[0].ID, Label: "Author"}
-			s.DiscoverInstances(a, ds.Interfaces[0], ds)
+			s.DiscoverInstancesCtx(context.Background(), a, ds.Interfaces[0], ds)
 		}
 		return eng.QueryCount() - q0
 	}

@@ -46,12 +46,5 @@ func FaultClients(prof resilience.Profile, seed int64, se SearchEngine, sources 
 	if se != nil {
 		engine = resilience.NewEngineClient(resilience.FaultyEngine(resilience.AdaptEngine(se), inj), opts)
 	}
-	probe := func(ifcID, attrID, value string) (string, error) {
-		src := sources(ifcID)
-		if src == nil {
-			return "", resilience.ErrUnknownSource
-		}
-		return src.Probe(attrID, value), nil
-	}
-	return engine, resilience.NewSourceClient(resilience.FaultySource(resilience.ProbeFunc(probe), inj), opts)
+	return engine, resilience.NewSourceClient(resilience.FaultySource(sourceProbe(sources), inj), opts)
 }

@@ -2,6 +2,7 @@ package webiq
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -38,7 +39,7 @@ func TestNewPipelineMatchesHandWiring(t *testing.T) {
 		acq := wire(surfaceweb.NewCachedEngine(eng, surfaceweb.DefaultCacheShards), pool)
 		var ledger bytes.Buffer
 		acq.SetLedger(obs.NewLedger(&ledger))
-		rep, err := json.Marshal(acq.AcquireAll(ds))
+		rep, err := json.Marshal(acq.AcquireAllCtx(context.Background(), ds))
 		if err != nil {
 			t.Fatal(err)
 		}

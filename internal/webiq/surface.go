@@ -10,7 +10,6 @@ import (
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
-	"webiq/internal/surfaceweb"
 )
 
 // Surface discovers instances for an attribute from the Surface Web,
@@ -18,18 +17,19 @@ import (
 // extraction-query formulation, snippet extraction) followed by instance
 // verification (outlier removal, Web validation).
 type Surface struct {
-	engine    SearchEngine
+	// engine answers the extraction searches: the zero-fault adapter
+	// over the constructor's engine, or the error-aware client
+	// Acquirer.SetFallible installs. A failed search degrades (the query
+	// is skipped, the failure recorded) instead of aborting discovery.
+	engine resilience.FallibleEngine
+	// adapter is the zero-fault adapter setFallible(nil) restores.
+	adapter   resilience.FallibleEngine
 	validator *Validator
 	cfg       Config
 
 	// ledger, when set, records every verification decision (outlier
 	// removals, PMI accept/reject) for the provenance ledger. nil-safe.
 	ledger *obs.Ledger
-
-	// fallible, when set, replaces engine for extraction searches with
-	// an error-aware backend; failed searches degrade (the query is
-	// skipped, the failure recorded) instead of aborting discovery.
-	fallible resilience.FallibleEngine
 
 	mu    sync.Mutex
 	cache map[string][]Candidate // label -> verified candidates (opt-in)
@@ -38,7 +38,17 @@ type Surface struct {
 // NewSurface returns a Surface component sharing the given validator's
 // hit-count cache.
 func NewSurface(engine SearchEngine, validator *Validator, cfg Config) *Surface {
-	return &Surface{engine: engine, validator: validator, cfg: cfg, cache: map[string][]Candidate{}}
+	a := resilience.AdaptEngine(engine)
+	return &Surface{engine: a, adapter: a, validator: validator, cfg: cfg, cache: map[string][]Candidate{}}
+}
+
+// setFallible installs an error-aware engine for extraction searches;
+// nil restores the zero-fault adapter over the constructor's engine.
+func (s *Surface) setFallible(e resilience.FallibleEngine) {
+	if e == nil {
+		e = s.adapter
+	}
+	s.engine = e
 }
 
 // SetLedger installs the decision-provenance ledger; nil disables
@@ -58,16 +68,10 @@ type Candidate struct {
 	Degraded bool
 }
 
-// DiscoverInstances runs the full extraction + verification pipeline and
-// returns up to cfg.K instances ranked by validation score. The
+// DiscoverInstancesCtx runs the full extraction + verification pipeline
+// and returns up to cfg.K instances ranked by validation score. The
 // interface and dataset provide the domain information used to narrow
-// queries.
-func (s *Surface) DiscoverInstances(a *schema.Attribute, ifc *schema.Interface, ds *schema.Dataset) []string {
-	return s.DiscoverInstancesCtx(context.Background(), a, ifc, ds)
-}
-
-// DiscoverInstancesCtx is DiscoverInstances with the caller's trace
-// context: ledger decisions recorded during verification carry the
+// queries. Ledger decisions recorded during verification carry the
 // context's trace/span identity.
 func (s *Surface) DiscoverInstancesCtx(ctx context.Context, a *schema.Attribute, ifc *schema.Interface, ds *schema.Dataset) []string {
 	if s.cfg.CacheDiscovery {
@@ -117,10 +121,10 @@ func (s *Surface) Extract(a *schema.Attribute, ifc *schema.Interface, ds *schema
 	return s.extractCtx(context.Background(), a, ifc, ds)
 }
 
-// extractCtx is Extract with the degradation path: with a fallible
-// engine installed, a search that fails terminally skips just that
-// query — the remaining queries still run and borrowing still follows —
-// and the failure is recorded on the run's degradation sink.
+// extractCtx is Extract with the degradation path: a search that fails
+// terminally skips just that query — the remaining queries still run
+// and borrowing still follows — and the failure is recorded on the
+// run's degradation sink.
 func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *schema.Interface, ds *schema.Dataset) []Candidate {
 	ls := nlp.AnalyzeLabel(a.Label)
 	if len(ls.NPs) == 0 {
@@ -137,23 +141,17 @@ func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *sche
 	var order []string
 	for _, np := range ls.NPs {
 		for _, q := range FormulateQueries(np, ds.EntityName, ds.DomainKeyword, siblings, s.cfg) {
-			var snips []surfaceweb.Snippet
-			if s.fallible != nil {
-				var err error
-				snips, err = s.fallible.Search(ctx, q.Query, s.cfg.SnippetsPerQuery)
-				if err != nil {
-					degrade(ctx, Degradation{
-						Stage: "surface", Reason: resilience.Reason(err),
-						AttrID: a.ID, Label: a.Label,
-						Detail: "extraction search skipped: " + q.Query,
-					})
-					if ctx.Err() != nil {
-						return candidateList(order, freq)
-					}
-					continue
+			snips, err := s.engine.Search(ctx, q.Query, s.cfg.SnippetsPerQuery)
+			if err != nil {
+				degrade(ctx, Degradation{
+					Stage: "surface", Reason: resilience.Reason(err),
+					AttrID: a.ID, Label: a.Label,
+					Detail: "extraction search skipped: " + q.Query,
+				})
+				if ctx.Err() != nil {
+					return candidateList(order, freq)
 				}
-			} else {
-				snips = s.engine.Search(q.Query, s.cfg.SnippetsPerQuery)
+				continue
 			}
 			for _, snip := range snips {
 				*tagged = snip.Tokens((*tagged)[:0])
@@ -221,25 +219,12 @@ func (s *Surface) verifyScored(ctx context.Context, a *schema.Attribute, cands [
 		return nil
 	}
 
-	phrases := s.validator.Phrases(a.Label)
-	// Batchable validators score the whole candidate list in one engine
-	// pass up front; the decision loop below then consumes the
-	// precomputed scores. The fault-injection and forced-scalar paths
-	// keep per-value scoring so error ordering is untouched.
-	var confs []float64
-	var confErrs []error
-	if s.validator.batchable() {
-		confs, confErrs = s.validator.ConfidenceBatchCtx(ctx, phrases, values)
-	}
+	// The whole candidate list is scored in one batched validation
+	// burst up front; the decision loop below consumes the scores.
+	confs, confErrs := s.validator.ConfidenceBatchCtx(ctx, s.validator.Phrases(a.Label), values)
 	scored := make([]Candidate, 0, len(values))
 	for i, v := range values {
-		var sc float64
-		var err error
-		if confs != nil {
-			sc, err = confs[i], confErrs[i]
-		} else {
-			sc, err = s.validator.ConfidenceCtx(ctx, phrases, v)
-		}
+		sc, err := confs[i], confErrs[i]
 		if err != nil {
 			// Web validation is unavailable for this candidate: accept
 			// it with the degradation recorded rather than silently

@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -152,7 +153,7 @@ func TestSurfaceEmptyLabelNoQueries(t *testing.T) {
 	s := NewSurface(eng, v, cfg)
 	attr := &schema.Attribute{ID: "x", Label: ""}
 	ds := &schema.Dataset{Domain: "auto"}
-	if got := s.DiscoverInstances(attr, nil, ds); got != nil {
+	if got := s.DiscoverInstancesCtx(context.Background(), attr, nil, ds); got != nil {
 		t.Errorf("empty label discovered %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -73,7 +74,7 @@ func TestServedSnippetTagsMatchTagging(t *testing.T) {
 				for _, dom := range kb.Domains() {
 					ds := dataset.Generate(dom, dataset.DefaultConfig())
 					pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-					NewPipeline(chk, pool, DefaultConfig(), AllComponents()).AcquireAll(ds)
+					NewPipeline(chk, pool, DefaultConfig(), AllComponents()).AcquireAllCtx(context.Background(), ds)
 				}
 			}
 			if chk.snippets.Load() == 0 {

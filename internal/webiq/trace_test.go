@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestTracerReceivesEvents(t *testing.T) {
 	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
-	acq.AcquireAll(ds)
+	acq.AcquireAllCtx(context.Background(), ds)
 
 	events := ct.Events()
 	if len(events) == 0 {
@@ -69,7 +70,7 @@ func TestTracerWithParallelism(t *testing.T) {
 	acq := NewPipeline(eng, pool, cfg, AllComponents())
 	var ct CollectTracer
 	acq.SetTracer(&ct)
-	acq.AcquireAll(ds)
+	acq.AcquireAllCtx(context.Background(), ds)
 	if len(ct.Events()) == 0 {
 		t.Error("no events under parallel acquisition")
 	}

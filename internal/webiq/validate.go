@@ -10,25 +10,34 @@ import (
 )
 
 // Validator scores the semantic connection between an attribute label
-// and an instance candidate from their co-occurrence statistics on the
+// and instance candidates from their co-occurrence statistics on the
 // Surface Web, per Section 2.2: validation queries are formed from
-// validation patterns, and co-occurrence is measured with pointwise
-// mutual information to avoid popularity bias.
+// validation patterns, and co-occurrence is measured with the paper's
+// adapted pointwise mutual information to avoid popularity bias:
 //
-// Hit counts are memoized so that repeated sub-queries (NumHits(V),
+//	PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x))
+//
+// With Config.UseRawHitCounts (ablation) a score is NumHits(V + x)
+// directly, exhibiting the popularity bias PMI corrects.
+//
+// One attribute's validation burst scores every candidate x against
+// every validation phrase V. ScoresBatchCtx collects the whole burst,
+// dedupes it against the memoized hit-count cache, issues the residue
+// as one batched engine request, and fans the results back out. Hit
+// counts are memoized so that repeated sub-queries (NumHits(V),
 // NumHits(x)) are charged to the search engine only once, mirroring how
 // a careful client would cache Google hit counts. The memo is
-// singleflight: when parallel validation workers miss on the same query
+// singleflight: when parallel workers miss on the same query
 // simultaneously, one goroutine queries the engine and the rest wait,
 // so the engine is charged exactly as often as in a sequential run.
 type Validator struct {
-	engine SearchEngine
-	cfg    Config
-
-	// fallible, when set, replaces engine for hit counting with an
-	// error-aware backend (fault injection / resilient client). nil
-	// keeps the infallible path byte-identical.
-	fallible resilience.FallibleEngine
+	// engine answers the hit-count queries: the zero-fault adapter over
+	// the constructor's engine, or the error-aware client SetFallible
+	// installs.
+	engine resilience.FallibleEngine
+	// adapter is the zero-fault adapter SetFallible(nil) restores.
+	adapter resilience.FallibleEngine
+	cfg     Config
 
 	mu       sync.Mutex
 	cache    map[string]int
@@ -44,68 +53,18 @@ type hitsCall struct {
 
 // NewValidator returns a Validator over the given engine.
 func NewValidator(engine SearchEngine, cfg Config) *Validator {
-	return &Validator{engine: engine, cfg: cfg,
+	a := resilience.AdaptEngine(engine)
+	return &Validator{engine: a, adapter: a, cfg: cfg,
 		cache: map[string]int{}, inflight: map[string]*hitsCall{}}
 }
 
 // SetFallible installs an error-aware engine for hit counting; nil
-// restores the infallible pass-through.
-func (v *Validator) SetFallible(e resilience.FallibleEngine) { v.fallible = e }
-
-// numHits is the caching, singleflight hit counter.
-func (v *Validator) numHits(query string) int {
-	n, _ := v.numHitsKeyCtx(context.Background(), []byte(query))
-	return n
-}
-
-// numHitsKey is numHits keyed by a byte buffer: the cache probe is
-// zero-copy, and the query string is materialized only on a miss —
-// where it doubles as the memo key and the raw engine query, keeping
-// the engine's deterministic per-query latency identical to the
-// string path.
-func (v *Validator) numHitsKey(key []byte) int {
-	n, _ := v.numHitsKeyCtx(context.Background(), key)
-	return n
-}
-
-// numHitsKeyCtx is the error-aware core of the memo. Failed queries are
-// never cached — a later retry of the same query hits the backend again
-// — but concurrent waiters on the same in-flight call do share the
-// failure (and may bail out early on their own context).
-func (v *Validator) numHitsKeyCtx(ctx context.Context, key []byte) (int, error) {
-	v.mu.Lock()
-	if n, ok := v.cache[string(key)]; ok {
-		v.mu.Unlock()
-		return n, nil
+// restores the zero-fault adapter over the constructor's engine.
+func (v *Validator) SetFallible(e resilience.FallibleEngine) {
+	if e == nil {
+		e = v.adapter
 	}
-	if c, ok := v.inflight[string(key)]; ok {
-		v.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.n, c.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	query := string(key)
-	c := &hitsCall{done: make(chan struct{})}
-	v.inflight[query] = c
-	v.mu.Unlock()
-
-	if v.fallible != nil {
-		c.n, c.err = v.fallible.NumHits(ctx, query)
-	} else {
-		c.n = v.engine.NumHits(query)
-	}
-
-	v.mu.Lock()
-	if c.err == nil {
-		v.cache[query] = c.n
-	}
-	delete(v.inflight, query)
-	v.mu.Unlock()
-	close(c.done)
-	return c.n, c.err
+	v.engine = e
 }
 
 // Phrases returns the validation phrases for an attribute label: the
@@ -126,116 +85,6 @@ func (v *Validator) Phrases(label string) []string {
 	return out
 }
 
-// PMI computes the paper's adapted pointwise mutual information between
-// a validation phrase V and a candidate x:
-//
-//	PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x))
-//
-// With Config.UseRawHitCounts (ablation), it returns NumHits(V + x)
-// directly, exhibiting the popularity bias PMI corrects.
-func (v *Validator) PMI(phrase, x string) float64 {
-	val, _ := v.PMICtx(context.Background(), phrase, x)
-	return val
-}
-
-// PMICtx is PMI with error propagation from a fallible engine: when a
-// hit-count query fails terminally the score is unusable and the error
-// is returned for the caller's degradation policy. With no fallible
-// engine installed it never errors and is byte-identical to PMI.
-func (v *Validator) PMICtx(ctx context.Context, phrase, x string) (float64, error) {
-	// Build the three query keys in one pooled buffer; each is
-	// byte-identical to the string concatenation it replaces, so hit
-	// counts and simulated latencies are unchanged.
-	bp := foldBuf()
-	buf := (*bp)[:0]
-	buf = append(buf, '"')
-	buf = append(buf, phrase...)
-	buf = append(buf, ' ')
-	buf = nlp.AppendLower(buf, x)
-	buf = append(buf, '"')
-	joint, err := v.numHitsKeyCtx(ctx, buf)
-
-	ret := func(val float64, err error) (float64, error) {
-		*bp = buf
-		putFoldBuf(bp)
-		return val, err
-	}
-	if err != nil {
-		return ret(0, err)
-	}
-	if v.cfg.UseRawHitCounts {
-		return ret(float64(joint), nil)
-	}
-	if joint == 0 {
-		return ret(0, nil)
-	}
-	buf = append(buf[:0], '"')
-	buf = append(buf, phrase...)
-	buf = append(buf, '"')
-	hv, err := v.numHitsKeyCtx(ctx, buf)
-	if err != nil {
-		return ret(0, err)
-	}
-	buf = append(buf[:0], '"')
-	buf = nlp.AppendLower(buf, x)
-	buf = append(buf, '"')
-	hx, err := v.numHitsKeyCtx(ctx, buf)
-	if err != nil {
-		return ret(0, err)
-	}
-	if hv == 0 || hx == 0 {
-		return ret(0, nil)
-	}
-	return ret(float64(joint)/(float64(hv)*float64(hx)), nil)
-}
-
-// Scores returns the per-phrase validation scores of candidate x for
-// the given phrases — the validation vector M of Section 3.1.
-func (v *Validator) Scores(phrases []string, x string) []float64 {
-	out := make([]float64, len(phrases))
-	for i, p := range phrases {
-		out[i] = v.PMI(p, x)
-	}
-	return out
-}
-
-// ScoresCtx is Scores with error propagation: it fails on the first
-// phrase whose hit counts are unavailable, since a partially scored
-// vector cannot feed the classifier.
-func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, x string) ([]float64, error) {
-	out := make([]float64, len(phrases))
-	for i, p := range phrases {
-		var err error
-		if out[i], err = v.PMICtx(ctx, p, x); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Confidence is the confidence score of x being an instance of the
-// attribute with the given validation phrases: the average PMI across
-// phrases.
-func (v *Validator) Confidence(phrases []string, x string) float64 {
-	c, _ := v.ConfidenceCtx(context.Background(), phrases, x)
-	return c
-}
-
-// ConfidenceCtx is Confidence with error propagation: it fails on the
-// first phrase whose hit counts are unavailable. It delegates to
-// ScoresCtx — the single scoring path, scalar or batched, that every
-// confidence computation goes through.
-func (v *Validator) ConfidenceCtx(ctx context.Context, phrases []string, x string) (float64, error) {
-	if len(phrases) == 0 {
-		return 0, nil
-	}
-	scores, err := v.ScoresCtx(ctx, phrases, x)
-	if err != nil {
-		return 0, err
-	}
-	return mean(scores), nil
-}
-
 // mean averages a non-empty score vector.
 func mean(scores []float64) float64 {
 	var sum float64
@@ -243,4 +92,315 @@ func mean(scores []float64) float64 {
 		sum += s
 	}
 	return sum / float64(len(scores))
+}
+
+// ConfidenceBatchCtx returns the confidence score of each candidate in
+// xs — the average PMI across phrases of its ScoresBatchCtx vector —
+// with errs[i] set when xs[i] could not be scored.
+func (v *Validator) ConfidenceBatchCtx(ctx context.Context, phrases []string, xs []string) (confs []float64, errs []error) {
+	confs = make([]float64, len(xs))
+	if len(phrases) == 0 {
+		return confs, make([]error, len(xs))
+	}
+	scores, errs := v.ScoresBatchCtx(ctx, phrases, xs)
+	for i := range xs {
+		if errs[i] == nil {
+			confs[i] = mean(scores[i])
+		}
+	}
+	return confs, errs
+}
+
+// ScoresBatchCtx returns the per-phrase validation score vectors of many
+// candidates at once — out[i] is the validation vector M of Section 3.1
+// for xs[i] — resolving the whole burst through the memo in two batched
+// engine passes.
+//
+// Probe order is the per-candidate scalar order (x-major, phrase-minor;
+// the joint first, then NumHits(V) and NumHits(x) only when the joint
+// is non-zero), so the set of queries that reach the engine — first
+// need of each distinct key — is exactly the set a one-pair-at-a-time
+// loop would issue. A hit-count query that fails terminally fails only
+// the candidates needing it: errs[i] is the first failed key of xs[i]
+// in that order, out[i] is then nil, and the other candidates still
+// score. Failures are never cached.
+func (v *Validator) ScoresBatchCtx(ctx context.Context, phrases []string, xs []string) ([][]float64, []error) {
+	out := make([][]float64, len(xs))
+	errs := make([]error, len(xs))
+	if len(xs) == 0 || len(phrases) == 0 {
+		for i := range out {
+			out[i] = make([]float64, len(phrases))
+		}
+		return out, errs
+	}
+
+	np := len(phrases)
+	sc := scoresBatchPool.Get().(*scoresBatchScratch)
+	defer scoresBatchPool.Put(sc)
+	keys := &sc.keys
+	keys.reset()
+
+	// One flat backing array for all score vectors: out[i] is its own
+	// full-capacity window, so the batch allocates once instead of once
+	// per candidate.
+	flat := make([]float64, len(xs)*np)
+
+	// Stage 1: every joint key "V x", in scalar probe order.
+	for _, x := range xs {
+		for _, p := range phrases {
+			keys.begin()
+			keys.arena = append(keys.arena, '"')
+			keys.arena = append(keys.arena, p...)
+			keys.arena = append(keys.arena, ' ')
+			keys.arena = nlp.AppendLower(keys.arena, x)
+			keys.arena = append(keys.arena, '"')
+			keys.end()
+		}
+	}
+	sc.joints, sc.jointErrs = growInts(sc.joints, keys.n), growErrs(sc.jointErrs, keys.n)
+	joints, jointErrs := sc.joints, sc.jointErrs
+	v.numHitsManyCtx(ctx, keys, joints, jointErrs, sc)
+
+	// Stage 2: NumHits(V) and NumHits(x) for the answered non-zero
+	// joints, again in scalar probe order. hvAt/hxAt map each needed
+	// (i,j) pair to its position in the stage-2 key list; -1 means the
+	// joint was zero or failed and the scalar path would not have asked.
+	keys.reset()
+	sc.hvAt = growInts(sc.hvAt, len(xs)*np)
+	sc.hxAt = growInts(sc.hxAt, len(xs)*np)
+	hvAt, hxAt := sc.hvAt, sc.hxAt
+	for i, x := range xs {
+		for j, p := range phrases {
+			at := i*np + j
+			hvAt[at], hxAt[at] = -1, -1
+			if v.cfg.UseRawHitCounts || jointErrs[at] != nil || joints[at] == 0 {
+				continue
+			}
+			hvAt[at] = keys.n
+			keys.begin()
+			keys.arena = append(keys.arena, '"')
+			keys.arena = append(keys.arena, p...)
+			keys.arena = append(keys.arena, '"')
+			keys.end()
+			hxAt[at] = keys.n
+			keys.begin()
+			keys.arena = append(keys.arena, '"')
+			keys.arena = nlp.AppendLower(keys.arena, x)
+			keys.arena = append(keys.arena, '"')
+			keys.end()
+		}
+	}
+	sc.singles, sc.singleErrs = growInts(sc.singles, keys.n), growErrs(sc.singleErrs, keys.n)
+	singles, singleErrs := sc.singles, sc.singleErrs
+	v.numHitsManyCtx(ctx, keys, singles, singleErrs, sc)
+
+	for i := range xs {
+		s := flat[i*np : (i+1)*np : (i+1)*np]
+		for j := range phrases {
+			at := i*np + j
+			if errs[i] = jointErrs[at]; errs[i] != nil {
+				break
+			}
+			joint := joints[at]
+			if v.cfg.UseRawHitCounts {
+				s[j] = float64(joint)
+				continue
+			}
+			if joint == 0 {
+				continue
+			}
+			if errs[i] = singleErrs[hvAt[at]]; errs[i] != nil {
+				break
+			}
+			if errs[i] = singleErrs[hxAt[at]]; errs[i] != nil {
+				break
+			}
+			hv, hx := singles[hvAt[at]], singles[hxAt[at]]
+			if hv == 0 || hx == 0 {
+				continue
+			}
+			s[j] = float64(joint) / (float64(hv) * float64(hx))
+		}
+		if errs[i] == nil {
+			out[i] = s
+		}
+	}
+	return out, errs
+}
+
+// scoresBatchScratch pools the working set of one batched burst: the
+// key arena, the stage-2 position maps, the two hit-count result and
+// error slices, and numHitsManyCtx's miss-tracking slices. Steady-state
+// bursts allocate only the returned score vectors.
+type scoresBatchScratch struct {
+	keys                  batchKeyArena
+	hvAt, hxAt            []int
+	joints, singles       []int
+	jointErrs, singleErrs []error
+	waits, mine           []hitsRef
+	mineQueries           []string
+}
+
+var scoresBatchPool = sync.Pool{New: func() any { return new(scoresBatchScratch) }}
+
+// growInts returns s resized to length n, reusing its capacity.
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
+}
+
+// growErrs returns s resized to length n, reusing its capacity.
+func growErrs(s []error, n int) []error {
+	if cap(s) < n {
+		return make([]error, n)
+	}
+	return s[:n]
+}
+
+// scoresBatchChunkedCtx scores xs into per-index slots of scores/errs,
+// splitting the list into contiguous chunks — one batched engine pass
+// per chunk — spread over the validator's worker pool. Chunks only
+// partition the work: the memo's singleflight keeps every distinct
+// query issued exactly once regardless of which chunk needs it first,
+// so results and engine accounting match the unchunked batch. Slots of
+// chunks never scored (cancellation) stay nil, as with parallelForCtx.
+func (v *Validator) scoresBatchChunkedCtx(ctx context.Context, phrases []string, xs []string, scores [][]float64, errs []error) {
+	workers := clampWorkers(v.cfg.Parallelism)
+	if workers < 1 {
+		workers = 1
+	}
+	nchunks := workers
+	if nchunks > len(xs) {
+		nchunks = len(xs)
+	}
+	if nchunks <= 1 {
+		s, e := v.ScoresBatchCtx(ctx, phrases, xs)
+		copy(scores, s)
+		copy(errs, e)
+		return
+	}
+	parallelForCtx(ctx, nchunks, workers, func(c int) {
+		lo, hi := c*len(xs)/nchunks, (c+1)*len(xs)/nchunks
+		s, e := v.ScoresBatchCtx(ctx, phrases, xs[lo:hi])
+		copy(scores[lo:hi], s)
+		copy(errs[lo:hi], e)
+	})
+}
+
+// batchKeyArena builds many query keys back to back in one growable
+// buffer. Offsets survive arena growth, so keys are sliced out only
+// after building finishes.
+type batchKeyArena struct {
+	arena []byte
+	offs  []int
+	n     int
+}
+
+func (b *batchKeyArena) begin() {
+	if len(b.offs) == 0 {
+		b.offs = append(b.offs, 0)
+	}
+}
+func (b *batchKeyArena) end() {
+	b.offs = append(b.offs, len(b.arena))
+	b.n++
+}
+func (b *batchKeyArena) reset() { b.arena, b.offs, b.n = b.arena[:0], b.offs[:0], 0 }
+func (b *batchKeyArena) key(i int) []byte {
+	return b.arena[b.offs[i]:b.offs[i+1]]
+}
+
+// hitsRef ties one batch key position to the in-flight call resolving
+// it.
+type hitsRef struct {
+	idx int // position in out
+	c   *hitsCall
+}
+
+// batchHitsEngine is a fallible engine that answers many hit-count
+// queries in one pass (the zero-fault adapter over a
+// BatchSearchEngine). An error fails the whole batch.
+type batchHitsEngine interface {
+	NumHitsBatch(ctx context.Context, queries []string) ([]int, error)
+}
+
+// numHitsManyCtx resolves many memo keys at once into out[:keys.n] and
+// errs[:keys.n], writing every slot. Keys already cached are served
+// from the memo; keys in flight from other goroutines are waited on
+// (after our own work, so overlapping batches cannot deadlock); the
+// rest are registered as in-flight by this call and executed — in one
+// pass when the engine batches, else one query at a time — then
+// committed and released. Duplicate keys within the call resolve to
+// one engine query. A failed key is never cached: a later need of it
+// asks the engine again, while the waiters on this call share the
+// failure.
+func (v *Validator) numHitsManyCtx(ctx context.Context, keys *batchKeyArena, out []int, errs []error, sc *scoresBatchScratch) {
+	if keys.n == 0 {
+		return
+	}
+	waits := sc.waits[:0]
+	mine := sc.mine[:0]
+	mineQueries := sc.mineQueries[:0]
+
+	v.mu.Lock()
+	for i := 0; i < keys.n; i++ {
+		k := keys.key(i)
+		if n, ok := v.cache[string(k)]; ok {
+			out[i], errs[i] = n, nil
+			continue
+		}
+		if c, ok := v.inflight[string(k)]; ok {
+			// Foreign call — or an earlier duplicate within this very
+			// batch; either way the result arrives on c.done.
+			waits = append(waits, hitsRef{idx: i, c: c})
+			continue
+		}
+		query := string(k)
+		c := &hitsCall{done: make(chan struct{})}
+		v.inflight[query] = c
+		mine = append(mine, hitsRef{idx: i, c: c})
+		mineQueries = append(mineQueries, query)
+	}
+	v.mu.Unlock()
+	sc.waits, sc.mine, sc.mineQueries = waits, mine, mineQueries
+
+	if len(mine) > 0 {
+		if be, ok := v.engine.(batchHitsEngine); ok {
+			counts, err := be.NumHitsBatch(ctx, mineQueries)
+			for i, m := range mine {
+				if err != nil {
+					m.c.err = err
+				} else {
+					m.c.n = counts[i]
+				}
+			}
+		} else {
+			for i, m := range mine {
+				m.c.n, m.c.err = v.engine.NumHits(ctx, mineQueries[i])
+			}
+		}
+		v.mu.Lock()
+		for i, m := range mine {
+			if m.c.err == nil {
+				v.cache[mineQueries[i]] = m.c.n
+			}
+			delete(v.inflight, mineQueries[i])
+			out[m.idx], errs[m.idx] = m.c.n, m.c.err
+		}
+		v.mu.Unlock()
+		for _, m := range mine {
+			close(m.c.done)
+		}
+	}
+
+	for _, w := range waits {
+		select {
+		case <-w.c.done:
+			out[w.idx], errs[w.idx] = w.c.n, w.c.err
+		case <-ctx.Done():
+			out[w.idx], errs[w.idx] = 0, ctx.Err()
+		}
+	}
 }

@@ -1,12 +1,104 @@
 package webiq
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
 
+	"webiq/internal/nlp"
 	"webiq/internal/surfaceweb"
 )
+
+// refValidator is the reference PMI validation the batched Validator
+// is tested against: the one-(V, x)-pair-at-a-time loop, asking the
+// joint first and NumHits(V), NumHits(x) only for a non-zero joint,
+// with each distinct query charged to the engine once. It has no
+// failure path; fault-profile tests compare the candidates the
+// production path scored against it.
+type refValidator struct {
+	engine SearchEngine
+	cfg    Config
+	memo   map[string]int
+}
+
+func newRefValidator(engine SearchEngine, cfg Config) *refValidator {
+	return &refValidator{engine: engine, cfg: cfg, memo: map[string]int{}}
+}
+
+func (r *refValidator) numHits(query string) int {
+	n, ok := r.memo[query]
+	if !ok {
+		n = r.engine.NumHits(query)
+		r.memo[query] = n
+	}
+	return n
+}
+
+// keys lists the hit-count queries scoring x on phrase asks, in probe
+// order: the joint, then NumHits(V) and NumHits(x) when the joint is
+// non-zero (and PMI, not raw counts, is scored).
+func (r *refValidator) keys(phrase, x string) []string {
+	lx := string(nlp.AppendLower(nil, x))
+	joint := `"` + phrase + " " + lx + `"`
+	if r.cfg.UseRawHitCounts || r.numHits(joint) == 0 {
+		return []string{joint}
+	}
+	return []string{joint, `"` + phrase + `"`, `"` + lx + `"`}
+}
+
+// pmi is PMI(V, x) = NumHits(V + x) / (NumHits(V) · NumHits(x)), or the
+// raw joint count under Config.UseRawHitCounts.
+func (r *refValidator) pmi(phrase, x string) float64 {
+	k := r.keys(phrase, x)
+	joint := r.numHits(k[0])
+	if len(k) == 1 {
+		if r.cfg.UseRawHitCounts {
+			return float64(joint)
+		}
+		return 0
+	}
+	hv, hx := r.numHits(k[1]), r.numHits(k[2])
+	if hv == 0 || hx == 0 {
+		return 0
+	}
+	return float64(joint) / (float64(hv) * float64(hx))
+}
+
+func (r *refValidator) scores(phrases []string, x string) []float64 {
+	out := make([]float64, len(phrases))
+	for i, p := range phrases {
+		out[i] = r.pmi(p, x)
+	}
+	return out
+}
+
+func (r *refValidator) confidence(phrases []string, x string) float64 {
+	if len(phrases) == 0 {
+		return 0
+	}
+	return mean(r.scores(phrases, x))
+}
+
+// pmi scores one (phrase, x) pair through the production batch path.
+func pmi(t *testing.T, v *Validator, phrase, x string) float64 {
+	t.Helper()
+	scores, errs := v.ScoresBatchCtx(context.Background(), []string{phrase}, []string{x})
+	if errs[0] != nil {
+		t.Fatalf("PMI(%q, %q): %v", phrase, x, errs[0])
+	}
+	return scores[0][0]
+}
+
+// confidence is the production confidence of a single candidate.
+func confidence(t *testing.T, v *Validator, phrases []string, x string) float64 {
+	t.Helper()
+	confs, errs := v.ConfidenceBatchCtx(context.Background(), phrases, []string{x})
+	if errs[0] != nil {
+		t.Fatalf("confidence(%q): %v", x, errs[0])
+	}
+	return confs[0]
+}
 
 // stubEngine is a SearchEngine with scripted hit counts, counting the
 // queries actually issued.
@@ -55,7 +147,7 @@ func TestPMI(t *testing.T) {
 		`"honda"`:      50,
 	}}
 	v := NewValidator(eng, DefaultConfig())
-	got := v.PMI("make", "Honda")
+	got := pmi(t, v, "make", "Honda")
 	want := 10.0 / (100 * 50)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("PMI = %v, want %v", got, want)
@@ -65,7 +157,7 @@ func TestPMI(t *testing.T) {
 func TestPMIZeroJoint(t *testing.T) {
 	eng := &stubEngine{hits: map[string]int{`"make"`: 100, `"january"`: 80}}
 	v := NewValidator(eng, DefaultConfig())
-	if got := v.PMI("make", "January"); got != 0 {
+	if got := pmi(t, v, "make", "January"); got != 0 {
 		t.Errorf("PMI = %v, want 0", got)
 	}
 	// Zero joint must short-circuit: no V/x queries issued.
@@ -87,8 +179,8 @@ func TestPMICorrectsPopularityBias(t *testing.T) {
 	}}
 	cfg := DefaultConfig()
 	v := NewValidator(eng, cfg)
-	rare := v.PMI("month", "Aug")
-	popular := v.PMI("month", "January")
+	rare := pmi(t, v, "month", "Aug")
+	popular := pmi(t, v, "month", "January")
 	if rare <= popular {
 		t.Errorf("PMI: rare=%v popular=%v; PMI should discount popularity", rare, popular)
 	}
@@ -97,7 +189,7 @@ func TestPMICorrectsPopularityBias(t *testing.T) {
 	// demonstrating the bias PMI corrects.
 	cfg.UseRawHitCounts = true
 	vr := NewValidator(eng, cfg)
-	if vr.PMI("month", "Aug") >= vr.PMI("month", "January") {
+	if pmi(t, vr, "month", "Aug") >= pmi(t, vr, "month", "January") {
 		t.Error("raw hit counts should prefer the popular value")
 	}
 }
@@ -111,9 +203,9 @@ func TestValidatorCaching(t *testing.T) {
 		`"toyota"`:      40,
 	}}
 	v := NewValidator(eng, DefaultConfig())
-	v.PMI("make", "Honda")
-	v.PMI("make", "Toyota")
-	v.PMI("make", "Honda") // fully cached
+	pmi(t, v, "make", "Honda")
+	pmi(t, v, "make", "Toyota")
+	pmi(t, v, "make", "Honda") // fully cached
 	// Unique queries: make honda, make, honda, make toyota, toyota = 5.
 	if eng.queries != 5 {
 		t.Errorf("engine queries = %d, want 5 (caching)", eng.queries)
@@ -130,7 +222,7 @@ func TestConfidenceAveragesPhrases(t *testing.T) {
 	}}
 	v := NewValidator(eng, DefaultConfig())
 	phrases := []string{"make", "makes such as"}
-	got := v.Confidence(phrases, "Honda")
+	got := confidence(t, v, phrases, "Honda")
 	want := (10.0/(100*50) + 5.0/(50*50)) / 2
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("confidence = %v, want %v", got, want)
@@ -139,7 +231,7 @@ func TestConfidenceAveragesPhrases(t *testing.T) {
 
 func TestConfidenceNoPhrases(t *testing.T) {
 	v := NewValidator(&stubEngine{}, DefaultConfig())
-	if got := v.Confidence(nil, "x"); got != 0 {
+	if got := confidence(t, v, nil, "x"); got != 0 {
 		t.Errorf("confidence = %v, want 0", got)
 	}
 }
@@ -149,7 +241,11 @@ func TestScoresVector(t *testing.T) {
 		`"a x"`: 2, `"a"`: 10, `"x"`: 5,
 	}}
 	v := NewValidator(eng, DefaultConfig())
-	got := v.Scores([]string{"a", "b"}, "x")
+	scores, errs := v.ScoresBatchCtx(context.Background(), []string{"a", "b"}, []string{"x"})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	got := scores[0]
 	if len(got) != 2 {
 		t.Fatalf("scores = %v", got)
 	}

@@ -23,6 +23,7 @@
 package webiq
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -177,7 +178,7 @@ func (s *System) Acquire(ds *Dataset) *AcquireReport {
 		pool = deepweb.BuildPool(ds, d, deepCfg)
 		s.pools[ds.Domain] = pool
 	}
-	return iq.NewPipeline(s.engine, pool, s.cfg, s.opts.Components).AcquireAll(ds)
+	return iq.NewPipeline(s.engine, pool, s.cfg, s.opts.Components).AcquireAllCtx(context.Background(), ds)
 }
 
 // Match clusters the dataset's attributes at threshold tau and scores
