@@ -16,9 +16,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
@@ -141,7 +143,11 @@ var parallelBaseNs atomic.Pointer[float64]
 // faster loading is than rebuilding in the same invocation — which the
 // bench gate holds with a lower-is-worse bound, so a change that turns
 // snapshot loading back into parsing fails CI. Run with -benchtime 1x:
-// one iteration is a full cold start, and more only smooths noise.
+// one iteration is a full cold start. A load takes well under a tenth
+// of a second, so one timed load is at the mercy of a single scheduler
+// or page-cache hiccup: each snapshot-load iteration times coldLoads
+// loads and reports their median as ns/op, with B/op and allocs/op
+// per load.
 func BenchmarkColdStart(b *testing.B) {
 	for _, scale := range []float64{1, 10} {
 		b.Run(fmt.Sprintf("rebuild-%gx", scale), func(b *testing.B) {
@@ -168,22 +174,39 @@ func BenchmarkColdStart(b *testing.B) {
 			if err := os.WriteFile(path, coldWorldBytes(b, scale), 0o644); err != nil {
 				b.Fatal(err)
 			}
+			var ns []float64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				w, err := snapshot.Load(path)
-				if err != nil {
-					b.Fatal(err)
+				for j := 0; j < coldLoads; j++ {
+					start := time.Now()
+					w, err := snapshot.Load(path)
+					if err != nil {
+						b.Fatal(err)
+					}
+					w.Close()
+					ns = append(ns, float64(time.Since(start).Nanoseconds()))
 				}
-				w.Close()
 			}
 			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			if v, ok := coldRebuildNs.Load(scale); ok && nsPerOp > 0 {
-				b.ReportMetric(v.(float64)/nsPerOp, "xrebuild")
+			runtime.ReadMemStats(&after)
+			loads := float64(len(ns))
+			sort.Float64s(ns)
+			median := ns[len(ns)/2]
+			b.ReportMetric(median, "ns/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/loads, "B/op")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/loads, "allocs/op")
+			if v, ok := coldRebuildNs.Load(scale); ok && median > 0 {
+				b.ReportMetric(v.(float64)/median, "xrebuild")
 			}
 		})
 	}
 }
+
+// coldLoads is how many snapshot loads one BenchmarkColdStart
+// snapshot-load iteration times; the run reports their median.
+const coldLoads = 7
 
 // coldRebuildNs and coldSnapBytes carry the rebuild timing and the
 // serialized world between BenchmarkColdStart sub-benchmarks (the

@@ -136,9 +136,8 @@ func TestTermTableFlattenRoundTrip(t *testing.T) {
 	for _, w := range words {
 		tab.Intern(w)
 	}
-	tab.Intern("late") // beyond the persisted prefix
 
-	offsets, blob := tab.Flatten(len(words))
+	offsets, blob := tab.Flatten()
 	if len(offsets) != len(words)+1 {
 		t.Fatalf("Flatten offsets len = %d, want %d", len(offsets), len(words)+1)
 	}
@@ -162,14 +161,6 @@ func TestTermTableFlattenRoundTrip(t *testing.T) {
 	}
 	if got := ft.Intern("late"); got != NoTerm {
 		t.Errorf("Intern of unpersisted term = %d, want NoTerm", got)
-	}
-
-	all, allBlob := tab.Flatten(-1)
-	if len(all) != tab.Len()+1 {
-		t.Fatalf("Flatten(-1) offsets len = %d, want %d", len(all), tab.Len()+1)
-	}
-	if _, err := NewFrozenTermTable(all, string(allBlob)); err != nil {
-		t.Fatalf("NewFrozenTermTable(all): %v", err)
 	}
 }
 

@@ -73,25 +73,19 @@ func NewFrozenTermTable(offsets []uint32, blob string) (*TermTable, error) {
 
 // Flatten returns the table's persistent form: a dense offset table and
 // a contiguous string blob, where offsets[i]..offsets[i+1] spans term i.
-// limit caps how many terms are emitted (a table that grew past the
-// state being persisted — query terms interned after an index was
-// built — flattens only its first limit terms); limit < 0 means all.
-func (t *TermTable) Flatten(limit int) (offsets []uint32, blob []byte) {
+func (t *TermTable) Flatten() (offsets []uint32, blob []byte) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := len(t.terms)
-	if limit >= 0 && limit < n {
-		n = limit
-	}
 	offsets = make([]uint32, n+1)
 	total := 0
-	for i := 0; i < n; i++ {
-		total += len(t.terms[i])
+	for _, s := range t.terms {
+		total += len(s)
 	}
 	blob = make([]byte, 0, total)
-	for i := 0; i < n; i++ {
+	for i, s := range t.terms {
 		offsets[i] = uint32(len(blob))
-		blob = append(blob, t.terms[i]...)
+		blob = append(blob, s...)
 	}
 	offsets[n] = uint32(len(blob))
 	return offsets, blob

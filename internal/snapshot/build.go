@@ -3,7 +3,6 @@ package snapshot
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"runtime"
 
 	"webiq/internal/dataset"
@@ -109,8 +108,8 @@ type BuildConfig struct {
 
 // BuildWorld runs the full WebIQ pipeline offline — corpus, datasets,
 // deep-web pools, acquisition, matching, unification for every domain —
-// and returns the result with the index frozen at the pre-pipeline
-// vocabulary. It is the one way a world is made: a snapshot file stores
+// and returns the result with the engine's index, which the pipeline's
+// first query froze: its vocabulary is the corpus's alone. It is the one way a world is made: a snapshot file stores
 // it, and server.New boots straight from it in memory.
 //
 // All domains are always built: the corpus generator draws from one
@@ -131,10 +130,6 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		ccfg = ccfg.Scaled(cfg.Scale)
 	}
 	surfaceweb.BuildCorpus(engine, domains, ccfg)
-	// Vocabulary before any query compiles: query-only terms interned
-	// during the pipeline must not leak into the frozen table, or a
-	// fresh engine and a snapshot-loaded one would disagree on term IDs.
-	v0 := engine.Terms().Len()
 
 	dataCfg := dataset.DefaultConfig()
 	dataCfg.Seed = cfg.Seed
@@ -173,10 +168,7 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		w.Meta.Decisions += ledger.Len()
 	}
 
-	fi, err := engine.ExtractFrozen(v0)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: freeze index: %w", err)
-	}
+	fi := engine.Index()
 	w.Index = fi
 	w.Meta.Docs = fi.NumDocs()
 	w.Meta.Terms = fi.Terms().Len()

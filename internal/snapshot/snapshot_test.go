@@ -213,9 +213,8 @@ func TestRoundTripFile(t *testing.T) {
 
 // TestPipelineEquivalenceOnFrozenEngine is the tentpole guarantee:
 // running the acquisition + matching + unification pipeline against a
-// snapshot-loaded frozen engine produces byte-identical reports,
-// ledgers, and unified interfaces to the mutable-engine run that built
-// the snapshot.
+// snapshot-loaded engine produces byte-identical reports, ledgers, and
+// unified interfaces to the in-memory run that built the snapshot.
 func TestPipelineEquivalenceOnFrozenEngine(t *testing.T) {
 	want, raw := testWorld(t)
 	loaded, err := LoadBytes(raw)
@@ -245,20 +244,20 @@ func TestPipelineEquivalenceOnFrozenEngine(t *testing.T) {
 			t.Fatalf("%s: marshal report: %v", dom.Key, err)
 		}
 		if !bytes.Equal(repJSON, want.Domains[i].ReportJSON) {
-			t.Errorf("%s: report JSON differs between frozen and mutable pipelines", dom.Key)
+			t.Errorf("%s: report JSON differs between loaded and building pipelines", dom.Key)
 		}
 		if !bytes.Equal(ledgerNDJSON(t, ledger.Decisions()), ledgerNDJSON(t, want.Domains[i].Decisions)) {
-			t.Errorf("%s: ledger NDJSON differs between frozen and mutable pipelines", dom.Key)
+			t.Errorf("%s: ledger NDJSON differs between loaded and building pipelines", dom.Key)
 		}
 		gu, _ := json.Marshal(u)
 		wu, _ := json.Marshal(want.Domains[i].Unified)
 		if !bytes.Equal(gu, wu) {
-			t.Errorf("%s: unified interface differs between frozen and mutable pipelines", dom.Key)
+			t.Errorf("%s: unified interface differs between loaded and building pipelines", dom.Key)
 		}
 		dsJSON, _ := json.Marshal(ds)
 		wantDS, _ := json.Marshal(want.Datasets[i])
 		if !bytes.Equal(dsJSON, wantDS) {
-			t.Errorf("%s: post-acquisition dataset differs between frozen and mutable pipelines", dom.Key)
+			t.Errorf("%s: post-acquisition dataset differs between loaded and building pipelines", dom.Key)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func (w *World) payloads() ([]sectionPayload, error) {
 	if err != nil {
 		return nil, errf("marshal world: %v", err)
 	}
-	termOff, termBlob := w.Index.Terms().Flatten(-1)
+	termOff, termBlob := w.Index.Terms().Flatten()
 	d := w.Index.Data()
 	return []sectionPayload{
 		{secMeta, metaJSON},

@@ -63,26 +63,22 @@ func (e *Engine) NumHitsBatch(queries []string) []int {
 }
 
 // NumHitsBatchCompiled answers many already-compiled queries in one
-// pass under a single read lock, sharing phrase-prefix intersection
-// work across the batch (see the package comment above). Results are
-// in input order and each equals what NumHitsCompiled would return for
-// the same query.
+// pass, sharing phrase-prefix intersection work across the batch (see
+// the package comment above). Results are in input order and each
+// equals what NumHitsCompiled would return for the same query.
 func (e *Engine) NumHitsBatchCompiled(qs []BatchQuery) []int {
+	fi := e.Index()
 	out := make([]int, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	for i := range qs {
 		e.charge(qs[i].Charged)
 	}
+	fi.numHitsBatch(qs, out)
+	return out
+}
 
-	if e.ro != nil {
-		e.ro.numHitsBatchFrozen(qs, out)
-		return out
-	}
-
+// numHitsBatch answers a pre-charged batch; results land in out by
+// input index.
+func (f *FrozenIndex) numHitsBatch(qs []BatchQuery, out []int) {
 	sc := batchPool.Get().(*batchScratch)
 	order := batchOrder(sc, qs)
 
@@ -91,14 +87,10 @@ func (e *Engine) NumHitsBatchCompiled(qs []BatchQuery) []int {
 	for oi, qi := range order {
 		cq := &qs[qi].CQ
 		p := cq.Phrase
-		switch {
-		case len(p) == 0:
-			out[qi] = e.countScalarLocked(cq)
-			continue
-		case len(p) == 1 && len(cq.Required) == 0:
-			// A one-word phrase matches every document carrying the
-			// term: the count is the posting map's size, no walk needed.
-			out[qi] = len(e.index[p[0]])
+		if len(p) == 0 || len(p) == 1 && len(cq.Required) == 0 {
+			// Phraseless queries need no frames, and a one-word phrase
+			// is the term's posting-span size.
+			out[qi] = f.count(cq)
 			continue
 		}
 		// Reuse the frames of the longest common prefix with the
@@ -123,7 +115,7 @@ func (e *Engine) NumHitsBatchCompiled(qs []BatchQuery) []int {
 				shared = len(np) > 0 && np[0] == p[0]
 			}
 			if !shared {
-				out[qi] = e.countScalarLocked(cq)
+				out[qi] = f.count(cq)
 				continue
 			}
 		}
@@ -133,9 +125,11 @@ func (e *Engine) NumHitsBatchCompiled(qs []BatchQuery) []int {
 			}
 			if d == 0 {
 				frame := sc.frames[0][:0]
-				for doc, positions := range e.index[p[0]] {
-					for _, pos := range positions {
-						frame = append(frame, tokenHit{doc: int32(doc), pos: int32(pos)})
+				s := f.termRange(p[0])
+				for e := s.lo; e < s.hi; e++ {
+					doc := int32(f.d.PostDoc[e])
+					for _, pos := range f.posSpan(e) {
+						frame = append(frame, tokenHit{doc: doc, pos: int32(pos)})
 					}
 				}
 				sc.frames[0] = frame
@@ -144,23 +138,22 @@ func (e *Engine) NumHitsBatchCompiled(qs []BatchQuery) []int {
 			term := p[d]
 			dst := sc.frames[d][:0]
 			curDoc := int32(-1)
-			var toks []docToken
+			var base, count uint64
 			for _, h := range sc.frames[d-1] {
 				if h.doc != curDoc {
 					curDoc = h.doc
-					toks = e.docs[int(h.doc)].tokens
+					base, count = f.docTokens(int(h.doc))
 				}
-				if at := int(h.pos) + d; at < len(toks) && toks[at].term == term {
+				if at := uint64(h.pos) + uint64(d); at < count && f.d.TokTerm[base+at] == term {
 					dst = append(dst, h)
 				}
 			}
 			sc.frames[d] = dst
 		}
 		prev, depth = p, len(p)
-		out[qi] = e.countFrameLocked(sc.frames[len(p)-1], cq.Required)
+		out[qi] = f.countFrame(sc.frames[len(p)-1], cq.Required)
 	}
 	batchPool.Put(sc)
-	return out
 }
 
 // batchOrder fills sc.order with the batch's processing permutation:
@@ -188,21 +181,21 @@ func batchOrder(sc *batchScratch, qs []BatchQuery) []int {
 	return order
 }
 
-// countFrameLocked counts the distinct documents of a fully-extended
-// phrase frame that also carry every required term. Hits for one
-// document are contiguous (the frame is built doc by doc and filters
-// preserve order), so distinct documents are doc-value transitions.
-func (e *Engine) countFrameLocked(frame []tokenHit, required []uint32) int {
+// countFrame counts the distinct documents of a fully-extended phrase
+// frame that also carry every required term. Hits for one document are
+// contiguous (the frame is built doc by doc and filters preserve
+// order), so distinct documents are doc-value transitions.
+func (f *FrozenIndex) countFrame(frame []tokenHit, required []uint32) int {
 	if len(frame) == 0 {
 		return 0
 	}
-	var lists []postings
+	var spans []termSpan
 	for _, term := range required {
-		p, ok := e.index[term]
-		if !ok {
+		s := f.termRange(term)
+		if s.lo == s.hi {
 			return 0
 		}
-		lists = append(lists, p)
+		spans = append(spans, s)
 	}
 	n := 0
 	curDoc := int32(-1)
@@ -212,22 +205,12 @@ docs:
 			continue
 		}
 		curDoc = h.doc
-		for _, p := range lists {
-			if _, ok := p[int(h.doc)]; !ok {
+		for _, s := range spans {
+			if _, ok := f.findIn(s, uint32(h.doc)); !ok {
 				continue docs
 			}
 		}
 		n++
 	}
-	return n
-}
-
-// countScalarLocked counts the documents matching a query with the
-// scalar engine's own matcher — used for phraseless queries and for
-// phrases whose frames no other query in the batch would reuse.
-func (e *Engine) countScalarLocked(cq *CompiledQuery) int {
-	sc := searchPool.Get().(*searchScratch)
-	n := len(e.matchLocked(*cq, sc))
-	searchPool.Put(sc)
 	return n
 }

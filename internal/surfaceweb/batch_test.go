@@ -13,13 +13,19 @@ import (
 // missing terms, and multi-occurrence documents.
 func batchTestEngine() *Engine {
 	e := NewEngine()
-	e.Add("a", "authors such as hemingway and updike write novels")
-	e.Add("b", "authors such as hemingway are classic authors such as updike")
-	e.Add("c", "painters such as monet, not authors, paint")
-	e.Add("d", "hemingway wrote novels and novellas")
-	e.Add("e", "such books as these are rare; authors write them")
-	e.Add("f", "updike and hemingway; novels by authors such as both")
+	for i, text := range batchTestTexts {
+		e.Add(string(rune('a'+i)), text)
+	}
 	return e
+}
+
+var batchTestTexts = []string{
+	"authors such as hemingway and updike write novels",
+	"authors such as hemingway are classic authors such as updike",
+	"painters such as monet, not authors, paint",
+	"hemingway wrote novels and novellas",
+	"such books as these are rare; authors write them",
+	"updike and hemingway; novels by authors such as both",
 }
 
 // batchTestQueries covers the shapes the validator issues plus the

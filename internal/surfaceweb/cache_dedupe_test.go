@@ -15,7 +15,6 @@ func TestCachedEngineCanonicalDedupe(t *testing.T) {
 	e.Add("d2", "green pears")
 	c := NewCachedEngine(e, 4)
 
-	e.ResetAccounting()
 	variants := []string{"green apples", "green  apples", " green apples ", "+green +apples", "apples green"}
 	want := c.NumHits(variants[0])
 	for _, q := range variants[1:] {
@@ -56,5 +55,57 @@ func TestCachedEngineCanonicalDedupe(t *testing.T) {
 	c.Search(`"green apples"`, 1)
 	if c.Len() != 3 {
 		t.Errorf("cache holds %d entries after k=1 search, want 3", c.Len())
+	}
+}
+
+// TestCachedEngineKeepsUnseenWordsApart pins the cache key of words the
+// corpus lacks: a frozen table compiles every one of them to NoTerm, so
+// the key must carry their text. Two queries differing only in an
+// unseen word are two engine queries, while whitespace, '+' and
+// required-order variants of one query still share a key.
+func TestCachedEngineKeepsUnseenWordsApart(t *testing.T) {
+	e := NewFrozenEngine(batchTestEngine().Index())
+	c := NewCachedEngine(e, 4)
+	for _, q := range []string{`"authors such as zzzq"`, `"authors such as yyyq"`} {
+		if got := c.NumHits(q); got != 0 {
+			t.Errorf("NumHits(%s) = %d, want 0", q, got)
+		}
+	}
+	if got := e.QueryCount(); got != 2 {
+		t.Errorf("engine executed %d queries, want 2 (distinct unseen words)", got)
+	}
+
+	distinct := [][2]string{
+		{`+authors +zzzq`, `+authors +yyyq`},
+		{`"zzzq yyyq"`, `"yyyq zzzq"`},
+		{`zzzq`, `zzzq zzzq`},
+		{`"zzzq"`, `zzzq`},
+		{`"a b" zzzq`, `"a bzzzq"`},
+		{`1,000 zzzq`, `1 000 zzzq`},
+	}
+	for _, p := range distinct {
+		if a, b := e.Compile(p[0]).Key(), e.Compile(p[1]).Key(); a == b {
+			t.Errorf("Key(%s) == Key(%s) = %q, want distinct", p[0], p[1], a)
+		}
+	}
+	same := [][]string{
+		{`"authors such as zzzq"`, ` "authors  such as zzzq" `},
+		{`+zzzq +yyyq authors`, `yyyq authors zzzq`, `authors  +yyyq +zzzq`},
+		{`"such as" +zzzq +hemingway +yyyq`, `"such as" yyyq hemingway zzzq`},
+	}
+	for _, group := range same {
+		want := e.Compile(group[0]).Key()
+		for _, q := range group[1:] {
+			if got := e.Compile(q).Key(); got != want {
+				t.Errorf("Key(%s) = %q, want %q (same as %s)", q, got, want, group[0])
+			}
+		}
+	}
+	before := e.QueryCount()
+	for _, q := range same[1] {
+		c.NumHits(q)
+	}
+	if got := e.QueryCount() - before; got != 1 {
+		t.Errorf("required-order variants executed %d engine queries, want 1", got)
 	}
 }

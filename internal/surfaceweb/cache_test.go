@@ -43,7 +43,6 @@ func TestCachedEngineSameResults(t *testing.T) {
 func TestCachedEngineDedupAccounting(t *testing.T) {
 	e := cacheFixture()
 	c := NewCachedEngine(e, 0)
-	e.ResetAccounting()
 
 	const repeats = 5
 	q := `"makes such as"`
@@ -100,7 +99,6 @@ func TestCachedEngineSearchKeyedByLimit(t *testing.T) {
 func TestCachedEngineSingleflight(t *testing.T) {
 	e := cacheFixture()
 	c := NewCachedEngine(e, 8)
-	e.ResetAccounting()
 
 	const goroutines = 32
 	queries := []string{`"makes such as"`, `"authors such as"`, `"honda"`}

@@ -11,6 +11,7 @@
 package surfaceweb
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -109,11 +110,16 @@ func ParseQuery(q string) Query {
 // CompiledQuery is a query resolved against an engine's term table:
 // phrase and required terms as dense term IDs. Compiling once per
 // logical query replaces every per-document string comparison in the
-// match loop with an integer comparison. A CompiledQuery is only
-// meaningful with the engine that produced it.
+// match loop with an integer comparison. A word the corpus never
+// contains compiles to nlp.NoTerm and matches nothing. A CompiledQuery
+// is only meaningful with the engine that produced it.
 type CompiledQuery struct {
 	Phrase   []uint32
 	Required []uint32
+
+	// words is the parsed query the IDs were resolved from; the cache
+	// key spells out its NoTerm words.
+	words Query
 }
 
 // Key returns a canonical cache key for the compiled query: queries
@@ -121,7 +127,10 @@ type CompiledQuery struct {
 // words, or required-term order ("a b" vs "a  b" vs "+b a") map to the
 // same key. Required-term duplicates are preserved — they affect
 // relevance scores — but their order is normalized by sorting; phrase
-// order is significant and kept.
+// order is significant and kept. Every word the corpus never contains
+// compiles to nlp.NoTerm, so the key carries the raw text of those
+// words: "authors such as zzzq" and "authors such as yyyq" stay two
+// keys, as they are two queries.
 func (cq CompiledQuery) Key() string {
 	return string(cq.AppendKey(nil))
 }
@@ -130,57 +139,77 @@ func (cq CompiledQuery) Key() string {
 // returns the extended slice. Callers holding a reusable buffer avoid
 // the per-probe key allocation Key incurs.
 func (cq CompiledQuery) AppendKey(dst []byte) []byte {
-	for _, id := range cq.Phrase {
-		dst = strconv.AppendUint(dst, uint64(id), 10)
-		dst = append(dst, ',')
+	for i, id := range cq.Phrase {
+		dst = appendKeyTerm(dst, id, cq.words.Phrase, i)
 	}
 	dst = append(dst, '|')
-	if len(cq.Required) > 0 {
-		var stack [16]uint32
-		req := stack[:0]
-		if len(cq.Required) > len(stack) {
-			req = make([]uint32, 0, len(cq.Required))
+	if len(cq.Required) == 0 {
+		return dst
+	}
+	var stack [16]uint32
+	req := append(stack[:0], cq.Required...)
+	slices.Sort(req)
+	// NoTerm is the largest ID, so unseen words sort last; order them
+	// by their text instead.
+	known := len(req)
+	for known > 0 && req[known-1] == nlp.NoTerm {
+		known--
+	}
+	for _, id := range req[:known] {
+		dst = appendKeyTerm(dst, id, nil, 0)
+	}
+	if known < len(req) {
+		var wstack [4]string
+		unseen := wstack[:0]
+		for i, id := range cq.Required {
+			if id == nlp.NoTerm {
+				unseen = append(unseen, cq.words.Required[i])
+			}
 		}
-		req = append(req, cq.Required...)
-		sort.Slice(req, func(i, j int) bool { return req[i] < req[j] })
-		for _, id := range req {
-			dst = strconv.AppendUint(dst, uint64(id), 10)
-			dst = append(dst, ',')
+		slices.Sort(unseen)
+		for i := range unseen {
+			dst = appendKeyTerm(dst, nlp.NoTerm, unseen, i)
 		}
 	}
 	return dst
 }
 
-// postings maps document ID to the token positions of a term.
-type postings map[int][]int
-
-// docToken is one indexed (non-punctuation) token of a document: its
-// interned term and the byte span of the original text it covers. At
-// 12 bytes it replaces the 40+-byte nlp.Token in the per-document
-// arrays, and snippets are rebuilt from the spans without copying.
-type docToken struct {
-	term       uint32
-	start, end uint32
+// appendKeyTerm appends one term of a cache key: its ID, or for an
+// unseen word (nlp.NoTerm) the length-prefixed text words[i], so
+// distinct unseen words never share a key.
+func appendKeyTerm(dst []byte, id uint32, words []string, i int) []byte {
+	if id == nlp.NoTerm {
+		dst = append(dst, '~')
+		dst = strconv.AppendInt(dst, int64(len(words[i])), 10)
+		dst = append(dst, ':')
+		dst = append(dst, words[i]...)
+	} else {
+		dst = strconv.AppendUint(dst, uint64(id), 10)
+	}
+	return append(dst, ',')
 }
 
 // Engine is the in-memory search engine.
 //
-// The index is effectively immutable once the corpus is built, so the
-// read path (NumHits, Search, and the other accessors) takes only a
-// read lock and concurrent queriers never serialize on each other; Add
-// takes the write lock. Query accounting lives in atomics so charging a
-// query needs no exclusive section either.
+// Its one storage is a FrozenIndex: flat CSR arrays (see freeze.go).
+// Add tokenizes each page straight into the append-only token, text
+// and title arrays and interns its terms; nothing else is built. The
+// first read — Compile, NumHits, Search, NumHitsBatch or Index —
+// freezes the engine once: the term table stops growing, the postings
+// are transposed out of the token arrays, and the index is published
+// atomically. Every query after that reads the immutable arrays with
+// no lock, and Add panics. Query accounting lives in atomics, so
+// charging a query needs no exclusive section either.
 type Engine struct {
-	mu    sync.RWMutex
+	// mu serializes Add, Instrument and the freeze; no query takes it.
+	mu    sync.Mutex
 	terms *nlp.TermTable
-	docs  map[int]*indexedDoc
-	index map[uint32]postings
-	next  int
-
-	// ro, when non-nil, is the frozen flat-array storage the read path
-	// serves from instead of the maps above (see freeze.go). It is set
-	// only at construction (NewFrozenEngine) and never cleared.
-	ro *FrozenIndex
+	// build holds what Add has appended until the freeze: the token
+	// arrays and the per-document offset tables. Texts and titles
+	// accumulate in text and title.
+	build       FrozenData
+	text, title strings.Builder
+	idx         atomic.Pointer[FrozenIndex]
 
 	queries     atomic.Int64
 	virtualTime atomic.Int64 // nanoseconds
@@ -205,7 +234,8 @@ type Engine struct {
 //	webiq_engine_query_virtual_seconds  per-query simulated latency
 //	webiq_engine_corpus_docs            corpus size in pages
 //
-// Passing nil leaves the engine uninstrumented (the default).
+// Passing nil leaves the engine uninstrumented (the default). Call it
+// before issuing queries: the query path reads the metrics unlocked.
 func (e *Engine) Instrument(r *obs.Registry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -215,108 +245,99 @@ func (e *Engine) Instrument(r *obs.Registry) {
 	e.mDocs.Set(float64(e.docCountLocked()))
 }
 
-// docCountLocked returns the corpus size; callers hold e.mu (either
-// mode).
+// docCountLocked returns the corpus size; callers hold e.mu.
 func (e *Engine) docCountLocked() int {
-	if e.ro != nil {
-		return e.ro.numDocs
+	if fi := e.idx.Load(); fi != nil {
+		return fi.numDocs
 	}
-	return len(e.docs)
+	return len(e.build.TextOff) - 1
 }
 
-type indexedDoc struct {
-	doc    Document
-	tokens []docToken // word/number tokens only
-}
-
-// NewEngine returns an empty engine with the paper's latency range.
-func NewEngine() *Engine {
+// newEngine returns an engine over terms with the paper's latency
+// range and the standard snippet radius.
+func newEngine(terms *nlp.TermTable) *Engine {
 	return &Engine{
-		terms:         nlp.NewTermTable(),
-		docs:          map[int]*indexedDoc{},
-		index:         map[uint32]postings{},
+		terms:         terms,
 		MinLatency:    100 * time.Millisecond,
 		MaxLatency:    500 * time.Millisecond,
 		SnippetRadius: 10,
 	}
 }
 
+// NewEngine returns an empty engine with the paper's latency range.
+func NewEngine() *Engine {
+	e := newEngine(nlp.NewTermTable())
+	e.build = FrozenData{DocTokOff: []uint64{0}, TextOff: []uint64{0}, TitleOff: []uint64{0}}
+	return e
+}
+
 // Terms returns the engine's term table, shared with every query
 // compiled against it.
 func (e *Engine) Terms() *nlp.TermTable { return e.terms }
 
-// Add indexes a document and returns its assigned ID. It panics on a
-// frozen engine: snapshot-loaded corpora never grow, and silently
-// dropping a document would desynchronize index and text.
+// Add tokenizes a document into the engine and returns its assigned
+// ID; it becomes searchable at the freeze. Add panics once the engine
+// is frozen — after its first read, or when it was loaded from a
+// snapshot: a frozen corpus never grows, and silently dropping a
+// document would desynchronize index and text.
 func (e *Engine) Add(title, text string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.ro != nil {
+	if e.idx.Load() != nil {
 		panic("surfaceweb: Add on a frozen engine")
 	}
-	id := e.next
-	e.next++
-	var toks []docToken
+	b := &e.build
+	id := len(b.TextOff) - 1
 	var sc nlp.TokenScanner
 	for sc.Reset(text); sc.Scan(); {
 		t := sc.Token()
 		if t.Kind == nlp.Punct {
 			continue
 		}
-		toks = append(toks, docToken{
-			term:  e.terms.Intern(t.Norm),
-			start: uint32(t.Pos),
-			end:   uint32(t.Pos + len(t.Text)),
-		})
+		b.TokTerm = append(b.TokTerm, e.terms.Intern(t.Norm))
+		b.TokStart = append(b.TokStart, uint32(t.Pos))
+		b.TokEnd = append(b.TokEnd, uint32(t.Pos+len(t.Text)))
 	}
-	e.docs[id] = &indexedDoc{doc: Document{ID: id, Title: title, Text: text}, tokens: toks}
-	for pos, t := range toks {
-		p := e.index[t.term]
-		if p == nil {
-			p = postings{}
-			e.index[t.term] = p
-		}
-		p[id] = append(p[id], pos)
-	}
-	e.mDocs.Set(float64(len(e.docs)))
+	e.text.WriteString(text)
+	e.title.WriteString(title)
+	b.DocTokOff = append(b.DocTokOff, uint64(len(b.TokTerm)))
+	b.TextOff = append(b.TextOff, uint64(e.text.Len()))
+	b.TitleOff = append(b.TitleOff, uint64(e.title.Len()))
+	e.mDocs.Set(float64(id + 1))
 	return id
+}
+
+// Index returns the engine's frozen index, freezing the engine first
+// if nothing has read it yet. Freezing happens once, under the build
+// mutex: the term table is frozen in place, the postings are built
+// from the token arrays, and the index is published for lock-free
+// readers.
+func (e *Engine) Index() *FrozenIndex {
+	if fi := e.idx.Load(); fi != nil {
+		return fi
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if fi := e.idx.Load(); fi != nil {
+		return fi
+	}
+	e.terms.Freeze()
+	d := e.build
+	d.TextBlob, d.TitleBlob = e.text.String(), e.title.String()
+	d.buildPostings(e.terms.Len())
+	fi := &FrozenIndex{terms: e.terms, d: d, numDocs: len(d.TextOff) - 1}
+	e.build = FrozenData{}
+	e.text.Reset()
+	e.title.Reset()
+	e.idx.Store(fi)
+	return fi
 }
 
 // NumDocs returns the corpus size.
 func (e *Engine) NumDocs() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.docCountLocked()
-}
-
-// Vocabulary returns the number of distinct indexed terms — a cheap
-// sanity statistic for corpus inspection.
-func (e *Engine) Vocabulary() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ro != nil {
-		return e.ro.vocab
-	}
-	return len(e.index)
-}
-
-// TermFrequency returns how many documents contain the (normalized)
-// term.
-func (e *Engine) TermFrequency(term string) int {
-	norm := ""
-	if ws := nlp.Words(term); len(ws) > 0 {
-		norm = ws[0]
-	}
-	id, ok := e.terms.Lookup(norm)
-	if !ok {
-		return 0
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ro != nil {
-		return e.ro.docCount(id)
-	}
-	return len(e.index[id])
 }
 
 // QueryCount returns the number of queries served so far.
@@ -327,20 +348,6 @@ func (e *Engine) QueryCount() int {
 // VirtualTime returns the accumulated simulated retrieval time.
 func (e *Engine) VirtualTime() time.Duration {
 	return time.Duration(e.virtualTime.Load())
-}
-
-// ResetAccounting zeroes the query counter and virtual clock.
-//
-// It deliberately does NOT reset the obs registry counters
-// (webiq_engine_queries_total, webiq_engine_query_virtual_seconds):
-// Prometheus counters are cumulative over the process lifetime and must
-// stay monotonic for rate() to work, while QueryCount/VirtualTime are
-// per-run accounting that experiments reset between conditions. After a
-// reset the two therefore drift apart by exactly the pre-reset totals;
-// reconcile them per run with clock deltas, as the Acquirer does.
-func (e *Engine) ResetAccounting() {
-	e.queries.Store(0)
-	e.virtualTime.Store(0)
 }
 
 // QueryLatency returns the deterministic simulated latency of a query —
@@ -356,7 +363,7 @@ func (e *Engine) QueryLatency(q string) time.Duration {
 
 // charge records one query and its simulated latency. The latency is
 // deterministic in the query string so runs are reproducible. All
-// updates are atomic: charge is called from the read-locked query path.
+// updates are atomic: charge is called from the lock-free query path.
 func (e *Engine) charge(q string) {
 	e.queries.Add(1)
 	lat := e.QueryLatency(q)
@@ -365,30 +372,25 @@ func (e *Engine) charge(q string) {
 	e.mLatency.Observe(lat.Seconds())
 }
 
-// Compile parses query and resolves it against the term table. Query
-// terms never seen by the index are interned too — they get IDs with no
-// postings, so the compiled query correctly matches nothing.
+// Compile parses query and resolves it against the term table. It
+// freezes the engine first, so query-only words never enter the corpus
+// vocabulary: they compile to nlp.NoTerm and match nothing.
 func (e *Engine) Compile(query string) CompiledQuery {
-	return e.CompileParsed(ParseQuery(query))
+	terms := e.Index().terms
+	q := ParseQuery(query)
+	return CompiledQuery{Phrase: internAll(terms, q.Phrase), Required: internAll(terms, q.Required), words: q}
 }
 
-// CompileParsed resolves an already-parsed query against the term
-// table.
-func (e *Engine) CompileParsed(q Query) CompiledQuery {
-	var cq CompiledQuery
-	if len(q.Phrase) > 0 {
-		cq.Phrase = make([]uint32, len(q.Phrase))
-		for i, w := range q.Phrase {
-			cq.Phrase[i] = e.terms.Intern(w)
-		}
+// internAll resolves words against a frozen table, nil for none.
+func internAll(terms *nlp.TermTable, words []string) []uint32 {
+	if len(words) == 0 {
+		return nil
 	}
-	if len(q.Required) > 0 {
-		cq.Required = make([]uint32, len(q.Required))
-		for i, w := range q.Required {
-			cq.Required[i] = e.terms.Intern(w)
-		}
+	ids := make([]uint32, len(words))
+	for i, w := range words {
+		ids[i] = terms.Intern(w)
 	}
-	return cq
+	return ids
 }
 
 // NumHits returns the number of documents matching the query.
@@ -400,26 +402,9 @@ func (e *Engine) NumHits(query string) int {
 // query. charged is the raw query string the virtual clock is billed
 // for — accounting is deterministic in it.
 func (e *Engine) NumHitsCompiled(cq CompiledQuery, charged string) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	fi := e.Index()
 	e.charge(charged)
-	if len(cq.Phrase) == 1 && len(cq.Required) == 0 {
-		// A one-word phrase matches exactly the documents in the term's
-		// posting list; counting them needs no position walk.
-		if e.ro != nil {
-			return e.ro.docCount(cq.Phrase[0])
-		}
-		return len(e.index[cq.Phrase[0]])
-	}
-	sc := searchPool.Get().(*searchScratch)
-	var n int
-	if e.ro != nil {
-		n = len(e.ro.match(cq, sc))
-	} else {
-		n = len(e.matchLocked(cq, sc))
-	}
-	searchPool.Put(sc)
-	return n
+	return fi.count(&cq)
 }
 
 // Search returns up to k result snippets for the query, ranked by
@@ -434,26 +419,12 @@ func (e *Engine) Search(query string, k int) []Snippet {
 // SearchCompiled is Search for an already-compiled query; charged is
 // the raw query string billed to the virtual clock.
 func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snippet {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	fi := e.Index()
 	e.charge(charged)
-	ro := e.ro
 	sc := searchPool.Get().(*searchScratch)
-	var ids []int
-	if ro != nil {
-		ids = ro.match(cq, sc)
-	} else {
-		ids = e.matchLocked(cq, sc)
-	}
 	ranked := sc.ranked[:0]
-	for _, id := range ids {
-		var score int
-		if ro != nil {
-			score = ro.relevance(id, cq)
-		} else {
-			score = e.relevanceLocked(id, cq)
-		}
-		ranked = append(ranked, scoredDoc{id: id, score: score})
+	for _, id := range fi.match(cq, sc) {
+		ranked = append(ranked, scoredDoc{id: id, score: fi.relevance(id, cq)})
 	}
 	sc.ranked = ranked
 	sort.Slice(ranked, func(i, j int) bool {
@@ -468,12 +439,7 @@ func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snipp
 	out := make([]Snippet, 0, len(ranked))
 	var tg nlp.Tagger
 	for _, r := range ranked {
-		var text string
-		if ro != nil {
-			text = ro.snippet(r.id, cq, e.SnippetRadius)
-		} else {
-			text = e.snippetLocked(r.id, cq)
-		}
+		text := fi.snippet(r.id, cq, e.SnippetRadius)
 		out = append(out, Snippet{DocID: r.id, Text: text, Tagged: tg.PackWith(&sc.pack, text)})
 	}
 	searchPool.Put(sc)
@@ -486,15 +452,14 @@ type scoredDoc struct {
 	score int
 }
 
-// termSpan is a posting-entry range of one term in a frozen index.
+// termSpan is a posting-entry range of one term.
 type termSpan struct{ lo, hi uint64 }
 
-// searchScratch holds the per-query working set — the posting-list
-// slice (mutable path) or span list (frozen path), matched IDs, ranking
-// buffer, and the buffer snippets are tagged and packed in — pooled
-// so steady-state query execution allocates only its result snippets.
+// searchScratch holds the per-query working set — the required terms'
+// posting spans, matched IDs, ranking buffer, and the buffer snippets
+// are tagged and packed in — pooled so steady-state query execution
+// allocates only its result snippets.
 type searchScratch struct {
-	lists  []postings
 	spans  []termSpan
 	ids    []int
 	ranked []scoredDoc
@@ -502,148 +467,6 @@ type searchScratch struct {
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-// relevanceLocked scores a matching document: phrase occurrences weigh
-// 3, required-term occurrences weigh 1.
-func (e *Engine) relevanceLocked(id int, cq CompiledQuery) int {
-	score := 0
-	if len(cq.Phrase) > 0 {
-		d := e.docs[id]
-		positions := e.index[cq.Phrase[0]][id]
-	starts:
-		for _, pos := range positions {
-			if pos+len(cq.Phrase) > len(d.tokens) {
-				continue
-			}
-			for j := 1; j < len(cq.Phrase); j++ {
-				if d.tokens[pos+j].term != cq.Phrase[j] {
-					continue starts
-				}
-			}
-			score += 3
-		}
-	}
-	for _, term := range cq.Required {
-		score += len(e.index[term][id])
-	}
-	return score
-}
-
-// matchLocked returns the IDs of documents matching the compiled query,
-// in sc.ids (unsorted — callers count or re-rank). Required terms are
-// intersected directly against their posting lists, starting from the
-// smallest list, so the working set never exceeds the rarest term's
-// postings and no per-term candidate map is allocated.
-func (e *Engine) matchLocked(cq CompiledQuery, sc *searchScratch) []int {
-	lists := sc.lists[:0]
-	sc.ids = sc.ids[:0]
-	missing := false
-	for _, term := range cq.Required {
-		p, ok := e.index[term]
-		if !ok {
-			missing = true
-			break
-		}
-		lists = append(lists, p)
-	}
-	sc.lists = lists
-	if missing {
-		return nil
-	}
-	sort.Slice(lists, func(i, j int) bool { return len(lists[i]) < len(lists[j]) })
-
-	inAll := func(id int, from int) bool {
-		for _, p := range lists[from:] {
-			if _, ok := p[id]; !ok {
-				return false
-			}
-		}
-		return true
-	}
-
-	ids := sc.ids
-	switch {
-	case len(cq.Phrase) > 0:
-		first, ok := e.index[cq.Phrase[0]]
-		if !ok {
-			return nil
-		}
-		for id, positions := range first {
-			if !phraseAt(e.docs[id].tokens, positions, cq.Phrase) {
-				continue
-			}
-			if inAll(id, 0) {
-				ids = append(ids, id)
-			}
-		}
-	case len(lists) > 0:
-		for id := range lists[0] {
-			if inAll(id, 1) {
-				ids = append(ids, id)
-			}
-		}
-	}
-	sc.ids = ids
-	return ids
-}
-
-// phraseAt reports whether the phrase occurs in toks at any of the
-// given start positions.
-func phraseAt(toks []docToken, positions []int, phrase []uint32) bool {
-starts:
-	for _, pos := range positions {
-		if pos+len(phrase) > len(toks) {
-			continue
-		}
-		for j := 1; j < len(phrase); j++ {
-			if toks[pos+j].term != phrase[j] {
-				continue starts
-			}
-		}
-		return true
-	}
-	return false
-}
-
-// snippetLocked builds the text window around the first phrase match (or
-// the document head when the query has no phrase). The snippet is a
-// substring of the stored document text — byte spans recorded at
-// indexing time, no reconstruction or copying.
-func (e *Engine) snippetLocked(id int, cq CompiledQuery) string {
-	d := e.docs[id]
-	start, end := 0, min(len(d.tokens), 2*e.SnippetRadius)
-	if len(cq.Phrase) > 0 {
-		if pos, ok := e.firstPhrasePosLocked(d, cq.Phrase); ok {
-			start = max(0, pos-e.SnippetRadius)
-			end = min(len(d.tokens), pos+len(cq.Phrase)+e.SnippetRadius)
-		}
-	}
-	if start >= end {
-		return ""
-	}
-	return d.doc.Text[d.tokens[start].start:d.tokens[end-1].end]
-}
-
-func (e *Engine) firstPhrasePosLocked(d *indexedDoc, phrase []uint32) (int, bool) {
-	p, ok := e.index[phrase[0]]
-	if !ok {
-		return 0, false
-	}
-	positions := p[d.doc.ID]
-starts:
-	for _, pos := range positions {
-		if pos+len(phrase) > len(d.tokens) {
-			continue
-		}
-		for j := 1; j < len(phrase); j++ {
-			if d.tokens[pos+j].term != phrase[j] {
-				continue starts
-			}
-		}
-		return pos, true
-	}
-	return 0, false
-}
 
 func hash32(s string) uint32 {
 	var h uint32 = 2166136261

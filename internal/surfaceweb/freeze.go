@@ -1,30 +1,23 @@
 package surfaceweb
 
-// Frozen read-only engine storage.
+// The engine's storage: CSR-style flat arrays — per-term posting spans
+// into one contiguous document array, per-entry position spans into
+// one contiguous position array, per-document token/text/title spans
+// into contiguous blobs. Every array is a plain []uint32/[]uint64 or
+// string, so a snapshot file can serve them directly from an mmap with
+// zero parse work, and a freshly built engine serves from the same
+// arrays it was tokenized into (Engine.Index).
 //
-// A built engine's maps (docs, index) are ideal for incremental
-// indexing but expensive to persist: rebuilding them on process start
-// re-tokenizes the whole corpus. FrozenIndex is the same data in
-// CSR-style flat arrays — per-term posting spans into one contiguous
-// document array, per-entry position spans into one contiguous position
-// array, per-document token/text/title spans into contiguous blobs.
-// Every array is a plain []uint32/[]uint64 or string, so a snapshot
-// file can serve them directly from an mmap with zero parse work.
-//
-// An Engine wrapping a FrozenIndex (see NewFrozenEngine) answers every
-// read — NumHits, Search, batched hit counts, vocabulary statistics —
-// with results identical to the mutable engine it was extracted from;
-// Add panics. Construction from untrusted bytes goes through
-// NewFrozenIndex, which validates the structural invariants the read
-// path relies on and refuses malformed data with an error, never a
-// panic. (Content integrity — bit flips inside structurally valid
-// arrays — is the snapshot checksum's job.)
+// Construction from untrusted bytes goes through NewFrozenIndex, which
+// validates the structural invariants the read path relies on and
+// refuses malformed data with an error, never a panic. (Content
+// integrity — bit flips inside structurally valid arrays — is the
+// snapshot checksum's job.)
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
-	"time"
 
 	"webiq/internal/nlp"
 )
@@ -42,8 +35,7 @@ import (
 //	TitleOff[d]..TitleOff[d+1]      title of document d in TitleBlob
 //
 // Token start/end are byte offsets into the document's own text (not
-// the blob), matching the spans the mutable engine records at indexing
-// time.
+// the blob).
 type FrozenData struct {
 	TermOff    []uint64
 	PostDoc    []uint32
@@ -62,12 +54,12 @@ type FrozenData struct {
 	TitleBlob string
 }
 
-// FrozenIndex is a validated read-only index over FrozenData arrays.
+// FrozenIndex is a read-only index over FrozenData arrays: built by
+// Engine.Index, or loaded and validated by NewFrozenIndex.
 type FrozenIndex struct {
 	terms   *nlp.TermTable
 	d       FrozenData
 	numDocs int
-	vocab   int // terms with at least one posting == mutable Vocabulary()
 }
 
 // Terms returns the frozen term table the index was built against.
@@ -159,12 +151,8 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 	// Posting docs must be in range and strictly ascending per term —
 	// the read path binary-searches them and treats doc transitions as
 	// distinct-document boundaries.
-	vocab := 0
 	for t := 0; t < v; t++ {
 		lo, hi := d.TermOff[t], d.TermOff[t+1]
-		if lo < hi {
-			vocab++
-		}
 		for e := lo; e < hi; e++ {
 			doc := d.PostDoc[e]
 			if uint64(doc) >= uint64(n) {
@@ -175,143 +163,88 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 			}
 		}
 	}
-	return &FrozenIndex{terms: terms, d: d, numDocs: n, vocab: vocab}, nil
+	return &FrozenIndex{terms: terms, d: d, numDocs: n}, nil
 }
 
-// NewFrozenEngine wraps a frozen index in an Engine with the standard
-// latency and snippet settings. The engine serves every read lock-free
-// from the flat arrays; Add panics.
+// NewFrozenEngine wraps a loaded index in an Engine with the standard
+// latency and snippet settings. The engine is frozen from the start:
+// it serves every read lock-free from the flat arrays, and Add panics.
 func NewFrozenEngine(fi *FrozenIndex) *Engine {
-	return &Engine{
-		terms:         fi.terms,
-		ro:            fi,
-		MinLatency:    100 * time.Millisecond,
-		MaxLatency:    500 * time.Millisecond,
-		SnippetRadius: 10,
-	}
+	e := newEngine(fi.terms)
+	e.idx.Store(fi)
+	return e
 }
 
-// Frozen reports whether the engine serves from a frozen index.
-func (e *Engine) Frozen() bool { return e.ro != nil }
-
-// ExtractFrozen flattens a built engine into a FrozenIndex. vocabLimit
-// caps the persisted vocabulary: passing the table length captured
-// right after the corpus was built excludes query-only terms interned
-// later (they have no postings and no tokens), so a snapshot-loaded
-// table matches a freshly built one. vocabLimit < 0 keeps every term.
-// Document IDs must be dense (no gaps); the corpus builder always
-// produces that. Extracting an already-frozen engine returns its index.
-func (e *Engine) ExtractFrozen(vocabLimit int) (*FrozenIndex, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.ro != nil {
-		return e.ro, nil
+// buildPostings fills d's posting arrays (TermOff, PostDoc, PostPosOff,
+// Positions) from its token arrays by a two-pass counting sort over the
+// v terms: the first pass counts each term's documents and positions,
+// the second drops every token into its term's slot. Walking documents
+// and their tokens in order leaves each term's documents ascending and
+// each document's positions ascending, with no maps and no sorting.
+func (d *FrozenData) buildPostings(v int) {
+	n := len(d.DocTokOff) - 1
+	termOff := make([]uint64, v+1) // entries per term, then their offsets
+	posOff := make([]uint64, v+1)  // positions per term, then their offsets
+	last := make([]int32, v)       // last document counted per term
+	for t := range last {
+		last[t] = -1
 	}
-	n := e.next
-	if len(e.docs) != n {
-		return nil, frozenErr("corpus has %d documents but %d IDs assigned", len(e.docs), n)
-	}
-	v := e.terms.Len()
-	if vocabLimit >= 0 && vocabLimit < v {
-		v = vocabLimit
-	}
-	offsets, blob := e.terms.Flatten(v)
-	terms, err := nlp.NewFrozenTermTable(offsets, string(blob))
-	if err != nil {
-		return nil, err
-	}
-
-	var d FrozenData
-	totalToks := 0
-	for id := 0; id < n; id++ {
-		doc, ok := e.docs[id]
-		if !ok {
-			return nil, frozenErr("document IDs not dense: %d missing", id)
-		}
-		totalToks += len(doc.tokens)
-	}
-	d.DocTokOff = make([]uint64, n+1)
-	d.TextOff = make([]uint64, n+1)
-	d.TitleOff = make([]uint64, n+1)
-	d.TokTerm = make([]uint32, 0, totalToks)
-	d.TokStart = make([]uint32, 0, totalToks)
-	d.TokEnd = make([]uint32, 0, totalToks)
-	var text, title strings.Builder
-	for id := 0; id < n; id++ {
-		doc := e.docs[id]
-		d.DocTokOff[id] = uint64(len(d.TokTerm))
-		d.TextOff[id] = uint64(text.Len())
-		d.TitleOff[id] = uint64(title.Len())
-		for _, t := range doc.tokens {
-			if uint64(t.term) >= uint64(v) {
-				return nil, frozenErr("vocabulary limit %d excludes indexed term %d", v, t.term)
+	for doc := 0; doc < n; doc++ {
+		for _, t := range d.TokTerm[d.DocTokOff[doc]:d.DocTokOff[doc+1]] {
+			posOff[t+1]++
+			if last[t] != int32(doc) {
+				last[t] = int32(doc)
+				termOff[t+1]++
 			}
-			d.TokTerm = append(d.TokTerm, t.term)
-			d.TokStart = append(d.TokStart, t.start)
-			d.TokEnd = append(d.TokEnd, t.end)
 		}
-		text.WriteString(doc.doc.Text)
-		title.WriteString(doc.doc.Title)
 	}
-	d.DocTokOff[n] = uint64(len(d.TokTerm))
-	d.TextOff[n] = uint64(text.Len())
-	d.TitleOff[n] = uint64(title.Len())
-	d.TextBlob = text.String()
-	d.TitleBlob = title.String()
-
-	d.TermOff = make([]uint64, v+1)
-	d.PostPosOff = append(d.PostPosOff, 0)
-	var docIDs []int
 	for t := 0; t < v; t++ {
-		d.TermOff[t] = uint64(len(d.PostDoc))
-		p := e.index[uint32(t)]
-		if len(p) == 0 {
-			continue
-		}
-		docIDs = docIDs[:0]
-		for id := range p {
-			docIDs = append(docIDs, id)
-		}
-		sort.Ints(docIDs)
-		for _, id := range docIDs {
-			d.PostDoc = append(d.PostDoc, uint32(id))
-			for _, pos := range p[id] {
-				d.Positions = append(d.Positions, uint32(pos))
+		termOff[t+1] += termOff[t]
+		posOff[t+1] += posOff[t]
+	}
+	d.TermOff = termOff
+	d.PostDoc = make([]uint32, termOff[v])
+	d.PostPosOff = make([]uint64, termOff[v]+1)
+	d.Positions = make([]uint32, posOff[v])
+	// Per-term write cursors: the next posting entry and position.
+	entAt, posAt := slices.Clone(termOff[:v]), slices.Clone(posOff[:v])
+	for doc := 0; doc < n; doc++ {
+		base := d.DocTokOff[doc]
+		for k, t := range d.TokTerm[base:d.DocTokOff[doc+1]] {
+			if e := entAt[t]; e == termOff[t] || d.PostDoc[e-1] != uint32(doc) {
+				d.PostDoc[e] = uint32(doc)
+				d.PostPosOff[e] = posAt[t]
+				entAt[t]++
 			}
-			d.PostPosOff = append(d.PostPosOff, uint64(len(d.Positions)))
+			d.Positions[posAt[t]] = uint32(k)
+			posAt[t]++
 		}
 	}
-	d.TermOff[v] = uint64(len(d.PostDoc))
-	return NewFrozenIndex(terms, d)
+	d.PostPosOff[termOff[v]] = posOff[v]
 }
 
 // termRange returns the posting-entry span of a term. Unknown terms —
-// including nlp.NoTerm from a frozen table miss — get the empty span,
-// which every caller treats as "matches nothing".
-func (f *FrozenIndex) termRange(term uint32) (lo, hi uint64) {
+// nlp.NoTerm, the ID of every word the corpus lacks — get the empty
+// span, which every caller treats as "matches nothing".
+func (f *FrozenIndex) termRange(term uint32) termSpan {
 	if uint64(term) >= uint64(len(f.d.TermOff)-1) {
-		return 0, 0
+		return termSpan{}
 	}
-	return f.d.TermOff[term], f.d.TermOff[term+1]
+	return termSpan{lo: f.d.TermOff[term], hi: f.d.TermOff[term+1]}
 }
 
-// docCount returns how many documents contain the term — the frozen
-// len(e.index[term]).
+// docCount returns how many documents contain the term.
 func (f *FrozenIndex) docCount(term uint32) int {
-	lo, hi := f.termRange(term)
-	return int(hi - lo)
+	s := f.termRange(term)
+	return int(s.hi - s.lo)
 }
 
-// findEntry binary-searches the term's posting span for a document.
-func (f *FrozenIndex) findEntry(term uint32, doc int) (uint64, bool) {
-	lo, hi := f.termRange(term)
-	i := lo + uint64(sort.Search(int(hi-lo), func(k int) bool {
-		return f.d.PostDoc[lo+uint64(k)] >= uint32(doc)
+// findIn binary-searches a posting span for a document's entry.
+func (f *FrozenIndex) findIn(s termSpan, doc uint32) (uint64, bool) {
+	i := s.lo + uint64(sort.Search(int(s.hi-s.lo), func(k int) bool {
+		return f.d.PostDoc[s.lo+uint64(k)] >= doc
 	}))
-	if i < hi && f.d.PostDoc[i] == uint32(doc) {
-		return i, true
-	}
-	return 0, false
+	return i, i < s.hi && f.d.PostDoc[i] == doc
 }
 
 // posSpan returns the token positions of posting entry e.
@@ -326,60 +259,49 @@ func (f *FrozenIndex) docTokens(doc int) (base, count uint64) {
 	return base, f.d.DocTokOff[doc+1] - base
 }
 
-// text returns a document's text (a substring of the blob, no copy).
-func (f *FrozenIndex) text(doc int) string {
-	return f.d.TextBlob[f.d.TextOff[doc]:f.d.TextOff[doc+1]]
-}
-
-// title returns a document's title.
-func (f *FrozenIndex) title(doc int) string {
-	return f.d.TitleBlob[f.d.TitleOff[doc]:f.d.TitleOff[doc+1]]
-}
-
-// phraseAt is the frozen phraseAt: does the phrase occur in doc at any
-// of the given start positions?
-func (f *FrozenIndex) phraseAt(doc int, positions []uint32, phrase []uint32) bool {
+// nextPhrase returns the index, from i on, of the next position of
+// posting entry e (the phrase head's occurrences in doc) where the
+// whole phrase occurs, or -1 when there is none.
+func (f *FrozenIndex) nextPhrase(doc int, e uint64, phrase []uint32, i int) int {
 	base, count := f.docTokens(doc)
+	positions := f.posSpan(e)
 starts:
-	for _, pos := range positions {
-		if uint64(pos)+uint64(len(phrase)) > count {
+	for ; i < len(positions); i++ {
+		at := base + uint64(positions[i])
+		if uint64(positions[i])+uint64(len(phrase)) > count {
 			continue
 		}
 		for j := 1; j < len(phrase); j++ {
-			if f.d.TokTerm[base+uint64(pos)+uint64(j)] != phrase[j] {
+			if f.d.TokTerm[at+uint64(j)] != phrase[j] {
 				continue starts
 			}
 		}
-		return true
+		return i
 	}
-	return false
+	return -1
 }
 
-// match is the frozen matchLocked: documents matching the compiled
-// query, collected into sc.ids. Required spans are intersected from the
-// smallest, and docs come out in ascending order (callers count or
-// re-rank, so order differences from the map-based matcher are
-// invisible).
+// match returns the documents matching the compiled query, collected
+// into sc.ids in ascending order. Required terms are intersected
+// directly against their posting spans, starting from the smallest, so
+// the working set never exceeds the rarest term's postings.
 func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 	spans := sc.spans[:0]
 	sc.ids = sc.ids[:0]
 	for _, term := range cq.Required {
-		lo, hi := f.termRange(term)
-		if lo == hi {
+		s := f.termRange(term)
+		if s.lo == s.hi {
 			sc.spans = spans
 			return nil
 		}
-		spans = append(spans, termSpan{lo: lo, hi: hi})
+		spans = append(spans, s)
 	}
 	sc.spans = spans
 	sort.Slice(spans, func(i, j int) bool { return spans[i].hi-spans[i].lo < spans[j].hi-spans[j].lo })
 
 	inAll := func(doc uint32, from int) bool {
 		for _, s := range spans[from:] {
-			i := s.lo + uint64(sort.Search(int(s.hi-s.lo), func(k int) bool {
-				return f.d.PostDoc[s.lo+uint64(k)] >= doc
-			}))
-			if i >= s.hi || f.d.PostDoc[i] != doc {
+			if _, ok := f.findIn(s, doc); !ok {
 				return false
 			}
 		}
@@ -389,21 +311,17 @@ func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 	ids := sc.ids
 	switch {
 	case len(cq.Phrase) > 0:
-		lo, hi := f.termRange(cq.Phrase[0])
-		for e := lo; e < hi; e++ {
+		s := f.termRange(cq.Phrase[0])
+		for e := s.lo; e < s.hi; e++ {
 			doc := f.d.PostDoc[e]
-			if !f.phraseAt(int(doc), f.posSpan(e), cq.Phrase) {
-				continue
-			}
-			if inAll(doc, 0) {
+			if f.nextPhrase(int(doc), e, cq.Phrase, 0) >= 0 && inAll(doc, 0) {
 				ids = append(ids, int(doc))
 			}
 		}
 	case len(spans) > 0:
 		s := spans[0]
 		for e := s.lo; e < s.hi; e++ {
-			doc := f.d.PostDoc[e]
-			if inAll(doc, 1) {
+			if doc := f.d.PostDoc[e]; inAll(doc, 1) {
 				ids = append(ids, int(doc))
 			}
 		}
@@ -412,189 +330,58 @@ func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 	return ids
 }
 
-// relevance is the frozen relevanceLocked: phrase occurrences weigh 3,
+// relevance scores a matching document: phrase occurrences weigh 3,
 // required-term occurrences weigh 1.
-func (f *FrozenIndex) relevance(id int, cq CompiledQuery) int {
+func (f *FrozenIndex) relevance(doc int, cq CompiledQuery) int {
 	score := 0
 	if len(cq.Phrase) > 0 {
-		if e, ok := f.findEntry(cq.Phrase[0], id); ok {
-			base, count := f.docTokens(id)
-		starts:
-			for _, pos := range f.posSpan(e) {
-				if uint64(pos)+uint64(len(cq.Phrase)) > count {
-					continue
-				}
-				for j := 1; j < len(cq.Phrase); j++ {
-					if f.d.TokTerm[base+uint64(pos)+uint64(j)] != cq.Phrase[j] {
-						continue starts
-					}
-				}
+		if e, ok := f.findIn(f.termRange(cq.Phrase[0]), uint32(doc)); ok {
+			for i := f.nextPhrase(doc, e, cq.Phrase, 0); i >= 0; i = f.nextPhrase(doc, e, cq.Phrase, i+1) {
 				score += 3
 			}
 		}
 	}
 	for _, term := range cq.Required {
-		if e, ok := f.findEntry(term, id); ok {
-			score += int(f.d.PostPosOff[e+1] - f.d.PostPosOff[e])
+		if e, ok := f.findIn(f.termRange(term), uint32(doc)); ok {
+			score += len(f.posSpan(e))
 		}
 	}
 	return score
 }
 
-// snippet is the frozen snippetLocked: the token window around the
-// first phrase match, sliced straight out of the text blob.
-func (f *FrozenIndex) snippet(id int, cq CompiledQuery, radius int) string {
-	base, count := f.docTokens(id)
+// snippet builds the text window around the first phrase match (or
+// the document head when the query has no phrase), sliced straight out
+// of the text blob: byte spans recorded at indexing time, no
+// reconstruction or copying.
+func (f *FrozenIndex) snippet(doc int, cq CompiledQuery, radius int) string {
+	base, count := f.docTokens(doc)
 	n := int(count)
 	start, end := 0, min(n, 2*radius)
 	if len(cq.Phrase) > 0 {
-		if pos, ok := f.firstPhrasePos(id, cq.Phrase); ok {
-			start = max(0, pos-radius)
-			end = min(n, pos+len(cq.Phrase)+radius)
+		if e, ok := f.findIn(f.termRange(cq.Phrase[0]), uint32(doc)); ok {
+			if i := f.nextPhrase(doc, e, cq.Phrase, 0); i >= 0 {
+				pos := int(f.posSpan(e)[i])
+				start = max(0, pos-radius)
+				end = min(n, pos+len(cq.Phrase)+radius)
+			}
 		}
 	}
 	if start >= end {
 		return ""
 	}
-	text := f.text(id)
+	text := f.d.TextBlob[f.d.TextOff[doc]:f.d.TextOff[doc+1]]
 	return text[f.d.TokStart[base+uint64(start)]:f.d.TokEnd[base+uint64(end-1)]]
 }
 
-func (f *FrozenIndex) firstPhrasePos(id int, phrase []uint32) (int, bool) {
-	e, ok := f.findEntry(phrase[0], id)
-	if !ok {
-		return 0, false
+// count returns the number of documents matching cq.
+func (f *FrozenIndex) count(cq *CompiledQuery) int {
+	if len(cq.Phrase) == 1 && len(cq.Required) == 0 {
+		// A one-word phrase matches exactly the documents in the term's
+		// posting span; counting them needs no position walk.
+		return f.docCount(cq.Phrase[0])
 	}
-	base, count := f.docTokens(id)
-starts:
-	for _, pos := range f.posSpan(e) {
-		if uint64(pos)+uint64(len(phrase)) > count {
-			continue
-		}
-		for j := 1; j < len(phrase); j++ {
-			if f.d.TokTerm[base+uint64(pos)+uint64(j)] != phrase[j] {
-				continue starts
-			}
-		}
-		return int(pos), true
-	}
-	return 0, false
-}
-
-// countScalar is the frozen countScalarLocked.
-func (f *FrozenIndex) countScalar(cq *CompiledQuery) int {
 	sc := searchPool.Get().(*searchScratch)
 	n := len(f.match(*cq, sc))
 	searchPool.Put(sc)
 	return n
-}
-
-// countFrame is the frozen countFrameLocked: distinct documents of a
-// fully-extended phrase frame that also carry every required term.
-func (f *FrozenIndex) countFrame(frame []tokenHit, required []uint32) int {
-	if len(frame) == 0 {
-		return 0
-	}
-	var spans []termSpan
-	for _, term := range required {
-		lo, hi := f.termRange(term)
-		if lo == hi {
-			return 0
-		}
-		spans = append(spans, termSpan{lo: lo, hi: hi})
-	}
-	n := 0
-	curDoc := int32(-1)
-docs:
-	for _, h := range frame {
-		if h.doc == curDoc {
-			continue
-		}
-		curDoc = h.doc
-		doc := uint32(h.doc)
-		for _, s := range spans {
-			i := s.lo + uint64(sort.Search(int(s.hi-s.lo), func(k int) bool {
-				return f.d.PostDoc[s.lo+uint64(k)] >= doc
-			}))
-			if i >= s.hi || f.d.PostDoc[i] != doc {
-				continue docs
-			}
-		}
-		n++
-	}
-	return n
-}
-
-// numHitsBatchFrozen answers a pre-charged batch against the frozen
-// index with the same roll-up frame algorithm as the mutable path (see
-// batch.go); results land in out by input index.
-func (f *FrozenIndex) numHitsBatchFrozen(qs []BatchQuery, out []int) {
-	sc := batchPool.Get().(*batchScratch)
-	order := batchOrder(sc, qs)
-
-	var prev []uint32
-	depth := 0
-	for oi, qi := range order {
-		cq := &qs[qi].CQ
-		p := cq.Phrase
-		switch {
-		case len(p) == 0:
-			out[qi] = f.countScalar(cq)
-			continue
-		case len(p) == 1 && len(cq.Required) == 0:
-			out[qi] = f.docCount(p[0])
-			continue
-		}
-		common := 0
-		for common < depth && common < len(p) && common < len(prev) && prev[common] == p[common] {
-			common++
-		}
-		if common == 0 {
-			// Same isolated-phrase fallback as the mutable path: frames
-			// that no neighbor would reuse cost more than a scalar walk.
-			shared := false
-			if oi+1 < len(order) {
-				np := qs[order[oi+1]].CQ.Phrase
-				shared = len(np) > 0 && np[0] == p[0]
-			}
-			if !shared {
-				out[qi] = f.countScalar(cq)
-				continue
-			}
-		}
-		for d := common; d < len(p); d++ {
-			for len(sc.frames) <= d {
-				sc.frames = append(sc.frames, nil)
-			}
-			if d == 0 {
-				frame := sc.frames[0][:0]
-				lo, hi := f.termRange(p[0])
-				for e := lo; e < hi; e++ {
-					doc := int32(f.d.PostDoc[e])
-					for _, pos := range f.posSpan(e) {
-						frame = append(frame, tokenHit{doc: doc, pos: int32(pos)})
-					}
-				}
-				sc.frames[0] = frame
-				continue
-			}
-			term := p[d]
-			dst := sc.frames[d][:0]
-			curDoc := int32(-1)
-			var base, count uint64
-			for _, h := range sc.frames[d-1] {
-				if h.doc != curDoc {
-					curDoc = h.doc
-					base, count = f.docTokens(int(h.doc))
-				}
-				if at := uint64(h.pos) + uint64(d); at < count && f.d.TokTerm[base+at] == term {
-					dst = append(dst, h)
-				}
-			}
-			sc.frames[d] = dst
-		}
-		prev, depth = p, len(p)
-		out[qi] = f.countFrame(sc.frames[len(p)-1], cq.Required)
-	}
-	batchPool.Put(sc)
 }

@@ -1,142 +1,63 @@
 package surfaceweb
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"webiq/internal/kb"
 	"webiq/internal/nlp"
 )
 
-// freezeEngine extracts and wraps a frozen copy of e, failing the test
-// on error.
-func freezeEngine(t *testing.T, e *Engine, vocabLimit int) *Engine {
-	t.Helper()
-	fi, err := e.ExtractFrozen(vocabLimit)
-	if err != nil {
-		t.Fatalf("ExtractFrozen: %v", err)
+// TestFirstReadFreezes pins when an engine freezes and what that
+// means: any first read — including compiling a query — freezes it
+// before interning anything, so words only a query uses never enter the
+// corpus vocabulary (a rebuilt world's term table matches its
+// snapshot's), and Add after the freeze panics.
+func TestFirstReadFreezes(t *testing.T) {
+	reads := map[string]func(e *Engine){
+		"Compile":      func(e *Engine) { e.Compile(`"totally unseen phrase" +zzzq`) },
+		"NumHits":      func(e *Engine) { e.NumHits(`"authors such as zzzq"`) },
+		"Search":       func(e *Engine) { e.Search(`zzzq authors`, 3) },
+		"NumHitsBatch": func(e *Engine) { e.NumHitsBatch(nil) },
+		"Index":        func(e *Engine) { e.Index() },
 	}
-	return NewFrozenEngine(fi)
-}
-
-// TestFrozenEngineEquivalence pins the frozen read path against the
-// mutable engine on the hand-crafted batch corpus: every public read —
-// hit counts, batched hit counts, ranked search with snippets, corpus
-// statistics, and query accounting — must agree exactly.
-func TestFrozenEngineEquivalence(t *testing.T) {
-	mut := batchTestEngine()
-	fro := freezeEngine(t, batchTestEngine(), -1)
-	queries := batchTestQueries()
-
-	if got, want := fro.NumDocs(), mut.NumDocs(); got != want {
-		t.Errorf("NumDocs: frozen %d, mutable %d", got, want)
-	}
-	if got, want := fro.Vocabulary(), mut.Vocabulary(); got != want {
-		t.Errorf("Vocabulary: frozen %d, mutable %d", got, want)
-	}
-	for _, term := range []string{"authors", "hemingway", "zzz", "Novels", ""} {
-		if got, want := fro.TermFrequency(term), mut.TermFrequency(term); got != want {
-			t.Errorf("TermFrequency(%q): frozen %d, mutable %d", term, got, want)
-		}
-	}
-	for _, q := range queries {
-		if got, want := fro.NumHits(q), mut.NumHits(q); got != want {
-			t.Errorf("NumHits(%q): frozen %d, mutable %d", q, got, want)
-		}
-		for _, k := range []int{0, 1, 3, 100} {
-			got, want := fro.Search(q, k), mut.Search(q, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Search(%q, %d):\nfrozen  %v\nmutable %v", q, k, got, want)
+	for name, read := range reads {
+		t.Run(name, func(t *testing.T) {
+			e := batchTestEngine()
+			v0 := e.Terms().Len()
+			read(e)
+			if !e.Terms().Frozen() {
+				t.Fatal("the first read left the term table growing")
 			}
-		}
-	}
-	if got, want := fro.NumHitsBatch(queries), mut.NumHitsBatch(queries); !reflect.DeepEqual(got, want) {
-		t.Errorf("NumHitsBatch:\nfrozen  %v\nmutable %v", got, want)
-	}
-	if got, want := fro.QueryCount(), mut.QueryCount(); got != want {
-		t.Errorf("QueryCount: frozen %d, mutable %d", got, want)
-	}
-	if got, want := fro.VirtualTime(), mut.VirtualTime(); got != want {
-		t.Errorf("VirtualTime: frozen %v, mutable %v", got, want)
-	}
-}
-
-// TestFrozenEngineEquivalenceCorpus repeats the equivalence check on a
-// generated corpus — realistic page mix, larger posting lists — with
-// queries the validator actually issues.
-func TestFrozenEngineEquivalenceCorpus(t *testing.T) {
-	cfg := DefaultCorpusConfig().Scaled(0.2)
-	mut := NewEngine()
-	BuildCorpus(mut, kb.Domains(), cfg)
-	base := NewEngine()
-	BuildCorpus(base, kb.Domains(), cfg)
-	fro := freezeEngine(t, base, -1)
-
-	var queries []string
-	for _, d := range kb.Domains() {
-		for _, c := range d.Concepts {
-			name := strings.ToLower(c.Name)
-			queries = append(queries,
-				fmt.Sprintf("%q", name+"s such as"),
-				fmt.Sprintf("%q +%s", name, d.DomainKeyword),
-				"+"+name,
-			)
-			for _, inst := range c.AllInstances()[:min(2, len(c.AllInstances()))] {
-				queries = append(queries, fmt.Sprintf("%q", strings.ToLower(inst)))
+			if got := e.Terms().Len(); got != v0 {
+				t.Errorf("term table grew from %d to %d terms", v0, got)
 			}
-		}
-	}
-	for _, q := range queries {
-		if got, want := fro.NumHits(q), mut.NumHits(q); got != want {
-			t.Errorf("NumHits(%q): frozen %d, mutable %d", q, got, want)
-		}
-		got, want := fro.Search(q, 5), mut.Search(q, 5)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Search(%q):\nfrozen  %v\nmutable %v", q, got, want)
-		}
-	}
-	if got, want := fro.NumHitsBatch(queries), mut.NumHitsBatch(queries); !reflect.DeepEqual(got, want) {
-		t.Errorf("NumHitsBatch disagrees:\nfrozen  %v\nmutable %v", got, want)
-	}
-}
-
-// TestFrozenVocabLimit pins the snapshot-critical property: extracting
-// with the vocabulary size captured before any query was compiled
-// excludes query-interned terms, so the frozen table matches a freshly
-// built engine's.
-func TestFrozenVocabLimit(t *testing.T) {
-	e := batchTestEngine()
-	v0 := e.Terms().Len()
-	// Compiling interns query-only terms past v0.
-	e.NumHits(`"totally unseen phrase"`)
-	if e.Terms().Len() <= v0 {
-		t.Fatalf("compile did not grow the table (%d <= %d)", e.Terms().Len(), v0)
-	}
-	fro := freezeEngine(t, e, v0)
-	if got := fro.Terms().Len(); got != v0 {
-		t.Errorf("frozen table has %d terms, want %d", got, v0)
-	}
-	if id := fro.Terms().Intern("unseen"); id != nlp.NoTerm {
-		t.Errorf("query-only term survived the vocabulary limit: id %d", id)
-	}
-	// A limit that would drop an indexed term must be refused.
-	if _, err := e.ExtractFrozen(1); err == nil {
-		t.Error("ExtractFrozen accepted a limit excluding indexed terms")
+			if id := e.Compile(`zzzq`).Required[0]; id != nlp.NoTerm {
+				t.Errorf("unseen word compiled to %d, want NoTerm", id)
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("Add after the first read did not panic")
+				}
+			}()
+			e.Add("t", "text")
+		})
 	}
 }
 
 // TestFrozenEngineConcurrent runs the full read battery from many
-// goroutines under -race: the frozen path must be lock-free safe.
+// goroutines under -race on an engine nothing has read yet: the
+// goroutines race to freeze it, and the read path must be lock-free
+// safe after.
 func TestFrozenEngineConcurrent(t *testing.T) {
-	fro := freezeEngine(t, batchTestEngine(), -1)
+	ref := batchTestEngine()
 	queries := batchTestQueries()
 	want := make([]int, len(queries))
 	for i, q := range queries {
-		want[i] = fro.NumHits(q)
+		want[i] = ref.NumHits(q)
 	}
+	fro := batchTestEngine()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -164,7 +85,7 @@ func TestFrozenEngineConcurrent(t *testing.T) {
 // TestFrozenAddPanics pins the API contract: a frozen engine refuses
 // growth loudly (misuse), unlike snapshot corruption (errors).
 func TestFrozenAddPanics(t *testing.T) {
-	fro := freezeEngine(t, batchTestEngine(), -1)
+	fro := NewFrozenEngine(batchTestEngine().Index())
 	defer func() {
 		if recover() == nil {
 			t.Error("Add on a frozen engine did not panic")
@@ -173,13 +94,11 @@ func TestFrozenAddPanics(t *testing.T) {
 	fro.Add("t", "text")
 }
 
-// TestExtractFrozenRoundTrip checks Data() survives a reconstruction
+// TestExtractFrozenRoundTrip checks a built index passes the
+// structural validation and that Data() survives a reconstruction
 // through NewFrozenIndex — the path a snapshot load takes.
 func TestExtractFrozenRoundTrip(t *testing.T) {
-	fi, err := batchTestEngine().ExtractFrozen(-1)
-	if err != nil {
-		t.Fatalf("ExtractFrozen: %v", err)
-	}
+	fi := batchTestEngine().Index()
 	fi2, err := NewFrozenIndex(fi.Terms(), fi.Data())
 	if err != nil {
 		t.Fatalf("NewFrozenIndex: %v", err)
@@ -190,23 +109,15 @@ func TestExtractFrozenRoundTrip(t *testing.T) {
 			t.Errorf("NumHits(%q): %d vs %d after round trip", q, x, y)
 		}
 	}
-	fro := NewFrozenEngine(fi)
-	fi3, err := fro.ExtractFrozen(-1)
-	if err != nil {
-		t.Fatalf("ExtractFrozen on frozen engine: %v", err)
-	}
-	if fi3 != fi {
-		t.Error("ExtractFrozen on a frozen engine did not return its index")
+	if a.Index() != fi {
+		t.Error("Index on a loaded engine did not return its index")
 	}
 }
 
 // TestNewFrozenIndexRejectsMalformed corrupts each structural invariant
 // in turn: construction must fail with an error, never panic.
 func TestNewFrozenIndexRejectsMalformed(t *testing.T) {
-	base, err := batchTestEngine().ExtractFrozen(-1)
-	if err != nil {
-		t.Fatalf("ExtractFrozen: %v", err)
-	}
+	base := batchTestEngine().Index()
 	terms := base.Terms()
 	cases := []struct {
 		name    string

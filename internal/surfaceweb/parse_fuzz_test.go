@@ -108,15 +108,18 @@ func FuzzParseQuery(f *testing.F) {
 			t.Fatalf("Compile(%q) shape %d/%d, parsed %d/%d",
 				q, len(cq.Phrase), len(cq.Required), len(want.Phrase), len(want.Required))
 		}
-		for i, id := range cq.Phrase {
-			if e.Terms().Term(id) != want.Phrase[i] {
-				t.Fatalf("phrase term %d = %q, want %q", i, e.Terms().Term(id), want.Phrase[i])
+		// A word the corpus lacks compiles to NoTerm; every other ID
+		// names its word.
+		checkTerm := func(kind string, i int, id uint32, w string) {
+			if known, ok := e.Terms().Lookup(w); ok && id != known || !ok && id != nlp.NoTerm {
+				t.Fatalf("%s term %d (%q) compiled to %d", kind, i, w, id)
 			}
 		}
+		for i, id := range cq.Phrase {
+			checkTerm("phrase", i, id, want.Phrase[i])
+		}
 		for i, id := range cq.Required {
-			if e.Terms().Term(id) != want.Required[i] {
-				t.Fatalf("required term %d = %q, want %q", i, e.Terms().Term(id), want.Required[i])
-			}
+			checkTerm("required", i, id, want.Required[i])
 		}
 		if nh, nc := e.NumHits(q), e.NumHitsCompiled(cq, q); nh != nc {
 			t.Fatalf("NumHits(%q) = %d, compiled = %d", q, nh, nc)

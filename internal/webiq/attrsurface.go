@@ -37,22 +37,19 @@ type Classifier struct {
 // examples to split into T1 and T2.
 var errTooFewExamples = errors.New("webiq: too few training examples for classifier")
 
-// TrainClassifier builds the classifier for an attribute with the given
+// trainClassifier builds the classifier for an attribute with the given
 // label, using its existing instances as positive examples and the
 // non-instances (values of sibling attributes) as negatives. It follows
 // the three steps of Section 3.2: training-set preparation (validation
 // scores via the Surface Web), threshold estimation on T1 by information
 // gain, and probability estimation on T2 with Laplacean smoothing.
-func TrainClassifier(v *Validator, label string, positives, negatives []string) (*Classifier, error) {
-	return trainClassifierCtx(context.Background(), v, label, positives, negatives)
-}
-
-// trainClassifierCtx is TrainClassifier with error propagation from the
-// validation backend: any training example whose validation
-// vector is unavailable makes the whole classifier untrainable (a
-// partially scored matrix would bias the thresholds), and the first
-// such error is returned for the caller's degradation policy.
-func trainClassifierCtx(ctx context.Context, v *Validator, label string, positives, negatives []string) (*Classifier, error) {
+//
+// Errors from the validation backend propagate: any training example
+// whose validation vector is unavailable makes the whole classifier
+// untrainable (a partially scored matrix would bias the thresholds),
+// and the first such error is returned for the caller's degradation
+// policy.
+func trainClassifier(ctx context.Context, v *Validator, label string, positives, negatives []string) (*Classifier, error) {
 	phrases := v.Phrases(label)
 	if len(phrases) == 0 {
 		return nil, errors.New("webiq: no validation phrases for label " + label)
@@ -245,7 +242,7 @@ func (as *AttrSurface) SetLedger(l *obs.Ledger) { as.ledger = l }
 // accept/reject per borrowed value with its posterior against the 0.5
 // cutoff.
 func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, label string, positives, negatives, borrowed []string) (accepted []string, trained bool) {
-	clf, err := trainClassifierCtx(ctx, as.validator, label, positives, negatives)
+	clf, err := trainClassifier(ctx, as.validator, label, positives, negatives)
 	if err != nil {
 		if r := resilience.Reason(err); r != "other" && r != "none" {
 			// Backend failure, not a data property: the classifier skip

@@ -1,6 +1,7 @@
 package webiq
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -100,7 +101,7 @@ func TestBestThresholdAllEqual(t *testing.T) {
 
 func TestTrainClassifierTooFewExamples(t *testing.T) {
 	v := NewValidator(&stubEngine{}, DefaultConfig())
-	if _, err := TrainClassifier(v, "airline", []string{"Delta"}, []string{"Economy", "Jan"}); err == nil {
+	if _, err := trainClassifier(context.Background(), v, "airline", []string{"Delta"}, []string{"Economy", "Jan"}); err == nil {
 		t.Error("want error with a single positive example")
 	}
 }

@@ -45,27 +45,22 @@ func (e *tagCheckEngine) Search(query string, limit int) []surfaceweb.Snippet {
 }
 
 // TestServedSnippetTagsMatchTagging runs the five paper domains with
-// every component on the mutable engine, on a frozen copy of it, and
+// every component on an engine loaded from the fixture's index, and
 // twice on a query cache (the second pass answered from cached
 // results), and requires every snippet served to carry tags equal to
 // tagging its text.
 func TestServedSnippetTagsMatchTagging(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the five paper domains three ways")
+		t.Skip("runs the five paper domains two ways")
 	}
 	eng, _, _ := fixture(t)
-	fi, err := eng.ExtractFrozen(-1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cache := surfaceweb.NewCachedEngine(eng, 0)
 	for _, tc := range []struct {
 		name   string
 		engine batchMeteredEngine
 		passes int
 	}{
-		{"mutable", eng, 1},
-		{"frozen", surfaceweb.NewFrozenEngine(fi), 1},
+		{"frozen", surfaceweb.NewFrozenEngine(eng.Index()), 1},
 		{"cached", cache, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
