@@ -50,16 +50,10 @@ func benchEnvironment(b *testing.B) *experiments.Env {
 // the raw engine — the seed path every optimized variant is measured
 // against.
 func acquireDomain(env *experiments.Env, key string, comps iq.Components, cfg iq.Config) (*iq.Report, *schema.Dataset) {
-	return acquireDomainOn(env.Engine, env, key, comps, cfg)
-}
-
-// acquireDomainOn is acquireDomain querying through se (e.g. a
-// surfaceweb.CachedEngine wrapping the environment's engine).
-func acquireDomainOn(se iq.MeteredEngine, env *experiments.Env, key string, comps iq.Components, cfg iq.Config) (*iq.Report, *schema.Dataset) {
 	dom := kb.DomainByKey(key)
 	ds := dataset.Generate(dom, env.DataCfg)
 	pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
-	acq := iq.NewPipeline(se, pool, cfg, comps)
+	acq := iq.NewPipeline(env.Engine, pool, cfg, comps)
 	return acq.AcquireAllCtx(context.Background(), ds), ds
 }
 
@@ -69,32 +63,51 @@ func acquireDomainOn(se iq.MeteredEngine, env *experiments.Env, key string, comp
 // engine, sequential validation) and on the optimized path (sharded
 // query cache shared across conditions, 8 validation workers). The
 // acquired instances are identical; only the cost changes.
+//
+// Only acquisition is timed. Each iteration generates its datasets and
+// deep-web pools (acquisition mutates the dataset, so every condition
+// needs a fresh one) and builds the engine it queries with the timer
+// stopped; the cached variants get a fresh CachedEngine per iteration,
+// so every iteration starts cold.
 func BenchmarkPipeline(b *testing.B) {
 	conditions := []iq.Components{
 		{Surface: true},
 		{Surface: true, AttrDeep: true},
 		iq.AllComponents(),
 	}
-	run := func(se iq.MeteredEngine, env *experiments.Env, cfg iq.Config) {
-		for _, comps := range conditions {
-			acquireDomainOn(se, env, "book", comps, cfg)
+	dom := kb.DomainByKey("book")
+	run := func(b *testing.B, env *experiments.Env, cfg iq.Config, engine func() iq.MeteredEngine) {
+		dss := make([]*schema.Dataset, len(conditions))
+		pools := make([]*deepweb.Pool, len(conditions))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := range conditions {
+				dss[j] = dataset.Generate(dom, env.DataCfg)
+				pools[j] = deepweb.BuildPool(dss[j], dom, env.DeepCfg)
+			}
+			se := engine()
+			b.StartTimer()
+			for j, comps := range conditions {
+				iq.NewPipeline(se, pools[j], cfg, comps).AcquireAllCtx(context.Background(), dss[j])
+			}
 		}
+		b.StopTimer()
 	}
 	b.Run("seed", func(b *testing.B) {
 		env := benchEnvironment(b)
-		for i := 0; i < b.N; i++ {
-			run(env.Engine, env, env.WebIQCfg)
-		}
+		run(b, env, env.WebIQCfg, func() iq.MeteredEngine { return env.Engine })
 	})
+	cold := func(env *experiments.Env) func() iq.MeteredEngine {
+		return func() iq.MeteredEngine {
+			return surfaceweb.NewCachedEngine(env.Engine, surfaceweb.DefaultCacheShards)
+		}
+	}
 	b.Run("cached-parallel", func(b *testing.B) {
 		env := benchEnvironment(b)
 		cfg := env.WebIQCfg
 		cfg.Parallelism = 8
-		cache := surfaceweb.NewCachedEngine(env.Engine, surfaceweb.DefaultCacheShards)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			run(cache, env, cfg)
-		}
+		run(b, env, cfg, cold(env))
 	})
 	// The parallel-N suite pins GOMAXPROCS to N and runs the optimized
 	// pipeline with N validation workers, reporting the multi-core
@@ -110,12 +123,7 @@ func BenchmarkPipeline(b *testing.B) {
 			defer runtime.GOMAXPROCS(old)
 			cfg := env.WebIQCfg
 			cfg.Parallelism = n
-			cache := surfaceweb.NewCachedEngine(env.Engine, surfaceweb.DefaultCacheShards)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(cache, env, cfg)
-			}
-			b.StopTimer()
+			run(b, env, cfg, cold(env))
 			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			if n == 1 {
 				parallelBaseNs.Store(&nsPerOp)

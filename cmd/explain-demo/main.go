@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -54,8 +55,16 @@ func main() {
 		log.Fatalf("GET /unified/%s/explain: status %d", *domain, resp.StatusCode)
 	}
 	traceHeader := resp.Header.Get("X-Trace-ID")
+	// Read the body to EOF before asking for the trace: the request's
+	// root span ends when the server's handler chain returns, which is
+	// before the response's last byte but may be after the end of the
+	// JSON value a streaming decoder stops at.
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var payload server.ExplainPayload
-	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+	if err := json.Unmarshal(body, &payload); err != nil {
 		log.Fatal(err)
 	}
 

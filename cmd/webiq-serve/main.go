@@ -11,6 +11,10 @@
 // -flight-dir enables the flight recorder: wide-event capture plus
 // anomaly-triggered diagnostic bundles (inspect them with
 // webiq-flight), controlled by -flight-window and -flight-triggers.
+// Every request that fires a trigger also appends its wide event as one
+// NDJSON line to events.ndjson in the flight directory (size-rotated),
+// even when the dump debounce suppresses its bundle; for a slow-request
+// log, run with -flight-dir D -flight-triggers slow=250ms.
 //
 // Passing -peers (with -node-id) joins the node to a cluster: domains
 // are assigned to nodes by a consistent-hash ring with -replication
@@ -76,16 +80,12 @@ func main() {
 	snapPath := flag.String("snapshot", "", "boot from a webiq-snapshot world file instead of building the world at startup (the file's seed overrides -seed)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof handlers under /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "how long to wait for in-flight requests on shutdown")
-	slow := flag.Duration("slow", 0, "log requests at or above this duration as NDJSON lines (with trace IDs); 0 disables")
-	slowLog := flag.String("slow-log", "", "write the slow-request NDJSON to this file (size-rotated) instead of stderr")
-	slowLogMax := flag.Int64("slow-log-max-bytes", obs.DefRotateMaxBytes, "rotate the -slow-log file when it would exceed this size")
-	slowLogKeep := flag.Int("slow-log-keep", obs.DefRotateKeep, "rotated -slow-log files to keep (file.1 .. file.N)")
 	faults := flag.String("faults", "", "inject the named fault profile (p10, p30, latency2x, burst, malformed) into the request-time source probes of /source/{ifc}/search and the /unified/{domain}/search fan-out; a probe that still fails after retries answers 503 or is listed as unavailable")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault-injection stream")
 	maxInflight := flag.Int("max-inflight", 0, "bound concurrent requests (admission control); 0 disables")
 	queue := flag.Int("queue", 16, "requests allowed to wait for an admission slot before shedding with 503")
 	traceRetention := flag.Int("trace-retention", obs.DefTraceRetention, "per-trace FIFO store capacity for /trace/{id} lookups; 0 or negative disables the store")
-	flightDir := flag.String("flight-dir", "", "enable the flight recorder: write anomaly-triggered diagnostic bundles to this directory")
+	flightDir := flag.String("flight-dir", "", "enable the flight recorder: write anomaly-triggered diagnostic bundles, and the wide event of every triggering request to events.ndjson, in this directory")
 	flightWindow := flag.Duration("flight-window", obs.DefFlightWindow, "how much recent wide-event history a diagnostic bundle includes")
 	flightTriggers := flag.String("flight-triggers", "", "trigger rules for automatic bundles: comma-separated 5xx, slow=DUR, breaker, shed, p99=DUR[:MINCOUNT], debounce=DUR; empty means the defaults, 'none' disables (manual /debug/flight/snapshot only)")
 	peers := flag.String("peers", "", "cluster members as comma-separated id=http://host:port pairs (this node included); empty runs single-node")
@@ -185,19 +185,6 @@ func main() {
 	}
 	srv.RecordStartup(time.Since(start))
 	defer srv.Close()
-	if *slow > 0 {
-		if *slowLog != "" {
-			rf, err := obs.OpenRotatingFile(*slowLog, *slowLogMax, *slowLogKeep)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer rf.Close()
-			srv.SetSlowLog(rf, *slow)
-			log.Printf("slow-request log: %s (rotate at %d bytes, keep %d)", *slowLog, *slowLogMax, *slowLogKeep)
-		} else {
-			srv.SetSlowLog(os.Stderr, *slow)
-		}
-	}
 
 	var handler http.Handler = srv
 	if *pprofFlag {

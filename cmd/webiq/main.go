@@ -9,15 +9,14 @@
 //
 // Observability:
 //
-//	-trace spans.ndjson   write the span log (one JSON object per span or
-//	                      event) to a file; per-component span totals
+//	-trace spans.ndjson   write the span log (one JSON object per span)
+//	                      to a file; per-component span totals
 //	                      reproduce the report's overhead numbers
 //	-metrics              print the final metrics snapshot in Prometheus
 //	                      text format to stdout after the run
-//	-events               stream acquisition events to stderr as they
-//	                      happen (one line per event)
 //	-ledger out.ndjson    write the decision-provenance ledger (one JSON
-//	                      object per pipeline decision) to a file
+//	                      object per pipeline decision) to a file;
+//	                      -ledger /dev/stderr watches decisions live
 //	-explain <attr>       after the run, print every ledger decision
 //	                      concerning the attribute (ID or exact label) —
 //	                      the evidence behind each accepted instance
@@ -55,7 +54,6 @@ func main() {
 	jsonIn := flag.String("dataset", "", "load the dataset from this JSON file instead of generating it")
 	jsonOut := flag.String("json", "", "write the acquired dataset as JSON to this file")
 	verbose := flag.Bool("v", false, "print per-attribute acquisition outcomes")
-	events := flag.Bool("events", false, "stream acquisition events to stderr as they happen")
 	traceFile := flag.String("trace", "", "write the NDJSON span log to this file")
 	metricsDump := flag.Bool("metrics", false, "print the final metrics snapshot (Prometheus text format) to stdout")
 	ledgerFile := flag.String("ledger", "", "write the decision-provenance ledger as NDJSON to this file")
@@ -168,18 +166,6 @@ func main() {
 			ledger.Instrument(reg)
 		}
 		acq.SetLedger(ledger)
-	}
-	var tracers []webiq.Tracer
-	if *events {
-		tracers = append(tracers, webiq.NewLogTracer(os.Stderr))
-	}
-	if spans != nil {
-		// Acquisition events also land in the span log as zero-duration
-		// records, interleaved with the component spans.
-		tracers = append(tracers, webiq.NewObsEventTracer(spans))
-	}
-	if len(tracers) > 0 {
-		acq.SetTracer(webiq.MultiTracer(tracers...))
 	}
 
 	fmt.Println("Acquiring instances...")

@@ -59,8 +59,8 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 		return ctx, nil
 	}
 	var s *Span
-	if ref, ok := ctx.Value(spanCtxKey{}).(spanRef); ok && ref.traceID != "" {
-		s = t.startChildOf(ref.traceID, ref.spanID, name)
+	if ref, ok := ctx.Value(spanCtxKey{}).(spanRef); ok {
+		s = t.start(name, ref.traceID, t.newID(), ref.spanID)
 	} else {
 		s = t.StartRoot(name)
 	}

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -19,8 +22,10 @@ import (
 // breaker-open transition, admission shed, p99 budget breach), dumps a
 // timestamped diagnostic bundle: the recent wide events, the live span
 // trees of in-flight traces, a metrics snapshot with deltas, and
-// auto-captured pprof CPU/heap profiles. With no recorder installed
-// every hook is nil-safe and free.
+// auto-captured pprof CPU/heap profiles. Every wide event that fires a
+// trigger is also appended to eventsFile in the bundle directory, so a
+// debounced trigger still leaves its record on disk. With no recorder
+// installed every hook is nil-safe and free.
 
 // WideEvent is one request, wide: everything the server knew about the
 // request when it finished, denormalized into a single record so a
@@ -75,6 +80,12 @@ type eventSlot struct {
 	ev  WideEvent
 }
 
+// eventsFile is the NDJSON log, in the bundle directory, of every wide
+// event that fired a trigger; it rotates at DefRotateMaxBytes, keeping
+// DefRotateKeep old files. Bundles and pruning match only flight-*.json,
+// so it is never listed or pruned as a bundle.
+const eventsFile = "events.ndjson"
+
 // DefFlightCapacity is the default wide-event ring capacity.
 const DefFlightCapacity = 8192
 
@@ -123,6 +134,10 @@ type FlightRecorder struct {
 	dumpMu   sync.Mutex
 	baseline map[string]float64 // metric values at last dump (or Start)
 
+	// events is the triggered-event log; nil without a bundle
+	// directory or when it could not be opened.
+	events *RotatingFile
+
 	mEvents  *Counter
 	mBundles *CounterVec // reason
 	mDropped *Counter
@@ -145,6 +160,11 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	f := &FlightRecorder{
 		opts:  opts,
 		slots: make([]eventSlot, opts.Capacity),
+	}
+	if opts.Dir != "" && os.MkdirAll(opts.Dir, 0o755) == nil {
+		// A log that cannot be opened is skipped: like the bundles, it
+		// is best-effort and must never affect serving.
+		f.events, _ = OpenRotatingFile(filepath.Join(opts.Dir, eventsFile), 0, 0)
 	}
 	if r := opts.Registry; r != nil {
 		f.mEvents = r.Counter("webiq_flight_events_total", "Wide events captured by the flight recorder.")
@@ -169,12 +189,16 @@ func (f *FlightRecorder) Start(sampleInterval time.Duration) {
 	}
 }
 
-// Close stops background sampling. The ring remains readable.
+// Close stops background sampling and closes the triggered-event log.
+// The ring remains readable.
 func (f *FlightRecorder) Close() {
 	if f == nil {
 		return
 	}
 	f.opts.Sampler.Stop()
+	if f.events != nil {
+		f.events.Close()
+	}
 }
 
 // Triggers returns the recorder's trigger rules.
@@ -193,7 +217,10 @@ func (f *FlightRecorder) Window() time.Duration {
 	return f.opts.Window
 }
 
-// Record appends one wide event to the ring.
+// Record appends one wide event to the ring and, when it fired a
+// trigger (Trigger != ""), to the triggered-event log as well. Callers
+// record before they call Trigger, so the log line is written even when
+// the debounce suppresses the bundle.
 func (f *FlightRecorder) Record(ev WideEvent) {
 	if f == nil {
 		return
@@ -208,6 +235,13 @@ func (f *FlightRecorder) Record(ev WideEvent) {
 	s.ev = ev
 	s.mu.Unlock()
 	f.mEvents.Inc()
+	if ev.Trigger != "" && f.events != nil {
+		// One Write per line keeps lines whole across rotation; write
+		// errors (and writes after Close) are dropped like the line.
+		if line, err := json.Marshal(ev); err == nil {
+			_, _ = f.events.Write(append(line, '\n'))
+		}
+	}
 }
 
 // EventsSince returns every retained wide event completed at or after

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -249,6 +251,54 @@ func TestTriggerDebounceAndPrune(t *testing.T) {
 	}
 	if _, err := f.BundlePath(infos[0].Name); err != nil {
 		t.Errorf("BundlePath(%q): %v", infos[0].Name, err)
+	}
+}
+
+// TestTriggeredEventsLog pins the triggered-event log: Record appends
+// exactly the wide events that fired a trigger to events.ndjson, and
+// bundle listing and pruning (MaxBundles 1) leave the log alone.
+func TestTriggeredEventsLog(t *testing.T) {
+	dir := t.TempDir()
+	f := NewFlightRecorder(FlightOptions{Dir: dir, MaxBundles: 1, CPUProfileDuration: -1})
+	f.Record(WideEvent{Route: "stats", Status: 200, Seconds: 0.001, TraceID: "quiet"})
+	f.Record(WideEvent{Route: "unified", Status: 500, Seconds: 0.2, TraceID: "tr-err", Trigger: "5xx"})
+	f.Record(WideEvent{Route: "source", Status: 503, ShedReason: "queue-full", Trigger: "shed"})
+	for i := 0; i < 3; i++ {
+		time.Sleep(2 * time.Millisecond) // distinct timestamps in names
+		if _, _, err := f.Snapshot(fmt.Sprintf("r%d", i), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Close()
+	f.Record(WideEvent{Route: "late", Trigger: "5xx"}) // after Close: ring only
+
+	infos, err := f.Bundles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 {
+		t.Fatalf("after prune: %d bundles, want 1", len(infos))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "events.ndjson"))
+	if err != nil {
+		t.Fatalf("pruning removed the triggered-event log: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("events.ndjson has %d lines, want the 2 triggered events:\n%s", len(lines), data)
+	}
+	var ev WideEvent
+	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.Route != "unified" || ev.Status != 500 || ev.TraceID != "tr-err" || ev.Trigger != "5xx" || ev.TimeNS == 0 {
+		t.Errorf("line 1 = %+v", ev)
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
+		t.Fatal(err)
+	}
+	if ev.ShedReason != "queue-full" || ev.Trigger != "shed" {
+		t.Errorf("line 2 = %+v", ev)
 	}
 }
 

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -27,9 +25,7 @@ func (r *Registry) Handler() http.Handler {
 // ("http", labelled with route/path/status) whose trace ID is exposed
 // as the X-Trace-ID response header and propagated to the handler via
 // the request context — handlers derive child spans with
-// Tracer.StartSpan(r.Context(), ...). With SetSlowLog installed,
-// requests at or above the threshold emit one NDJSON line carrying the
-// trace ID.
+// Tracer.StartSpan(r.Context(), ...).
 type HTTPMetrics struct {
 	reg      *Registry
 	requests *CounterVec // route, class
@@ -38,10 +34,6 @@ type HTTPMetrics struct {
 
 	mu         sync.Mutex
 	routeHists map[string]*Histogram
-
-	slowMu        sync.Mutex
-	slowEnc       *json.Encoder
-	slowThreshold time.Duration
 }
 
 // NewHTTPMetrics registers the HTTP metric families:
@@ -68,33 +60,6 @@ func (m *HTTPMetrics) SetTracer(t *Tracer) {
 		return
 	}
 	m.tracer = t
-}
-
-// SlowRequest is one slow-request NDJSON log line.
-type SlowRequest struct {
-	Time    string  `json:"time"`
-	Route   string  `json:"route"`
-	Method  string  `json:"method"`
-	Path    string  `json:"path"`
-	Status  int     `json:"status"`
-	Seconds float64 `json:"seconds"`
-	TraceID string  `json:"trace_id,omitempty"`
-}
-
-// SetSlowLog logs requests taking at least threshold as one NDJSON
-// SlowRequest line each on w. A nil w disables slow logging.
-func (m *HTTPMetrics) SetSlowLog(w io.Writer, threshold time.Duration) {
-	if m == nil {
-		return
-	}
-	m.slowMu.Lock()
-	if w == nil {
-		m.slowEnc = nil
-	} else {
-		m.slowEnc = json.NewEncoder(w)
-	}
-	m.slowThreshold = threshold
-	m.slowMu.Unlock()
 }
 
 // histogramFor returns the per-route latency histogram; Wrap resolves
@@ -135,27 +100,6 @@ func (m *HTTPMetrics) Wrap(route string, next http.Handler) http.Handler {
 		hist.ObserveExemplar(elapsed.Seconds(), traceID)
 		m.requests.With(route, statusClass(sw.code)).Inc()
 		m.inFlight.Dec()
-		m.logSlow(route, req, sw.code, elapsed, traceID)
-	})
-}
-
-// logSlow emits the slow-request NDJSON line when the request is at or
-// above the configured threshold.
-func (m *HTTPMetrics) logSlow(route string, req *http.Request, status int, elapsed time.Duration, traceID string) {
-	m.slowMu.Lock()
-	defer m.slowMu.Unlock()
-	if m.slowEnc == nil || elapsed < m.slowThreshold {
-		return
-	}
-	// Encode errors are swallowed: slow logging is best-effort.
-	_ = m.slowEnc.Encode(SlowRequest{
-		Time:    time.Now().UTC().Format(time.RFC3339Nano),
-		Route:   route,
-		Method:  req.Method,
-		Path:    req.URL.Path,
-		Status:  status,
-		Seconds: elapsed.Seconds(),
-		TraceID: traceID,
 	})
 }
 

@@ -1,13 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestHTTPMiddleware(t *testing.T) {
@@ -110,42 +108,6 @@ func TestHTTPMiddlewareTracing(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestHTTPMiddlewareSlowLog(t *testing.T) {
-	r := NewRegistry()
-	m := NewHTTPMetrics(r)
-	tr := NewTracer(nil)
-	m.SetTracer(tr)
-	var sb strings.Builder
-	m.SetSlowLog(&sb, 0) // threshold 0: every request logs
-	h := m.WrapFunc("demo", func(w http.ResponseWriter, req *http.Request) {
-		http.Error(w, "nope", http.StatusNotFound)
-	})
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/demo/x", nil))
-
-	line := strings.TrimSpace(sb.String())
-	var sr SlowRequest
-	if err := json.Unmarshal([]byte(line), &sr); err != nil {
-		t.Fatalf("slow line not JSON: %v: %q", err, line)
-	}
-	if sr.Route != "demo" || sr.Method != "GET" || sr.Path != "/demo/x" || sr.Status != 404 {
-		t.Errorf("slow line = %+v", sr)
-	}
-	if sr.Seconds < 0 {
-		t.Errorf("seconds = %v", sr.Seconds)
-	}
-	if sr.TraceID == "" || sr.TraceID != rec.Header().Get("X-Trace-ID") {
-		t.Errorf("slow line trace = %q, header = %q", sr.TraceID, rec.Header().Get("X-Trace-ID"))
-	}
-
-	// Raising the threshold silences fast requests.
-	m.SetSlowLog(&sb, time.Hour)
-	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/demo/x", nil))
-	if got := strings.TrimSpace(sb.String()); got != line {
-		t.Errorf("fast request logged under 1h threshold:\n%s", got)
 	}
 }
 

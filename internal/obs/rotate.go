@@ -9,7 +9,7 @@ import (
 // RotatingFile is a size-capped NDJSON log sink: when a Write would push
 // the current file past MaxBytes, the file is rotated (path → path.1 →
 // path.2 …) and the oldest beyond Keep is deleted — so a sustained
-// stream of slow-request lines can never fill the disk. Writes are
+// stream of triggered wide-event lines can never fill the disk. Writes are
 // line-atomic under an internal mutex; a single Write is never split
 // across files.
 type RotatingFile struct {

@@ -10,16 +10,13 @@ import (
 	"time"
 )
 
-// SpanRecord is one finished span (or instantaneous event) as exported
-// to the NDJSON log. Durations are nanoseconds; StartNS is relative to
-// the tracer's construction so runs are comparable regardless of wall
-// clock.
+// SpanRecord is one finished span as exported to the NDJSON log.
+// Durations are nanoseconds; StartNS is relative to the tracer's
+// construction so runs are comparable regardless of wall clock.
 //
 // TraceID/SpanID/ParentID carry the request-scoped trace identity:
-// every span started through StartRoot/StartChild/StartSpan belongs to
-// exactly one trace, and ParentID links it to the span that was active
-// when it started. Spans started with the flat Span method carry no
-// identity (all three fields empty), preserving the PR-1 log shape.
+// every span belongs to exactly one trace, and ParentID links it to the
+// span that was active when it started.
 type SpanRecord struct {
 	// TraceID groups every span of one request (or one CLI run).
 	TraceID string `json:"trace_id,omitempty"`
@@ -27,15 +24,14 @@ type SpanRecord struct {
 	SpanID string `json:"span_id,omitempty"`
 	// ParentID is the SpanID of the enclosing span; empty for roots.
 	ParentID string `json:"parent_id,omitempty"`
-	// Name identifies the operation ("surface", "attr-deep", "match",
-	// or an event kind like "borrow-deep").
+	// Name identifies the operation ("surface", "attr-deep", "match").
 	Name string `json:"name"`
 	// Labels carries low-cardinality span context (attr, label,
 	// interface, detail).
 	Labels map[string]string `json:"labels,omitempty"`
 	// StartNS is the span start, nanoseconds since tracer creation.
 	StartNS int64 `json:"start_ns"`
-	// WallNS is the real elapsed time; zero for instantaneous events.
+	// WallNS is the real elapsed time.
 	WallNS int64 `json:"wall_ns"`
 	// VirtualNS is the simulated time attributed to the span (search
 	// engine / source pool virtual clocks), when known.
@@ -43,8 +39,6 @@ type SpanRecord struct {
 	// Queries is the number of substrate queries attributed to the
 	// span, when known.
 	Queries int `json:"queries,omitempty"`
-	// Count carries an event's instance count, when meaningful.
-	Count int `json:"count,omitempty"`
 }
 
 // DefTraceRetention is how many distinct traces a tracer retains in its
@@ -52,11 +46,12 @@ type SpanRecord struct {
 // overrides it).
 const DefTraceRetention = 512
 
-// Tracer records spans and events, optionally streaming each finished
-// record as one NDJSON line to a writer, and retains the spans of the
-// most recent traces for span-tree reconstruction (TraceRecords/Tree).
-// All methods are safe for concurrent use and nil-safe, so instrumented
-// code can call through a nil *Tracer at the cost of a branch.
+// Tracer records spans, optionally streaming each finished span as one
+// NDJSON line to a writer, and retains the spans of the most recent
+// traces in one FIFO store that every reader (Records, TotalsByName,
+// TraceRecords, Tree) reads. All methods are safe for concurrent use
+// and nil-safe, so instrumented code can call through a nil *Tracer at
+// the cost of a branch.
 type Tracer struct {
 	epoch  time.Time
 	idBase uint32
@@ -64,7 +59,6 @@ type Tracer struct {
 
 	mu         sync.Mutex
 	enc        *json.Encoder
-	records    []SpanRecord
 	traces     map[string][]SpanRecord
 	traceOrder []string // FIFO for eviction
 	maxTraces  int
@@ -88,8 +82,8 @@ type InFlightRoot struct {
 }
 
 // NewTracer returns a tracer. If w is non-nil every finished span is
-// written to it as one JSON object per line; records are also retained
-// in memory for Records/Totals and, per trace, for TraceRecords/Tree.
+// written to it as one JSON object per line; the spans of the
+// DefTraceRetention most recent traces are also retained in memory.
 func NewTracer(w io.Writer) *Tracer {
 	t := &Tracer{
 		epoch:     time.Now(),
@@ -104,8 +98,9 @@ func NewTracer(w io.Writer) *Tracer {
 }
 
 // SetTraceRetention bounds the per-trace store to the n most recent
-// traces (older ones are evicted FIFO). n <= 0 disables per-trace
-// retention entirely; the flat record log is unaffected.
+// traces (older ones are evicted FIFO). n <= 0 disables retention
+// entirely: spans still stream to the writer, but every reader sees
+// none.
 func (t *Tracer) SetTraceRetention(n int) {
 	if t == nil {
 		return
@@ -136,8 +131,7 @@ type Span struct {
 
 var spanPool = sync.Pool{New: func() any { return new(Span) }}
 
-// start initializes a pooled span with the given identity (empty IDs
-// for the flat form).
+// start initializes a pooled span with the given identity.
 func (t *Tracer) start(name, traceID, spanID, parentID string) *Span {
 	now := time.Now()
 	s := spanPool.Get().(*Span)
@@ -151,7 +145,7 @@ func (t *Tracer) start(name, traceID, spanID, parentID string) *Span {
 		Name:     name,
 		StartNS:  now.Sub(t.epoch).Nanoseconds(),
 	}
-	if traceID != "" && parentID == "" {
+	if parentID == "" {
 		t.mu.Lock()
 		if t.inflight == nil {
 			t.inflight = map[string]InFlightRoot{}
@@ -167,15 +161,6 @@ func (t *Tracer) start(name, traceID, spanID, parentID string) *Span {
 	return s
 }
 
-// Span starts a flat span (no trace identity) with the given name —
-// the PR-1 form, kept for logs that don't need hierarchy.
-func (t *Tracer) Span(name string) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.start(name, "", "", "")
-}
-
 // StartRoot mints a new trace and starts its root span.
 func (t *Tracer) StartRoot(name string) *Span {
 	if t == nil {
@@ -185,8 +170,8 @@ func (t *Tracer) StartRoot(name string) *Span {
 }
 
 // StartChild starts a span in the parent's trace, linked to it. A nil
-// or identity-less parent yields a fresh root instead, so call sites
-// need no special cases.
+// parent yields a fresh root instead, so call sites need no special
+// cases.
 func (t *Tracer) StartChild(parent *Span, name string) *Span {
 	if t == nil {
 		return nil
@@ -194,17 +179,10 @@ func (t *Tracer) StartChild(parent *Span, name string) *Span {
 	if parent == nil {
 		return t.StartRoot(name)
 	}
-	return t.startChildOf(parent.TraceID(), parent.SpanID(), name)
+	return t.start(name, parent.TraceID(), t.newID(), parent.SpanID())
 }
 
-func (t *Tracer) startChildOf(traceID, parentSpanID, name string) *Span {
-	if traceID == "" {
-		return t.StartRoot(name)
-	}
-	return t.start(name, traceID, t.newID(), parentSpanID)
-}
-
-// TraceID returns the span's trace ID ("" for flat spans); nil-safe.
+// TraceID returns the span's trace ID; nil-safe.
 func (s *Span) TraceID() string {
 	if s == nil {
 		return ""
@@ -279,28 +257,13 @@ func (s *Span) End() {
 	spanPool.Put(s)
 }
 
-// Event records an instantaneous occurrence (wall duration zero) —
-// the span-log form of the acquisition events of webiq's Tracer.
-func (t *Tracer) Event(name string, labels map[string]string, count int) {
-	if t == nil {
-		return
-	}
-	t.emit(SpanRecord{
-		Name:    name,
-		Labels:  labels,
-		StartNS: time.Since(t.epoch).Nanoseconds(),
-		Count:   count,
-	})
-}
-
 func (t *Tracer) emit(rec SpanRecord) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if rec.TraceID != "" && rec.ParentID == "" {
+	if rec.ParentID == "" {
 		delete(t.inflight, rec.SpanID)
 	}
-	t.records = append(t.records, rec)
-	if rec.TraceID != "" && t.maxTraces > 0 && t.traces != nil {
+	if t.maxTraces > 0 {
 		if _, ok := t.traces[rec.TraceID]; !ok {
 			if len(t.traceOrder) >= t.maxTraces {
 				delete(t.traces, t.traceOrder[0])
@@ -335,15 +298,24 @@ func (t *Tracer) InFlightRoots() []InFlightRoot {
 	return out
 }
 
-// Records returns a copy of all finished records in emission order.
+// Records returns a copy of every retained span: trace by trace, oldest
+// retained trace first, each trace's spans in emission order. A fresh
+// tracer that has run one traced build therefore returns all of that
+// build's spans.
 func (t *Tracer) Records() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.records))
-	copy(out, t.records)
+	n := 0
+	for _, id := range t.traceOrder {
+		n += len(t.traces[id])
+	}
+	out := make([]SpanRecord, 0, n)
+	for _, id := range t.traceOrder {
+		out = append(out, t.traces[id]...)
+	}
 	return out
 }
 
@@ -384,9 +356,7 @@ func (t *Tracer) Tree(traceID string) []*SpanNode {
 	for _, r := range recs {
 		n := &SpanNode{SpanRecord: r}
 		all = append(all, n)
-		if r.SpanID != "" {
-			nodes[r.SpanID] = n
-		}
+		nodes[r.SpanID] = n
 	}
 	var roots []*SpanNode
 	for _, n := range all {
@@ -406,7 +376,7 @@ func (t *Tracer) Tree(traceID string) []*SpanNode {
 	return roots
 }
 
-// Totals aggregates the records per span name.
+// Totals aggregates the retained spans per span name.
 type Totals struct {
 	Name    string
 	Spans   int
@@ -416,15 +386,14 @@ type Totals struct {
 }
 
 // TotalsByName sums wall/virtual durations and query counts per span
-// name, sorted by name — the per-component totals the Figure-8
-// overhead report is checked against.
+// name over the retained traces, sorted by name — the per-component
+// totals the Figure-8 overhead report is checked against.
 func (t *Tracer) TotalsByName() []Totals {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
 	byName := map[string]*Totals{}
-	for _, r := range t.records {
+	for _, r := range t.Records() {
 		tot := byName[r.Name]
 		if tot == nil {
 			tot = &Totals{Name: r.Name}
@@ -435,7 +404,6 @@ func (t *Tracer) TotalsByName() []Totals {
 		tot.Virtual += time.Duration(r.VirtualNS)
 		tot.Queries += r.Queries
 	}
-	t.mu.Unlock()
 	out := make([]Totals, 0, len(byName))
 	for _, tot := range byName {
 		out = append(out, *tot)

@@ -12,11 +12,12 @@ import (
 func TestTracerNDJSON(t *testing.T) {
 	var sb strings.Builder
 	tr := NewTracer(&sb)
-	sp := tr.Span("surface").Label("attr", "book/if00/a1").Label("label", "Author")
+	root := tr.StartRoot("acquire-all")
+	sp := tr.StartChild(root, "surface").Label("attr", "book/if00/a1").Label("label", "Author")
 	sp.AddVirtual(250 * time.Millisecond)
 	sp.AddQueries(3)
 	sp.End()
-	tr.Event("borrow-deep", map[string]string{"attr": "book/if00/a2"}, 4)
+	root.End()
 
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	if len(lines) != 2 {
@@ -26,7 +27,8 @@ func TestTracerNDJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("line 0 not JSON: %v", err)
 	}
-	if rec.Name != "surface" || rec.VirtualNS != int64(250*time.Millisecond) || rec.Queries != 3 {
+	if rec.Name != "surface" || rec.VirtualNS != int64(250*time.Millisecond) || rec.Queries != 3 ||
+		rec.TraceID == "" || rec.ParentID == "" {
 		t.Errorf("span record = %+v", rec)
 	}
 	if rec.Labels["label"] != "Author" {
@@ -35,11 +37,12 @@ func TestTracerNDJSON(t *testing.T) {
 	if rec.WallNS < 0 {
 		t.Errorf("wall = %d", rec.WallNS)
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
+	var rootRec SpanRecord
+	if err := json.Unmarshal([]byte(lines[1]), &rootRec); err != nil {
 		t.Fatalf("line 1 not JSON: %v", err)
 	}
-	if rec.Name != "borrow-deep" || rec.Count != 4 || rec.WallNS != 0 {
-		t.Errorf("event record = %+v", rec)
+	if rootRec.Name != "acquire-all" || rootRec.ParentID != "" || rootRec.SpanID != rec.ParentID || rootRec.TraceID != rec.TraceID {
+		t.Errorf("root record = %+v", rootRec)
 	}
 }
 
@@ -48,13 +51,14 @@ func TestTracerConcurrent(t *testing.T) {
 	// emission internally for the NDJSON lines to stay whole.
 	var sb strings.Builder
 	tr := NewTracer(&sb)
+	root := tr.StartRoot("run")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				sp := tr.Span("work")
+				sp := tr.StartChild(root, "work")
 				sp.AddVirtual(time.Millisecond)
 				sp.AddQueries(1)
 				sp.End()
@@ -67,10 +71,11 @@ func TestTracerConcurrent(t *testing.T) {
 		tr.Records()
 	}
 	wg.Wait()
+	root.End()
 
 	recs := tr.Records()
-	if len(recs) != 1600 {
-		t.Fatalf("records = %d, want 1600", len(recs))
+	if len(recs) != 1601 {
+		t.Fatalf("records = %d, want 1600 spans plus the root", len(recs))
 	}
 	// Every NDJSON line must be valid JSON (no interleaving).
 	sc := bufio.NewScanner(strings.NewReader(sb.String()))
@@ -83,26 +88,26 @@ func TestTracerConcurrent(t *testing.T) {
 		}
 		n++
 	}
-	if n != 1600 {
-		t.Fatalf("ndjson lines = %d, want 1600", n)
+	if n != 1601 {
+		t.Fatalf("ndjson lines = %d, want 1601", n)
 	}
 	tot := tr.TotalsByName()
-	if len(tot) != 1 || tot[0].Name != "work" {
+	if len(tot) != 2 || tot[0].Name != "run" || tot[0].Spans != 1 || tot[1].Name != "work" {
 		t.Fatalf("totals = %+v", tot)
 	}
-	if tot[0].Spans != 1600 || tot[0].Queries != 1600 || tot[0].Virtual != 1600*time.Millisecond {
-		t.Errorf("totals = %+v", tot[0])
+	if tot[1].Spans != 1600 || tot[1].Queries != 1600 || tot[1].Virtual != 1600*time.Millisecond {
+		t.Errorf("totals = %+v", tot[1])
 	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
-	sp := tr.Span("x")
+	sp := tr.StartRoot("x")
 	sp.Label("a", "b")
 	sp.AddVirtual(time.Second)
 	sp.AddQueries(1)
 	sp.End()
-	tr.Event("e", nil, 0)
+	tr.StartChild(sp, "y").End()
 	if tr.Records() != nil || tr.TotalsByName() != nil {
 		t.Fatal("nil tracer should return nil")
 	}
@@ -110,7 +115,7 @@ func TestTracerNilSafe(t *testing.T) {
 
 func TestTracerCollectOnly(t *testing.T) {
 	tr := NewTracer(nil) // no writer: collect in memory only
-	tr.Span("a").End()
+	tr.StartRoot("a").End()
 	if len(tr.Records()) != 1 {
 		t.Fatal("record not collected")
 	}

@@ -3,6 +3,9 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -208,6 +211,108 @@ func TestFlightShedWideEvents(t *testing.T) {
 			t.Fatal("shed trigger never produced a bundle")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFlightEventsLog pins the triggered-event log that replaces the
+// slow-request log: with slow=1ns every request fires the slow trigger,
+// so each one leaves an NDJSON line in events.ndjson carrying its route,
+// status, latency and the trace ID of its X-Trace-ID header, while the
+// one-hour debounce lets at most one bundle through.
+func TestFlightEventsLog(t *testing.T) {
+	dir := t.TempDir()
+	triggers, err := obs.ParseTriggers("slow=1ns,debounce=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, WithFlightRecorder(FlightConfig{
+		Dir:                dir,
+		Triggers:           triggers,
+		CPUProfileDuration: -1,
+		SampleInterval:     -1,
+	}))
+	type sent struct {
+		route, traceID string
+		status         int
+	}
+	var reqs []sent
+	for _, r := range []struct{ route, path string }{
+		{"sources", "/sources"},
+		{"source", "/source/nope"},
+		{"index", "/"},
+		{"sources", "/sources"},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", r.path, nil))
+		reqs = append(reqs, sent{r.route, rec.Header().Get("X-Trace-ID"), rec.Code})
+	}
+	// The first trigger's bundle dumps in the background; wait for it
+	// before closing the log and reading the directory.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		infos, err := s.Flight().Bundles()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow trigger never produced a bundle")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	s.Close()
+	if infos, _ := s.Flight().Bundles(); len(infos) != 1 {
+		t.Errorf("%d bundles under a one-hour debounce, want 1", len(infos))
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "events.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) != len(reqs) {
+		t.Fatalf("events.ndjson has %d lines for %d requests:\n%s", len(lines), len(reqs), data)
+	}
+	for i, line := range lines {
+		var ev obs.WideEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("line %d not JSON: %v", i+1, err)
+		}
+		want := reqs[i]
+		if ev.Route != want.route || ev.Status != want.status || ev.Seconds <= 0 || ev.Trigger != "slow" {
+			t.Errorf("line %d = %+v, want route %s status %d", i+1, ev, want.route, want.status)
+		}
+		if want.traceID == "" || ev.TraceID != want.traceID {
+			t.Errorf("line %d trace = %q, X-Trace-ID = %q", i+1, ev.TraceID, want.traceID)
+		}
+	}
+}
+
+// TestFlightEventsLogOff pins the other side: with -flight-triggers
+// none no request fires a trigger, so events.ndjson stays empty.
+func TestFlightEventsLogOff(t *testing.T) {
+	dir := t.TempDir()
+	triggers, err := obs.ParseTriggers("none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, WithFlightRecorder(FlightConfig{
+		Dir:                dir,
+		Triggers:           triggers,
+		CPUProfileDuration: -1,
+		SampleInterval:     -1,
+	}))
+	for _, path := range []string{"/sources", "/source/nope", "/"} {
+		get(t, s, path)
+	}
+	s.Close()
+	if got := s.Flight().EventCount(); got != 3 {
+		t.Errorf("recorded %d wide events, want 3", got)
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "events.ndjson")); err != nil || len(data) != 0 {
+		t.Errorf("events.ndjson with no triggers: %q (err %v), want empty", data, err)
 	}
 }
 

@@ -164,3 +164,36 @@ func TestTraceRetentionBounds(t *testing.T) {
 		t.Errorf("retention disabled: /trace/%s code=%d, want 404", id, code)
 	}
 }
+
+// TestServerTracerBounded pins the tracer's memory bound: every request
+// mints a root span, and the tracer retains only the spans of the
+// -trace-retention most recent traces, however many requests it serves.
+func TestServerTracerBounded(t *testing.T) {
+	s := newTestServer(t, WithTraceRetention(8))
+	var ids []string
+	for i := 0; i < 300; i++ {
+		path := "/healthz"
+		if i%3 == 0 {
+			path = "/sources"
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		ids = append(ids, rec.Header().Get("X-Trace-ID"))
+	}
+	recs := s.Tracer().Records()
+	traces := map[string]bool{}
+	for _, r := range recs {
+		traces[r.TraceID] = true
+	}
+	if len(traces) > 8 || len(recs) == 0 {
+		t.Fatalf("tracer holds %d spans of %d traces after %d requests, want spans of at most 8 traces",
+			len(recs), len(traces), len(ids))
+	}
+	// Newest first: each /trace lookup mints a trace of its own.
+	if code, _ := get(t, s, "/trace/"+ids[len(ids)-1]); code != 200 {
+		t.Errorf("newest trace: code=%d, want 200", code)
+	}
+	if code, _ := get(t, s, "/trace/"+ids[0]); code != 404 {
+		t.Errorf("oldest trace: code=%d, want 404", code)
+	}
+}

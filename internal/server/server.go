@@ -152,7 +152,7 @@ func WithFaultProfile(prof resilience.Profile, seed int64) Option {
 // WithTraceRetention bounds the tracer's per-trace FIFO store to the n
 // most recent traces instead of the default obs.DefTraceRetention.
 // n <= 0 disables per-trace retention: /trace/{id} then always 404s,
-// while span streaming and totals keep working.
+// while trace IDs are still minted for the X-Trace-ID header.
 func WithTraceRetention(n int) Option {
 	return func(s *Server) {
 		s.traceRetention = n
@@ -354,12 +354,6 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // Tracer exposes the server's request tracer (e.g. for tests or for
 // wiring NDJSON export).
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// SetSlowLog logs requests taking at least threshold as NDJSON lines
-// (with trace IDs) on w; nil w disables it.
-func (s *Server) SetSlowLog(w io.Writer, threshold time.Duration) {
-	s.httpm.SetSlowLog(w, threshold)
-}
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {

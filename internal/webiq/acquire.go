@@ -2,7 +2,6 @@ package webiq
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -39,9 +38,6 @@ type Acquirer struct {
 	// and query count; deepClock reads the source pool's.
 	surfaceClock func() (time.Duration, int)
 	deepClock    func() (time.Duration, int)
-
-	// tracer receives acquisition events when set (see trace.go).
-	tracer Tracer
 
 	// Optional observability (see obs.go): metric handles are nil-safe
 	// no-ops until SetObserver installs them; spans is nil until
@@ -313,10 +309,6 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *donorIndex, 
 			if len(got) > 0 {
 				out.Methods = append(out.Methods, MethodSurface)
 				a.mInstances.With("surface").Add(float64(added))
-				a.trace(Event{Kind: "surface", AttrID: attr.ID, Label: attr.Label, Count: len(got)})
-			} else {
-				a.trace(Event{Kind: "syntax-skip", AttrID: attr.ID, Label: attr.Label,
-					Detail: "no instances from the Surface Web"})
 			}
 		}
 		// Step 1.b: if unsuccessful, borrow and validate via the Deep
@@ -325,15 +317,10 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *donorIndex, 
 		if len(attr.Acquired) < a.cfg.K && a.enabled.AttrDeep && a.attrDeep != nil {
 			spCtx, sp := a.componentSpanCtx(ctx, "attr-deep", attr.ID, attr.Label)
 			t0, q0 := readClock(a.deepClock)
-			donors := a.borrowDonorsFreeText(ix, ds, ifc, attr)
-			a.trace(Event{Kind: "borrow-deep", AttrID: attr.ID, Label: attr.Label,
-				Detail: fmt.Sprintf("%d candidate donors", len(donors)), Count: len(donors)})
-			for _, donor := range donors {
+			for _, donor := range a.borrowDonorsFreeText(ix, ds, ifc, attr) {
 				borrowed := donor.AllInstances()
 				a.mBorrowed.With("attr-deep").Add(float64(len(borrowed)))
 				vals, ok := a.attrDeep.ValidateBorrowedCtx(spCtx, ifc.ID, attr.ID, attr.Label, donor.Label, borrowed)
-				a.trace(Event{Kind: "borrow-deep-donor", AttrID: attr.ID, Label: attr.Label,
-					Detail: fmt.Sprintf("donor %q accepted=%v", donor.Label, ok), Count: len(vals)})
 				if !ok {
 					continue
 				}
@@ -389,7 +376,7 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *donorIndex, 
 			t0, q0 := readClock(a.surfaceClock)
 			negatives := nonInstances(ifc, attr, 8)
 			positives := capSlice(attr.Instances, 8)
-			accepted, trained := a.attrSurface.ValidateBorrowedCheckedCtx(spCtx, attr.ID, attr.Label, positives, negatives, borrowed)
+			accepted := a.attrSurface.ValidateBorrowedCtx(spCtx, attr.ID, attr.Label, positives, negatives, borrowed)
 			t1, q1 := readClock(a.surfaceClock)
 			rep.AttrSurfaceTime += t1 - t0
 			rep.AttrSurfaceQueries += q1 - q0
@@ -398,14 +385,6 @@ func (a *Acquirer) acquireOne(ctx context.Context, rep *Report, ix *donorIndex, 
 			a.mInstances.With("attr-surface").Add(float64(added))
 			if added > 0 {
 				out.Methods = append(out.Methods, MethodAttrSurface)
-			}
-			if !trained {
-				a.trace(Event{Kind: "classifier-skip", AttrID: attr.ID, Label: attr.Label,
-					Detail: "validation-based classifier could not be trained", Count: len(borrowed)})
-			} else {
-				a.trace(Event{Kind: "borrow-surface", AttrID: attr.ID, Label: attr.Label,
-					Detail: fmt.Sprintf("borrowed %d, accepted %d", len(borrowed), len(accepted)),
-					Count:  added})
 			}
 		}
 	}

@@ -228,20 +228,19 @@ func (as *AttrSurface) Instrument(r *obs.Registry) {
 // recording.
 func (as *AttrSurface) SetLedger(l *obs.Ledger) { as.ledger = l }
 
-// ValidateBorrowedCheckedCtx trains a classifier for the attribute with
-// the given label (positives = its instances, negatives = sibling
-// values), then returns the subset of borrowed values classified as
-// instances. trained is false when the classifier could not be trained
-// at all (too few examples, no validation phrases, or a backend
-// failure), which callers surface as a "classifier-skip" event rather
-// than a unanimous rejection.
+// ValidateBorrowedCtx trains a classifier for the attribute with the
+// given label (positives = its instances, negatives = sibling values),
+// then returns the subset of borrowed values classified as instances.
+// When the classifier cannot be trained at all (too few examples, no
+// validation phrases, or a backend failure) it returns nil and records
+// a "skip" rather than a unanimous rejection.
 //
 // With the caller's trace context and attribute ID it records, for the
 // provenance ledger, a "trained" decision carrying the information-gain
 // thresholds (or a "skip" when training was impossible) and one
 // accept/reject per borrowed value with its posterior against the 0.5
 // cutoff.
-func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, label string, positives, negatives, borrowed []string) (accepted []string, trained bool) {
+func (as *AttrSurface) ValidateBorrowedCtx(ctx context.Context, attrID, label string, positives, negatives, borrowed []string) (accepted []string) {
 	clf, err := trainClassifier(ctx, as.validator, label, positives, negatives)
 	if err != nil {
 		if r := resilience.Reason(err); r != "other" && r != "none" {
@@ -261,7 +260,7 @@ func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, l
 				Detail: "classifier untrainable: " + err.Error(),
 			})
 		}
-		return nil, false
+		return nil
 	}
 	if as.ledger != nil {
 		as.ledger.RecordCtx(ctx, obs.Decision{
@@ -315,5 +314,5 @@ func (as *AttrSurface) ValidateBorrowedCheckedCtx(ctx context.Context, attrID, l
 			})
 		}
 	}
-	return accepted, true
+	return accepted
 }

@@ -160,6 +160,161 @@ func TestChaosDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestChaosAttrDeepMatchesOracle runs Attr-Deep validation under every
+// named fault profile over the book domain's real (attribute, donor)
+// pairs. For every donor the ledger's per-donor verdict and Score must
+// equal the one-third rule applied to the probes that answered: each
+// answered probe votes with the fault-free page the source would have
+// served, unless the injector swapped in a malformed page, which votes
+// as it reads. A failed probe shrinks the sample, and a donor with no
+// answered probe must be recorded as "skip". Probes run sequentially,
+// retries are off and the breaker is out of reach, so every fault
+// reaches the component undiluted and lines up with its probe.
+func TestChaosAttrDeepMatchesOracle(t *testing.T) {
+	dom := kb.DomainByKey("book")
+	ds := dataset.Generate(dom, dataset.DefaultConfig())
+	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
+	cfg := DefaultConfig()
+	type pair struct {
+		ifc         *schema.Interface
+		attr, donor *schema.Attribute
+	}
+	var pairs []pair
+	sel := NewAcquirer(nil, nil, nil, Components{}, cfg)
+	ix := newDonorIndex()
+	for _, ifc := range ds.Interfaces {
+		for _, attr := range ifc.Attributes {
+			if attr.HasInstances() {
+				continue
+			}
+			for _, donor := range sel.borrowDonorsFreeText(ix, ds, ifc, attr) {
+				pairs = append(pairs, pair{ifc, attr, donor})
+			}
+		}
+	}
+	if len(pairs) == 0 {
+		t.Fatal("book has no Attr-Deep donor pairs; the test is vacuous")
+	}
+	malformed := map[string]bool{}
+	for _, p := range resilience.MalformedPages {
+		malformed[p] = true
+	}
+	names := make([]string, 0, len(resilience.Profiles))
+	for name := range resilience.Profiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			prof := resilience.Profiles[name]
+			log := &probeLog{inner: resilience.NewSourceClient(
+				resilience.FaultySource(sourceProbe(pool.Source), resilience.NewInjector(prof, 7)),
+				resilience.ClientOptions{
+					Seed:    7,
+					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
+				})}
+			ad := NewAttrDeep(pool, cfg)
+			ad.setFallible(log)
+			ledger := obs.NewLedger(nil)
+			ad.SetLedger(ledger)
+
+			failed, swapped, skipped := 0, 0, 0
+			for _, p := range pairs {
+				log.calls = nil
+				n0 := ledger.Len()
+				values := p.donor.AllInstances()
+				_, ok := ad.ValidateBorrowedCtx(context.Background(), p.ifc.ID, p.attr.ID, p.attr.Label, p.donor.Label, values)
+
+				probes := len(values)
+				if cfg.MaxBorrowProbes > 0 && probes > cfg.MaxBorrowProbes {
+					probes = cfg.MaxBorrowProbes
+				}
+				if len(log.calls) != probes {
+					t.Fatalf("%s via %q: %d probes issued, want %d", p.attr.ID, p.donor.Label, len(log.calls), probes)
+				}
+				answered, success := 0, 0
+				src := pool.Source(p.ifc.ID)
+				for _, c := range log.calls {
+					if c.err != nil {
+						failed++
+						continue
+					}
+					answered++
+					page := src.Probe(p.attr.ID, c.value)
+					if c.page != page {
+						if !malformed[c.page] {
+							t.Fatalf("%s probe %q answered a page that is neither the source's nor an injected malformed one", p.attr.ID, c.value)
+						}
+						swapped++
+						page = c.page
+					}
+					if deepweb.AnalyzeResponse(page) {
+						success++
+					}
+				}
+
+				var verdicts []obs.Decision
+				for _, d := range ledger.Decisions()[n0:] {
+					if d.Value == "" {
+						verdicts = append(verdicts, d)
+					}
+				}
+				if len(verdicts) != 1 {
+					t.Fatalf("%s via %q: %d per-donor verdicts, want 1: %+v", p.attr.ID, p.donor.Label, len(verdicts), verdicts)
+				}
+				got := verdicts[0]
+				want, score := "skip", 0.0
+				if answered > 0 {
+					want, score = "reject", float64(success)/float64(answered)
+					if 3*success >= answered {
+						want = "accept"
+					}
+				} else {
+					skipped++
+				}
+				if got.Component != "attr-deep" || got.Verdict != want || got.Score != score || got.Count != probes {
+					t.Errorf("%s via %q: ledger %s score=%v count=%d, oracle %s score=%v count=%d (%d/%d answered)",
+						p.attr.ID, p.donor.Label, got.Verdict, got.Score, got.Count, want, score, probes, answered, probes)
+				}
+				if ok != (want == "accept") {
+					t.Errorf("%s via %q: returned ok=%v for verdict %s", p.attr.ID, p.donor.Label, ok, want)
+				}
+			}
+			if prof.Deep.ErrorRate > 0 || prof.Deep.BurstLen > 0 {
+				if failed == 0 {
+					t.Error("probe faults injected but no probe failed; the test is vacuous")
+				}
+			}
+			if prof.Deep.MalformedRate > 0 && swapped == 0 {
+				t.Error("malformed pages injected but none was served; the test is vacuous")
+			}
+			t.Logf("%s: %d donors, %d probes failed, %d malformed answers, %d donors skipped", name, len(pairs), failed, swapped, skipped)
+		})
+	}
+}
+
+// probeLog passes probes through to a fallible source and remembers
+// every answer, in call order.
+type probeLog struct {
+	inner resilience.FallibleSource
+	mu    sync.Mutex
+	calls []probeCall
+}
+
+type probeCall struct {
+	value, page string
+	err         error
+}
+
+func (p *probeLog) Probe(ctx context.Context, interfaceID, attrID, value string) (string, error) {
+	page, err := p.inner.Probe(ctx, interfaceID, attrID, value)
+	p.mu.Lock()
+	p.calls = append(p.calls, probeCall{value, page, err})
+	p.mu.Unlock()
+	return page, err
+}
+
 // failLog passes calls through to a fallible engine and remembers every
 // hit-count query that came back with an error.
 type failLog struct {

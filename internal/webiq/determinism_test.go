@@ -176,7 +176,7 @@ func TestParallelValidationStress(t *testing.T) {
 	borrowed := []string{"Delta", "United", "Lufthansa", "Aer Lingus", "Quantum Air", "Nonexistent Co"}
 	negatives := []string{"Boston", "Chicago", "May", "June"}
 	for i := 0; i < 4; i++ {
-		as.ValidateBorrowedCheckedCtx(context.Background(), attr.attrID, attr.label, attr.pos, negatives, borrowed)
+		as.ValidateBorrowedCtx(context.Background(), attr.attrID, attr.label, attr.pos, negatives, borrowed)
 		ad.ValidateBorrowedCtx(context.Background(), attr.ifcID, attr.attrID, attr.label, "", borrowed)
 	}
 }

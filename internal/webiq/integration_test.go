@@ -149,7 +149,7 @@ func TestAttrSurfaceBorrowsAirlines(t *testing.T) {
 	positives := []string{"Air Canada", "American", "Delta", "United"}
 	negatives := []string{"Economy", "First Class", "January", "Sedan"}
 	borrowed := []string{"Aer Lingus", "Lufthansa", "Economy", "March"}
-	got, _ := as.ValidateBorrowedCheckedCtx(context.Background(), "", "Airline", positives, negatives, borrowed)
+	got := as.ValidateBorrowedCtx(context.Background(), "", "Airline", positives, negatives, borrowed)
 	gotSet := map[string]bool{}
 	for _, g := range got {
 		gotSet[g] = true

@@ -90,19 +90,3 @@ func (a *Acquirer) endComponent(sp *obs.Span, component string, virtual time.Dur
 	sp.End()
 	a.chargeComponent(component, virtual, queries)
 }
-
-// NewObsEventTracer adapts an obs.Tracer into a webiq.Tracer, so the
-// acquisition events (surface, borrow-deep, classifier-skip, ...) land
-// in the same NDJSON log as the component spans.
-func NewObsEventTracer(t *obs.Tracer) Tracer { return obsEventTracer{t} }
-
-type obsEventTracer struct{ t *obs.Tracer }
-
-// Trace implements Tracer.
-func (o obsEventTracer) Trace(e Event) {
-	labels := map[string]string{"attr": e.AttrID, "label": e.Label}
-	if e.Detail != "" {
-		labels["detail"] = e.Detail
-	}
-	o.t.Event(e.Kind, labels, e.Count)
-}

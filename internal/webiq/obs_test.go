@@ -147,33 +147,19 @@ func TestAcquirerMetricsReconcileParallel(t *testing.T) {
 	}
 }
 
-// TestBorrowDeepEventEmitted asserts the documented "borrow-deep" kind
-// is emitted when step 1.b is entered.
+// TestBorrowDeepEventEmitted asserts the book run records at least one
+// Attr-Deep per-donor verdict: the ledger entry step 1.b writes for
+// every donor it probes.
 func TestBorrowDeepEventEmitted(t *testing.T) {
-	eng, _, _ := fixture(t)
-	dom := kb.DomainByKey("book")
-	ds := dataset.Generate(dom, dataset.DefaultConfig())
-	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-	cfg := DefaultConfig()
-	acq := NewPipeline(eng, pool, cfg, AllComponents())
-	var ct CollectTracer
-	acq.SetTracer(&ct)
-	acq.AcquireAllCtx(context.Background(), ds)
-	kinds := map[string]int{}
-	for _, e := range ct.Events() {
-		kinds[e.Kind]++
-	}
-	if kinds["borrow-deep"] == 0 {
-		t.Error("no borrow-deep events despite Attr-Deep running")
-	}
-	if kinds["borrow-deep"] < kinds["borrow-deep-donor"] && kinds["borrow-deep-donor"] > 0 && kinds["borrow-deep"] == 0 {
-		t.Error("borrow-deep-donor without borrow-deep")
+	l := policyLedger(t, "book", DefaultConfig())
+	if countDecisions(l, "attr-deep", true, "accept", "reject", "skip") == 0 {
+		t.Error("no attr-deep per-donor verdicts despite Attr-Deep running")
 	}
 }
 
 // TestClassifierSkipEventEmitted builds the minimal situation where the
 // validation-based classifier cannot be trained (a single positive
-// example) and asserts the documented "classifier-skip" kind fires.
+// example) and asserts the ledger records the attr-surface "skip".
 func TestClassifierSkipEventEmitted(t *testing.T) {
 	eng, _, _ := fixture(t)
 	cfg := DefaultConfig()
@@ -204,41 +190,16 @@ func TestClassifierSkipEventEmitted(t *testing.T) {
 	}
 	acq := NewAcquirer(nil, nil, NewAttrSurface(v, cfg),
 		Components{AttrSurface: true}, cfg)
-	var ct CollectTracer
-	acq.SetTracer(&ct)
+	l := obs.NewLedger(nil)
+	acq.SetLedger(l)
 	acq.AcquireAllCtx(context.Background(), ds)
 	found := false
-	for _, e := range ct.Events() {
-		if e.Kind == "classifier-skip" && e.AttrID == "book/t0/a0" {
+	for _, d := range l.ByAttr("book/t0/a0") {
+		if d.Component == "attr-surface" && d.Verdict == "skip" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no classifier-skip event; events: %+v", ct.Events())
-	}
-}
-
-// TestObsEventTracerBridgesEvents checks the adapter that lands
-// acquisition events in the NDJSON span log.
-func TestObsEventTracerBridgesEvents(t *testing.T) {
-	tr := obs.NewTracer(nil)
-	et := NewObsEventTracer(tr)
-	et.Trace(Event{Kind: "surface", AttrID: "d/if0/a1", Label: "Author", Count: 3})
-	recs := tr.Records()
-	if len(recs) != 1 || recs[0].Name != "surface" || recs[0].Count != 3 {
-		t.Fatalf("records = %+v", recs)
-	}
-	if recs[0].Labels["attr"] != "d/if0/a1" || recs[0].Labels["label"] != "Author" {
-		t.Errorf("labels = %v", recs[0].Labels)
-	}
-}
-
-// TestMultiTracer checks fan-out including nil members.
-func TestMultiTracer(t *testing.T) {
-	var a, b CollectTracer
-	mt := MultiTracer(&a, nil, &b)
-	mt.Trace(Event{Kind: "surface"})
-	if len(a.Events()) != 1 || len(b.Events()) != 1 {
-		t.Fatal("multi tracer did not fan out")
+		t.Fatalf("no attr-surface skip decision; ledger: %+v", l.Decisions())
 	}
 }

@@ -2,76 +2,74 @@ package webiq
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
+	"webiq/internal/obs"
 )
 
-func TestTracerReceivesEvents(t *testing.T) {
+// policyLedger acquires one paper domain with every component on and
+// returns the run's provenance ledger.
+func policyLedger(t *testing.T, domain string, cfg Config) *obs.Ledger {
+	t.Helper()
 	eng, _, _ := fixture(t)
-	dom := kb.DomainByKey("book")
+	dom := kb.DomainByKey(domain)
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-	cfg := DefaultConfig()
 	acq := NewPipeline(eng, pool, cfg, AllComponents())
-	var ct CollectTracer
-	acq.SetTracer(&ct)
+	l := obs.NewLedger(nil)
+	acq.SetLedger(l)
 	acq.AcquireAllCtx(context.Background(), ds)
+	return l
+}
 
-	events := ct.Events()
-	if len(events) == 0 {
-		t.Fatal("no events traced")
-	}
-	kinds := map[string]int{}
-	for _, e := range events {
-		kinds[e.Kind]++
-		if e.AttrID == "" || e.Label == "" {
-			t.Errorf("event missing identity: %+v", e)
+// countDecisions counts the ledger decisions of one component whose
+// verdict is among verdicts; perDonor restricts the count to batch
+// verdicts (no Value), the Attr-Deep one-third rule's per-donor record.
+func countDecisions(l *obs.Ledger, component string, perDonor bool, verdicts ...string) int {
+	n := 0
+	for _, d := range l.Decisions() {
+		if d.Component != component || (perDonor && d.Value != "") {
+			continue
+		}
+		for _, v := range verdicts {
+			if d.Verdict == v {
+				n++
+				break
+			}
 		}
 	}
-	if kinds["surface"] == 0 {
-		t.Error("no surface events")
+	return n
+}
+
+// TestTracerReceivesEvents checks that the ledger records every step of
+// the acquisition policy for the book domain: Surface accepts (step
+// 1.a) and Attr-Surface accept/reject verdicts (step 2), each carrying
+// the attribute's identity.
+func TestTracerReceivesEvents(t *testing.T) {
+	l := policyLedger(t, "book", DefaultConfig())
+	for _, d := range l.Decisions() {
+		if d.Component != "matcher" && (d.AttrID == "" || d.Label == "") {
+			t.Errorf("decision missing identity: %+v", d)
+		}
 	}
-	if kinds["borrow-surface"] == 0 {
-		t.Error("no borrow-surface events")
+	if countDecisions(l, "surface", false, "accept") == 0 {
+		t.Error("no surface accept decisions")
+	}
+	if countDecisions(l, "attr-surface", false, "accept", "reject") == 0 {
+		t.Error("no attr-surface accept/reject decisions")
 	}
 }
 
-func TestTracerNilSafe(t *testing.T) {
-	a := &Acquirer{}
-	a.trace(Event{Kind: "x"}) // must not panic with no tracer
-}
-
-func TestLogTracerFormat(t *testing.T) {
-	var sb strings.Builder
-	lt := NewLogTracer(&sb)
-	lt.Trace(Event{Kind: "surface", AttrID: "d/if0/a1", Label: "Author", Count: 12})
-	lt.Trace(Event{Kind: "syntax-skip", AttrID: "d/if0/a2", Label: "From", Detail: "no NP"})
-	out := sb.String()
-	if !strings.Contains(out, "surface") || !strings.Contains(out, "Author") ||
-		!strings.Contains(out, "n=12") || !strings.Contains(out, "no NP") {
-		t.Errorf("log output:\n%s", out)
-	}
-	if len(strings.Split(strings.TrimSpace(out), "\n")) != 2 {
-		t.Errorf("want 2 lines:\n%s", out)
-	}
-}
-
+// TestTracerWithParallelism checks the ledger keeps its Attr-Deep
+// per-donor coverage under parallel acquisition.
 func TestTracerWithParallelism(t *testing.T) {
-	eng, _, _ := fixture(t)
-	dom := kb.DomainByKey("job")
-	ds := dataset.Generate(dom, dataset.DefaultConfig())
-	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
 	cfg.Parallelism = 4
-	acq := NewPipeline(eng, pool, cfg, AllComponents())
-	var ct CollectTracer
-	acq.SetTracer(&ct)
-	acq.AcquireAllCtx(context.Background(), ds)
-	if len(ct.Events()) == 0 {
-		t.Error("no events under parallel acquisition")
+	l := policyLedger(t, "book", cfg)
+	if countDecisions(l, "attr-deep", true, "accept", "reject", "skip") == 0 {
+		t.Error("no attr-deep per-donor verdicts under parallel acquisition")
 	}
 }
