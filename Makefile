@@ -106,12 +106,15 @@ chaos:
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
 # with the injector's malformed-page corpus), the binary snapshot
 # loader (seeded with a real snapshot plus truncated/bit-flipped
-# variants — corruption must produce an error, never a panic), and the
-# packed snippet tags (expansion must equal tagging the text afresh).
+# variants — corruption must produce an error, never a panic), the
+# packed snippet tags (expansion must equal tagging the text afresh),
+# and the search engine's reads (every hit count, ranked search and
+# batch must equal the linear-scan oracle's).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
 	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
+	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

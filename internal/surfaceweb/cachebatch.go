@@ -11,7 +11,7 @@ import "sync"
 //     miss and every later occurrence is a hit, which is precisely what
 //     a sequential scalar caller would record.
 //   - All batch misses execute on the inner engine as one
-//     NumHitsBatchCompiled call, sharing the roll-up phrase frames.
+//     NumHitsBatchCompiled call.
 //   - Keys already in flight from OTHER callers are waited on only
 //     after our own misses have executed and been committed, so two
 //     overlapping batches never deadlock on each other.

@@ -15,9 +15,9 @@ package surfaceweb
 // snapshot checksum's job.)
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"webiq/internal/nlp"
 )
@@ -239,12 +239,46 @@ func (f *FrozenIndex) docCount(term uint32) int {
 	return int(s.hi - s.lo)
 }
 
-// findIn binary-searches a posting span for a document's entry.
-func (f *FrozenIndex) findIn(s termSpan, doc uint32) (uint64, bool) {
-	i := s.lo + uint64(sort.Search(int(s.hi-s.lo), func(k int) bool {
-		return f.d.PostDoc[s.lo+uint64(k)] >= doc
-	}))
-	return i, i < s.hi && f.d.PostDoc[i] == doc
+// posCount returns how many positions a posting span holds in all: the
+// term's corpus frequency.
+func (f *FrozenIndex) posCount(s termSpan) uint64 {
+	return f.d.PostPosOff[s.hi] - f.d.PostPosOff[s.lo]
+}
+
+// seek moves a posting span's lower bound forward, as a cursor, to the
+// first entry whose document is at least doc, and reports whether that
+// entry is doc's. It gallops from where the cursor stands — doubling
+// steps, then a binary search inside the last one — so a walk over
+// ascending documents costs the log of each gap, not of the span.
+func (f *FrozenIndex) seek(s *termSpan, doc uint32) bool {
+	post := f.d.PostDoc
+	if s.lo < s.hi && post[s.lo] < doc {
+		// Invariant: post[lo] < doc, and hi == s.hi or post[hi] >= doc.
+		lo, hi := s.lo, s.hi
+		for step := uint64(1); lo+step < hi; step *= 2 {
+			if post[lo+step] >= doc {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+		for lo+1 < hi {
+			if mid := lo + (hi-lo)/2; post[mid] < doc {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		s.lo = hi
+	}
+	return s.lo < s.hi && post[s.lo] == doc
+}
+
+// findIn returns a document's entry in a term's posting span.
+func (f *FrozenIndex) findIn(term uint32, doc int) (uint64, bool) {
+	s := f.termRange(term)
+	ok := f.seek(&s, uint32(doc))
+	return s.lo, ok
 }
 
 // posSpan returns the token positions of posting entry e.
@@ -259,32 +293,47 @@ func (f *FrozenIndex) docTokens(doc int) (base, count uint64) {
 	return base, f.d.DocTokOff[doc+1] - base
 }
 
+// phraseAt reports whether the whole phrase occurs at token start of
+// the document whose tokens begin at base and number count.
+func (f *FrozenIndex) phraseAt(base, count, start uint64, phrase []uint32) bool {
+	if start+uint64(len(phrase)) > count {
+		return false
+	}
+	for j, term := range phrase {
+		if f.d.TokTerm[base+start+uint64(j)] != term {
+			return false
+		}
+	}
+	return true
+}
+
 // nextPhrase returns the index, from i on, of the next position of
 // posting entry e (the phrase head's occurrences in doc) where the
 // whole phrase occurs, or -1 when there is none.
 func (f *FrozenIndex) nextPhrase(doc int, e uint64, phrase []uint32, i int) int {
 	base, count := f.docTokens(doc)
 	positions := f.posSpan(e)
-starts:
 	for ; i < len(positions); i++ {
-		at := base + uint64(positions[i])
-		if uint64(positions[i])+uint64(len(phrase)) > count {
-			continue
+		if f.phraseAt(base, count, uint64(positions[i]), phrase) {
+			return i
 		}
-		for j := 1; j < len(phrase); j++ {
-			if f.d.TokTerm[at+uint64(j)] != phrase[j] {
-				continue starts
-			}
-		}
-		return i
 	}
 	return -1
 }
 
 // match returns the documents matching the compiled query, collected
-// into sc.ids in ascending order. Required terms are intersected
-// directly against their posting spans, starting from the smallest, so
-// the working set never exceeds the rarest term's postings.
+// into sc.ids in ascending order.
+//
+// A phrase query is driven from its pivot: the phrase term with the
+// fewest corpus positions. Each pivot occurrence q fixes the phrase
+// start q-j (j the pivot's offset in the phrase), so the walk visits
+// the rare word's positions instead of every position of a common head
+// like "the" or "such". A word the corpus lacks has no positions and
+// matches nothing. A query without a phrase is driven from its rarest
+// required term. Either way the other required terms are checked per
+// driver document, before any phrase check, by forward cursors that
+// gallop over their posting spans: driver documents ascend, so no
+// cursor ever moves back.
 func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 	spans := sc.spans[:0]
 	sc.ids = sc.ids[:0]
@@ -297,11 +346,11 @@ func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 		spans = append(spans, s)
 	}
 	sc.spans = spans
-	sort.Slice(spans, func(i, j int) bool { return spans[i].hi-spans[i].lo < spans[j].hi-spans[j].lo })
+	slices.SortFunc(spans, func(a, b termSpan) int { return cmp.Compare(a.hi-a.lo, b.hi-b.lo) })
 
 	inAll := func(doc uint32, from int) bool {
-		for _, s := range spans[from:] {
-			if _, ok := f.findIn(s, doc); !ok {
+		for i := from; i < len(spans); i++ {
+			if !f.seek(&spans[i], doc) {
 				return false
 			}
 		}
@@ -311,11 +360,23 @@ func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 	ids := sc.ids
 	switch {
 	case len(cq.Phrase) > 0:
-		s := f.termRange(cq.Phrase[0])
-		for e := s.lo; e < s.hi; e++ {
+		j, pivot := 0, f.termRange(cq.Phrase[0])
+		for i, term := range cq.Phrase[1:] {
+			if s := f.termRange(term); f.posCount(s) < f.posCount(pivot) {
+				j, pivot = i+1, s
+			}
+		}
+		for e := pivot.lo; e < pivot.hi; e++ {
 			doc := f.d.PostDoc[e]
-			if f.nextPhrase(int(doc), e, cq.Phrase, 0) >= 0 && inAll(doc, 0) {
-				ids = append(ids, int(doc))
+			if !inAll(doc, 0) {
+				continue
+			}
+			base, count := f.docTokens(int(doc))
+			for _, q := range f.posSpan(e) {
+				if uint64(q) >= uint64(j) && f.phraseAt(base, count, uint64(q)-uint64(j), cq.Phrase) {
+					ids = append(ids, int(doc))
+					break
+				}
 			}
 		}
 	case len(spans) > 0:
@@ -335,14 +396,14 @@ func (f *FrozenIndex) match(cq CompiledQuery, sc *searchScratch) []int {
 func (f *FrozenIndex) relevance(doc int, cq CompiledQuery) int {
 	score := 0
 	if len(cq.Phrase) > 0 {
-		if e, ok := f.findIn(f.termRange(cq.Phrase[0]), uint32(doc)); ok {
+		if e, ok := f.findIn(cq.Phrase[0], doc); ok {
 			for i := f.nextPhrase(doc, e, cq.Phrase, 0); i >= 0; i = f.nextPhrase(doc, e, cq.Phrase, i+1) {
 				score += 3
 			}
 		}
 	}
 	for _, term := range cq.Required {
-		if e, ok := f.findIn(f.termRange(term), uint32(doc)); ok {
+		if e, ok := f.findIn(term, doc); ok {
 			score += len(f.posSpan(e))
 		}
 	}
@@ -358,7 +419,7 @@ func (f *FrozenIndex) snippet(doc int, cq CompiledQuery, radius int) string {
 	n := int(count)
 	start, end := 0, min(n, 2*radius)
 	if len(cq.Phrase) > 0 {
-		if e, ok := f.findIn(f.termRange(cq.Phrase[0]), uint32(doc)); ok {
+		if e, ok := f.findIn(cq.Phrase[0], doc); ok {
 			if i := f.nextPhrase(doc, e, cq.Phrase, 0); i >= 0 {
 				pos := int(f.posSpan(e)[i])
 				start = max(0, pos-radius)

@@ -189,27 +189,61 @@ func indexTexts(fi *FrozenIndex) []string {
 	return texts
 }
 
+// pivotTestTexts extend the batch corpus with documents that put a
+// phrase's rarest term (the pivot the index drives phrase matching
+// from) at a document's first token and at its last, and repeat terms
+// inside a phrase. Each document starts with words that end or continue
+// a phrase of its neighbour, so a phrase check that read past a
+// document boundary would find false matches.
+var pivotTestTexts = []string{
+	"such authors such as monet paint; many authors",
+	"zebra herds such as stripes write such as quagga",
+	"herds of authors zebra crossing",
+}
+
+// pivotTestQueries pin pivot matching: the rarest phrase term in the
+// middle or last, a pivot occurrence before the phrase could start
+// (the first token of a document), a phrase that would run past the
+// document end, a repeated term, a word the corpus lacks mid-phrase,
+// and required terms rarer than every phrase term.
+var pivotTestQueries = []string{
+	`"as stripes write"`, `"such as monet paint"`, `"such as quagga"`, `"authors such as updike"`,
+	`"authors zebra"`, `"many authors zebra"`, `"authors zebra crossing"`, `"zebra herds"`,
+	`"such as quagga herds"`, `"quagga herds of"`, `"write such as quagga"`,
+	`"such authors such"`, `"such authors such as monet"`, `"such such"`, `"as as"`,
+	`"authors zzzq such"`, `"such zzzq"`, `"zzzq as"`,
+	`"authors such as" +quagga`, `"such as" +quagga`, `"such as" +zebra +monet`, `"such as" +stripes +herds`,
+	`"authors" +zebra`, `+quagga +zebra`, `+such +quagga`,
+}
+
 // TestEngineMatchesOracleBatchCorpus checks every read on the
-// hand-built batch corpus, at the default snippet radius and at one
-// small enough to cut windows at both ends.
+// hand-built batch corpus plus the pivot documents, at the default
+// snippet radius and at one small enough to cut windows at both ends.
 func TestEngineMatchesOracleBatchCorpus(t *testing.T) {
 	queries := append(batchTestQueries(),
 		`"authors such as zzzq"`, `"zzzq such as"`, `+authors +zzzq`, `authors zzzq yyyq`,
 		`hemingway novels`, `novels hemingway novels`, `"such as" +authors +authors`,
 		`"authors such as" updike`, `"hemingway"  +novels`, `"novels"`)
+	queries = append(queries, pivotTestQueries...)
+	texts := append(append([]string(nil), batchTestTexts...), pivotTestTexts...)
 	for _, radius := range []int{10, 2} {
-		e := batchTestEngine()
+		e := NewEngine()
+		for i, text := range texts {
+			e.Add(fmt.Sprint(i), text)
+		}
 		e.SnippetRadius = radius
 		t.Run(fmt.Sprintf("radius-%d", radius), func(t *testing.T) {
-			checkAgainstOracle(t, e, batchTestTexts, queries)
+			checkAgainstOracle(t, e, texts, queries)
 		})
 	}
 }
 
 // TestEngineMatchesOracleGeneratedCorpus checks every read on a 0.2×
 // generated corpus with the query shapes extraction and validation
-// issue, plus queries carrying words the corpus lacks. The index built
-// from it must also pass NewFrozenIndex's structural validation.
+// issue — among them every Figure-4 cue, most of which start with a
+// common word — plus queries carrying words the corpus lacks. The
+// index built from it must also pass NewFrozenIndex's structural
+// validation.
 func TestEngineMatchesOracleGeneratedCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scans a generated corpus per query")
@@ -222,10 +256,19 @@ func TestEngineMatchesOracleGeneratedCorpus(t *testing.T) {
 	}
 	var queries []string
 	for _, d := range kb.Domains() {
+		narrow := " +" + strings.Join(strings.Fields(d.DomainKeyword), " +")
 		for _, c := range d.Concepts {
 			name := strings.ToLower(c.Name)
+			// The eight Figure-4 cue shapes extraction issues, each
+			// bare and narrowed by the domain keyword.
+			for _, cue := range []string{
+				name + "s such as", "such " + name + "s as", name + "s including", "and other " + name + "s",
+				"the " + name + " of the " + d.EntityName + " is", "the " + name + " is",
+				"is the " + name + " of the " + d.EntityName, "is the " + name,
+			} {
+				queries = append(queries, fmt.Sprintf("%q", cue), fmt.Sprintf("%q", cue)+narrow)
+			}
 			queries = append(queries,
-				fmt.Sprintf("%q", name+"s such as"),
 				fmt.Sprintf("%q +%s", name, d.DomainKeyword),
 				"+"+name,
 				fmt.Sprintf("%q", name+" zzzq"),

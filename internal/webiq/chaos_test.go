@@ -337,6 +337,129 @@ func (f *failLog) NumHits(ctx context.Context, q string) (int, error) {
 	return n, err
 }
 
+// searchCall is one extraction search as a fault run saw it.
+type searchCall struct {
+	query  string
+	failed bool
+	snips  []surfaceweb.Snippet
+}
+
+// searchLog records every extraction search, in call order, on its way
+// through to the inner engine.
+type searchLog struct {
+	inner resilience.FallibleEngine
+	calls []searchCall
+}
+
+func (l *searchLog) Search(ctx context.Context, q string, limit int) ([]surfaceweb.Snippet, error) {
+	snips, err := l.inner.Search(ctx, q, limit)
+	l.calls = append(l.calls, searchCall{query: q, failed: err != nil, snips: snips})
+	return snips, err
+}
+
+func (l *searchLog) NumHits(ctx context.Context, q string) (int, error) {
+	return l.inner.NumHits(ctx, q)
+}
+
+// replayEngine replays a fault run's searches on the fault-free engine,
+// which never fails: a search that failed in the fault run answers no
+// snippets, and one that answered gets the fault-free answer cut to the
+// length the fault run got (the injector may truncate a result list).
+// Every answer of the fault run must be a prefix of the fault-free one.
+type replayEngine struct {
+	t     *testing.T
+	inner resilience.FallibleEngine
+	calls []searchCall
+	next  int
+}
+
+func (r *replayEngine) Search(ctx context.Context, q string, limit int) ([]surfaceweb.Snippet, error) {
+	if r.next == len(r.calls) || r.calls[r.next].query != q {
+		r.t.Fatalf("replay call %d searches %q; the fault run searched otherwise", r.next, q)
+	}
+	c := r.calls[r.next]
+	r.next++
+	if c.failed {
+		return nil, nil
+	}
+	snips, err := r.inner.Search(ctx, q, limit)
+	if err != nil || len(c.snips) > len(snips) || !reflect.DeepEqual(c.snips, snips[:len(c.snips)]) {
+		r.t.Errorf("fault run answered %q with %d snippets that are not a prefix of the fault-free %d (err %v)",
+			q, len(c.snips), len(snips), err)
+		return snips, err
+	}
+	return snips[:len(c.snips)], nil
+}
+
+func (r *replayEngine) NumHits(ctx context.Context, q string) (int, error) {
+	return r.inner.NumHits(ctx, q)
+}
+
+// TestChaosSurfaceExtractMatchesOracle runs Surface extraction under
+// every named fault profile, with retries off and the breaker out of
+// reach, over the first interface of every paper domain. A failed
+// search may only cost the candidates its own snippets would have
+// yielded: extraction must equal a fault-free run over the same
+// searches in which the failed ones found nothing and the truncated
+// ones were cut.
+func TestChaosSurfaceExtractMatchesOracle(t *testing.T) {
+	eng, data, _ := fixture(t)
+	names := make([]string, 0, len(resilience.Profiles))
+	for name := range resilience.Profiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			prof := resilience.Profiles[name]
+			cfg := DefaultConfig()
+			surface := NewSurface(eng, NewValidator(eng, cfg), cfg)
+			log := &searchLog{inner: resilience.NewEngineClient(
+				resilience.FaultyEngine(resilience.AdaptEngine(eng), resilience.NewInjector(prof, 7)),
+				resilience.ClientOptions{
+					Seed:    7,
+					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
+				})}
+			surface.setFallible(log)
+			clean := NewSurface(eng, NewValidator(eng, cfg), cfg)
+			replay := &replayEngine{t: t, inner: resilience.AdaptEngine(eng)}
+			clean.setFallible(replay)
+
+			extracted, failed := 0, 0
+			for _, dom := range kb.Domains() {
+				ds := data[dom.Key]
+				ifc := ds.Interfaces[0]
+				for _, a := range ifc.Attributes {
+					from := len(log.calls)
+					got := surface.Extract(a, ifc, ds)
+					replay.calls, replay.next = log.calls[from:], 0
+					want := clean.Extract(a, ifc, ds)
+					if replay.next != len(replay.calls) {
+						t.Errorf("%s/%s: replay made %d of the fault run's %d searches", dom.Key, a.Label, replay.next, len(replay.calls))
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s/%s: extracted %v, fault-free run over the same searches %v", dom.Key, a.Label, got, want)
+					}
+					extracted += len(got)
+				}
+			}
+			for _, c := range log.calls {
+				if c.failed {
+					failed++
+				}
+			}
+			if extracted == 0 {
+				t.Error("nothing extracted; the comparison is vacuous")
+			}
+			if faulty := prof.Search.ErrorRate > 0 || prof.Search.BurstLen > 0; faulty && failed == 0 {
+				t.Error("search faults injected but no search failed; the test is vacuous")
+			}
+			t.Logf("%s: %d searches, %d failed, %d candidates", name, len(log.calls), failed, extracted)
+		})
+	}
+}
+
 // TestChaosValidatorMatchesOracle runs batched PMI validation under
 // every named fault profile. A hit-count failure may only cost the
 // candidates that need the failed query: every candidate that scores
