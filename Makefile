@@ -104,7 +104,8 @@ chaos:
 		./internal/resilience/ ./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
-# with the injector's malformed-page corpus), the binary snapshot
+# with the injector's malformed-page corpus), deep-web probes (every
+# page must equal the reference row-map scan's), the binary snapshot
 # loader (seeded with a real snapshot plus truncated/bit-flipped
 # variants — corruption must produce an error, never a panic), the
 # packed snippet tags (expansion must equal tagging the text afresh),
@@ -112,6 +113,7 @@ chaos:
 # batch must equal the linear-scan oracle's).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
+	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
 	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
@@ -126,7 +128,9 @@ snapshot-verify:
 
 # End-to-end cold-start smoke test: build a snapshot, boot webiq-serve
 # from it, and require /readyz to answer 200 (all domains ready) plus a
-# rendered /unified/{domain} — the instant-cold-start contract CI holds.
+# rendered /unified/{domain} and a fully attributed
+# /unified/{domain}/explain for every domain — the instant-cold-start
+# contract CI holds.
 snapshot-smoke:
 	./scripts/snapshot_smoke.sh
 

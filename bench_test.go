@@ -434,18 +434,73 @@ func BenchmarkMatcher(b *testing.B) {
 	}
 }
 
-// BenchmarkDeepProbe measures one source probe round trip.
+// BenchmarkDeepProbe measures one source probe round trip, per probe
+// outcome: a string value the table holds, a string value it lacks, an
+// in-range numeric filter, and a value outside a predefined list.
 func BenchmarkDeepProbe(b *testing.B) {
 	env := benchEnvironment(b)
-	dom := kb.DomainByKey("airfare")
-	ds := dataset.Generate(dom, env.DataCfg)
-	pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
-	attr := ds.AllAttributes()[0]
-	src := pool.Source(attr.InterfaceID)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		src.Probe(attr.ID, "Boston")
+	type probeCase struct {
+		name   string
+		domain string
+		// pick returns the attribute to probe and the value, or "" to
+		// skip the attribute.
+		pick func(a *schema.Attribute, c *kb.Concept) string
+		want bool
+	}
+	cases := []probeCase{
+		{"string-hit", "airfare", func(a *schema.Attribute, c *kb.Concept) string {
+			if a.HasInstances() || c == nil || c.IsNumeric() {
+				return ""
+			}
+			return c.AllInstances()[0]
+		}, true},
+		{"string-miss", "airfare", func(a *schema.Attribute, c *kb.Concept) string {
+			if a.HasInstances() || c == nil || c.IsNumeric() {
+				return ""
+			}
+			return "no such value"
+		}, false},
+		{"numeric", "auto", func(a *schema.Attribute, c *kb.Concept) string {
+			if a.HasInstances() || c == nil || !c.IsNumeric() {
+				return ""
+			}
+			return c.Numeric.Render(c.Numeric.Max)
+		}, true},
+		{"predefined-reject", "airfare", func(a *schema.Attribute, c *kb.Concept) string {
+			if !a.HasInstances() {
+				return ""
+			}
+			return "NotAnOption"
+		}, false},
+	}
+	for _, pc := range cases {
+		b.Run(pc.name, func(b *testing.B) {
+			dom := kb.DomainByKey(pc.domain)
+			ds := dataset.Generate(dom, env.DataCfg)
+			pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
+			concepts := map[string]*kb.Concept{}
+			for _, c := range dom.Concepts {
+				concepts[c.ID] = c
+			}
+			var src *deepweb.Source
+			var attrID, value string
+			for _, a := range ds.AllAttributes() {
+				v := pc.pick(a, concepts[a.ConceptID])
+				s := pool.Source(a.InterfaceID)
+				if v != "" && s.AcceptsPartialQueries() && deepweb.AnalyzeResponse(s.Probe(a.ID, v)) == pc.want {
+					src, attrID, value = s, a.ID, v
+					break
+				}
+			}
+			if src == nil {
+				b.Fatalf("%s: no attribute gives the wanted outcome", pc.domain)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				src.Probe(attrID, value)
+			}
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ package deepweb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -48,13 +49,31 @@ func DefaultConfig() Config {
 // Source is one Deep-Web data source.
 type Source struct {
 	ifc *schema.Interface
-	// concepts maps attribute ID to its generating concept.
-	concepts map[string]*kb.Concept
-	// table holds the backing records: attribute ID -> value.
-	table []map[string]string
+	// cols holds the backing table column-wise: cols[i] is attribute
+	// ifc.Attributes[i] over every record.
+	cols []column
 	// partialOK reports whether the source accepts partial queries.
 	partialOK bool
 	pool      *Pool
+}
+
+// column is one attribute of a backing table, dictionary-encoded: the
+// value pool the records draw from plus each record's pool index. The
+// pool is lower-cased (string attributes) or parsed (numeric ones) once
+// at build time, so a probe compares its value against the pool and
+// then walks the row indices. An attribute with no concept or an empty
+// pool has no values: it matches nothing and renders nothing.
+type column struct {
+	// numeric is the generating concept's numeric spec; nil for string
+	// attributes and attributes without a concept.
+	numeric *kb.NumericSpec
+	vals    []string
+	// fold holds vals lower-cased (string attributes); num holds vals
+	// parsed, NaN where a value does not parse (numeric attributes).
+	fold []string
+	num  []float64
+	// rows holds each record's index into vals.
+	rows []uint32
 }
 
 // Pool is the set of sources for a dataset, with shared probe
@@ -87,24 +106,70 @@ func (p *Pool) Instrument(r *obs.Registry) {
 }
 
 // BuildPool constructs sources for every interface in the dataset.
+// Each record assigns every attribute a value from its concept's full
+// vocabulary (sources hold data well beyond what their interfaces show
+// as predefined options); numeric attributes draw from 50 values
+// sampled per attribute.
 func BuildPool(ds *schema.Dataset, dom *kb.Domain, cfg Config) *Pool {
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hash32(ds.Domain))))
 	conceptByID := map[string]*kb.Concept{}
 	for _, c := range dom.Concepts {
 		conceptByID[c.ID] = c
 	}
+	// String vocabularies are fixed per concept, so every column of a
+	// concept shares one pool and its folded form.
+	shared := map[*kb.Concept]*column{}
 	p := &Pool{sources: map[string]*Source{}, cfg: cfg}
 	for _, ifc := range ds.Interfaces {
 		s := &Source{
 			ifc:       ifc,
-			concepts:  map[string]*kb.Concept{},
+			cols:      make([]column, len(ifc.Attributes)),
 			partialOK: rng.Float64() < cfg.PartialQueryProb,
 			pool:      p,
 		}
-		for _, a := range ifc.Attributes {
-			s.concepts[a.ID] = conceptByID[a.ConceptID]
+		// Pools first, in attribute order (numeric samples draw from
+		// rng), then the records row by row.
+		for i, a := range ifc.Attributes {
+			c := conceptByID[a.ConceptID]
+			switch {
+			case c == nil:
+			case c.Numeric != nil:
+				vals := c.Numeric.Sample(rng, 50)
+				num := make([]float64, len(vals))
+				for j, v := range vals {
+					num[j] = math.NaN()
+					if f, ok := parseNumber(v); ok {
+						num[j] = f
+					}
+				}
+				s.cols[i] = column{numeric: c.Numeric, vals: vals, num: num}
+			default:
+				sc := shared[c]
+				if sc == nil {
+					vals := c.AllInstances()
+					fold := make([]string, len(vals))
+					for j, v := range vals {
+						fold[j] = strings.ToLower(v)
+					}
+					sc = &column{vals: vals, fold: fold}
+					shared[c] = sc
+				}
+				s.cols[i] = *sc
+			}
 		}
-		s.table = generateTable(ifc, s.concepts, cfg.Records, rng)
+		idx := make([]uint32, cfg.Records*len(s.cols))
+		for i := range s.cols {
+			if len(s.cols[i].vals) > 0 {
+				s.cols[i].rows, idx = idx[:cfg.Records:cfg.Records], idx[cfg.Records:]
+			}
+		}
+		for r := 0; r < cfg.Records; r++ {
+			for i := range s.cols {
+				if c := &s.cols[i]; len(c.vals) > 0 {
+					c.rows[r] = uint32(rng.Intn(len(c.vals)))
+				}
+			}
+		}
 		p.sources[ifc.ID] = s
 	}
 	return p
@@ -139,122 +204,116 @@ func (p *Pool) ResetAccounting() {
 	p.virtualTime = 0
 }
 
-func (p *Pool) charge(sourceID, key string) {
+// charge accounts one probe. Its simulated latency hashes the key
+// sourceID|attrID|value.
+func (p *Pool) charge(sourceID, attrID, value string) {
+	h := fnv32(fnv32(fnv32(fnv32(fnv32(fnvOffset, sourceID), "|"), attrID), "|"), value)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.queries++
 	lat := p.cfg.MinLatency
 	if span := p.cfg.MaxLatency - p.cfg.MinLatency; span > 0 {
-		lat += time.Duration(int64(hash32(key)) % int64(span))
+		lat += time.Duration(int64(h) % int64(span))
 	}
 	p.virtualTime += lat
 	p.mProbes.With(sourceID).Inc()
 	p.mLatency.Observe(lat.Seconds())
 }
 
-// generateTable samples Records rows; each row assigns every attribute a
-// value from its concept's full vocabulary (sources hold data well
-// beyond what their interfaces show as predefined options).
-func generateTable(ifc *schema.Interface, concepts map[string]*kb.Concept, n int, rng *rand.Rand) []map[string]string {
-	rows := make([]map[string]string, n)
-	// Pre-render numeric pools once per attribute.
-	pools := map[string][]string{}
-	for _, a := range ifc.Attributes {
-		c := concepts[a.ID]
-		if c == nil {
-			continue
-		}
-		if c.Numeric != nil {
-			pools[a.ID] = c.Numeric.Sample(rng, 50)
-		} else {
-			pools[a.ID] = c.AllInstances()
-		}
-	}
-	for i := range rows {
-		row := map[string]string{}
-		for _, a := range ifc.Attributes {
-			pool := pools[a.ID]
-			if len(pool) == 0 {
-				continue
-			}
-			row[a.ID] = pool[rng.Intn(len(pool))]
-		}
-		rows[i] = row
-	}
-	return rows
-}
+// maxMatches caps the records a probe selects; the result page lists
+// at most maxListed of them.
+const (
+	maxMatches = 10
+	maxListed  = 5
+)
 
 // Probe submits a query with the given attribute set to value and all
 // other attributes left at their defaults (empty), returning the
 // response page. It implements the "Formulate and Submit a Query" step
 // of Section 4.
 func (s *Source) Probe(attrID, value string) string {
-	s.pool.charge(s.ifc.ID, s.ifc.ID+"|"+attrID+"|"+value)
+	s.pool.charge(s.ifc.ID, attrID, value)
 
-	attr := s.ifc.AttributeByID(attrID)
-	if attr == nil {
-		return renderError("unknown field")
+	col := -1
+	for i, a := range s.ifc.Attributes {
+		if a.ID == attrID {
+			col = i
+			break
+		}
+	}
+	if col < 0 {
+		return pageUnknownField
 	}
 	if !s.partialOK {
-		return renderError("please complete all required fields before submitting")
+		return pagePartialRejected
 	}
 	// Predefined-value attributes reject values outside their list —
 	// the reason Step 2 of Section 5 cannot use Attr-Deep for them.
-	if attr.HasInstances() && !containsFold(attr.Instances, value) {
+	if attr := s.ifc.Attributes[col]; attr.HasInstances() && !containsFold(attr.Instances, value) {
 		return renderError("invalid selection for " + attr.Label)
 	}
-	matches := s.match(attrID, value)
+	var buf [maxMatches]int
+	matches := s.cols[col].match(value, buf[:0])
 	if len(matches) == 0 {
-		return renderError("sorry, no results were found matching your search")
+		return pageNoResults
 	}
 	return s.renderResults(matches)
 }
 
-// match selects backing rows whose value for attrID matches the probe
-// value. String attributes match case-insensitively; numeric attributes
-// act as range filters accepting any parseable value within the
-// concept's range.
-func (s *Source) match(attrID, value string) []map[string]string {
-	c := s.concepts[attrID]
-	if c != nil && c.Numeric != nil {
+// match appends to out the first maxMatches records whose value matches
+// the probe value. String attributes match case-insensitively; numeric
+// attributes act as range filters accepting any parseable value within
+// the concept's range.
+func (c *column) match(value string, out []int) []int {
+	// sel marks the pool entries the probe selects.
+	var selBuf [128]bool
+	sel := selBuf[:0]
+	if len(c.vals) <= len(selBuf) {
+		sel = selBuf[:len(c.vals)]
+	} else {
+		sel = make([]bool, len(c.vals))
+	}
+	hit := false
+	if ns := c.numeric; ns != nil {
 		v, ok := parseNumber(value)
 		if !ok {
-			return nil
+			return out
 		}
-		lo, hi := float64(c.Numeric.Min), float64(c.Numeric.Max)
-		if c.Numeric.Decimals > 0 {
+		lo, hi := float64(ns.Min), float64(ns.Max)
+		if ns.Decimals > 0 {
 			scale := 1.0
-			for i := 0; i < c.Numeric.Decimals; i++ {
+			for i := 0; i < ns.Decimals; i++ {
 				scale *= 10
 			}
 			lo, hi = lo/scale, hi/scale
 		}
 		if v < lo || v > hi {
-			return nil
+			return out
 		}
 		// A numeric filter inside the range selects roughly the rows at
 		// or below the value (max-style filters dominate interfaces).
-		var out []map[string]string
-		for _, row := range s.table {
-			rv, ok := parseNumber(row[attrID])
-			if ok && rv <= v {
-				out = append(out, row)
-				if len(out) >= 10 {
-					break
-				}
-			}
+		// Unparseable pool entries are NaN and never pass.
+		for j, n := range c.num {
+			sel[j] = n <= v
+			hit = hit || sel[j]
 		}
+	} else {
+		want := strings.ToLower(strings.TrimSpace(value))
+		if want == "" {
+			return out
+		}
+		for j, f := range c.fold {
+			sel[j] = f == want
+			hit = hit || sel[j]
+		}
+	}
+	if !hit {
 		return out
 	}
-	want := strings.ToLower(strings.TrimSpace(value))
-	if want == "" {
-		return nil
-	}
-	var out []map[string]string
-	for _, row := range s.table {
-		if strings.ToLower(row[attrID]) == want {
-			out = append(out, row)
-			if len(out) >= 10 {
+	for r, j := range c.rows {
+		if sel[j] {
+			out = append(out, r)
+			if len(out) == maxMatches {
 				break
 			}
 		}
@@ -263,24 +322,48 @@ func (s *Source) match(attrID, value string) []map[string]string {
 }
 
 // renderResults renders a result page listing matched records.
-func (s *Source) renderResults(rows []map[string]string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "<html><title>%s results</title><body>", s.ifc.Source)
-	fmt.Fprintf(&b, "<p>Found %d results matching your search.</p><ul>", len(rows))
-	for i, row := range rows {
-		if i >= 5 {
-			break
+func (s *Source) renderResults(rows []int) string {
+	listed := rows[:min(len(rows), maxListed)]
+	count := strconv.Itoa(len(rows))
+	n := len("<html><title> results</title><body><p>Found  results matching your search.</p><ul></ul></body></html>") +
+		len(s.ifc.Source) + len(count)
+	for _, r := range listed {
+		n += len("<li></li>")
+		for i, a := range s.ifc.Attributes {
+			if v := s.cols[i].value(r); v != "" {
+				n += len(a.Label) + len(": ; ") + len(v)
+			}
 		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString("<html><title>")
+	b.WriteString(s.ifc.Source)
+	b.WriteString(" results</title><body><p>Found ")
+	b.WriteString(count)
+	b.WriteString(" results matching your search.</p><ul>")
+	for _, r := range listed {
 		b.WriteString("<li>")
-		for _, a := range s.ifc.Attributes {
-			if v := row[a.ID]; v != "" {
-				fmt.Fprintf(&b, "%s: %s; ", a.Label, v)
+		for i, a := range s.ifc.Attributes {
+			if v := s.cols[i].value(r); v != "" {
+				b.WriteString(a.Label)
+				b.WriteString(": ")
+				b.WriteString(v)
+				b.WriteString("; ")
 			}
 		}
 		b.WriteString("</li>")
 	}
 	b.WriteString("</ul></body></html>")
 	return b.String()
+}
+
+// value returns record r's value, or "" when the column has none.
+func (c *column) value(r int) string {
+	if len(c.vals) == 0 {
+		return ""
+	}
+	return c.vals[c.rows[r]]
 }
 
 var errorTemplates = []string{
@@ -292,6 +375,13 @@ var errorTemplates = []string{
 func renderError(msg string) string {
 	return fmt.Sprintf(errorTemplates[int(hash32(msg))%len(errorTemplates)], msg)
 }
+
+// The fixed error pages, rendered once.
+var (
+	pageUnknownField    = renderError("unknown field")
+	pagePartialRejected = renderError("please complete all required fields before submitting")
+	pageNoResults       = renderError("sorry, no results were found matching your search")
+)
 
 // Interface returns the interface this source serves.
 func (s *Source) Interface() *schema.Interface { return s.ifc }
@@ -321,8 +411,13 @@ func parseNumber(s string) (float64, bool) {
 	return v, err == nil
 }
 
-func hash32(s string) uint32 {
-	var h uint32 = 2166136261
+const fnvOffset uint32 = 2166136261
+
+func hash32(s string) uint32 { return fnv32(fnvOffset, s) }
+
+// fnv32 continues the FNV-1a hash h over s, so hashing the parts of a
+// key in turn equals hashing their concatenation.
+func fnv32(h uint32, s string) uint32 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= 16777619

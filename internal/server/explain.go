@@ -55,14 +55,16 @@ type ExplainPayload struct {
 	Attributed int `json:"attributed"`
 }
 
-// handleExplain serves GET /unified/{domain}/explain.
+// handleExplain serves GET /unified/{domain}/explain: the payload boot
+// rendered from the world's decisions.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, domain string) {
 	d := s.byDomain[domain]
 	if d == nil {
 		http.NotFound(w, r)
 		return
 	}
-	writeJSON(w, explainUnified(domain, d.unified, d.ds, d.ledger))
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(d.explain)
 }
 
 // explainUnified resolves the provenance of every instance of the
@@ -80,12 +82,13 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 			}
 		}
 	}
+	merges := matcherMerges(ledger)
 	out := &ExplainPayload{Domain: domain}
 	for _, ua := range u.Attributes {
 		ea := ExplainAttribute{
 			Label:   ua.Label,
 			Members: append([]string(nil), ua.Members...),
-			Merges:  mergesAmong(ledger, ua.Members),
+			Merges:  mergesAmong(merges, ua.Members),
 		}
 		seen := map[string]bool{}
 		for pass := 0; pass < 2; pass++ {
@@ -95,8 +98,10 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 					continue
 				}
 				vals := a.Instances
+				var decisions []obs.Decision
 				if pass == 1 {
 					vals = a.Acquired
+					decisions = ledger.ByAttr(id)
 				}
 				for _, v := range vals {
 					f := strings.ToLower(v)
@@ -110,7 +115,7 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 						inst.Verdict = "predefined"
 						inst.Evidence = "predefined on the source interface"
 						out.Attributed++
-					} else if d, ok := acceptDecision(ledger, id, v); ok {
+					} else if d, ok := acceptDecision(decisions, v); ok {
 						inst.Component = d.Component
 						inst.Verdict = d.Verdict
 						inst.Score = d.Score
@@ -131,12 +136,11 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 	return out
 }
 
-// acceptDecision finds the ledger decision that accepted value v into
-// attribute attrID — exact value match first, case-folded as a
+// acceptDecision finds, among one attribute's decisions, the one that
+// accepted value v — exact value match first, case-folded as a
 // fallback. The first accept wins: it is the decision that actually
 // added the value (later duplicates were deduplicated away).
-func acceptDecision(ledger *obs.Ledger, attrID, v string) (obs.Decision, bool) {
-	decisions := ledger.ByAttr(attrID)
+func acceptDecision(decisions []obs.Decision, v string) (obs.Decision, bool) {
 	for _, d := range decisions {
 		if d.Verdict == "accept" && d.Value == v {
 			return d, true
@@ -151,10 +155,22 @@ func acceptDecision(ledger *obs.Ledger, attrID, v string) (obs.Decision, bool) {
 	return obs.Decision{}, false
 }
 
-// mergesAmong collects the matcher merge decisions whose supporting
-// pair lies within the member set, in merge order.
-func mergesAmong(ledger *obs.Ledger, members []string) []obs.Decision {
-	if ledger == nil || len(members) < 2 {
+// matcherMerges returns the ledger's matcher merge decisions, in
+// ledger order.
+func matcherMerges(ledger *obs.Ledger) []obs.Decision {
+	var out []obs.Decision
+	for _, d := range ledger.Decisions() {
+		if d.Component == "matcher" && d.Verdict == "merge" {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// mergesAmong picks the merges whose supporting pair lies within the
+// member set, in merge order.
+func mergesAmong(merges []obs.Decision, members []string) []obs.Decision {
+	if len(members) < 2 {
 		return nil
 	}
 	in := make(map[string]bool, len(members))
@@ -162,8 +178,8 @@ func mergesAmong(ledger *obs.Ledger, members []string) []obs.Decision {
 		in[m] = true
 	}
 	var out []obs.Decision
-	for _, d := range ledger.Decisions() {
-		if d.Component == "matcher" && d.Verdict == "merge" && in[d.AttrID] && in[d.OtherID] {
+	for _, d := range merges {
+		if in[d.AttrID] && in[d.OtherID] {
 			out = append(out, d)
 		}
 	}

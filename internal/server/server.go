@@ -37,6 +37,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -57,7 +58,6 @@ import (
 	"webiq/internal/snapshot"
 	"webiq/internal/surfaceweb"
 	"webiq/internal/translate"
-	"webiq/internal/unify"
 	iq "webiq/internal/webiq"
 )
 
@@ -110,16 +110,18 @@ type Server struct {
 }
 
 // domainState is one domain's slice of the served world: the
-// post-acquisition dataset, the deep-web pool behind its sources, and
-// the unified interface with its translator, provenance ledger, and the
-// degradations its build absorbed.
+// post-acquisition dataset, the deep-web pool behind its sources, the
+// translator over its unified interface, the degradations its build
+// absorbed, and the unified view and explain pages, rendered at boot.
 type domainState struct {
 	ds           *schema.Dataset
 	pool         *deepweb.Pool
-	unified      *unify.UnifiedInterface
 	translator   *translate.Translator
-	ledger       *obs.Ledger
 	degradations []iq.Degradation
+	// view and explain are the /unified/{domain} HTML and the
+	// /unified/{domain}/explain JSON. The world is frozen, so they are
+	// rendered once and every request writes the stored bytes.
+	view, explain []byte
 	// probeFailures counts request-time probes that failed terminally
 	// under a fault profile.
 	probeFailures atomic.Int64
@@ -192,8 +194,10 @@ func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
 
 // boot installs a built world: the frozen index as the search engine,
 // the stored datasets, deep-web pools rebuilt deterministically from
-// them, and the stored unified interfaces, ledgers, and degradations.
-// It then wires the optional subsystems and the HTTP surface.
+// them, and the stored unified interfaces and degradations. It renders
+// each domain's view and explain pages from the world, replaying its
+// decisions into a ledger that lives only for that render, then wires
+// the optional subsystems and the HTTP surface.
 func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, error) {
 	s := &Server{
 		mux:      http.NewServeMux(),
@@ -238,14 +242,18 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 		for _, dec := range dw.Decisions {
 			ledger.Record(dec)
 		}
-		d.unified = dw.Unified
+		var explain bytes.Buffer
+		if err := encodeJSON(&explain, explainUnified(dw.Domain, dw.Unified, d.ds, ledger)); err != nil {
+			return nil, fmt.Errorf("server: render explain for domain %q: %w", dw.Domain, err)
+		}
 		d.translator = translate.New(dw.Unified, d.ds, s.probe)
-		d.ledger = ledger
 		d.degradations = dw.Degradations
+		d.view = []byte(htmlform.Render(dw.Unified.AsInterface("unified-" + dw.Domain)))
+		d.explain = explain.Bytes()
 		ready.With(dw.Domain).Set(1)
 	}
 	for _, dom := range domains {
-		if s.byDomain[dom.Key].unified == nil {
+		if s.byDomain[dom.Key].view == nil {
 			return nil, fmt.Errorf("server: world has no unified interface for domain %q", dom.Key)
 		}
 	}
@@ -475,7 +483,7 @@ func (s *Server) handleUnified(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	io.WriteString(w, htmlform.Render(d.unified.AsInterface("unified-"+rest)))
+	w.Write(d.view)
 }
 
 // handleUnifiedSearch translates a unified query to every source and
@@ -670,13 +678,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	// Encoding before touching the ResponseWriter also means an encode
 	// failure can still produce a clean 500 — nothing partial was sent.
 	sl := getSlab()
-	enc := json.NewEncoder(&sl.buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(&sl.buf, v); err != nil {
 		slabPool.Put(sl)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	sl.flush(w)
+}
+
+// encodeJSON appends v to buf in the JSON form every route serves:
+// two-space indent and a trailing newline.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }

@@ -27,7 +27,7 @@ var (
 
 const snapSeed = 1
 
-func testWorld(t *testing.T) *snapshot.World {
+func testWorld(t testing.TB) *snapshot.World {
 	t.Helper()
 	worldOnce.Do(func() {
 		built, err := snapshot.BuildWorld(snapshot.BuildConfig{Seed: snapSeed})

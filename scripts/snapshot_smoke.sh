@@ -2,7 +2,8 @@
 # End-to-end cold-start smoke test: build a world snapshot, verify it,
 # boot webiq-serve from it, and require the instant-readiness contract —
 # /readyz answers 200 with every domain ready before any other request,
-# and /unified/{domain} renders for each domain.
+# /unified/{domain} renders for each domain, and each domain's
+# /unified/{domain}/explain attributes every unified instance.
 set -eu
 
 GO=${GO:-go}
@@ -63,6 +64,17 @@ for dom in $(printf '%s' "$READYZ" | sed -e 's/.*"domains":{//' -e 's/}.*//' |
 		echo "FAIL: /unified/$dom did not render a form" >&2
 		exit 1
 	}
+	echo "==> GET /unified/$dom/explain"
+	curl -fsS -o "$DIR/explain.json" "http://$ADDR/unified/$dom/explain"
+	# The payload closes with its totals: "instances": N, "attributed": M.
+	TOTALS=$(tr -d ' \n\t' <"$DIR/explain.json" |
+		sed -n 's/.*"instances":\([0-9]*\),"attributed":\([0-9]*\)}$/\1 \2/p')
+	set -- $TOTALS
+	if [ "$#" -ne 2 ] || [ "$1" -eq 0 ] || [ "$1" -ne "$2" ]; then
+		echo "FAIL: /unified/$dom/explain totals '$TOTALS', want instances == attributed > 0" >&2
+		exit 1
+	fi
+	echo "    $1 instances, all attributed"
 done
 
-echo "PASS: snapshot boot ready with all domains rendered"
+echo "PASS: snapshot boot ready with all domains rendered and explained"
