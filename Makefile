@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-gate perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke cluster-smoke cluster-chaos
+.PHONY: build vet test race bench bench-json bench-gate perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke replica-smoke
 
 build:
 	$(GO) build ./...
@@ -94,14 +94,17 @@ lint: vet
 	fi
 
 # Chaos suite: drive the full pipeline through every fault profile
-# under the race detector, twice, plus the resilience primitives
-# (retry/breaker/bulkhead), cancellation, and admission/drain tests.
-# -count=2 catches state leaking between runs (stuck breakers, cache
-# poisoning by injected errors) that a single pass hides.
+# under the race detector, twice, plus every resilience test (the
+# retry/breaker/bulkhead primitives, fault profiles and injectors,
+# cancellation) and the admission/drain tests. -count=2 catches state
+# leaking between runs (stuck breakers, cache poisoning by injected
+# errors) that a single pass hides. The resilience package runs
+# unfiltered; the filter picks the chaos tests out of webiq and server.
 chaos:
+	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/
 	$(GO) test -race -count=2 -timeout 20m \
 		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx' \
-		./internal/resilience/ ./internal/webiq/ ./internal/server/
+		./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
 # with the injector's malformed-page corpus), deep-web probes (every
@@ -145,19 +148,15 @@ snapshot-smoke:
 flight-smoke:
 	./scripts/flight_smoke.sh
 
-# Cluster fault-tolerance gate: boot a 3-node replicated cluster from
-# one snapshot, drive mixed load through two nodes, SIGKILL the third
-# (the primary of the airfare shard) mid-run, and require every domain
-# to stay servable, the non-503 error rate to stay within 1%, and a
-# breaker-open-peer flight bundle on a survivor. cluster-smoke is the
-# 10s CI variant; cluster-chaos adds a SIGSTOP/SIGCONT partition phase
-# and runs 30s of load. Set OUT=dir to keep the bundles + loadgen
-# summary (CI uploads them).
-cluster-smoke:
-	./scripts/cluster_chaos.sh smoke
-
-cluster-chaos:
-	./scripts/cluster_chaos.sh chaos
+# Replica gate: boot 3 nodes from one snapshot and require every route
+# to answer byte-identically on all of them; run one webiq-loadgen per
+# node, SIGKILL the third mid-run, and require each survivor's run to
+# hold its objectives (non-503 errors within 1%, p99 within 3s, every
+# domain servable) while the victim's run fails; then SIGTERM each
+# survivor and require a clean exit inside -drain. Set OUT=dir to keep
+# the loadgen summaries and node logs (CI uploads them).
+replica-smoke:
+	./scripts/replica_smoke.sh
 
 # Provenance smoke test: boot the server (building its world), assert
 # every instance of a domain's unified interface is attributed with

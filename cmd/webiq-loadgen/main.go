@@ -1,15 +1,15 @@
 // Command webiq-loadgen drives a mixed read workload — source probe
 // searches, unified-interface views, and provenance explains — against
-// one or more webiq-serve nodes at a target request rate, then asserts
-// service-level objectives over what it measured:
+// one or more webiq-serve replicas at a target request rate, then
+// asserts service-level objectives over what it measured:
 //
 //	webiq-loadgen -targets http://127.0.0.1:8081,http://127.0.0.1:8082 \
 //	    -rps 100 -duration 30s -p99 500ms -max-error-rate 0.01
 //
-// Requests are spread round-robin-by-random across the targets, so
-// against a cluster the generator sees whatever routing (forwarding,
-// failover, local fallback) the nodes apply. Three verdicts gate the
-// exit status:
+// Each request goes to a target drawn at random, and that node serves
+// it from its own copy of the world. A request's latency runs from
+// sending it to reading the last byte of its body. Three verdicts gate
+// the exit status:
 //
 //  1. the client-observed p99 latency stays within -p99 (0 disables);
 //  2. the non-503 error rate stays within -max-error-rate — 503s are
@@ -17,7 +17,10 @@
 //     work under overload is policy, not failure;
 //  3. after the run, every domain renders its unified interface through
 //     every target (the all-domains-servable pass, the availability
-//     contract the cluster chaos harness holds while killing nodes).
+//     contract the replica gate holds while killing a node).
+//
+// -rps and -concurrency must be positive; anything else is a usage
+// error, because the run would measure nothing.
 //
 // The summary is printed as JSON (to stdout, or -json FILE); any
 // violated objective is listed in "violations" and makes the exit
@@ -61,7 +64,6 @@ type summary struct {
 	Errors       int             `json:"errors"`
 	ErrorRate    float64         `json:"error_rate"`
 	Routes       map[string]int  `json:"routes"`
-	ServedBy     map[string]int  `json:"served_by,omitempty"`
 	P50Ms        float64         `json:"p50_ms"`
 	P90Ms        float64         `json:"p90_ms"`
 	P99Ms        float64         `json:"p99_ms"`
@@ -86,6 +88,11 @@ func main() {
 	reqTimeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	concurrency := flag.Int("concurrency", 64, "bound on in-flight requests")
 	flag.Parse()
+	if err := checkRates(*rps, *concurrency); err != nil {
+		fmt.Fprintf(os.Stderr, "webiq-loadgen: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var targets []string
 	for _, t := range strings.Split(*targetsFlag, ",") {
@@ -102,12 +109,11 @@ func main() {
 	rng := rand.New(rand.NewSource(*seed))
 
 	// Open-loop-ish generation: a ticker paces dispatch at the target
-	// rate, a semaphore bounds in-flight work so a stalling cluster
+	// rate, a semaphore bounds in-flight work so a stalling target
 	// degrades to a closed loop instead of an unbounded goroutine pile.
 	var (
 		mu       sync.Mutex
 		results  []result
-		servedBy = map[string]int{}
 		errKinds = map[string]int{}
 		wg       sync.WaitGroup
 	)
@@ -144,9 +150,6 @@ func main() {
 			r := doRequest(client, target+path, route)
 			mu.Lock()
 			results = append(results, r.res)
-			if r.servedBy != "" {
-				servedBy[r.servedBy]++
-			}
 			if r.errKind != "" {
 				errKinds[r.errKind]++
 			}
@@ -156,7 +159,7 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	sum := tally(targets, results, servedBy, errKinds, *rps, elapsed)
+	sum := tally(targets, results, errKinds, *rps, elapsed)
 
 	// The all-domains-servable pass: after the load (and whatever node
 	// deaths happened during it), every domain must still render its
@@ -219,29 +222,38 @@ func pickRoute(rng *rand.Rand, domain string) (route, path string) {
 }
 
 type reqOutcome struct {
-	res      result
-	servedBy string
-	errKind  string
+	res     result
+	errKind string
 }
 
-// doRequest performs one request and classifies the outcome. A 404 on
-// a probe route is an error (the interface must exist on every node);
-// a 503 is a shed, the admission queue or a draining node saying "not
-// now" — bounded separately from real failures.
+// checkRates rejects load shapes that make the run meaningless: a
+// non-positive -rps has no dispatch interval, and a non-positive
+// -concurrency admits no request, so every slot would count as shed.
+func checkRates(rps, concurrency int) error {
+	if rps <= 0 {
+		return fmt.Errorf("-rps must be positive, got %d", rps)
+	}
+	if concurrency <= 0 {
+		return fmt.Errorf("-concurrency must be positive, got %d", concurrency)
+	}
+	return nil
+}
+
+// doRequest performs one request and classifies the outcome. The
+// latency runs to the last byte: the clock stops after the body is
+// drained, so body transfer counts. A 404 on a probe route is an error
+// (the interface must exist on every node); a 503 is a shed, the
+// admission queue or a draining node saying "not now" — bounded
+// separately from real failures.
 func doRequest(client *http.Client, url, route string) reqOutcome {
 	start := time.Now()
 	resp, err := client.Get(url)
-	lat := time.Since(start)
-	out := reqOutcome{res: result{route: route, latency: lat}}
 	if err != nil {
-		out.res.err = true
-		out.errKind = "transport"
-		return out
+		return reqOutcome{res: result{route: route, err: true, latency: time.Since(start)}, errKind: "transport"}
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	out.res.status = resp.StatusCode
-	out.servedBy = resp.Header.Get("X-WebIQ-Served-By")
+	out := reqOutcome{res: result{route: route, status: resp.StatusCode, latency: time.Since(start)}}
 	switch {
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		out.res.shed = true
@@ -253,8 +265,8 @@ func doRequest(client *http.Client, url, route string) reqOutcome {
 }
 
 // unifiedOK is the servability check: GET /unified/{domain} with a few
-// retries, because right after a node kill the first request may land
-// inside a breaker's cooldown.
+// retries, so one transient refusal (an admission-control 503, a reset
+// connection) does not fail the pass.
 func unifiedOK(client *http.Client, target, domain string) bool {
 	for attempt := 0; attempt < 3; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), client.Timeout)
@@ -276,14 +288,13 @@ func unifiedOK(client *http.Client, target, domain string) bool {
 }
 
 // tally reduces the raw results to the summary report.
-func tally(targets []string, results []result, servedBy, errKinds map[string]int, rps int, elapsed time.Duration) summary {
+func tally(targets []string, results []result, errKinds map[string]int, rps int, elapsed time.Duration) summary {
 	sum := summary{
 		Targets:      targets,
 		DurationSecs: elapsed.Seconds(),
 		TargetRPS:    rps,
 		Requests:     len(results),
 		Routes:       map[string]int{},
-		ServedBy:     servedBy,
 		ErrorSamples: errKinds,
 		Violations:   []string{},
 	}

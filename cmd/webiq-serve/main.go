@@ -16,60 +16,33 @@
 // even when the dump debounce suppresses its bundle; for a slow-request
 // log, run with -flight-dir D -flight-triggers slow=250ms.
 //
-// Passing -peers (with -node-id) joins the node to a cluster: domains
-// are assigned to nodes by a consistent-hash ring with -replication
-// owners each, peer health is probed over /readyz every
-// -probe-interval, and requests for non-owned domains are forwarded to
-// the primary with failover to replicas. Boot every node from the same
-// -snapshot file for instant replica warm-up; /cluster/stats serves
-// the aggregate view.
+// Every node holds the whole world and answers every route itself. To
+// run replicas, boot each node from the same -snapshot file and put a
+// load balancer in front that health-checks /readyz; the nodes share
+// nothing and never talk to each other.
 //
-// On SIGINT or SIGTERM the server stops accepting connections and
-// drains in-flight requests for up to the -drain duration before
-// exiting.
+// On SIGINT or SIGTERM the server flips /readyz to 503, stops accepting
+// connections and drains in-flight requests for up to the -drain
+// duration before exiting.
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"webiq/internal/cluster"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/server"
 	"webiq/internal/snapshot"
 )
-
-// parsePeers parses the -peers flag: comma-separated id=baseURL pairs
-// naming every cluster member, this node included.
-func parsePeers(spec string) ([]cluster.Member, error) {
-	var members []cluster.Member
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, ok := strings.Cut(part, "=")
-		if !ok || id == "" || url == "" {
-			return nil, fmt.Errorf("bad -peers entry %q, want id=http://host:port", part)
-		}
-		members = append(members, cluster.Member{ID: id, BaseURL: strings.TrimSuffix(url, "/")})
-	}
-	if len(members) == 0 {
-		return nil, fmt.Errorf("-peers given but no members parsed")
-	}
-	return members, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -88,12 +61,6 @@ func main() {
 	flightDir := flag.String("flight-dir", "", "enable the flight recorder: write anomaly-triggered diagnostic bundles, and the wide event of every triggering request to events.ndjson, in this directory")
 	flightWindow := flag.Duration("flight-window", obs.DefFlightWindow, "how much recent wide-event history a diagnostic bundle includes")
 	flightTriggers := flag.String("flight-triggers", "", "trigger rules for automatic bundles: comma-separated 5xx, slow=DUR, breaker, shed, p99=DUR[:MINCOUNT], debounce=DUR; empty means the defaults, 'none' disables (manual /debug/flight/snapshot only)")
-	peers := flag.String("peers", "", "cluster members as comma-separated id=http://host:port pairs (this node included); empty runs single-node")
-	nodeID := flag.String("node-id", "", "this node's ID within -peers (required with -peers)")
-	replication := flag.Int("replication", 2, "how many nodes own each domain (primary + replicas)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "peer health-probe period")
-	probeTimeout := flag.Duration("probe-timeout", 500*time.Millisecond, "per-peer health-probe timeout")
-	forwardTimeout := flag.Duration("forward-timeout", 10*time.Second, "per-attempt timeout when forwarding a request to a peer (a partitioned peer must not hold a request hostage longer than this)")
 	flag.Parse()
 
 	var opts []server.Option
@@ -111,36 +78,6 @@ func main() {
 			MaxQueued:   *queue,
 		}))
 		log.Printf("admission control on: %d in flight, %d queued", *maxInflight, *queue)
-	}
-	if *peers != "" {
-		members, err := parsePeers(*peers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *nodeID == "" {
-			log.Fatal("-peers requires -node-id")
-		}
-		found := false
-		for _, m := range members {
-			if m.ID == *nodeID {
-				found = true
-			}
-		}
-		if !found {
-			log.Fatalf("-node-id %q not present in -peers", *nodeID)
-		}
-		opts = append(opts, server.WithCluster(cluster.Config{
-			Self:          *nodeID,
-			Members:       members,
-			Replication:   *replication,
-			ProbeInterval: *probeInterval,
-			ProbeTimeout:  *probeTimeout,
-			Forward: cluster.ForwarderOptions{
-				Client: &http.Client{Timeout: *forwardTimeout},
-			},
-		}))
-		log.Printf("cluster mode on: node %s, %d members, replication %d, probe every %v",
-			*nodeID, len(members), *replication, *probeInterval)
 	}
 	if *traceRetention != obs.DefTraceRetention {
 		opts = append(opts, server.WithTraceRetention(*traceRetention))

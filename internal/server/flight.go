@@ -86,15 +86,6 @@ func (s *Server) setupFlight() {
 			}
 		})
 	}
-	// Per-peer forwarding breakers dump a bundle too: a peer going dark
-	// is the incident the cluster chaos harness exists to diagnose.
-	if s.flight.Triggers().OnBreakerOpen && s.cluster != nil {
-		s.cluster.Forwarder().OnBreakerTransition(func(peer string, _, to resilience.BreakerState) {
-			if to == resilience.BreakerOpen {
-				s.flight.Trigger("breaker-open-peer-"+peer, "")
-			}
-		})
-	}
 }
 
 // statusCapture records the status code written by the inner handler
@@ -251,13 +242,10 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // Flight exposes the server's flight recorder (nil when disabled).
 func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
 
-// Close releases background resources: the flight recorder's runtime
-// sampler and the cluster health prober. Safe to call on a server
-// without either, and idempotent.
+// Close releases background resources: the flight recorder and the
+// runtime sampler. Safe to call on a server without a recorder, and
+// idempotent.
 func (s *Server) Close() {
 	s.flight.Close()
 	s.sampler.Stop()
-	if s.cluster != nil {
-		s.cluster.Stop()
-	}
 }

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"webiq/internal/cluster"
 	"webiq/internal/deepweb"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
@@ -97,12 +96,6 @@ type Server struct {
 	flight    *obs.FlightRecorder
 	sampler   *obs.RuntimeSampler
 	snapInfo  *snapshotInfo
-
-	// Cluster membership (WithCluster); nil in single-node mode, which
-	// keeps every response and /stats byte-identical to a build without
-	// the cluster layer.
-	clusterCfg *cluster.Config
-	cluster    *cluster.Cluster
 
 	// byDomain is the served world, one entry per domain. It is fixed
 	// at boot, so handlers read it without locking.
@@ -269,7 +262,6 @@ func (s *Server) finish() {
 		s.srcClient.Instrument(s.reg)
 	}
 	s.adm.instrument(s.reg)
-	s.setupCluster()
 	s.setupFlight()
 
 	s.httpm = obs.NewHTTPMetrics(s.reg)
@@ -284,18 +276,12 @@ func (s *Server) finish() {
 	}
 	s.mux.Handle("/", adm("index", s.httpm.WrapFunc("index", s.handleIndex)))
 	s.mux.Handle("/sources", adm("sources", s.httpm.WrapFunc("sources", s.handleSources)))
-	// The ownership check sits between admission and the local metrics
-	// middleware: a forwarded request holds a local admission slot
-	// (bounded fan-out) but is measured by the node that serves it.
-	s.mux.Handle("/source/", adm("source", s.clusterWrap(domainFromSourcePath, s.httpm.WrapFunc("source", s.handleSource))))
-	s.mux.Handle("/unified/", adm("unified", s.clusterWrap(domainFromUnifiedPath, s.httpm.WrapFunc("unified", s.handleUnified))))
+	s.mux.Handle("/source/", adm("source", s.httpm.WrapFunc("source", s.handleSource)))
+	s.mux.Handle("/unified/", adm("unified", s.httpm.WrapFunc("unified", s.handleUnified)))
 	s.mux.Handle("/trace/", adm("trace", s.httpm.WrapFunc("trace", s.handleTrace)))
 	s.mux.Handle("/healthz", s.httpm.WrapFunc("healthz", s.handleHealthz))
 	s.mux.Handle("/readyz", s.httpm.WrapFunc("readyz", s.handleReadyz))
 	s.mux.Handle("/stats", s.httpm.WrapFunc("stats", s.handleStats))
-	// Like /stats, /cluster/stats bypasses admission: a cluster under
-	// load-shed is exactly when the aggregate view matters.
-	s.mux.Handle("/cluster/stats", s.httpm.WrapFunc("cluster-stats", s.handleClusterStats))
 	s.mux.Handle("/metrics", s.httpm.Wrap("metrics", s.reg.Handler()))
 	s.mux.Handle("/debug/flight", s.httpm.WrapFunc("debug-flight", s.handleFlight))
 	s.mux.Handle("/debug/flight/", s.httpm.WrapFunc("debug-flight", s.handleFlight))
@@ -315,6 +301,16 @@ func (s *Server) RecordStartup(d time.Duration) {
 func domainOf(ifcID string) string {
 	domain, _, _ := strings.Cut(ifcID, "/")
 	return domain
+}
+
+// domainKeys returns the served domain keys, sorted.
+func (s *Server) domainKeys() []string {
+	keys := make([]string, 0, len(s.byDomain))
+	for k := range s.byDomain {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // source returns the deep-web source behind an interface ID, or nil.
@@ -559,8 +555,8 @@ type readyzInfo struct {
 
 // handleReadyz is the readiness probe. Every domain is installed at
 // boot, so the server is ready until BeginDrain. With ?domain=d the
-// report narrows to d (404 for an unknown domain), which is what
-// cluster peers probe.
+// report narrows to d (404 for an unknown domain), for a load balancer
+// that health-checks one domain.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining.Load()
 	info := readyzInfo{Ready: !draining, Draining: draining, Domains: map[string]bool{}}
@@ -611,10 +607,6 @@ type statsInfo struct {
 	Runtime obs.RuntimeSample `json:"runtime"`
 	// Snapshot identifies the snapshot world, when booted via -snapshot.
 	Snapshot *snapshotInfo `json:"snapshot,omitempty"`
-	// Cluster is this node's routing view (ring owners, peer health,
-	// per-peer breakers, forward counts) when cluster mode is on; absent
-	// in single-node mode so the JSON stays byte-identical.
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 
 // admissionInfo is the /stats view of the admission queue.
@@ -627,12 +619,6 @@ type admissionInfo struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.buildStats())
-}
-
-// buildStats assembles the /stats document (also embedded per node in
-// /cluster/stats).
-func (s *Server) buildStats() statsInfo {
 	info := statsInfo{
 		StartupSeconds:       time.Duration(s.startupNs.Load()).Seconds(),
 		CorpusPages:          s.engine.NumDocs(),
@@ -656,10 +642,6 @@ func (s *Server) buildStats() statsInfo {
 		info.Breakers = map[string]string{"deep": s.srcClient.BreakerState().String()}
 		info.ProbeFailuresByDomain = make(map[string]int, len(s.byDomain))
 	}
-	if s.cluster != nil {
-		cs := s.cluster.Stats(s.domainKeys())
-		info.Cluster = &cs
-	}
 	info.DegradationsByDomain = make(map[string]int, len(s.byDomain))
 	for k, d := range s.byDomain {
 		info.ProbesByPool[k] = d.pool.QueryCount()
@@ -669,7 +651,7 @@ func (s *Server) buildStats() statsInfo {
 			info.ProbeFailuresByDomain[k] = int(d.probeFailures.Load())
 		}
 	}
-	return info
+	writeJSON(w, info)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

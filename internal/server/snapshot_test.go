@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -189,6 +191,30 @@ func TestSnapshotServerDecisionCounters(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("decision counter %s: snapshot %q, fresh %q", k, got[k], v)
 		}
+	}
+}
+
+// TestSingleNodeStatsUnchanged pins the /stats shape of a node booted
+// from a snapshot: no cluster key, and /cluster/stats is not a route
+// (it falls through to the index handler's 404).
+func TestSingleNodeStatsUnchanged(t *testing.T) {
+	snap, _ := snapshotPair(t)
+	rec := httptest.NewRecorder()
+	snap.ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/stats = %d", rec.Code)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, present := doc["cluster"]; present {
+		t.Fatal("/stats contains a cluster block")
+	}
+	rec = httptest.NewRecorder()
+	snap.ServeHTTP(rec, httptest.NewRequest("GET", "/cluster/stats", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("/cluster/stats = %d, want 404", rec.Code)
 	}
 }
 
