@@ -147,10 +147,12 @@ var parallelBaseNs atomic.Pointer[float64]
 // rebuild (corpus generation, indexing, and the whole acquisition +
 // matching + unification pipeline for every domain) versus loading the
 // same world from a binary snapshot, at the server's corpus scale and
-// at 10x. The snapshot-load runs report xrebuild — how many times
-// faster loading is than rebuilding in the same invocation — which the
-// bench gate holds with a lower-is-worse bound, so a change that turns
-// snapshot loading back into parsing fails CI. Run with -benchtime 1x:
+// at 10x. The snapshot stores no corpus, so a load is checksums plus
+// decoding the JSON sections. The snapshot-load runs report xrebuild —
+// how many times faster loading is than rebuilding in the same
+// invocation — which the bench gate holds with a lower-is-worse bound,
+// so a change that lets loading creep toward rebuild cost fails CI.
+// Run with -benchtime 1x:
 // one iteration is a full cold start. A load takes well under a tenth
 // of a second, so one timed load is at the mercy of a single scheduler
 // or page-cache hiccup: each snapshot-load iteration times coldLoads
@@ -189,11 +191,9 @@ func BenchmarkColdStart(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < coldLoads; j++ {
 					start := time.Now()
-					w, err := snapshot.Load(path)
-					if err != nil {
+					if _, err := snapshot.Load(path); err != nil {
 						b.Fatal(err)
 					}
-					w.Close()
 					ns = append(ns, float64(time.Since(start).Nanoseconds()))
 				}
 			}

@@ -110,8 +110,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("loaded snapshot %s (seed %d, scale %g, %d docs) in %v; all domains ready",
-			*snapPath, world.Meta.Seed, world.Meta.Scale, world.Meta.Docs,
+		log.Printf("loaded snapshot %s (seed %d, scale %g, %d domains) in %v; all domains ready",
+			*snapPath, world.Meta.Seed, world.Meta.Scale, len(world.Meta.Domains),
 			time.Since(start).Round(time.Millisecond))
 	} else {
 		var err error

@@ -1,21 +1,23 @@
 // Command webiq-snapshot builds, verifies, and inspects binary world
-// snapshots — the mmap-friendly files webiq-serve loads for instant
-// cold start.
+// snapshots — the checksummed files webiq-serve boots from instead of
+// running the pipeline at startup.
 //
 //	webiq-snapshot build  -o world.snap -seed 1 -scale 1
 //	webiq-snapshot verify world.snap
-//	webiq-snapshot info   world.snap
+//	webiq-snapshot info   world.snap -json
 //
 // build runs the full pipeline offline (corpus, datasets, deep-web
 // pools, acquisition, matching, unification for every domain) and
-// writes the result atomically. verify re-validates every checksum and
-// structural invariant and prints what it found; info prints the header
-// and section table without touching the bulk payloads. verify and
-// info exit nonzero on any corruption.
+// writes the result atomically; the corpus itself is not stored.
+// verify re-validates every checksum and cross-section invariant and
+// prints what it found; info prints the header and section table
+// without touching the bulk payloads. verify and info exit nonzero on
+// any corruption, and take -json on either side of the path.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -82,14 +84,16 @@ func runBuild(args []string) {
 		})
 		return
 	}
-	log.Printf("built world in %v: %d docs, %d terms, %d postings, %d decisions across %d domains",
-		built.Round(time.Millisecond), w.Meta.Docs, w.Meta.Terms, w.Meta.Postings,
-		w.Meta.Decisions, len(w.Meta.Domains))
+	log.Printf("built world in %v: %d decisions across %d domains",
+		built.Round(time.Millisecond), w.Meta.Decisions, len(w.Meta.Domains))
 	log.Printf("wrote %s (%d bytes)", *out, st.Size())
 }
 
 func runVerify(args []string) {
-	path, asJSON := pathArg("verify", args)
+	path, asJSON, err := pathArg("verify", args)
+	if err != nil {
+		usage()
+	}
 	start := time.Now()
 	info, err := snapshot.Verify(path)
 	if err != nil {
@@ -104,7 +108,10 @@ func runVerify(args []string) {
 }
 
 func runInfo(args []string) {
-	path, asJSON := pathArg("info", args)
+	path, asJSON, err := pathArg("info", args)
+	if err != nil {
+		usage()
+	}
 	info, err := snapshot.Info(path)
 	if err != nil {
 		log.Fatal(err)
@@ -116,15 +123,27 @@ func runInfo(args []string) {
 	printInfo(info)
 }
 
-// pathArg parses "<cmd> <path> [-json]" (flags may come first).
-func pathArg(cmd string, args []string) (string, bool) {
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+// pathArg parses "<cmd> <path>" with -json on either side of the path.
+// The flag package stops at the first non-flag, so each positional
+// argument is taken off and the rest parsed again.
+func pathArg(cmd string, args []string) (string, bool, error) {
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "print as JSON")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		usage()
+	var paths []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return "", false, err
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		paths = append(paths, fs.Arg(0))
+		args = fs.Args()[1:]
 	}
-	return fs.Arg(0), *asJSON
+	if len(paths) != 1 {
+		return "", false, errors.New("want exactly one snapshot path")
+	}
+	return paths[0], *asJSON, nil
 }
 
 func printInfo(info *snapshot.FileInfo) {
@@ -132,8 +151,7 @@ func printInfo(info *snapshot.FileInfo) {
 	fmt.Printf("snapshot   %s (%d bytes, format v%d, fingerprint %#016x)\n",
 		info.Path, info.Size, info.FormatVersion, info.Fingerprint)
 	fmt.Printf("built with %s, seed %d, scale %g\n", m.GoVersion, m.Seed, m.Scale)
-	fmt.Printf("contents   %d docs, %d terms, %d postings, %d decisions, %d domains\n",
-		m.Docs, m.Terms, m.Postings, m.Decisions, len(m.Domains))
+	fmt.Printf("contents   %d decisions, %d domains\n", m.Decisions, len(m.Domains))
 	fmt.Printf("%-20s %12s %12s  %s\n", "section", "offset", "bytes", "crc64")
 	for _, s := range info.Sections {
 		fmt.Printf("%-20s %12d %12d  %016x\n", s.Name, s.Off, s.Len, s.CRC)

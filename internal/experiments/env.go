@@ -26,14 +26,12 @@ type Env struct {
 	Engine  *surfaceweb.Engine
 
 	// Cache wraps Engine with the sharded query cache. Experiments that
-	// report accuracy (Table 1, Figures 6–7) consult it when
-	// UseQueryCache is set: results are identical — cached answers are
-	// the engine's answers — and repeated conditions over the same
-	// dataset stop re-paying for repeated queries. Figure 8 always
-	// bypasses it, because its whole point is charging the paper's full
-	// per-query overhead.
-	Cache         *surfaceweb.CachedEngine
-	UseQueryCache bool
+	// report accuracy (Table 1, Figures 6–7) query through it: results
+	// are identical — cached answers are the engine's answers — and
+	// repeated conditions over the same dataset stop re-paying for
+	// repeated queries. Figure 8 bypasses it, because its whole point is
+	// charging the paper's full per-query overhead.
+	Cache *surfaceweb.CachedEngine
 
 	DataCfg   dataset.Config
 	CorpusCfg surfaceweb.CorpusConfig
@@ -76,17 +74,7 @@ func NewEnvWithSeed(seed int64) *Env {
 	e.Engine = surfaceweb.NewEngine()
 	surfaceweb.BuildCorpus(e.Engine, e.Domains, e.CorpusCfg)
 	e.Cache = surfaceweb.NewCachedEngine(e.Engine, surfaceweb.DefaultCacheShards)
-	e.UseQueryCache = true
 	return e
-}
-
-// searchEngine returns the engine acquisitions should query: the cache
-// when enabled, the raw engine otherwise.
-func (e *Env) searchEngine() webiq.MeteredEngine {
-	if e.UseQueryCache && e.Cache != nil {
-		return e.Cache
-	}
-	return e.Engine
 }
 
 // freshDataset generates an unmutated dataset for one domain.
@@ -97,16 +85,16 @@ func (e *Env) freshDataset(dom *kb.Domain) *schema.Dataset {
 }
 
 // acquirer wires a WebIQ acquirer for one domain dataset with the given
-// component set, including accounting probes. It queries through
-// e.searchEngine(), so UseQueryCache governs whether repeats are
-// deduplicated; Figure 8 uses acquirerUncached instead.
+// component set, including accounting probes. It queries through the
+// query cache, so repeats are deduplicated; Figure 8 uses
+// acquirerUncached instead.
 func (e *Env) acquirer(ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
-	return e.acquirerOn(e.searchEngine(), ds, dom, comps)
+	return e.acquirerOn(e.Cache, ds, dom, comps)
 }
 
-// acquirerUncached wires an acquirer against the raw engine regardless
-// of UseQueryCache — every repeated query is issued and charged, the
-// accounting regime of the paper's Figure-8 overhead analysis.
+// acquirerUncached wires an acquirer against the raw engine — every
+// repeated query is issued and charged, the accounting regime of the
+// paper's Figure-8 overhead analysis.
 func (e *Env) acquirerUncached(ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
 	return e.acquirerOn(e.Engine, ds, dom, comps)
 }

@@ -145,7 +145,7 @@ func (r Fig8Row) Total() time.Duration {
 // the raw engine — the experiment measures what acquisition costs when
 // every query pays the search engine's price, so the query cache must
 // not absorb repeats here (and the paper's numbers are reproduced
-// exactly, whatever UseQueryCache says).
+// exactly).
 func (e *Env) Figure8() []Fig8Row {
 	var rows []Fig8Row
 	for _, dom := range e.Domains {

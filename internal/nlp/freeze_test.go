@@ -2,7 +2,6 @@ package nlp
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -126,62 +125,6 @@ func TestTermTableFreezeRace(t *testing.T) {
 		}
 		if tab.Len() != n {
 			t.Fatalf("round %d: table grew after freeze: %d -> %d", round, n, tab.Len())
-		}
-	}
-}
-
-func TestTermTableFlattenRoundTrip(t *testing.T) {
-	tab := NewTermTable()
-	words := []string{"city", "state", "zip", "departure", ""}
-	for _, w := range words {
-		tab.Intern(w)
-	}
-
-	offsets, blob := tab.Flatten()
-	if len(offsets) != len(words)+1 {
-		t.Fatalf("Flatten offsets len = %d, want %d", len(offsets), len(words)+1)
-	}
-	ft, err := NewFrozenTermTable(offsets, string(blob))
-	if err != nil {
-		t.Fatalf("NewFrozenTermTable: %v", err)
-	}
-	if !ft.Frozen() {
-		t.Fatal("reconstructed table not frozen")
-	}
-	if ft.Len() != len(words) {
-		t.Fatalf("reconstructed Len = %d, want %d", ft.Len(), len(words))
-	}
-	for i, w := range words {
-		if got := ft.Term(uint32(i)); got != w {
-			t.Errorf("Term(%d) = %q, want %q", i, got, w)
-		}
-		if id, ok := ft.Lookup(w); !ok || id != uint32(i) {
-			t.Errorf("Lookup(%q) = %d,%v, want %d,true", w, id, ok, i)
-		}
-	}
-	if got := ft.Intern("late"); got != NoTerm {
-		t.Errorf("Intern of unpersisted term = %d, want NoTerm", got)
-	}
-}
-
-func TestNewFrozenTermTableRejectsMalformed(t *testing.T) {
-	cases := []struct {
-		name    string
-		offsets []uint32
-		blob    string
-	}{
-		{"empty offsets", nil, ""},
-		{"nonzero first", []uint32{1, 2}, "ab"},
-		{"short final", []uint32{0, 1}, "ab"},
-		{"long final", []uint32{0, 3}, "ab"},
-		{"non-monotonic", []uint32{0, 2, 1, 3}, "abc"},
-		{"duplicate terms", []uint32{0, 1, 2}, "aa"},
-	}
-	for _, tc := range cases {
-		if _, err := NewFrozenTermTable(tc.offsets, tc.blob); err == nil {
-			t.Errorf("%s: NewFrozenTermTable accepted malformed input", tc.name)
-		} else if !strings.Contains(err.Error(), "frozen term table") {
-			t.Errorf("%s: unhelpful error %v", tc.name, err)
 		}
 	}
 }

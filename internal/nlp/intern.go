@@ -1,7 +1,6 @@
 package nlp
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -33,62 +32,6 @@ type TermTable struct {
 // NewTermTable returns an empty table.
 func NewTermTable() *TermTable {
 	return &TermTable{ids: make(map[string]uint32)}
-}
-
-// NewFrozenTermTable reconstructs a frozen table from its flattened
-// form (see Flatten): offsets[i]..offsets[i+1] spans term i in blob.
-// Term strings are substrings of blob — no per-term copies — so a blob
-// backed by a memory-mapped snapshot is served in place. The layout is
-// validated; a malformed flattening is refused with an error, never a
-// panic.
-func NewFrozenTermTable(offsets []uint32, blob string) (*TermTable, error) {
-	if len(offsets) == 0 {
-		return nil, fmt.Errorf("nlp: frozen term table: empty offset table")
-	}
-	n := len(offsets) - 1
-	if uint64(n) >= uint64(NoTerm) {
-		return nil, fmt.Errorf("nlp: frozen term table: %d terms overflow the ID space", n)
-	}
-	if offsets[0] != 0 {
-		return nil, fmt.Errorf("nlp: frozen term table: first offset %d, want 0", offsets[0])
-	}
-	if uint64(offsets[n]) != uint64(len(blob)) {
-		return nil, fmt.Errorf("nlp: frozen term table: final offset %d, want blob length %d", offsets[n], len(blob))
-	}
-	t := &TermTable{ids: make(map[string]uint32, n), terms: make([]string, n)}
-	for i := 0; i < n; i++ {
-		if offsets[i] > offsets[i+1] {
-			return nil, fmt.Errorf("nlp: frozen term table: offsets not monotonic at term %d", i)
-		}
-		s := blob[offsets[i]:offsets[i+1]]
-		if _, dup := t.ids[s]; dup {
-			return nil, fmt.Errorf("nlp: frozen term table: duplicate term %q", s)
-		}
-		t.terms[i] = s
-		t.ids[s] = uint32(i)
-	}
-	t.frozen.Store(true)
-	return t, nil
-}
-
-// Flatten returns the table's persistent form: a dense offset table and
-// a contiguous string blob, where offsets[i]..offsets[i+1] spans term i.
-func (t *TermTable) Flatten() (offsets []uint32, blob []byte) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := len(t.terms)
-	offsets = make([]uint32, n+1)
-	total := 0
-	for _, s := range t.terms {
-		total += len(s)
-	}
-	blob = make([]byte, 0, total)
-	for i, s := range t.terms {
-		offsets[i] = uint32(len(blob))
-		blob = append(blob, s...)
-	}
-	offsets[n] = uint32(len(blob))
-	return offsets, blob
 }
 
 // Freeze flips the table into its read-only mode: every subsequent read

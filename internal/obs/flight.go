@@ -49,14 +49,9 @@ type WideEvent struct {
 	// ShedReason is set when the admission queue rejected the request
 	// (queue-full, draining, canceled).
 	ShedReason string `json:"shed_reason,omitempty"`
-	// EngineQueries / ProbeQueries are how many search-engine queries and
-	// deep-web probes the substrate served while this request ran.
-	EngineQueries int `json:"engine_queries,omitempty"`
-	ProbeQueries  int `json:"probe_queries,omitempty"`
-	// CacheHits / CacheMisses are engine query-cache deltas, when a
-	// cached engine is in the path (zero otherwise).
-	CacheHits   int `json:"cache_hits,omitempty"`
-	CacheMisses int `json:"cache_misses,omitempty"`
+	// ProbeQueries is how many deep-web probes the substrate served
+	// while this request ran.
+	ProbeQueries int `json:"probe_queries,omitempty"`
 	// Degradations is the cumulative graceful-degradation count across
 	// all domains when the request finished.
 	Degradations int `json:"degradations,omitempty"`

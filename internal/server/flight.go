@@ -130,23 +130,21 @@ func (s *Server) flightWrap(route string, next http.Handler) http.Handler {
 	tc := s.flight.Triggers()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		engBefore := s.engine.QueryCount()
 		probeBefore := s.probeCount()
 		sw := &statusCapture{ResponseWriter: w, code: http.StatusOK}
 		next.ServeHTTP(sw, r)
 
 		ev := obs.WideEvent{
-			TimeNS:        time.Now().UnixNano(),
-			Route:         route,
-			Method:        r.Method,
-			Path:          r.URL.Path,
-			Status:        sw.code,
-			Seconds:       time.Since(start).Seconds(),
-			TraceID:       w.Header().Get("X-Trace-ID"),
-			ShedReason:    w.Header().Get("X-Shed-Reason"),
-			EngineQueries: s.engine.QueryCount() - engBefore,
-			ProbeQueries:  s.probeCount() - probeBefore,
-			Degradations:  s.degradationCount(),
+			TimeNS:       time.Now().UnixNano(),
+			Route:        route,
+			Method:       r.Method,
+			Path:         r.URL.Path,
+			Status:       sw.code,
+			Seconds:      time.Since(start).Seconds(),
+			TraceID:      w.Header().Get("X-Trace-ID"),
+			ShedReason:   w.Header().Get("X-Shed-Reason"),
+			ProbeQueries: s.probeCount() - probeBefore,
+			Degradations: s.degradationCount(),
 		}
 		if s.srcClient != nil {
 			ev.BreakerDeep = s.srcClient.BreakerState().String()

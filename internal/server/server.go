@@ -55,7 +55,6 @@ import (
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/snapshot"
-	"webiq/internal/surfaceweb"
 	"webiq/internal/translate"
 	iq "webiq/internal/webiq"
 )
@@ -63,7 +62,6 @@ import (
 // Server is the HTTP facade over the simulated Deep Web.
 type Server struct {
 	mux     *http.ServeMux
-	engine  *surfaceweb.Engine
 	reg     *obs.Registry
 	tracer  *obs.Tracer
 	httpm   *obs.HTTPMetrics
@@ -169,13 +167,11 @@ func New(seed int64, opts ...Option) (*Server, error) {
 }
 
 // NewFromSnapshot builds the server from a pre-built world loaded from a
-// snapshot file: the frozen snapshot index serves as the search engine,
-// and /healthz and /stats report the world's fingerprint, seed, and
-// scale. Responses are byte-identical to New with the snapshot's seed.
-//
-// The world must stay open (not Closed) for the server's lifetime.
+// snapshot file; /healthz and /stats report the world's fingerprint,
+// seed, and scale. Responses are otherwise byte-identical to New with
+// the snapshot's seed.
 func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
-	if world == nil || world.Index == nil {
+	if world == nil {
 		return nil, fmt.Errorf("server: nil snapshot world")
 	}
 	return boot(world, &snapshotInfo{
@@ -185,16 +181,15 @@ func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
 	}, opts)
 }
 
-// boot installs a built world: the frozen index as the search engine,
-// the stored datasets, deep-web pools rebuilt deterministically from
-// them, and the stored unified interfaces and degradations. It renders
-// each domain's view and explain pages from the world, replaying its
-// decisions into a ledger that lives only for that render, then wires
-// the optional subsystems and the HTTP surface.
+// boot installs a built world: the stored datasets, deep-web pools
+// rebuilt deterministically from them, and the stored unified
+// interfaces and degradations. It renders each domain's view and
+// explain pages from the world, replaying its decisions into a ledger
+// that lives only for that render, then wires the optional subsystems
+// and the HTTP surface.
 func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, error) {
 	s := &Server{
 		mux:      http.NewServeMux(),
-		engine:   world.NewEngine(),
 		reg:      obs.NewRegistry(),
 		snapInfo: info,
 		byDomain: map[string]*domainState{},
@@ -207,7 +202,6 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 		s.tracer.SetTraceRetention(s.traceRetention)
 	}
 	s.sampler = obs.NewRuntimeSampler(0, time.Second)
-	s.engine.Instrument(s.reg)
 	ready := s.reg.GaugeVec("webiq_unified_ready", "1 when the domain's unified interface is installed.", "domain")
 	s.startup = s.reg.Gauge("webiq_startup_seconds", "Wall-clock seconds from process start until the server was constructed and ready to listen.")
 
@@ -584,13 +578,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 type statsInfo struct {
 	// StartupSeconds is how long the process took to construct the
 	// server (see RecordStartup); 0 until recorded.
-	StartupSeconds       float64                     `json:"startup_seconds"`
-	CorpusPages          int                         `json:"corpus_pages"`
-	SearchQueries        int                         `json:"search_queries"`
-	SearchVirtualSeconds float64                     `json:"search_virtual_seconds"`
-	ProbesByPool         map[string]int              `json:"probes_by_domain"`
-	ProbeVirtualByPool   map[string]float64          `json:"probe_virtual_seconds_by_domain"`
-	Routes               map[string]obs.RouteSummary `json:"routes"`
+	StartupSeconds     float64                     `json:"startup_seconds"`
+	ProbesByPool       map[string]int              `json:"probes_by_domain"`
+	ProbeVirtualByPool map[string]float64          `json:"probe_virtual_seconds_by_domain"`
+	Routes             map[string]obs.RouteSummary `json:"routes"`
 	// Admission is present when the bounded admission queue is on.
 	Admission *admissionInfo `json:"admission,omitempty"`
 	// Breakers maps backend name to circuit-breaker state when a fault
@@ -620,15 +611,12 @@ type admissionInfo struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	info := statsInfo{
-		StartupSeconds:       time.Duration(s.startupNs.Load()).Seconds(),
-		CorpusPages:          s.engine.NumDocs(),
-		SearchQueries:        s.engine.QueryCount(),
-		SearchVirtualSeconds: s.engine.VirtualTime().Seconds(),
-		ProbesByPool:         map[string]int{},
-		ProbeVirtualByPool:   map[string]float64{},
-		Routes:               s.httpm.RouteSummaries(),
-		Runtime:              s.sampler.Sample(),
-		Snapshot:             s.snapInfo,
+		StartupSeconds:     time.Duration(s.startupNs.Load()).Seconds(),
+		ProbesByPool:       map[string]int{},
+		ProbeVirtualByPool: map[string]float64{},
+		Routes:             s.httpm.RouteSummaries(),
+		Runtime:            s.sampler.Sample(),
+		Snapshot:           s.snapInfo,
 	}
 	if s.adm != nil {
 		inFlight, queued, capacity, queueCap, draining := s.adm.stats()

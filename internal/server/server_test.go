@@ -161,10 +161,9 @@ func TestSearchEmptySubmission(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := testServer(t)
-	// Issue at least one search and one probe so the virtual clocks
-	// have something to report.
+	// Issue at least one probe so the virtual clock has something to
+	// report.
 	get(t, s, "/source/airfare/if00/search?f0=Boston")
-	s.engine.NumHits(`"boston"`)
 	code, body := get(t, s, "/stats")
 	if code != 200 {
 		t.Fatalf("status = %d", code)
@@ -173,20 +172,20 @@ func TestStats(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.CorpusPages == 0 {
-		t.Error("no corpus pages reported")
-	}
 	if len(info.ProbesByPool) != 5 {
 		t.Errorf("pools = %d", len(info.ProbesByPool))
 	}
 	if len(info.ProbeVirtualByPool) != 5 {
 		t.Errorf("probe virtual pools = %d", len(info.ProbeVirtualByPool))
 	}
-	if info.SearchVirtualSeconds <= 0 {
-		t.Errorf("search virtual seconds = %v, want > 0", info.SearchVirtualSeconds)
-	}
 	if info.ProbeVirtualByPool["airfare"] <= 0 {
 		t.Errorf("airfare probe virtual seconds = %v, want > 0", info.ProbeVirtualByPool["airfare"])
+	}
+	// The server holds no search corpus, so /stats reports none.
+	for _, key := range []string{`"corpus_pages"`, `"search_queries"`, `"search_virtual_seconds"`} {
+		if strings.Contains(body, key) {
+			t.Errorf("/stats still carries %s", key)
+		}
 	}
 }
 
@@ -225,12 +224,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		"webiq_http_requests_total",
 		"webiq_http_request_seconds",
 		"webiq_http_in_flight",
-		"webiq_engine_queries_total",
-		"webiq_engine_corpus_docs",
 		"webiq_pool_probes_total",
 	} {
 		if !types[fam] {
 			t.Errorf("metrics missing family %q:\n%.400s", fam, body)
+		}
+	}
+	for fam := range types {
+		if strings.HasPrefix(fam, "webiq_engine_") {
+			t.Errorf("metrics carries search-engine family %q; the server has no engine", fam)
 		}
 	}
 	for _, want := range []string{

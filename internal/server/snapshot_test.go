@@ -14,7 +14,7 @@ import (
 
 // The snapshot-backed server boots from the shared test world (which
 // went through the serialized form, so these tests cover the snapshot
-// server as deployed: zero-copy arrays, JSON-restored interfaces); the
+// server as deployed, on JSON-restored datasets and interfaces); the
 // fresh one comes from New, which builds its own world in memory. Both
 // are built once per test binary and shared read-only.
 var (

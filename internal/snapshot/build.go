@@ -23,9 +23,6 @@ type Meta struct {
 	Seed      int64    `json:"seed"`
 	Scale     float64  `json:"scale"`
 	Domains   []string `json:"domains"`
-	Docs      int      `json:"docs"`
-	Terms     int      `json:"terms"`
-	Postings  int      `json:"postings"`
 	Decisions int      `json:"decisions"`
 }
 
@@ -43,12 +40,12 @@ type DomainWorld struct {
 	Degradations []iq.Degradation        `json:"degradations,omitempty"`
 }
 
-// World is a fully built WebIQ universe: the frozen surface-web index,
-// the generated (post-acquisition) datasets, and the per-domain
-// pipeline outputs, in kb.Domains() order throughout.
+// World is a fully built WebIQ universe: the generated
+// (post-acquisition) datasets and the per-domain pipeline outputs, in
+// kb.Domains() order throughout. The surface-web corpus the pipeline
+// searched is not part of it: nothing after acquisition reads it.
 type World struct {
 	Meta     Meta
-	Index    *surfaceweb.FrozenIndex
 	Datasets []*schema.Dataset
 	Domains  []DomainWorld
 	// Fingerprint is the build fingerprint over (go version, seed,
@@ -56,28 +53,12 @@ type World struct {
 	// /healthz and /stats so an incident bundle pins which world the
 	// process was serving.
 	Fingerprint uint64
-
-	closer func() error
 }
 
-// Close releases the snapshot's backing mapping, if any. The world and
-// every structure built from it (engine, datasets) must not be used
-// afterwards. Worlds built in memory by BuildWorld close as a no-op.
-func (w *World) Close() error {
-	if w == nil || w.closer == nil {
-		return nil
-	}
-	c := w.closer
-	w.closer = nil
-	return c()
-}
-
-// NewEngine wraps the world's frozen index in a read-only search
-// engine. Each call returns a fresh engine with its own accounting
-// clock; all of them share the immutable index.
-func (w *World) NewEngine() *surfaceweb.Engine {
-	return surfaceweb.NewFrozenEngine(w.Index)
-}
+// Close releases nothing: Load copies everything it decodes and unmaps
+// the file before returning. It is kept so callers can release every
+// world alike.
+func (w *World) Close() error { return nil }
 
 // Dataset returns the stored dataset for a domain key, or nil.
 func (w *World) Dataset(domain string) *schema.Dataset {
@@ -108,8 +89,8 @@ type BuildConfig struct {
 
 // BuildWorld runs the full WebIQ pipeline offline — corpus, datasets,
 // deep-web pools, acquisition, matching, unification for every domain —
-// and returns the result with the engine's index, which the pipeline's
-// first query froze: its vocabulary is the corpus's alone. It is the one way a world is made: a snapshot file stores
+// and returns what the pipeline produced; the corpus is dropped with
+// the engine. It is the one way a world is made: a snapshot file stores
 // it, and server.New boots straight from it in memory.
 //
 // All domains are always built: the corpus generator draws from one
@@ -167,11 +148,5 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		w.Meta.Domains = append(w.Meta.Domains, dom.Key)
 		w.Meta.Decisions += ledger.Len()
 	}
-
-	fi := engine.Index()
-	w.Index = fi
-	w.Meta.Docs = fi.NumDocs()
-	w.Meta.Terms = fi.Terms().Len()
-	w.Meta.Postings = len(fi.Data().PostDoc)
 	return w, nil
 }

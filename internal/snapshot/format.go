@@ -1,10 +1,9 @@
-// Package snapshot persists a fully built WebIQ world — interned term
-// table, frozen inverted index, document text, generated datasets, and
-// built unified interfaces — in a versioned, checksum-gated binary file
-// laid out for instant cold start: every large array is stored as raw
-// little-endian machine words at an 8-byte-aligned offset, so loading a
-// snapshot is an mmap plus structural validation, with zero parse work
-// on the index and corpus payloads.
+// Package snapshot persists a fully built WebIQ world — the generated
+// datasets and, per domain, the unified interface, acquisition report
+// and decision ledger — in a versioned, checksum-gated binary file, so
+// a server boots what the offline pipeline built without rerunning it.
+// The surface-web corpus is not stored: only acquisition searches it,
+// and acquisition regenerates it from the seed.
 //
 // File layout (all integers little-endian, fixed width):
 //
@@ -15,7 +14,7 @@
 //	16      8     build seed (int64)
 //	24      8     corpus scale (float64 bits)
 //	32      8     build fingerprint (uint64; see fingerprint)
-//	40      8     section table offset (uint64; 64 in version 1)
+//	40      8     section table offset (uint64; 64 as written)
 //	48      8     reserved (0)
 //	56      8     CRC64-ECMA of header bytes [0,56)
 //
@@ -41,14 +40,13 @@ import (
 	"fmt"
 	"hash/crc64"
 	"math"
-	"unsafe"
 )
 
 // Magic identifies a WebIQ snapshot file.
 const Magic = "WIQSNAP\x00"
 
 // FormatVersion is the snapshot format this build reads and writes.
-const FormatVersion = 1
+const FormatVersion = 2
 
 const (
 	headerSize  = 64
@@ -56,47 +54,22 @@ const (
 	maxSections = 1024 // sanity bound against corrupt counts
 )
 
-// Section IDs of format version 1, in file order.
+// Section IDs, in file order. IDs 2-15 are retired (format version 1
+// stored the search index there); do not reuse them.
 const (
-	secMeta       uint32 = 1  // build metadata (JSON)
-	secTermOff    uint32 = 2  // term string offsets (uint32)
-	secTermBlob   uint32 = 3  // term string blob (bytes)
-	secPostOff    uint32 = 4  // per-term posting offsets (uint64)
-	secPostDoc    uint32 = 5  // posting documents (uint32)
-	secPostPosOff uint32 = 6  // per-posting position offsets (uint64)
-	secPositions  uint32 = 7  // token positions (uint32)
-	secDocTokOff  uint32 = 8  // per-document token offsets (uint64)
-	secTokTerm    uint32 = 9  // token terms (uint32)
-	secTokStart   uint32 = 10 // token start bytes (uint32)
-	secTokEnd     uint32 = 11 // token end bytes (uint32)
-	secTextOff    uint32 = 12 // per-document text offsets (uint64)
-	secTextBlob   uint32 = 13 // document text blob (bytes)
-	secTitleOff   uint32 = 14 // per-document title offsets (uint64)
-	secTitleBlob  uint32 = 15 // document title blob (bytes)
-	secDatasets   uint32 = 16 // post-acquisition datasets (JSON)
-	secWorld      uint32 = 17 // unified interfaces + ledgers + reports (JSON)
+	secMeta     uint32 = 1  // build metadata (JSON)
+	secDatasets uint32 = 16 // post-acquisition datasets (JSON)
+	secWorld    uint32 = 17 // unified interfaces + ledgers + reports (JSON)
 )
 
 // sectionNames maps IDs to the names webiq-snapshot info prints.
 var sectionNames = map[uint32]string{
-	secMeta: "meta", secTermOff: "term-offsets", secTermBlob: "term-blob",
-	secPostOff: "posting-offsets", secPostDoc: "posting-docs",
-	secPostPosOff: "position-offsets", secPositions: "positions",
-	secDocTokOff: "doc-token-offsets", secTokTerm: "token-terms",
-	secTokStart: "token-starts", secTokEnd: "token-ends",
-	secTextOff: "text-offsets", secTextBlob: "text-blob",
-	secTitleOff: "title-offsets", secTitleBlob: "title-blob",
-	secDatasets: "datasets", secWorld: "world",
+	secMeta: "meta", secDatasets: "datasets", secWorld: "world",
 }
 
-// requiredSections lists every section a version-1 reader needs, in the
-// order the writer emits them.
-var requiredSections = []uint32{
-	secMeta, secTermOff, secTermBlob, secPostOff, secPostDoc,
-	secPostPosOff, secPositions, secDocTokOff, secTokTerm, secTokStart,
-	secTokEnd, secTextOff, secTextBlob, secTitleOff, secTitleBlob,
-	secDatasets, secWorld,
-}
+// requiredSections lists every section a reader needs, in the order
+// the writer emits them.
+var requiredSections = []uint32{secMeta, secDatasets, secWorld}
 
 // SectionName returns the human-readable name of a section ID.
 func SectionName(id uint32) string {
@@ -122,14 +95,6 @@ type header struct {
 
 func errf(format string, args ...any) error {
 	return fmt.Errorf("snapshot: "+format, args...)
-}
-
-// hostLittleEndian reports whether the running machine is little-endian.
-// The zero-parse load path reinterprets file bytes as native integers,
-// so big-endian hosts must refuse snapshots rather than misread them.
-func hostLittleEndian() bool {
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
 }
 
 func encodeHeader(h header) []byte {
@@ -223,45 +188,6 @@ func verifySection(payload []byte, s SectionInfo) error {
 		return errf("section %s checksum mismatch: file %#x, computed %#x", s.Name, s.CRC, got)
 	}
 	return nil
-}
-
-// castU32 reinterprets a payload as a []uint32 without copying. The
-// base must be 4-byte aligned (guaranteed: sections start 8-aligned in
-// an mmap or aligned buffer) and the length a multiple of 4.
-func castU32(name string, b []byte) ([]uint32, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if len(b)%4 != 0 {
-		return nil, errf("section %s: %d bytes is not a whole number of uint32s", name, len(b))
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
-		return nil, errf("section %s: payload not 4-byte aligned in memory", name)
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4), nil
-}
-
-// castU64 reinterprets a payload as a []uint64 without copying.
-func castU64(name string, b []byte) ([]uint64, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	if len(b)%8 != 0 {
-		return nil, errf("section %s: %d bytes is not a whole number of uint64s", name, len(b))
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 {
-		return nil, errf("section %s: payload not 8-byte aligned in memory", name)
-	}
-	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8), nil
-}
-
-// asString views a payload as a string without copying. The bytes are
-// never mutated after load (read-only mapping), so the aliasing is safe.
-func asString(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
 }
 
 // fingerprint derives the build fingerprint from the generator

@@ -33,7 +33,7 @@ func FuzzLoadBytes(f *testing.F) {
 		mut[off] ^= 0xff
 		f.Add(mut)
 	}
-	// Shifted copy: exercises the aligned-copy path.
+	// Shifted copy: the loader must not depend on the buffer's alignment.
 	f.Add(append([]byte{0}, raw...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -45,15 +45,15 @@ func FuzzLoadBytes(f *testing.F) {
 			return
 		}
 		// Accepted input: the world must hold together well enough to
-		// serve queries and re-serialize.
-		if w.Index == nil {
-			t.Fatal("loaded world has nil index")
+		// serve and re-serialize.
+		if len(w.Domains) != len(w.Meta.Domains) || len(w.Datasets) != len(w.Meta.Domains) {
+			t.Fatalf("meta/domain mismatch slipped through: meta %d, %d worlds, %d datasets",
+				len(w.Meta.Domains), len(w.Domains), len(w.Datasets))
 		}
-		e := w.NewEngine()
-		e.NumHits(`"books such as"`)
-		e.Search("+title", 3)
-		if w.Meta.Docs != w.Index.NumDocs() {
-			t.Fatalf("meta/docs mismatch slipped through: %d vs %d", w.Meta.Docs, w.Index.NumDocs())
+		for i := range w.Domains {
+			if w.Domains[i].Unified == nil {
+				t.Fatalf("domain %s loaded without a unified interface", w.Domains[i].Domain)
+			}
 		}
 		if _, err := json.Marshal(w.Domains); err != nil {
 			t.Fatalf("loaded world does not re-marshal: %v", err)

@@ -2,8 +2,8 @@
 
 package snapshot
 
-// mapFile reads the snapshot into an aligned buffer on platforms
-// without a usable mmap.
+// mapFile reads the snapshot into memory on platforms without a usable
+// mmap.
 func mapFile(path string) ([]byte, func() error, error) {
 	return readFileFallback(path)
 }

@@ -7,10 +7,9 @@ import (
 	"syscall"
 )
 
-// mapFile maps the snapshot read-only. The returned buffer is
-// page-aligned (so all section casts are aligned) and backed by the
-// page cache: loading a warm snapshot touches no payload bytes beyond
-// checksumming. Falls back to a plain read if mmap fails.
+// mapFile maps the snapshot read-only, so loading reads the payloads
+// from the page cache instead of copying the whole file onto the heap
+// first. Falls back to a plain read if mmap fails.
 func mapFile(path string) ([]byte, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -4,17 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"unsafe"
-
-	"webiq/internal/nlp"
-	"webiq/internal/surfaceweb"
 )
 
 // The loader never trusts a byte: header, section table, and every
-// payload are checksummed, then the reconstructed structures are
-// re-validated by NewFrozenTermTable/NewFrozenIndex. Corruption of any
-// kind — truncation, bit flips, hostile garbage — yields a descriptive
-// error, never a panic and never silently wrong data.
+// payload are checksummed, then the decoded sections are cross-checked
+// against the header and each other. Corruption of any kind —
+// truncation, bit flips, hostile garbage — yields a descriptive error,
+// never a panic and never silently wrong data.
 
 // FileInfo summarizes a snapshot file for webiq-snapshot info/verify.
 type FileInfo struct {
@@ -26,32 +22,29 @@ type FileInfo struct {
 	Sections      []SectionInfo `json:"sections"`
 }
 
-// Load maps the snapshot at path and reconstructs the world from it.
-// The index and document text serve directly from the mapping — no
-// copies, no parsing — so load time is dominated by checksum
-// verification. Call Close on the returned world when done; until
-// then the file must not be modified.
+// Load maps the snapshot at path, decodes the world from it, and unmaps
+// it again: everything decoded is a copy, so the returned world does
+// not depend on the file.
 func Load(path string) (*World, error) {
 	data, closer, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
+	if closer != nil {
+		defer closer()
+	}
 	w, _, err := parse(data)
 	if err != nil {
-		if closer != nil {
-			closer()
-		}
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
-	w.closer = closer
 	return w, nil
 }
 
-// LoadBytes reconstructs a world from an in-memory snapshot image.
-// If the buffer is not 8-byte aligned it is copied into an aligned
-// one, so any []byte works (fuzzing, network transfer).
+// LoadBytes decodes a world from an in-memory snapshot image. Any
+// []byte works (fuzzing, network transfer); the world keeps no
+// reference to it.
 func LoadBytes(b []byte) (*World, error) {
-	w, _, err := parse(alignUp(b))
+	w, _, err := parse(b)
 	return w, err
 }
 
@@ -125,23 +118,8 @@ func Info(path string) (*FileInfo, error) {
 	return nil, errf("missing section %s", SectionName(secMeta))
 }
 
-// alignUp returns b itself when 8-byte aligned, else an aligned copy.
-func alignUp(b []byte) []byte {
-	if len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return b
-	}
-	buf := make([]uint64, (len(b)+7)/8)
-	dst := unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), len(b))
-	copy(dst, b)
-	return dst
-}
-
-// parse validates a complete snapshot image and reconstructs the world.
-// data must be 8-byte aligned and immutable for the world's lifetime.
+// parse validates a complete snapshot image and decodes the world.
 func parse(data []byte) (*World, []SectionInfo, error) {
-	if !hostLittleEndian() {
-		return nil, nil, errf("big-endian host: the zero-copy format stores native little-endian words")
-	}
 	h, err := decodeHeader(data)
 	if err != nil {
 		return nil, nil, err
@@ -184,55 +162,6 @@ func parse(data []byte) (*World, []SectionInfo, error) {
 	}
 	w.Fingerprint = h.fingerprint
 
-	termOff, err := castU32("term-offsets", byID[secTermOff])
-	if err != nil {
-		return nil, nil, err
-	}
-	terms, err := nlp.NewFrozenTermTable(termOff, asString(byID[secTermBlob]))
-	if err != nil {
-		return nil, nil, errf("%v", err)
-	}
-	var d surfaceweb.FrozenData
-	u64s := []struct {
-		dst  *[]uint64
-		name string
-		id   uint32
-	}{
-		{&d.TermOff, "posting-offsets", secPostOff},
-		{&d.PostPosOff, "position-offsets", secPostPosOff},
-		{&d.DocTokOff, "doc-token-offsets", secDocTokOff},
-		{&d.TextOff, "text-offsets", secTextOff},
-		{&d.TitleOff, "title-offsets", secTitleOff},
-	}
-	for _, f := range u64s {
-		if *f.dst, err = castU64(f.name, byID[f.id]); err != nil {
-			return nil, nil, err
-		}
-	}
-	u32s := []struct {
-		dst  *[]uint32
-		name string
-		id   uint32
-	}{
-		{&d.PostDoc, "posting-docs", secPostDoc},
-		{&d.Positions, "positions", secPositions},
-		{&d.TokTerm, "token-terms", secTokTerm},
-		{&d.TokStart, "token-starts", secTokStart},
-		{&d.TokEnd, "token-ends", secTokEnd},
-	}
-	for _, f := range u32s {
-		if *f.dst, err = castU32(f.name, byID[f.id]); err != nil {
-			return nil, nil, err
-		}
-	}
-	d.TextBlob = asString(byID[secTextBlob])
-	d.TitleBlob = asString(byID[secTitleBlob])
-	fi, err := surfaceweb.NewFrozenIndex(terms, d)
-	if err != nil {
-		return nil, nil, errf("%v", err)
-	}
-	w.Index = fi
-
 	if err := json.Unmarshal(byID[secDatasets], &w.Datasets); err != nil {
 		return nil, nil, errf("datasets section: %v", err)
 	}
@@ -245,19 +174,10 @@ func parse(data []byte) (*World, []SectionInfo, error) {
 	return w, sections, nil
 }
 
-// checkConsistent cross-checks the JSON payloads against the meta
-// section and the index, so a snapshot whose sections were swapped in
-// from different builds cannot pass as valid.
+// checkConsistent cross-checks the datasets and world sections against
+// the meta section, so a snapshot whose sections were swapped in from
+// different builds cannot pass as valid.
 func (w *World) checkConsistent() error {
-	if got, want := w.Index.Terms().Len(), w.Meta.Terms; got != want {
-		return errf("meta says %d terms, index has %d", want, got)
-	}
-	if got, want := w.Index.NumDocs(), w.Meta.Docs; got != want {
-		return errf("meta says %d documents, index has %d", want, got)
-	}
-	if got, want := len(w.Index.Data().PostDoc), w.Meta.Postings; got != want {
-		return errf("meta says %d postings, index has %d", want, got)
-	}
 	if len(w.Datasets) != len(w.Meta.Domains) || len(w.Domains) != len(w.Meta.Domains) {
 		return errf("meta lists %d domains, snapshot has %d datasets and %d worlds",
 			len(w.Meta.Domains), len(w.Datasets), len(w.Domains))
@@ -282,11 +202,11 @@ func (w *World) checkConsistent() error {
 }
 
 // readFileFallback loads the snapshot with a plain read when mmap is
-// unavailable; the returned buffer is aligned by the allocator.
+// unavailable.
 func readFileFallback(path string) ([]byte, func() error, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, errf("read %s: %v", path, err)
 	}
-	return alignUp(b), nil, nil
+	return b, nil, nil
 }

@@ -8,26 +8,8 @@ import (
 	"path/filepath"
 )
 
-// The writer favors portability over speed: arrays are encoded with
-// explicit little-endian stores (snapshot builds are offline), while
-// the loader gets the zero-copy fast path. Output is deterministic:
-// the same world always produces the same bytes.
-
-func encodeU32(v []uint32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], x)
-	}
-	return b
-}
-
-func encodeU64(v []uint64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
-	}
-	return b
-}
+// Output is deterministic: the same world always produces the same
+// bytes.
 
 type sectionPayload struct {
 	id   uint32
@@ -36,9 +18,6 @@ type sectionPayload struct {
 
 // payloads assembles every section body in file order.
 func (w *World) payloads() ([]sectionPayload, error) {
-	if w.Index == nil {
-		return nil, errf("world has no frozen index")
-	}
 	metaJSON, err := json.Marshal(w.Meta)
 	if err != nil {
 		return nil, errf("marshal meta: %v", err)
@@ -51,24 +30,8 @@ func (w *World) payloads() ([]sectionPayload, error) {
 	if err != nil {
 		return nil, errf("marshal world: %v", err)
 	}
-	termOff, termBlob := w.Index.Terms().Flatten()
-	d := w.Index.Data()
 	return []sectionPayload{
 		{secMeta, metaJSON},
-		{secTermOff, encodeU32(termOff)},
-		{secTermBlob, termBlob},
-		{secPostOff, encodeU64(d.TermOff)},
-		{secPostDoc, encodeU32(d.PostDoc)},
-		{secPostPosOff, encodeU64(d.PostPosOff)},
-		{secPositions, encodeU32(d.Positions)},
-		{secDocTokOff, encodeU64(d.DocTokOff)},
-		{secTokTerm, encodeU32(d.TokTerm)},
-		{secTokStart, encodeU32(d.TokStart)},
-		{secTokEnd, encodeU32(d.TokEnd)},
-		{secTextOff, encodeU64(d.TextOff)},
-		{secTextBlob, []byte(d.TextBlob)},
-		{secTitleOff, encodeU64(d.TitleOff)},
-		{secTitleBlob, []byte(d.TitleBlob)},
 		{secDatasets, dsJSON},
 		{secWorld, worldJSON},
 	}, nil

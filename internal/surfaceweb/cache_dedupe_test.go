@@ -64,7 +64,7 @@ func TestCachedEngineCanonicalDedupe(t *testing.T) {
 // unseen word are two engine queries, while whitespace, '+' and
 // required-order variants of one query still share a key.
 func TestCachedEngineKeepsUnseenWordsApart(t *testing.T) {
-	e := NewFrozenEngine(batchTestEngine().Index())
+	e := batchTestEngine()
 	c := NewCachedEngine(e, 4)
 	for _, q := range []string{`"authors such as zzzq"`, `"authors such as yyyq"`} {
 		if got := c.NumHits(q); got != 0 {

@@ -253,22 +253,16 @@ func (e *Engine) docCountLocked() int {
 	return len(e.build.TextOff) - 1
 }
 
-// newEngine returns an engine over terms with the paper's latency
-// range and the standard snippet radius.
-func newEngine(terms *nlp.TermTable) *Engine {
+// NewEngine returns an empty engine with the paper's latency range and
+// the standard snippet radius.
+func NewEngine() *Engine {
 	return &Engine{
-		terms:         terms,
+		terms:         nlp.NewTermTable(),
+		build:         FrozenData{DocTokOff: []uint64{0}, TextOff: []uint64{0}, TitleOff: []uint64{0}},
 		MinLatency:    100 * time.Millisecond,
 		MaxLatency:    500 * time.Millisecond,
 		SnippetRadius: 10,
 	}
-}
-
-// NewEngine returns an empty engine with the paper's latency range.
-func NewEngine() *Engine {
-	e := newEngine(nlp.NewTermTable())
-	e.build = FrozenData{DocTokOff: []uint64{0}, TextOff: []uint64{0}, TitleOff: []uint64{0}}
-	return e
 }
 
 // Terms returns the engine's term table, shared with every query
@@ -277,9 +271,8 @@ func (e *Engine) Terms() *nlp.TermTable { return e.terms }
 
 // Add tokenizes a document into the engine and returns its assigned
 // ID; it becomes searchable at the freeze. Add panics once the engine
-// is frozen — after its first read, or when it was loaded from a
-// snapshot: a frozen corpus never grows, and silently dropping a
-// document would desynchronize index and text.
+// is frozen, after its first read: a frozen corpus never grows, and
+// silently dropping a document would desynchronize index and text.
 func (e *Engine) Add(title, text string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -12,8 +12,7 @@ import (
 // TestFirstReadFreezes pins when an engine freezes and what that
 // means: any first read — including compiling a query — freezes it
 // before interning anything, so words only a query uses never enter the
-// corpus vocabulary (a rebuilt world's term table matches its
-// snapshot's), and Add after the freeze panics.
+// corpus vocabulary, and Add after the freeze panics.
 func TestFirstReadFreezes(t *testing.T) {
 	reads := map[string]func(e *Engine){
 		"Compile":      func(e *Engine) { e.Compile(`"totally unseen phrase" +zzzq`) },
@@ -85,7 +84,7 @@ func TestFrozenEngineConcurrent(t *testing.T) {
 // TestFrozenAddPanics pins the API contract: a frozen engine refuses
 // growth loudly (misuse), unlike snapshot corruption (errors).
 func TestFrozenAddPanics(t *testing.T) {
-	fro := NewFrozenEngine(batchTestEngine().Index())
+	fro := loadedEngine(batchTestEngine().Index())
 	defer func() {
 		if recover() == nil {
 			t.Error("Add on a frozen engine did not panic")
@@ -96,14 +95,14 @@ func TestFrozenAddPanics(t *testing.T) {
 
 // TestExtractFrozenRoundTrip checks a built index passes the
 // structural validation and that Data() survives a reconstruction
-// through NewFrozenIndex — the path a snapshot load takes.
+// through NewFrozenIndex.
 func TestExtractFrozenRoundTrip(t *testing.T) {
 	fi := batchTestEngine().Index()
 	fi2, err := NewFrozenIndex(fi.Terms(), fi.Data())
 	if err != nil {
 		t.Fatalf("NewFrozenIndex: %v", err)
 	}
-	a, b := NewFrozenEngine(fi), NewFrozenEngine(fi2)
+	a, b := loadedEngine(fi), loadedEngine(fi2)
 	for _, q := range batchTestQueries() {
 		if x, y := a.NumHits(q), b.NumHits(q); x != y {
 			t.Errorf("NumHits(%q): %d vs %d after round trip", q, x, y)

@@ -45,8 +45,8 @@ func (e *tagCheckEngine) Search(query string, limit int) []surfaceweb.Snippet {
 }
 
 // TestServedSnippetTagsMatchTagging runs the five paper domains with
-// every component on an engine loaded from the fixture's index, and
-// twice on a query cache (the second pass answered from cached
+// every component on the fixture's engine, frozen at its first read,
+// and twice on a query cache (the second pass answered from cached
 // results), and requires every snippet served to carry tags equal to
 // tagging its text.
 func TestServedSnippetTagsMatchTagging(t *testing.T) {
@@ -60,7 +60,7 @@ func TestServedSnippetTagsMatchTagging(t *testing.T) {
 		engine batchMeteredEngine
 		passes int
 	}{
-		{"frozen", surfaceweb.NewFrozenEngine(eng.Index()), 1},
+		{"frozen", eng, 1},
 		{"cached", cache, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # End-to-end cold-start smoke test: build a world snapshot, verify it,
-# boot webiq-serve from it, and require the instant-readiness contract —
+# require exactly the meta, datasets and world sections, boot
+# webiq-serve from it, and require the instant-readiness contract —
 # /readyz answers 200 with every domain ready before any other request,
 # /unified/{domain} renders for each domain, and each domain's
 # /unified/{domain}/explain attributes every unified instance.
@@ -23,6 +24,18 @@ $GO run ./cmd/webiq-snapshot build -o "$SNAP" -seed 1 -scale 1
 
 echo "==> verifying snapshot"
 $GO run ./cmd/webiq-snapshot verify "$SNAP"
+
+# The path comes before -json on purpose: both orders must parse. The
+# world carries no search corpus, so the file holds exactly three
+# sections, in this order.
+echo "==> listing sections"
+$GO run ./cmd/webiq-snapshot info "$SNAP" -json >"$DIR/info.json"
+SECTIONS=$(python3 -c 'import json, sys; print(" ".join(s["name"] for s in json.load(open(sys.argv[1]))["sections"]))' "$DIR/info.json")
+echo "    $SECTIONS"
+if [ "$SECTIONS" != "meta datasets world" ]; then
+	echo "FAIL: snapshot sections '$SECTIONS', want 'meta datasets world'" >&2
+	exit 1
+fi
 
 echo "==> booting webiq-serve -snapshot"
 $GO build -o "$DIR/webiq-serve" ./cmd/webiq-serve
