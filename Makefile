@@ -99,11 +99,12 @@ lint: vet
 # cancellation) and the admission/drain tests. -count=2 catches state
 # leaking between runs (stuck breakers, cache poisoning by injected
 # errors) that a single pass hides. The resilience package runs
-# unfiltered; the filter picks the chaos tests out of webiq and server.
+# unfiltered; the filter picks the chaos and cancellation tests out of
+# webiq and server.
 chaos:
 	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx' \
+		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel' \
 		./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded
@@ -112,8 +113,9 @@ chaos:
 # loader (seeded with a real snapshot plus truncated/bit-flipped
 # variants — corruption must produce an error, never a panic), the
 # packed snippet tags (expansion must equal tagging the text afresh),
-# and the search engine's reads (every hit count, ranked search and
-# batch must equal the linear-scan oracle's).
+# and the search engine's reads (every hit count and ranked search, on
+# the engine and through the query cache, must equal the linear-scan
+# oracle's).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/

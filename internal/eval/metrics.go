@@ -1,7 +1,6 @@
 package eval
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -42,61 +41,6 @@ type Metric interface {
 	Name() string
 	Compute(a *Artifacts) map[string]float64
 	Pool(domainValues []map[string]float64) map[string]float64
-}
-
-// MetricRegistry is the pluggable metric set of an evaluation run.
-type MetricRegistry struct {
-	order  []string
-	byName map[string]Metric
-}
-
-// NewMetricRegistry returns an empty registry.
-func NewMetricRegistry() *MetricRegistry {
-	return &MetricRegistry{byName: map[string]Metric{}}
-}
-
-// DefaultMetricRegistry returns the standard metric set: the three
-// acquisition stages, the final acquired-instance quality, matcher
-// merge accuracy, and degradation counts.
-func DefaultMetricRegistry() *MetricRegistry {
-	r := NewMetricRegistry()
-	for _, m := range []Metric{
-		StageMetric{Stage: "surface"},
-		StageMetric{Stage: "attr-surface"},
-		StageMetric{Stage: "attr-deep"},
-		AcquiredMetric{},
-		MatchMetric{},
-		DegradationMetric{},
-	} {
-		if err := r.Register(m); err != nil {
-			panic(err) // unreachable: default names are distinct
-		}
-	}
-	return r
-}
-
-// Register adds a metric; duplicate names error.
-func (r *MetricRegistry) Register(m Metric) error {
-	if _, dup := r.byName[m.Name()]; dup {
-		return fmt.Errorf("eval: metric %q already registered", m.Name())
-	}
-	r.byName[m.Name()] = m
-	r.order = append(r.order, m.Name())
-	return nil
-}
-
-// Metrics returns the registered metrics in registration order.
-func (r *MetricRegistry) Metrics() []Metric {
-	out := make([]Metric, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.byName[name])
-	}
-	return out
-}
-
-// Names returns the registered metric names in registration order.
-func (r *MetricRegistry) Names() []string {
-	return append([]string(nil), r.order...)
 }
 
 // --- Stage metrics ---

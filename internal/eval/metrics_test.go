@@ -132,17 +132,3 @@ func TestPoolMicroAverage(t *testing.T) {
 		t.Fatalf("micro recall = %v, want 90/101", pooled["recall"])
 	}
 }
-
-func TestRegistryRejectsDuplicates(t *testing.T) {
-	r := NewMetricRegistry()
-	if err := r.Register(StageMetric{Stage: "surface"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(StageMetric{Stage: "surface"}); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	def := DefaultMetricRegistry()
-	if got := len(def.Metrics()); got != 6 {
-		t.Fatalf("default registry has %d metrics, want 6", got)
-	}
-}

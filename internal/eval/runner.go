@@ -39,8 +39,6 @@ type RunConfig struct {
 	// Workers sizes the acquisition and matcher worker pools
 	// (0 = sequential).
 	Workers int
-	// Registry is the metric set; nil means DefaultMetricRegistry.
-	Registry *MetricRegistry
 	// Obs, when set, receives webiq_eval_* gauges for the aggregate of
 	// each metric component.
 	Obs *obs.Registry
@@ -81,10 +79,23 @@ type Result struct {
 	Aggregates map[string]map[string]Aggregate `json:"aggregates"`
 }
 
+// metrics is the metric set of every evaluation: the three acquisition
+// stages, the final acquired-instance quality, matcher merge accuracy,
+// and degradation counts. Metric names key every result map, so they
+// must be distinct.
+var metrics = []Metric{
+	StageMetric{Stage: "surface"},
+	StageMetric{Stage: "attr-surface"},
+	StageMetric{Stage: "attr-deep"},
+	AcquiredMetric{},
+	MatchMetric{},
+	DegradationMetric{},
+}
+
 // Run executes the evaluation. Each run rebuilds the corpus, datasets,
 // and deep sources from its own seed, runs acquisition and matching per
 // domain with a fresh ledger and a root trace span, and scores every
-// registered metric. Pipeline behavior is identical to cmd/webiq with
+// metric. Pipeline behavior is identical to cmd/webiq with
 // the same seed — evaluation only observes.
 func Run(cfg RunConfig) (*Result, error) {
 	if cfg.Runs <= 0 {
@@ -92,10 +103,6 @@ func Run(cfg RunConfig) (*Result, error) {
 	}
 	if cfg.Tau == 0 {
 		cfg.Tau = 0.1
-	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = DefaultMetricRegistry()
 	}
 	paper, err := paperDomains(cfg.Domains)
 	if err != nil {
@@ -112,19 +119,19 @@ func Run(cfg RunConfig) (*Result, error) {
 
 	res := &Result{}
 	for i := 0; i < cfg.Runs; i++ {
-		rr, err := oneRun(&cfg, reg, paper, profile, i, cfg.Seed+int64(i))
+		rr, err := oneRun(&cfg, paper, profile, i, cfg.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
 		res.Runs = append(res.Runs, *rr)
 	}
-	res.Aggregates = aggregate(reg, res.Runs)
+	res.Aggregates = aggregate(res.Runs)
 	emitObs(cfg.Obs, res.Aggregates)
 	return res, nil
 }
 
 // oneRun evaluates every domain once at the given seed.
-func oneRun(cfg *RunConfig, reg *MetricRegistry, paper []*kb.Domain, profile *resilience.Profile, run int, seed int64) (*RunResult, error) {
+func oneRun(cfg *RunConfig, paper []*kb.Domain, profile *resilience.Profile, run int, seed int64) (*RunResult, error) {
 	engine := surfaceweb.NewEngine()
 	corpusCfg := surfaceweb.DefaultCorpusConfig()
 	corpusCfg.Seed = seed
@@ -144,7 +151,7 @@ func oneRun(cfg *RunConfig, reg *MetricRegistry, paper []*kb.Domain, profile *re
 		if cfg.Progress != nil {
 			cfg.Progress(run, dom.Key)
 		}
-		dr := evalOne(cfg, reg, engine, dom, dsCfg, profile, seed, synthetic)
+		dr := evalOne(cfg, engine, dom, dsCfg, profile, seed, synthetic)
 		rr.Domains = append(rr.Domains, dr)
 		for name, vals := range dr.Values {
 			perMetric[name] = append(perMetric[name], vals)
@@ -160,14 +167,14 @@ func oneRun(cfg *RunConfig, reg *MetricRegistry, paper []*kb.Domain, profile *re
 	}
 
 	rr.Pooled = map[string]map[string]float64{}
-	for _, m := range reg.Metrics() {
+	for _, m := range metrics {
 		rr.Pooled[m.Name()] = m.Pool(perMetric[m.Name()])
 	}
 	return rr, nil
 }
 
 // evalOne runs the full pipeline on one domain and scores it.
-func evalOne(cfg *RunConfig, reg *MetricRegistry, engine *surfaceweb.Engine, dom *kb.Domain, dsCfg dataset.Config, profile *resilience.Profile, seed int64, synthetic bool) DomainResult {
+func evalOne(cfg *RunConfig, engine *surfaceweb.Engine, dom *kb.Domain, dsCfg dataset.Config, profile *resilience.Profile, seed int64, synthetic bool) DomainResult {
 	ds := dataset.Generate(dom, dsCfg)
 	set := BuildSet(ds, dom, synthetic)
 
@@ -213,7 +220,7 @@ func evalOne(cfg *RunConfig, reg *MetricRegistry, engine *surfaceweb.Engine, dom
 		TraceID:   art.TraceID,
 		Values:    map[string]map[string]float64{},
 	}
-	for _, m := range reg.Metrics() {
+	for _, m := range metrics {
 		dr.Values[m.Name()] = m.Compute(art)
 	}
 	return dr
@@ -236,9 +243,10 @@ func paperDomains(keys []string) ([]*kb.Domain, error) {
 }
 
 // aggregate computes mean/stddev of every pooled component across runs.
-func aggregate(reg *MetricRegistry, runs []RunResult) map[string]map[string]Aggregate {
+func aggregate(runs []RunResult) map[string]map[string]Aggregate {
 	out := map[string]map[string]Aggregate{}
-	for _, name := range reg.Names() {
+	for _, m := range metrics {
+		name := m.Name()
 		comps := map[string][]float64{}
 		for _, rr := range runs {
 			for comp, v := range rr.Pooled[name] {

@@ -1,8 +1,8 @@
 // Package eval is the matching-quality evaluation harness: eval sets
-// on disk (per-domain gold labels), a pluggable metric registry
-// (per-stage precision/recall/F1, matcher merge accuracy, degradation
-// counts), multi-run aggregation across seeds, and the machine-readable
-// quality report behind `make eval-gate`.
+// (per-domain gold labels derived from the concept layer), one fixed
+// metric set (per-stage precision/recall/F1, matcher merge accuracy,
+// degradation counts), multi-run aggregation across seeds, and the
+// machine-readable quality report behind `make eval-gate`.
 //
 // It is the quality counterpart of the perf bench gate: where
 // BENCH_pipeline.json catches allocation and wall-clock regressions,
@@ -12,17 +12,11 @@
 // any false positive or negative is explainable through the decision
 // ledger and /unified/{domain}/explain.
 //
-// The manager/registry/multi-run layering follows the
-// EvalSetManager/MetricManager/WithNumRuns design of trpc-agent-go's
-// evaluation framework (see SNIPPETS.md).
+// The multi-run aggregation follows the WithNumRuns design of
+// trpc-agent-go's evaluation framework (see SNIPPETS.md).
 package eval
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -138,16 +132,6 @@ type Set struct {
 	Pairs []schema.MatchPair `json:"pairs"`
 }
 
-// AttrByID returns the gold record for one attribute, or nil.
-func (s *Set) AttrByID(id string) *AttrGold {
-	for i := range s.Attrs {
-		if s.Attrs[i].AttrID == id {
-			return &s.Attrs[i]
-		}
-	}
-	return nil
-}
-
 // GoldPairSet returns the expected merges as a set.
 func (s *Set) GoldPairSet() map[schema.MatchPair]bool {
 	out := make(map[schema.MatchPair]bool, len(s.Pairs))
@@ -210,78 +194,4 @@ func BuildSet(ds *schema.Dataset, dom *kb.Domain, synthetic bool) *Set {
 		return set.Pairs[i].B < set.Pairs[j].B
 	})
 	return set
-}
-
-// WriteJSON serializes the set as indented JSON.
-func (s *Set) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSet deserializes a set written by WriteJSON.
-func ReadSet(r io.Reader) (*Set, error) {
-	var s Set
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("decode eval set: %w", err)
-	}
-	return &s, nil
-}
-
-// SetManager persists evaluation sets on the local file system, one
-// JSON file per set (<dir>/<id>.evalset.json) — the local EvalSet
-// manager of the snippet design.
-type SetManager struct {
-	Dir string
-}
-
-// NewSetManager returns a manager rooted at dir, creating it if needed.
-func NewSetManager(dir string) (*SetManager, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("eval set dir: %w", err)
-	}
-	return &SetManager{Dir: dir}, nil
-}
-
-func (m *SetManager) path(id string) string {
-	return filepath.Join(m.Dir, id+".evalset.json")
-}
-
-// Save writes the set to its file.
-func (m *SetManager) Save(s *Set) error {
-	f, err := os.Create(m.path(s.ID))
-	if err != nil {
-		return err
-	}
-	if err := s.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads one set by ID.
-func (m *SetManager) Load(id string) (*Set, error) {
-	f, err := os.Open(m.path(id))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSet(f)
-}
-
-// List returns the IDs of all stored sets, sorted.
-func (m *SetManager) List() ([]string, error) {
-	entries, err := os.ReadDir(m.Dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, e := range entries {
-		if name, ok := strings.CutSuffix(e.Name(), ".evalset.json"); ok {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out, nil
 }

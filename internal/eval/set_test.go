@@ -1,8 +1,6 @@
 package eval
 
 import (
-	"bytes"
-	"path/filepath"
 	"testing"
 
 	"webiq/internal/dataset"
@@ -31,6 +29,9 @@ func TestBuildSetGold(t *testing.T) {
 	}
 	if len(set.Clusters) == 0 || len(set.Pairs) == 0 {
 		t.Fatalf("gold clusters/pairs empty: %d/%d", len(set.Clusters), len(set.Pairs))
+	}
+	if got, want := len(set.GoldPairSet()), len(set.Pairs); got != want {
+		t.Fatalf("GoldPairSet size = %d, want %d", got, want)
 	}
 	var sawNumeric, sawVocab bool
 	for i := range set.Attrs {
@@ -76,48 +77,5 @@ func TestNumericGoldContains(t *testing.T) {
 	}
 	if dec.Contains("9.90") {
 		t.Error("off-step decimal accepted")
-	}
-}
-
-func TestSetRoundTripAndManager(t *testing.T) {
-	set := buildTestSet(t)
-
-	var buf bytes.Buffer
-	if err := set.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSet(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ID != set.ID || len(back.Attrs) != len(set.Attrs) ||
-		len(back.Clusters) != len(set.Clusters) || len(back.Pairs) != len(set.Pairs) {
-		t.Fatal("round-trip lost data")
-	}
-	if got, want := len(back.GoldPairSet()), len(set.Pairs); got != want {
-		t.Fatalf("GoldPairSet size = %d, want %d", got, want)
-	}
-
-	dir := filepath.Join(t.TempDir(), "sets")
-	m, err := NewSetManager(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(set); err != nil {
-		t.Fatal(err)
-	}
-	ids, err := m.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || ids[0] != "airfare" {
-		t.Fatalf("List = %v, want [airfare]", ids)
-	}
-	loaded, err := m.Load("airfare")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.AttrByID(set.Attrs[0].AttrID) == nil {
-		t.Fatal("loaded set lost attribute lookup")
 	}
 }

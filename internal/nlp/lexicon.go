@@ -178,18 +178,6 @@ var lexicon = map[string][]Tag{
 	"world": {NN}, "unit": {NN}, "units": {NNS},
 }
 
-// LookupTags returns the admissible tags for a word, or nil if the word
-// is not in the lexicon.
-func LookupTags(word string) []Tag {
-	return lexicon[word]
-}
-
-// InLexicon reports whether word (lower-cased) has a lexicon entry.
-func InLexicon(word string) bool {
-	_, ok := lexicon[word]
-	return ok
-}
-
 // allowsTag reports whether the lexicon permits tag for word; unknown
 // words permit any tag.
 func allowsTag(word string, tag Tag) bool {

@@ -38,11 +38,3 @@ func (b *Bulkhead) Release() {
 	}
 	<-b.slots
 }
-
-// InUse reports the number of held slots (diagnostics).
-func (b *Bulkhead) InUse() int {
-	if b == nil {
-		return 0
-	}
-	return len(b.slots)
-}

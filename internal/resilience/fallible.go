@@ -15,14 +15,6 @@ type Engine interface {
 	NumHits(query string) int
 }
 
-// BatchEngine is implemented by infallible engines that answer many
-// hit-count queries in one pass (*surfaceweb.Engine and the cached
-// engine both do); results and accounting must be identical to issuing
-// the queries one by one. webiq.BatchSearchEngine is an alias of it.
-type BatchEngine interface {
-	NumHitsBatch(queries []string) []int
-}
-
 // FallibleEngine is the error-aware, context-aware search engine the
 // resilient pipeline consumes. Every call honors ctx cancellation and
 // may fail with a transient error, a timeout, or a breaker rejection.
@@ -41,14 +33,8 @@ type FallibleSource interface {
 
 // AdaptEngine lifts an infallible engine into a FallibleEngine that
 // never fails (beyond honoring an already-expired context). It is the
-// bottom of every chain. When e is a BatchEngine the adapter also has
-// NumHitsBatch(ctx, queries) ([]int, error), forwarding to it.
-func AdaptEngine(e Engine) FallibleEngine {
-	if be, ok := e.(BatchEngine); ok {
-		return &batchEngineAdapter{engineAdapter{e}, be}
-	}
-	return &engineAdapter{e}
-}
+// bottom of every chain.
+func AdaptEngine(e Engine) FallibleEngine { return &engineAdapter{e} }
 
 type engineAdapter struct{ e Engine }
 
@@ -64,18 +50,6 @@ func (a *engineAdapter) NumHits(ctx context.Context, query string) (int, error) 
 		return 0, err
 	}
 	return a.e.NumHits(query), nil
-}
-
-type batchEngineAdapter struct {
-	engineAdapter
-	be BatchEngine
-}
-
-func (a *batchEngineAdapter) NumHitsBatch(ctx context.Context, queries []string) ([]int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return a.be.NumHitsBatch(queries), nil
 }
 
 // ProbeFunc adapts a probing function into a FallibleSource (webiq's

@@ -70,17 +70,6 @@ func (w *World) Dataset(domain string) *schema.Dataset {
 	return nil
 }
 
-// RestoreLedger rebuilds a provenance ledger from stored decisions.
-// Record stamps Seq = current length, so replaying in order reproduces
-// the stored sequence numbers and per-attribute indexes exactly.
-func RestoreLedger(decisions []obs.Decision) *obs.Ledger {
-	l := obs.NewLedger(nil)
-	for _, d := range decisions {
-		l.Record(d)
-	}
-	return l
-}
-
 // BuildConfig parameterizes an offline world build.
 type BuildConfig struct {
 	Seed  int64

@@ -177,30 +177,6 @@ func TestRoundTripFile(t *testing.T) {
 	}
 }
 
-// TestRestoreLedger pins the replay contract: sequence numbers and
-// per-attribute lookups survive a store/restore cycle.
-func TestRestoreLedger(t *testing.T) {
-	want, _ := testWorld(t)
-	dw := want.Domains[0]
-	l := RestoreLedger(dw.Decisions)
-	if l.Len() != len(dw.Decisions) {
-		t.Fatalf("restored ledger has %d decisions, want %d", l.Len(), len(dw.Decisions))
-	}
-	if !bytes.Equal(ledgerNDJSON(t, l.Decisions()), ledgerNDJSON(t, dw.Decisions)) {
-		t.Error("restored ledger decisions differ from stored")
-	}
-	var attr string
-	for _, d := range dw.Decisions {
-		if d.AttrID != "" {
-			attr = d.AttrID
-			break
-		}
-	}
-	if attr != "" && len(l.ByAttr(attr)) == 0 {
-		t.Errorf("restored ledger lost per-attribute index for %q", attr)
-	}
-}
-
 // mustNotPanic wraps a loader call so any panic fails with the
 // corruption context attached.
 func mustNotPanic(t *testing.T, what string, fn func()) {

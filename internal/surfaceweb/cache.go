@@ -89,9 +89,6 @@ func NewCachedEngine(e *Engine, shards int) *CachedEngine {
 	return c
 }
 
-// Inner returns the wrapped engine.
-func (c *CachedEngine) Inner() *Engine { return c.inner }
-
 // Instrument registers the cache's metrics on r:
 //
 //	webiq_engine_cache_hits_total{op}    queries answered from the cache
@@ -104,11 +101,6 @@ func (c *CachedEngine) Instrument(r *obs.Registry) {
 	c.mHits = r.CounterVec("webiq_engine_cache_hits_total", "Search-engine queries answered from the query cache, by operation.", "op")
 	c.mMisses = r.CounterVec("webiq_engine_cache_misses_total", "Search-engine queries executed on the engine after a cache miss, by operation.", "op")
 	c.mEntries = r.Gauge("webiq_engine_cache_entries", "Query results held in the cache.")
-}
-
-// shard returns the shard owning key.
-func (c *CachedEngine) shard(key string) *cacheShard {
-	return &c.shards[hash32(key)%uint32(len(c.shards))]
 }
 
 // lookup serves key from the cache, collapsing concurrent misses into
@@ -144,8 +136,8 @@ func (c *CachedEngine) lookup(keyb []byte, exec func() cacheValue) (cacheValue, 
 	return f.val, false
 }
 
-// keyScratch is the pooled key-construction buffer of the scalar
-// NumHits/Search probes.
+// keyScratch is the pooled key-construction buffer of the NumHits and
+// Search probes.
 type keyScratch struct{ buf []byte }
 
 var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
@@ -183,6 +175,18 @@ func (c *CachedEngine) NumHits(query string) int {
 	keyPool.Put(ks)
 	c.account(query, "numhits", hit)
 	return v.hits
+}
+
+// NumHitsBatch returns the hit count of each query in input order. It
+// is NumHits called for each query in turn, so results, cache contents
+// and raw/hit/miss accounting are identical to calling NumHits
+// sequentially.
+func (c *CachedEngine) NumHitsBatch(queries []string) []int {
+	out := make([]int, len(queries))
+	for i, q := range queries {
+		out[i] = c.NumHits(q)
+	}
+	return out
 }
 
 // Search returns up to k result snippets for the query, answering from

@@ -165,6 +165,51 @@ func TestCachedEngineReset(t *testing.T) {
 	}
 }
 
+// TestCachedNumHitsConcurrent hammers one cached engine with
+// overlapping NumHits bursts from many goroutines (run under -race).
+// Every answer must be correct and the raw accounting must add up: each
+// logical query is exactly one hit or one miss.
+func TestCachedNumHitsConcurrent(t *testing.T) {
+	c := NewCachedEngine(batchTestEngine(), 0)
+	queries := batchTestQueries()
+	want := make([]int, len(queries))
+	ref := batchTestEngine()
+	for i, q := range queries {
+		want[i] = ref.NumHits(q)
+	}
+
+	const workers = 8
+	var wg sync.WaitGroup
+	errc := make(chan string, workers*2)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 20; iter++ {
+				for i, q := range queries {
+					if got := c.NumHits(q); got != want[i] {
+						errc <- fmt.Sprintf("query %q: got %d want %d", q, got, want[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for msg := range errc {
+		t.Error(msg)
+	}
+	if c.Hits()+c.Misses() != c.RawQueryCount() {
+		t.Errorf("accounting leak: hits %d + misses %d != raw %d", c.Hits(), c.Misses(), c.RawQueryCount())
+	}
+	// Every distinct canonical key executed exactly once despite the
+	// concurrency: the deduped count equals the cache size.
+	if c.QueryCount() != c.Len() {
+		t.Errorf("deduped query count %d != cache entries %d", c.QueryCount(), c.Len())
+	}
+}
+
 func BenchmarkCachedNumHits(b *testing.B) {
 	e := cacheFixture()
 	for i := 0; i < 200; i++ {

@@ -194,7 +194,7 @@ func appendKeyTerm(dst []byte, id uint32, words []string, i int) []byte {
 // Its one storage is a FrozenIndex: flat CSR arrays (see freeze.go).
 // Add tokenizes each page straight into the append-only token, text
 // and title arrays and interns its terms; nothing else is built. The
-// first read — Compile, NumHits, Search, NumHitsBatch or Index —
+// first read — Compile, NumHits, Search or Index —
 // freezes the engine once: the term table stops growing, the postings
 // are transposed out of the token arrays, and the index is published
 // atomically. Every query after that reads the immutable arrays with

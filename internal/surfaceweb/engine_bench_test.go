@@ -69,29 +69,34 @@ func BenchmarkNumHitsCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkNumHitsBatch answers one PMI validation burst for the book
-// author attribute: the 3 validation phrases × 20 candidates as joint
-// phrases, plus every phrase and candidate alone (the PMI
-// denominators), compiled once so the loop times the engine kernel.
-func BenchmarkNumHitsBatch(b *testing.B) {
-	e := benchCorpusEngine(b)
+// BenchmarkCachedNumHitsBurst asks one PMI validation burst for the
+// book author attribute through the query cache, one NumHits per query
+// as the validator asks it: the 3 validation phrases × 20 candidates as
+// joint phrases, plus every phrase and candidate alone (the PMI
+// denominators). The cache is reset before each burst, so every
+// distinct query is a miss that reaches the engine, as on a cold
+// acquisition.
+func BenchmarkCachedNumHitsBurst(b *testing.B) {
+	c := NewCachedEngine(benchCorpusEngine(b), 0)
 	phrases := []string{"author", "authors such as", "such authors as"}
 	xs := kb.DomainByKey("book").ConceptByName("author").AllInstances()[:20]
-	var qs []BatchQuery
-	add := func(q string) { qs = append(qs, BatchQuery{CQ: e.Compile(q), Charged: q}) }
+	var qs []string
 	for _, x := range xs {
 		for _, p := range phrases {
-			add(fmt.Sprintf("%q", p+" "+strings.ToLower(x)))
+			qs = append(qs, fmt.Sprintf("%q", p+" "+strings.ToLower(x)))
 		}
-		add(fmt.Sprintf("%q", strings.ToLower(x)))
+		qs = append(qs, fmt.Sprintf("%q", strings.ToLower(x)))
 	}
 	for _, p := range phrases {
-		add(fmt.Sprintf("%q", p))
+		qs = append(qs, fmt.Sprintf("%q", p))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.NumHitsBatchCompiled(qs)
+		c.Reset()
+		for _, q := range qs {
+			c.NumHits(q)
+		}
 	}
 }
 

@@ -227,3 +227,65 @@ func TestSearchRankTieBreaksByID(t *testing.T) {
 		t.Errorf("tie-break order = %v, want [%d %d]", snips, a, b)
 	}
 }
+
+// batchTestEngine builds the batch corpus: a small hand-crafted corpus
+// shaped like one PMI validation burst, exercising every query shape:
+// repeated phrases, shared phrase prefixes, rare and missing terms, and
+// multi-occurrence documents.
+func batchTestEngine() *Engine {
+	e := NewEngine()
+	for i, text := range batchTestTexts {
+		e.Add(string(rune('a'+i)), text)
+	}
+	return e
+}
+
+var batchTestTexts = []string{
+	"authors such as hemingway and updike write novels",
+	"authors such as hemingway are classic authors such as updike",
+	"painters such as monet, not authors, paint",
+	"hemingway wrote novels and novellas",
+	"such books as these are rare; authors write them",
+	"updike and hemingway; novels by authors such as both",
+}
+
+// batchTestQueries covers the shapes the validator issues plus the
+// degenerate ones: single word, quoted multi-word phrases with shared
+// prefixes, phrase+required, required-only, duplicates, unknown terms,
+// and the empty query.
+func batchTestQueries() []string {
+	return []string{
+		`"authors such as hemingway"`,
+		`"authors such as updike"`,
+		`"authors such as monet"`,
+		`"authors"`,
+		`"hemingway"`,
+		`"such books as"`,
+		`"painters such as monet"`,
+		`"authors such as" +novels`,
+		`"authors such as hemingway"`, // duplicate
+		`+authors +novels`,
+		`+zzz`,
+		`"zzz yyy"`,
+		``,
+		`"authors such"`,
+		`"such as"`,
+	}
+}
+
+// TestAppendKeyMatchesKey pins the AppendKey refactor against the
+// string-returning Key.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	e := batchTestEngine()
+	for _, q := range batchTestQueries() {
+		cq := e.Compile(q)
+		if got, want := string(cq.AppendKey(nil)), cq.Key(); got != want {
+			t.Errorf("query %q: AppendKey %q, Key %q", q, got, want)
+		}
+	}
+	// Required-term count past the stack-buffer size still sorts.
+	cq := CompiledQuery{Required: []uint32{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}}
+	if got, want := string(cq.AppendKey(nil)), cq.Key(); got != want {
+		t.Errorf("long required list: AppendKey %q, Key %q", got, want)
+	}
+}

@@ -18,9 +18,10 @@ var fuzzTexts = []string{
 	"Delta",
 }
 
-// FuzzEngineQueries checks every read of a fuzzed query — hit count,
-// ranked search with snippets at several k, and a batch — against the
-// linear-scan oracle, at the default snippet radius and a small one.
+// FuzzEngineQueries checks every read of a fuzzed query — hit count
+// and ranked search with snippets at several k, on the engine and
+// through the query cache — against the linear-scan oracle, at the
+// default snippet radius and a small one.
 func FuzzEngineQueries(f *testing.F) {
 	for _, q := range []string{
 		`"airlines such as" +delta`, "boston", `"`, `"such as delta"`, `"airlines such"`,

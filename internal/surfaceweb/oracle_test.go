@@ -139,42 +139,52 @@ func oracleSearch(docs []oracleDoc, query string, radius int) []oracleHit {
 	return hits
 }
 
-// checkAgainstOracle runs every query through NumHits, Search at
-// several k, and one NumHitsBatch, comparing each with the oracle.
+// checkAgainstOracle runs every query through NumHits and through
+// Search at several k, on the engine and through a CachedEngine in
+// front of it, comparing each answer with the oracle. Every cached read
+// is asked twice, once as a miss and once as a hit. One cache serves
+// all the queries, so two queries that share a canonical key share an
+// entry, and the oracle must agree with the answer of both.
 func checkAgainstOracle(t *testing.T, e *Engine, texts []string, queries []string) {
 	t.Helper()
 	docs := newOracleDocs(texts)
+	c := NewCachedEngine(e, 0)
 	var tg nlp.Tagger
-	want := make([]int, len(queries))
-	for i, q := range queries {
+	checkSearch := func(read, q string, k int, got []Snippet, exp []oracleHit) {
+		t.Helper()
+		if len(got) != len(exp) {
+			t.Errorf("%s(%s, %d): %d results, oracle %d", read, q, k, len(got), len(exp))
+			return
+		}
+		for r, s := range got {
+			if s.DocID != exp[r].doc || s.Text != exp[r].text {
+				t.Errorf("%s(%s, %d)[%d] = doc %d %q, oracle doc %d %q",
+					read, q, k, r, s.DocID, s.Text, exp[r].doc, exp[r].text)
+			}
+			if s.Tagged.Text() != s.Text || !reflect.DeepEqual(s.Tokens(nil), tg.TagAppend(nil, s.Text)) {
+				t.Errorf("%s(%s, %d)[%d]: tags differ from tagging %q", read, q, k, r, s.Text)
+			}
+		}
+	}
+	for _, q := range queries {
 		hits := oracleSearch(docs, q, e.SnippetRadius)
-		want[i] = len(hits)
-		if got := e.NumHits(q); got != want[i] {
-			t.Errorf("NumHits(%s) = %d, oracle %d", q, got, want[i])
+		if got := e.NumHits(q); got != len(hits) {
+			t.Errorf("NumHits(%s) = %d, oracle %d", q, got, len(hits))
+		}
+		for _, read := range []string{"cached NumHits (miss)", "cached NumHits (hit)"} {
+			if got := c.NumHits(q); got != len(hits) {
+				t.Errorf("%s(%s) = %d, oracle %d", read, q, got, len(hits))
+			}
 		}
 		for _, k := range []int{0, 1, 3, 100} {
 			exp := hits
 			if k > 0 && len(exp) > k {
 				exp = exp[:k]
 			}
-			got := e.Search(q, k)
-			if len(got) != len(exp) {
-				t.Errorf("Search(%s, %d): %d results, oracle %d", q, k, len(got), len(exp))
-				continue
-			}
-			for r, s := range got {
-				if s.DocID != exp[r].doc || s.Text != exp[r].text {
-					t.Errorf("Search(%s, %d)[%d] = doc %d %q, oracle doc %d %q",
-						q, k, r, s.DocID, s.Text, exp[r].doc, exp[r].text)
-				}
-				if s.Tagged.Text() != s.Text || !reflect.DeepEqual(s.Tokens(nil), tg.TagAppend(nil, s.Text)) {
-					t.Errorf("Search(%s, %d)[%d]: tags differ from tagging %q", q, k, r, s.Text)
-				}
-			}
+			checkSearch("Search", q, k, e.Search(q, k), exp)
+			checkSearch("cached Search (miss)", q, k, c.Search(q, k), exp)
+			checkSearch("cached Search (hit)", q, k, c.Search(q, k), exp)
 		}
-	}
-	if got := e.NumHitsBatch(queries); !reflect.DeepEqual(got, want) {
-		t.Errorf("NumHitsBatch = %v, oracle %v", got, want)
 	}
 }
 

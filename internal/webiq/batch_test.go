@@ -20,7 +20,7 @@ import (
 )
 
 // recordingEngine passes calls through to an engine and logs every
-// hit-count query that reaches it, batched or not.
+// hit-count query that reaches it.
 type recordingEngine struct {
 	inner   *surfaceweb.Engine
 	mu      sync.Mutex
@@ -36,13 +36,6 @@ func (r *recordingEngine) NumHits(q string) int {
 	r.queries = append(r.queries, q)
 	r.mu.Unlock()
 	return r.inner.NumHits(q)
-}
-
-func (r *recordingEngine) NumHitsBatch(qs []string) []int {
-	r.mu.Lock()
-	r.queries = append(r.queries, qs...)
-	r.mu.Unlock()
-	return r.inner.NumHitsBatch(qs)
 }
 
 // multiset returns the logged queries sorted.
@@ -202,8 +195,9 @@ var pinnedCachedAcquisition = map[string]struct {
 
 // TestBatchedCachedAcquisitionAccounting runs the worker-pool
 // acquisition over a CachedEngine and demands the pinned Report and
-// cache accounting: batching reaches the engine through the zero-fault
-// adapter without changing what it is charged.
+// cache accounting: batched scoring asks the cache one hit count at a
+// time through the zero-fault adapter, and the engine is charged what
+// the pins record.
 func TestBatchedCachedAcquisitionAccounting(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acquisition runs; skipped in -short")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -226,5 +227,70 @@ func TestAttrDeepLateCancelCountsAnsweredProbes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// cancelAtHitsEngine is an infallible engine that logs every hit-count
+// query reaching it and cancels a context as the after-th one answers.
+type cancelAtHitsEngine struct {
+	recordingEngine
+	after  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAtHitsEngine) NumHits(q string) int {
+	n := c.recordingEngine.NumHits(q)
+	c.mu.Lock()
+	last := len(c.queries) == c.after
+	c.mu.Unlock()
+	if last {
+		c.cancel()
+	}
+	return n
+}
+
+// TestValidatorCancelMidBurstCachesNoFailedKey cancels a zero-fault
+// validation burst after its k-th hit count. The zero-fault adapter
+// checks the context on every key, so the burst's remaining keys fail
+// with the context's error and never reach the engine; the candidates
+// needing them fail. None of the failed keys is cached: scoring the
+// same burst again on a live context asks the engine for exactly the
+// queries the first burst did not answer, and scores what a fresh
+// validator scores.
+func TestValidatorCancelMidBurstCachesNoFailedKey(t *testing.T) {
+	eng, _, _ := fixture(t)
+	xs := []string{"Hemingway", "updike", "Toyota", "zzz-unknown", "software engineer"}
+
+	ref := &recordingEngine{inner: eng}
+	refV := NewValidator(ref, DefaultConfig())
+	phrases := refV.Phrases("author")
+	// Cancel as xs[0]'s last joint answers: its joints are the burst's
+	// first len(phrases) keys, and every later candidate's first joint
+	// is asked after the cancel.
+	k := len(phrases)
+	want, _ := refV.ScoresBatchCtx(context.Background(), phrases, xs)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ce := &cancelAtHitsEngine{recordingEngine: recordingEngine{inner: eng}, after: k, cancel: cancel}
+	v := NewValidator(ce, DefaultConfig())
+	_, errs := v.ScoresBatchCtx(ctx, phrases, xs)
+	first := ce.multiset()
+	if len(first) != k {
+		t.Fatalf("%d queries reached the engine, want %d: the keys after the cancel must fail unasked", len(first), k)
+	}
+	for i := 1; i < len(xs); i++ {
+		if !errors.Is(errs[i], context.Canceled) {
+			t.Errorf("candidate %q: err %v, want context.Canceled", xs[i], errs[i])
+		}
+	}
+
+	got, errs := v.ScoresBatchCtx(context.Background(), phrases, xs)
+	if !reflect.DeepEqual(errs, make([]error, len(xs))) || !reflect.DeepEqual(got, want) {
+		t.Errorf("rerun on a live context: scores %v (errs %v), fresh validator %v", got, errs, want)
+	}
+	all := ce.multiset()
+	if w := ref.multiset(); !reflect.DeepEqual(all, w) {
+		t.Errorf("engine queries over both bursts differ from one fresh burst's:\ngot:  %q\nwant: %q", all, w)
 	}
 }

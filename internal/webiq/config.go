@@ -25,12 +25,14 @@ import "webiq/internal/resilience"
 // bottom of every fault-client chain.
 type SearchEngine = resilience.Engine
 
-// BatchSearchEngine is implemented by engines that can answer many
-// hit-count queries in one pass (*surfaceweb.Engine and
-// *surfaceweb.CachedEngine both do). The zero-fault adapter a component
-// wraps its engine in forwards batched validation to it; results and
-// accounting must be identical to issuing the queries one by one.
-type BatchSearchEngine = resilience.BatchEngine
+// BatchSearchEngine is an engine that answers many hit-count queries
+// in one call (*surfaceweb.CachedEngine does, by asking NumHits for each
+// in turn). It exists for the repository benchmark's timing decorator,
+// which declares that it implements it; nothing in this module asserts
+// it, and the validator asks every hit count through NumHits.
+type BatchSearchEngine interface {
+	NumHitsBatch(queries []string) []int
+}
 
 // Config bundles the tunables of all WebIQ components.
 type Config struct {

@@ -13,23 +13,16 @@ import (
 	"webiq/internal/surfaceweb"
 )
 
-// batchMeteredEngine is the engine surface NewPipeline consumes plus
-// batched hit counts, so a wrapper keeps the batched validation path.
-type batchMeteredEngine interface {
-	MeteredEngine
-	BatchSearchEngine
-}
-
 // tagCheckEngine serves every query from the engine it wraps and checks
 // each returned snippet: its tokens must equal tagging its text afresh.
 type tagCheckEngine struct {
-	batchMeteredEngine
+	MeteredEngine
 	t        *testing.T
 	snippets atomic.Int64
 }
 
 func (e *tagCheckEngine) Search(query string, limit int) []surfaceweb.Snippet {
-	out := e.batchMeteredEngine.Search(query, limit)
+	out := e.MeteredEngine.Search(query, limit)
 	var tg nlp.Tagger
 	for _, snip := range out {
 		if snip.Tagged.Text() != snip.Text {
@@ -57,14 +50,14 @@ func TestServedSnippetTagsMatchTagging(t *testing.T) {
 	cache := surfaceweb.NewCachedEngine(eng, 0)
 	for _, tc := range []struct {
 		name   string
-		engine batchMeteredEngine
+		engine MeteredEngine
 		passes int
 	}{
 		{"frozen", eng, 1},
 		{"cached", cache, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			chk := &tagCheckEngine{batchMeteredEngine: tc.engine, t: t}
+			chk := &tagCheckEngine{MeteredEngine: tc.engine, t: t}
 			for pass := 0; pass < tc.passes; pass++ {
 				for _, dom := range kb.Domains() {
 					ds := dataset.Generate(dom, dataset.DefaultConfig())

@@ -22,8 +22,8 @@ import (
 //
 // One attribute's validation burst scores every candidate x against
 // every validation phrase V. ScoresBatchCtx collects the whole burst,
-// dedupes it against the memoized hit-count cache, issues the residue
-// as one batched engine request, and fans the results back out. Hit
+// dedupes it against the memoized hit-count cache, asks the engine for
+// each key of the residue in turn, and fans the results back out. Hit
 // counts are memoized so that repeated sub-queries (NumHits(V),
 // NumHits(x)) are charged to the search engine only once, mirroring how
 // a careful client would cache Google hit counts. The memo is
@@ -113,8 +113,8 @@ func (v *Validator) ConfidenceBatchCtx(ctx context.Context, phrases []string, xs
 
 // ScoresBatchCtx returns the per-phrase validation score vectors of many
 // candidates at once — out[i] is the validation vector M of Section 3.1
-// for xs[i] — resolving the whole burst through the memo in two batched
-// engine passes.
+// for xs[i] — resolving the whole burst through the memo in two
+// stages: the joints, then the denominators they need.
 //
 // Probe order is the per-candidate scalar order (x-major, phrase-minor;
 // the joint first, then NumHits(V) and NumHits(x) only when the joint
@@ -260,7 +260,7 @@ func growErrs(s []error, n int) []error {
 }
 
 // scoresBatchChunkedCtx scores xs into per-index slots of scores/errs,
-// splitting the list into contiguous chunks — one batched engine pass
+// splitting the list into contiguous chunks — one ScoresBatchCtx call
 // per chunk — spread over the validator's worker pool. Chunks only
 // partition the work: the memo's singleflight keeps every distinct
 // query issued exactly once regardless of which chunk needs it first,
@@ -319,23 +319,15 @@ type hitsRef struct {
 	c   *hitsCall
 }
 
-// batchHitsEngine is a fallible engine that answers many hit-count
-// queries in one pass (the zero-fault adapter over a
-// BatchSearchEngine). An error fails the whole batch.
-type batchHitsEngine interface {
-	NumHitsBatch(ctx context.Context, queries []string) ([]int, error)
-}
-
 // numHitsManyCtx resolves many memo keys at once into out[:keys.n] and
 // errs[:keys.n], writing every slot. Keys already cached are served
 // from the memo; keys in flight from other goroutines are waited on
 // (after our own work, so overlapping batches cannot deadlock); the
-// rest are registered as in-flight by this call and executed — in one
-// pass when the engine batches, else one query at a time — then
-// committed and released. Duplicate keys within the call resolve to
-// one engine query. A failed key is never cached: a later need of it
-// asks the engine again, while the waiters on this call share the
-// failure.
+// rest are registered as in-flight by this call and asked one query at
+// a time, then committed and released. Duplicate keys within the call
+// resolve to one engine query. A failed key is never cached: a later
+// need of it asks the engine again, while the waiters on this call
+// share the failure.
 func (v *Validator) numHitsManyCtx(ctx context.Context, keys *batchKeyArena, out []int, errs []error, sc *scoresBatchScratch) {
 	if keys.n == 0 {
 		return
@@ -367,19 +359,8 @@ func (v *Validator) numHitsManyCtx(ctx context.Context, keys *batchKeyArena, out
 	sc.waits, sc.mine, sc.mineQueries = waits, mine, mineQueries
 
 	if len(mine) > 0 {
-		if be, ok := v.engine.(batchHitsEngine); ok {
-			counts, err := be.NumHitsBatch(ctx, mineQueries)
-			for i, m := range mine {
-				if err != nil {
-					m.c.err = err
-				} else {
-					m.c.n = counts[i]
-				}
-			}
-		} else {
-			for i, m := range mine {
-				m.c.n, m.c.err = v.engine.NumHits(ctx, mineQueries[i])
-			}
+		for i, m := range mine {
+			m.c.n, m.c.err = v.engine.NumHits(ctx, mineQueries[i])
 		}
 		v.mu.Lock()
 		for i, m := range mine {
