@@ -104,7 +104,7 @@ lint: vet
 chaos:
 	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel' \
+		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel|Singleflight' \
 		./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded

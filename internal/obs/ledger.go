@@ -60,16 +60,15 @@ type Decision struct {
 }
 
 // Ledger records structured decision events as NDJSON (optional) and in
-// an in-memory store indexed by attribute and by trace. All methods are
-// safe for concurrent use and nil-safe: a nil *Ledger no-ops, so
-// pipeline code guards record sites with a single nil check and the
-// disabled path costs nothing (the PR-3 bench gate covers it).
+// an in-memory store indexed by attribute. All methods are safe for
+// concurrent use and nil-safe: a nil *Ledger no-ops, so pipeline code
+// guards record sites with a single nil check and the disabled path
+// costs nothing (the PR-3 bench gate covers it).
 type Ledger struct {
-	mu      sync.Mutex
-	enc     *json.Encoder
-	all     []Decision
-	byAttr  map[string][]int
-	byTrace map[string][]int
+	mu     sync.Mutex
+	enc    *json.Encoder
+	all    []Decision
+	byAttr map[string][]int
 
 	decisions *CounterVec // component, verdict
 }
@@ -77,7 +76,7 @@ type Ledger struct {
 // NewLedger returns a ledger. If w is non-nil every decision is also
 // written to it as one JSON object per line.
 func NewLedger(w io.Writer) *Ledger {
-	l := &Ledger{byAttr: map[string][]int{}, byTrace: map[string][]int{}}
+	l := &Ledger{byAttr: map[string][]int{}}
 	if w != nil {
 		l.enc = json.NewEncoder(w)
 	}
@@ -112,9 +111,6 @@ func (l *Ledger) Record(d Decision) {
 	l.all = append(l.all, d)
 	if d.AttrID != "" {
 		l.byAttr[d.AttrID] = append(l.byAttr[d.AttrID], d.Seq)
-	}
-	if d.TraceID != "" {
-		l.byTrace[d.TraceID] = append(l.byTrace[d.TraceID], d.Seq)
 	}
 	ctr := l.decisions
 	if l.enc != nil {
@@ -171,17 +167,6 @@ func (l *Ledger) ByAttr(attrID string) []Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.pick(l.byAttr[attrID])
-}
-
-// ByTrace returns the decisions recorded under one trace, in emission
-// order.
-func (l *Ledger) ByTrace(traceID string) []Decision {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.pick(l.byTrace[traceID])
 }
 
 func (l *Ledger) pick(idx []int) []Decision {

@@ -81,11 +81,7 @@ func TestLedgerCounterAndIndexes(t *testing.T) {
 	if len(a1) != 3 || a1[0].Seq != 0 || a1[1].Seq != 2 || a1[2].Seq != 3 {
 		t.Errorf("ByAttr(a1) = %+v, want seqs 0,2,3", a1)
 	}
-	t1 := l.ByTrace("t1")
-	if len(t1) != 2 || t1[0].Seq != 0 || t1[1].Seq != 1 {
-		t.Errorf("ByTrace(t1) = %+v, want seqs 0,1", t1)
-	}
-	if l.ByAttr("nope") != nil || l.ByTrace("nope") != nil {
+	if l.ByAttr("nope") != nil {
 		t.Error("unknown index keys should return nil")
 	}
 }
@@ -111,9 +107,6 @@ func TestLedgerRecordCtx(t *testing.T) {
 	if ds[2].TraceID != "explicit" {
 		t.Errorf("decision 2 trace = %q, want explicit", ds[2].TraceID)
 	}
-	if got := l.ByTrace(traceID); len(got) != 1 || got[0].Seq != 0 {
-		t.Errorf("ByTrace = %+v, want just decision 0", got)
-	}
 }
 
 func TestLedgerNilSafe(t *testing.T) {
@@ -121,7 +114,7 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.Record(Decision{Component: "surface", Verdict: "accept"})
 	l.RecordCtx(context.Background(), Decision{})
 	l.Instrument(NewRegistry())
-	if l.Len() != 0 || l.Decisions() != nil || l.ByAttr("x") != nil || l.ByTrace("x") != nil {
+	if l.Len() != 0 || l.Decisions() != nil || l.ByAttr("x") != nil {
 		t.Fatal("nil ledger must no-op")
 	}
 }

@@ -245,25 +245,13 @@ func (a *Acquirer) parallelSurface(ctx context.Context, ds *schema.Dataset, rep 
 	spCtx, sp := a.spans.StartSpan(ctx, "surface")
 	sp.Label("phase", "parallel")
 	t0, q0 := readClock(a.surfaceClock)
+	// On cancellation no new attribute is claimed; in-flight workers
+	// finish (they observe the context themselves) and unclaimed
+	// attributes surface as Interrupted partial results.
 	results := make([][]string, len(jobs))
-	sem := make(chan struct{}, a.cfg.Parallelism)
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		// On cancellation, stop dispatching; in-flight workers finish
-		// (they observe the context themselves) and undispatched
-		// attributes surface as Interrupted partial results.
-		if spCtx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, j job) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i] = a.surface.DiscoverInstancesCtx(spCtx, j.attr, j.ifc, ds)
-		}(i, j)
-	}
-	wg.Wait()
+	parallelForCtx(spCtx, len(jobs), a.cfg.Parallelism, func(i int) {
+		results[i] = a.surface.DiscoverInstancesCtx(spCtx, jobs[i].attr, jobs[i].ifc, ds)
+	})
 	t1, q1 := readClock(a.surfaceClock)
 	rep.SurfaceTime += t1 - t0
 	rep.SurfaceQueries += q1 - q0

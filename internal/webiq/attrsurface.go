@@ -58,18 +58,14 @@ func trainClassifier(ctx context.Context, v *Validator, label string, positives,
 		return nil, errTooFewExamples
 	}
 	// Score every training example's validation vector (the expensive,
-	// query-issuing part) in contiguous chunks — each a single batched
-	// engine pass — spread over the worker pool. Each example writes its
+	// query-issuing part) on the worker pool. Each example writes its
 	// own slot, so the training matrix is identical to a sequential
 	// build and the validator's singleflight memo keeps the query count
 	// identical too.
-	n := len(positives) + len(negatives)
-	scores := make([][]float64, n)
-	errs := make([]error, n)
-	xs := make([]string, 0, n)
+	xs := make([]string, 0, len(positives)+len(negatives))
 	xs = append(xs, positives...)
 	xs = append(xs, negatives...)
-	v.scoresBatchChunkedCtx(ctx, phrases, xs, scores, errs)
+	scores, errs := v.ScoresCtx(ctx, phrases, xs, v.cfg.Parallelism)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -271,23 +267,17 @@ func (as *AttrSurface) ValidateBorrowedCtx(ctx context.Context, attrID, label st
 		})
 	}
 	phrases := clf.Phrases
-	// Scoring each borrowed value is independent; score them in chunks
-	// on the worker pool and decide in index order, so accepted
-	// preserves the borrowed order exactly as a sequential loop would.
-	scores := make([][]float64, len(borrowed))
-	errs := make([]error, len(borrowed))
-	as.validator.scoresBatchChunkedCtx(ctx, phrases, borrowed, scores, errs)
+	// Scoring each borrowed value is independent; score them on the
+	// worker pool and decide in index order, so accepted preserves the
+	// borrowed order exactly as a sequential loop would.
+	scores, errs := as.validator.ScoresCtx(ctx, phrases, borrowed, as.cfg.Parallelism)
 	for i, b := range borrowed {
-		if errs[i] != nil || scores[i] == nil {
+		if errs[i] != nil {
 			// The value could not be scored (backend failure, or the
 			// run was canceled before its slot ran): skip just this
 			// value rather than rejecting it with fabricated evidence.
-			reason := "canceled"
-			if errs[i] != nil {
-				reason = resilience.Reason(errs[i])
-			}
 			degrade(ctx, Degradation{
-				Stage: "attr-surface", Reason: reason,
+				Stage: "attr-surface", Reason: resilience.Reason(errs[i]),
 				AttrID: attrID, Label: label,
 				Detail: "borrowed value skipped: " + b,
 			})

@@ -250,47 +250,49 @@ func (c *cancelAtHitsEngine) NumHits(q string) int {
 }
 
 // TestValidatorCancelMidBurstCachesNoFailedKey cancels a zero-fault
-// validation burst after its k-th hit count. The zero-fault adapter
-// checks the context on every key, so the burst's remaining keys fail
-// with the context's error and never reach the engine; the candidates
-// needing them fail. None of the failed keys is cached: scoring the
-// same burst again on a live context asks the engine for exactly the
-// queries the first burst did not answer, and scores what a fresh
-// validator scores.
+// serial scoring run as the first candidate's last hit count answers.
+// The pool claims no further candidate, so every later candidate fails
+// with the context's error and none of its keys reaches the engine.
+// Nothing failed is cached: scoring the same candidates again on a live
+// context asks the engine for exactly the queries the first run did not
+// answer, and scores what a fresh validator scores.
 func TestValidatorCancelMidBurstCachesNoFailedKey(t *testing.T) {
 	eng, _, _ := fixture(t)
-	xs := []string{"Hemingway", "updike", "Toyota", "zzz-unknown", "software engineer"}
+	xs := []string{"Ernest Hemingway", "updike", "Toni Morrison", "zzz-unknown", "software engineer"}
 
 	ref := &recordingEngine{inner: eng}
 	refV := NewValidator(ref, DefaultConfig())
 	phrases := refV.Phrases("author")
-	// Cancel as xs[0]'s last joint answers: its joints are the burst's
-	// first len(phrases) keys, and every later candidate's first joint
-	// is asked after the cancel.
-	k := len(phrases)
-	want, _ := refV.ScoresBatchCtx(context.Background(), phrases, xs)
+	// k is how many queries scoring xs[0] alone asks; the cancel lands
+	// as the last of them answers.
+	refV.ScoresCtx(context.Background(), phrases, xs[:1], 1)
+	k := len(ref.log())
+	want, _ := refV.ScoresCtx(context.Background(), phrases, xs, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ce := &cancelAtHitsEngine{recordingEngine: recordingEngine{inner: eng}, after: k, cancel: cancel}
 	v := NewValidator(ce, DefaultConfig())
-	_, errs := v.ScoresBatchCtx(ctx, phrases, xs)
+	got, errs := v.ScoresCtx(ctx, phrases, xs, 1)
 	first := ce.multiset()
 	if len(first) != k {
-		t.Fatalf("%d queries reached the engine, want %d: the keys after the cancel must fail unasked", len(first), k)
+		t.Fatalf("%d queries reached the engine, want %d: no key after the cancel may be asked", len(first), k)
+	}
+	if errs[0] != nil || !reflect.DeepEqual(got[0], want[0]) {
+		t.Errorf("candidate %q: scores %v (err %v), want %v", xs[0], got[0], errs[0], want[0])
 	}
 	for i := 1; i < len(xs); i++ {
-		if !errors.Is(errs[i], context.Canceled) {
-			t.Errorf("candidate %q: err %v, want context.Canceled", xs[i], errs[i])
+		if !errors.Is(errs[i], context.Canceled) || got[i] != nil {
+			t.Errorf("candidate %q: scores %v, err %v; want nil, context.Canceled", xs[i], got[i], errs[i])
 		}
 	}
 
-	got, errs := v.ScoresBatchCtx(context.Background(), phrases, xs)
+	got, errs = v.ScoresCtx(context.Background(), phrases, xs, 1)
 	if !reflect.DeepEqual(errs, make([]error, len(xs))) || !reflect.DeepEqual(got, want) {
 		t.Errorf("rerun on a live context: scores %v (errs %v), fresh validator %v", got, errs, want)
 	}
 	all := ce.multiset()
 	if w := ref.multiset(); !reflect.DeepEqual(all, w) {
-		t.Errorf("engine queries over both bursts differ from one fresh burst's:\ngot:  %q\nwant: %q", all, w)
+		t.Errorf("engine queries over both runs differ from one fresh run's:\ngot:  %q\nwant: %q", all, w)
 	}
 }

@@ -460,7 +460,7 @@ func TestChaosSurfaceExtractMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestChaosValidatorMatchesOracle runs batched PMI validation under
+// TestChaosValidatorMatchesOracle runs parallel PMI validation under
 // every named fault profile. A hit-count failure may only cost the
 // candidates that need the failed query: every candidate that scores
 // must equal the fault-free scalar reference exactly, and every
@@ -496,9 +496,7 @@ func TestChaosValidatorMatchesOracle(t *testing.T) {
 
 			scored, failed := 0, 0
 			for pass := 0; pass < 2; pass++ {
-				scores := make([][]float64, len(xs))
-				errs := make([]error, len(xs))
-				v.scoresBatchChunkedCtx(context.Background(), phrases, xs, scores, errs)
+				scores, errs := v.ScoresCtx(context.Background(), phrases, xs, cfg.Parallelism)
 				for i, x := range xs {
 					if errs[i] == nil {
 						scored++

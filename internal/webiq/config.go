@@ -76,15 +76,17 @@ type Config struct {
 	BorrowValueMatches int
 	// MaxAcquired caps the instances stored per attribute.
 	MaxAcquired int
-	// Parallelism > 1 runs the query-heavy phases concurrently with that
-	// many workers: the Surface discovery phase across attributes, and —
-	// within each attribute — Attr-Surface classifier training and
-	// borrowed-value scoring, and Attr-Deep probing. Results and
-	// substrate query counts are identical to the sequential run:
-	// Surface discovery depends only on labels and dataset metadata, the
-	// per-attribute validations are independent per value and merged in
-	// index order, and the validator's singleflight memo keeps every
-	// engine query issued exactly once.
+	// Parallelism > 1 runs the query-heavy phases concurrently on up to
+	// that many workers, clamped to the CPUs the scheduler can run at
+	// once: the Surface discovery phase across attributes (each
+	// attribute's candidates are then scored serially), and — within
+	// each attribute — Attr-Surface classifier training and
+	// borrowed-value scoring, one candidate per worker, and Attr-Deep
+	// probing. Results and substrate query counts are identical to the
+	// sequential run: Surface discovery depends only on labels and
+	// dataset metadata, the per-attribute validations are independent
+	// per value and merged in index order, and the validator's per-key
+	// singleflight memo keeps every engine query issued exactly once.
 	Parallelism int
 	// SurfaceForPredef also runs Surface discovery for attributes that
 	// already have predefined instances. The paper's Section-5 scheme
@@ -92,12 +94,6 @@ type Config struct {
 	// engine"; the flag implements the possibility the paper notes and
 	// the corresponding bench quantifies its cost/benefit.
 	SurfaceForPredef bool
-	// CacheDiscovery memoizes Surface discovery per attribute label.
-	// This is an approximation: two same-labeled attributes on different
-	// interfaces narrow their queries with different sibling keywords,
-	// so cached results can differ slightly from fresh ones. Off by
-	// default; the cache ablation bench quantifies the query savings.
-	CacheDiscovery bool
 }
 
 // DefaultConfig returns the paper-faithful configuration.

@@ -9,7 +9,6 @@ import (
 	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
-	"webiq/internal/schema"
 )
 
 // runAcquisition acquires a fresh job-domain dataset with the given
@@ -63,52 +62,5 @@ func TestParallelSurfaceAccounting(t *testing.T) {
 	rep := acq.AcquireAllCtx(context.Background(), ds)
 	if rep.SurfaceQueries == 0 || rep.SurfaceTime <= 0 {
 		t.Errorf("parallel phase not accounted: %d queries, %v", rep.SurfaceQueries, rep.SurfaceTime)
-	}
-}
-
-func TestCacheDiscoveryReturnsCopies(t *testing.T) {
-	eng, data, _ := fixture(t)
-	ds := data["book"]
-	cfg := DefaultConfig()
-	cfg.CacheDiscovery = true
-	v := NewValidator(eng, cfg)
-	s := NewSurface(eng, v, cfg)
-	a1 := &schema.Attribute{ID: "x1", InterfaceID: ds.Interfaces[0].ID, Label: "Publisher"}
-	a2 := &schema.Attribute{ID: "x2", InterfaceID: ds.Interfaces[1].ID, Label: "Publisher"}
-	got1 := s.DiscoverInstancesCtx(context.Background(), a1, ds.Interfaces[0], ds)
-	if len(got1) == 0 {
-		t.Skip("no publisher instances discovered")
-	}
-	got2 := s.DiscoverInstancesCtx(context.Background(), a2, ds.Interfaces[1], ds)
-	if !reflect.DeepEqual(got1, got2) {
-		t.Error("cache miss on identical label")
-	}
-	// Mutating one caller's slice must not corrupt the cache.
-	got1[0] = "CORRUPTED"
-	got3 := s.DiscoverInstancesCtx(context.Background(), a2, ds.Interfaces[1], ds)
-	if got3[0] == "CORRUPTED" {
-		t.Error("cache shares backing array with callers")
-	}
-}
-
-func TestCacheDiscoverySavesQueries(t *testing.T) {
-	eng, data, _ := fixture(t)
-	ds := data["book"]
-	run := func(cache bool) int {
-		cfg := DefaultConfig()
-		cfg.CacheDiscovery = cache
-		v := NewValidator(eng, cfg)
-		s := NewSurface(eng, v, cfg)
-		q0 := eng.QueryCount()
-		for i := 0; i < 3; i++ {
-			a := &schema.Attribute{ID: "y", InterfaceID: ds.Interfaces[0].ID, Label: "Author"}
-			s.DiscoverInstancesCtx(context.Background(), a, ds.Interfaces[0], ds)
-		}
-		return eng.QueryCount() - q0
-	}
-	with := run(true)
-	without := run(false)
-	if with >= without {
-		t.Errorf("cache did not save queries: with=%d without=%d", with, without)
 	}
 }

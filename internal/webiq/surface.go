@@ -4,7 +4,6 @@ import (
 	"context"
 	"sort"
 	"strings"
-	"sync"
 
 	"webiq/internal/nlp"
 	"webiq/internal/obs"
@@ -30,16 +29,13 @@ type Surface struct {
 	// ledger, when set, records every verification decision (outlier
 	// removals, PMI accept/reject) for the provenance ledger. nil-safe.
 	ledger *obs.Ledger
-
-	mu    sync.Mutex
-	cache map[string][]Candidate // label -> verified candidates (opt-in)
 }
 
 // NewSurface returns a Surface component sharing the given validator's
 // hit-count cache.
 func NewSurface(engine SearchEngine, validator *Validator, cfg Config) *Surface {
 	a := resilience.AdaptEngine(engine)
-	return &Surface{engine: a, adapter: a, validator: validator, cfg: cfg, cache: map[string][]Candidate{}}
+	return &Surface{engine: a, adapter: a, validator: validator, cfg: cfg}
 }
 
 // setFallible installs an error-aware engine for extraction searches;
@@ -74,31 +70,6 @@ type Candidate struct {
 // queries. Ledger decisions recorded during verification carry the
 // context's trace/span identity.
 func (s *Surface) DiscoverInstancesCtx(ctx context.Context, a *schema.Attribute, ifc *schema.Interface, ds *schema.Dataset) []string {
-	if s.cfg.CacheDiscovery {
-		key := strings.ToLower(a.Label)
-		s.mu.Lock()
-		cached, ok := s.cache[key]
-		s.mu.Unlock()
-		if !ok {
-			cached = s.verifyScored(ctx, a, s.extractCtx(ctx, a, ifc, ds))
-			s.mu.Lock()
-			s.cache[key] = cached
-			s.mu.Unlock()
-		} else if s.ledger != nil {
-			// The work was done under another attribute with the same
-			// label; replay the accepts so this attribute's instances
-			// stay attributable.
-			for _, c := range cached {
-				s.ledger.RecordCtx(ctx, obs.Decision{
-					Component: "surface", Verdict: "accept",
-					AttrID: a.ID, Label: a.Label, Value: c.Value,
-					Score: c.Score, Threshold: s.cfg.MinScore,
-					Detail: "cached discovery",
-				})
-			}
-		}
-		return candidateValues(cached)
-	}
 	return candidateValues(s.verifyScored(ctx, a, s.extractCtx(ctx, a, ifc, ds)))
 }
 
@@ -219,9 +190,10 @@ func (s *Surface) verifyScored(ctx context.Context, a *schema.Attribute, cands [
 		return nil
 	}
 
-	// The whole candidate list is scored in one batched validation
-	// burst up front; the decision loop below consumes the scores.
-	confs, confErrs := s.validator.ConfidenceBatchCtx(ctx, s.validator.Phrases(a.Label), values)
+	// The whole candidate list is scored up front, serially (the
+	// acquirer already runs one attribute per worker); the decision
+	// loop below consumes the scores.
+	confs, confErrs := s.validator.ConfidenceCtx(ctx, s.validator.Phrases(a.Label), values)
 	scored := make([]Candidate, 0, len(values))
 	for i, v := range values {
 		sc, err := confs[i], confErrs[i]

@@ -2,6 +2,7 @@ package webiq
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -10,10 +11,10 @@ import (
 	"webiq/internal/surfaceweb"
 )
 
-// refValidator is the reference PMI validation the batched Validator
-// is tested against: the one-(V, x)-pair-at-a-time loop, asking the
-// joint first and NumHits(V), NumHits(x) only for a non-zero joint,
-// with each distinct query charged to the engine once. It has no
+// refValidator is the reference PMI validation the Validator is tested
+// against: the one-(V, x)-pair-at-a-time loop, asking the joint first
+// and NumHits(V), NumHits(x) only for a non-zero joint, with each
+// distinct query charged to the engine once. It has no
 // failure path; fault-profile tests compare the candidates the
 // production path scored against it.
 type refValidator struct {
@@ -80,10 +81,10 @@ func (r *refValidator) confidence(phrases []string, x string) float64 {
 	return mean(r.scores(phrases, x))
 }
 
-// pmi scores one (phrase, x) pair through the production batch path.
+// pmi scores one (phrase, x) pair through the production path.
 func pmi(t *testing.T, v *Validator, phrase, x string) float64 {
 	t.Helper()
-	scores, errs := v.ScoresBatchCtx(context.Background(), []string{phrase}, []string{x})
+	scores, errs := v.ScoresCtx(context.Background(), []string{phrase}, []string{x}, 1)
 	if errs[0] != nil {
 		t.Fatalf("PMI(%q, %q): %v", phrase, x, errs[0])
 	}
@@ -93,7 +94,7 @@ func pmi(t *testing.T, v *Validator, phrase, x string) float64 {
 // confidence is the production confidence of a single candidate.
 func confidence(t *testing.T, v *Validator, phrases []string, x string) float64 {
 	t.Helper()
-	confs, errs := v.ConfidenceBatchCtx(context.Background(), phrases, []string{x})
+	confs, errs := v.ConfidenceCtx(context.Background(), phrases, []string{x})
 	if errs[0] != nil {
 		t.Fatalf("confidence(%q): %v", x, errs[0])
 	}
@@ -241,7 +242,7 @@ func TestScoresVector(t *testing.T) {
 		`"a x"`: 2, `"a"`: 10, `"x"`: 5,
 	}}
 	v := NewValidator(eng, DefaultConfig())
-	scores, errs := v.ScoresBatchCtx(context.Background(), []string{"a", "b"}, []string{"x"})
+	scores, errs := v.ScoresCtx(context.Background(), []string{"a", "b"}, []string{"x"}, 1)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
@@ -251,5 +252,149 @@ func TestScoresVector(t *testing.T) {
 	}
 	if got[0] <= 0 || got[1] != 0 {
 		t.Errorf("scores = %v", got)
+	}
+}
+
+// hitsResult is one hit-count answer: a count or an error.
+type hitsResult struct {
+	n   int
+	err error
+}
+
+// gateEngine is a FallibleEngine whose hit-count queries block until
+// the test releases them. entered receives each query as it arrives;
+// answers[i] is the (count, error) of the i-th query.
+type gateEngine struct {
+	entered chan string
+	release chan struct{}
+	mu      sync.Mutex
+	answers []hitsResult
+	queries int
+}
+
+func newGateEngine(answers ...hitsResult) *gateEngine {
+	return &gateEngine{entered: make(chan string, 8), release: make(chan struct{}), answers: answers}
+}
+
+func (g *gateEngine) Search(context.Context, string, int) ([]surfaceweb.Snippet, error) {
+	return nil, nil
+}
+
+func (g *gateEngine) NumHits(_ context.Context, q string) (int, error) {
+	g.mu.Lock()
+	a := g.answers[g.queries]
+	g.queries++
+	g.mu.Unlock()
+	g.entered <- q
+	<-g.release
+	return a.n, a.err
+}
+
+func (g *gateEngine) count() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.queries
+}
+
+// waitingCtx reports on waiting when a memo waiter selects on its Done
+// channel, so a test knows the waiter is parked on the owner's call.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitingCtx(ctx context.Context) *waitingCtx {
+	return &waitingCtx{Context: ctx, waiting: make(chan struct{})}
+}
+
+func (w *waitingCtx) Done() <-chan struct{} {
+	w.once.Do(func() { close(w.waiting) })
+	return w.Context.Done()
+}
+
+// startOwnerAndWaiter starts an owner asking key, waits for its query
+// to reach the engine, then starts a waiter on waiterCtx and waits for
+// it to park on the owner's call. The owner's and the waiter's results
+// arrive on the returned channels once the engine is released.
+func startOwnerAndWaiter(t *testing.T, v *Validator, g *gateEngine, key string, waiterCtx *waitingCtx) (owner, waiter chan hitsResult) {
+	t.Helper()
+	owner, waiter = make(chan hitsResult, 1), make(chan hitsResult, 1)
+	go func() {
+		n, err := v.numHits(context.Background(), []byte(key))
+		owner <- hitsResult{n, err}
+	}()
+	if q := <-g.entered; q != key {
+		t.Fatalf("engine asked %q, want %q", q, key)
+	}
+	go func() {
+		n, err := v.numHits(waiterCtx, []byte(key))
+		waiter <- hitsResult{n, err}
+	}()
+	<-waiterCtx.waiting
+	return owner, waiter
+}
+
+// TestValidatorSingleflightSharesOneQuery: two goroutines needing one
+// key while the engine blocks cost one engine query, and both get the
+// count.
+func TestValidatorSingleflightSharesOneQuery(t *testing.T) {
+	g := newGateEngine(hitsResult{n: 42})
+	v := NewValidator(&stubEngine{}, DefaultConfig())
+	v.SetFallible(g)
+	owner, waiter := startOwnerAndWaiter(t, v, g, `"k"`, newWaitingCtx(context.Background()))
+	close(g.release)
+	for name, ch := range map[string]chan hitsResult{"owner": owner, "waiter": waiter} {
+		if r := <-ch; r.n != 42 || r.err != nil {
+			t.Errorf("%s got (%d, %v), want (42, nil)", name, r.n, r.err)
+		}
+	}
+	if n := g.count(); n != 1 {
+		t.Errorf("engine saw %d queries, want 1", n)
+	}
+}
+
+// TestValidatorSingleflightSharesFailureUncached: the owner's failure
+// reaches its waiter, and the failed key is not cached — the next need
+// asks the engine again.
+func TestValidatorSingleflightSharesFailureUncached(t *testing.T) {
+	boom := errors.New("backend down")
+	g := newGateEngine(hitsResult{err: boom}, hitsResult{n: 7})
+	v := NewValidator(&stubEngine{}, DefaultConfig())
+	v.SetFallible(g)
+	owner, waiter := startOwnerAndWaiter(t, v, g, `"k"`, newWaitingCtx(context.Background()))
+	close(g.release)
+	for name, ch := range map[string]chan hitsResult{"owner": owner, "waiter": waiter} {
+		if r := <-ch; !errors.Is(r.err, boom) {
+			t.Errorf("%s got (%d, %v), want the owner's error", name, r.n, r.err)
+		}
+	}
+	if n, err := v.numHits(context.Background(), []byte(`"k"`)); n != 7 || err != nil {
+		t.Errorf("retry got (%d, %v), want (7, nil)", n, err)
+	}
+	if n := g.count(); n != 2 {
+		t.Errorf("engine saw %d queries, want 2: a failed key must not be cached", n)
+	}
+}
+
+// TestValidatorSingleflightWaiterCancel: a waiter whose context is
+// canceled returns the context's error at once, while the owner's
+// answer still lands in the memo.
+func TestValidatorSingleflightWaiterCancel(t *testing.T) {
+	g := newGateEngine(hitsResult{n: 9})
+	v := NewValidator(&stubEngine{}, DefaultConfig())
+	v.SetFallible(g)
+	ctx, cancel := context.WithCancel(context.Background())
+	owner, waiter := startOwnerAndWaiter(t, v, g, `"k"`, newWaitingCtx(ctx))
+	cancel()
+	if r := <-waiter; !errors.Is(r.err, context.Canceled) {
+		t.Errorf("waiter got (%d, %v), want context.Canceled", r.n, r.err)
+	}
+	close(g.release)
+	if r := <-owner; r.n != 9 || r.err != nil {
+		t.Errorf("owner got (%d, %v), want (9, nil)", r.n, r.err)
+	}
+	if n, err := v.numHits(context.Background(), []byte(`"k"`)); n != 9 || err != nil || g.count() != 1 {
+		t.Errorf("after the owner: (%d, %v) with %d engine queries, want (9, nil) from the memo", n, err, g.count())
 	}
 }
