@@ -113,15 +113,17 @@ chaos:
 # loader (seeded with a real snapshot plus truncated/bit-flipped
 # variants — corruption must produce an error, never a panic), the
 # packed snippet tags (expansion must equal tagging the text afresh),
-# and the search engine's reads (every hit count and ranked search, on
+# the search engine's reads (every hit count and ranked search, on
 # the engine and through the query cache, must equal the linear-scan
-# oracle's).
+# oracle's), and the matcher's value typing (the byte scanners must
+# type every value as the reference regexps do).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
 	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
+	$(GO) test -fuzz FuzzClassifyValue -fuzztime 30s ./internal/matcher/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

@@ -7,7 +7,6 @@
 package matcher
 
 import (
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -44,12 +43,6 @@ func (t ValueType) String() string {
 	}
 }
 
-var (
-	monetaryRe = regexp.MustCompile(`^\$\s?\d{1,3}(,\d{3})*(\.\d+)?$|^\$\s?\d+(\.\d+)?$`)
-	integerRe  = regexp.MustCompile(`^\d{1,3}(,\d{3})+$|^\d+$`)
-	realValRe  = regexp.MustCompile(`^\d+\.\d+$`)
-)
-
 var monthNames = map[string]string{
 	"january": "jan", "february": "feb", "march": "mar", "april": "apr",
 	"may": "may", "june": "jun", "july": "jul", "august": "aug",
@@ -64,11 +57,11 @@ var monthNames = map[string]string{
 func classifyValue(v string) ValueType {
 	v = strings.TrimSpace(v)
 	switch {
-	case monetaryRe.MatchString(v):
+	case isMonetary(v):
 		return TypeMonetary
-	case realValRe.MatchString(v):
+	case isReal(v):
 		return TypeReal
-	case integerRe.MatchString(v):
+	case isInteger(v):
 		return TypeInteger
 	}
 	if _, ok := monthNames[strings.ToLower(v)]; ok {
@@ -77,11 +70,66 @@ func classifyValue(v string) ValueType {
 	// "Jan 15"-style values.
 	fields := strings.Fields(strings.ToLower(v))
 	if len(fields) == 2 {
-		if _, ok := monthNames[fields[0]]; ok && integerRe.MatchString(fields[1]) {
+		if _, ok := monthNames[fields[0]]; ok && isInteger(fields[1]) {
 			return TypeDate
 		}
 	}
 	return TypeString
+}
+
+// The value scanners below read ASCII only: a digit is 0-9 and a space
+// one of \t \n \f \r or ' ', as in a regexp's \d and \s.
+
+// digits returns the length of s's leading run of digits.
+func digits(s string) int {
+	n := 0
+	for n < len(s) && '0' <= s[n] && s[n] <= '9' {
+		n++
+	}
+	return n
+}
+
+// isInteger reports whether s is a run of digits, or one to three
+// digits followed by ",ddd" thousands groups: "1995", "10,000".
+func isInteger(s string) bool {
+	n := digits(s)
+	if n == len(s) {
+		return n > 0
+	}
+	if n == 0 || n > 3 || (len(s)-n)%4 != 0 {
+		return false
+	}
+	for rest := s[n:]; rest != ""; rest = rest[4:] {
+		if rest[0] != ',' || digits(rest[1:4]) != 3 {
+			return false
+		}
+	}
+	return true
+}
+
+// isReal reports whether s is digits, a point, and digits: "3.5".
+func isReal(s string) bool {
+	n := digits(s)
+	return n > 0 && n+1 < len(s) && s[n] == '.' && digits(s[n+1:]) == len(s)-n-1
+}
+
+// isMonetary reports whether s is a dollar sign, at most one space, and
+// an integer with an optional fraction: "$15,200", "$ 9.99".
+func isMonetary(s string) bool {
+	if s == "" || s[0] != '$' {
+		return false
+	}
+	s = s[1:]
+	if s != "" && strings.IndexByte("\t\n\f\r ", s[0]) >= 0 {
+		s = s[1:]
+	}
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		if frac := s[i+1:]; frac == "" || digits(frac) != len(frac) {
+			return false
+		}
+		s = s[:i]
+	}
+	return isInteger(s)
 }
 
 // InferType infers an attribute domain's type by majority vote (>= 60%)

@@ -11,8 +11,8 @@
 package surfaceweb
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,11 +194,11 @@ func appendKeyTerm(dst []byte, id uint32, words []string, i int) []byte {
 // Its one storage is a FrozenIndex: flat CSR arrays (see freeze.go).
 // Add tokenizes each page straight into the append-only token, text
 // and title arrays and interns its terms; nothing else is built. The
-// first read — Compile, NumHits, Search or Index —
-// freezes the engine once: the term table stops growing, the postings
-// are transposed out of the token arrays, and the index is published
-// atomically. Every query after that reads the immutable arrays with
-// no lock, and Add panics. Query accounting lives in atomics, so
+// first read — Compile, NumHits, Search or Index — freezes the engine
+// once: the term table stops growing, the postings and the word-pair
+// index are transposed out of the token arrays, and the index is
+// published atomically. Every query after that reads the immutable
+// arrays with no lock, and Add panics. Query accounting lives in atomics, so
 // charging a query needs no exclusive section either.
 type Engine struct {
 	// mu serializes Add, Instrument and the freeze; no query takes it.
@@ -302,9 +302,9 @@ func (e *Engine) Add(title, text string) int {
 
 // Index returns the engine's frozen index, freezing the engine first
 // if nothing has read it yet. Freezing happens once, under the build
-// mutex: the term table is frozen in place, the postings are built
-// from the token arrays, and the index is published for lock-free
-// readers.
+// mutex: the term table is frozen in place, the postings and the
+// word-pair index are built from the token arrays, and the index is
+// published for lock-free readers.
 func (e *Engine) Index() *FrozenIndex {
 	if fi := e.idx.Load(); fi != nil {
 		return fi
@@ -317,7 +317,7 @@ func (e *Engine) Index() *FrozenIndex {
 	e.terms.Freeze()
 	d := e.build
 	d.TextBlob, d.TitleBlob = e.text.String(), e.title.String()
-	d.buildPostings(e.terms.Len())
+	d.build(e.terms.Len())
 	fi := &FrozenIndex{terms: e.terms, d: d, numDocs: len(d.TextOff) - 1}
 	e.build = FrozenData{}
 	e.text.Reset()
@@ -416,15 +416,19 @@ func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snipp
 	e.charge(charged)
 	sc := searchPool.Get().(*searchScratch)
 	ranked := sc.ranked[:0]
+	var first termSpan
+	if len(cq.Phrase) > 1 {
+		_, first = fi.pairRange(cq.Phrase[0], cq.Phrase[1])
+	}
 	for _, id := range fi.match(cq, sc) {
-		ranked = append(ranked, scoredDoc{id: id, score: fi.relevance(id, cq)})
+		ranked = append(ranked, scoredDoc{id: id, score: fi.relevance(id, cq, &first)})
 	}
 	sc.ranked = ranked
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].score != ranked[j].score {
-			return ranked[i].score > ranked[j].score
+	slices.SortFunc(ranked, func(a, b scoredDoc) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
 		}
-		return ranked[i].id < ranked[j].id
+		return cmp.Compare(a.id, b.id)
 	})
 	if k > 0 && len(ranked) > k {
 		ranked = ranked[:k]

@@ -127,8 +127,17 @@ func TestNewFrozenIndexRejectsMalformed(t *testing.T) {
 			o[len(o)-1] += 7
 			d.TermOff = o
 		}, false},
-		{"position offsets truncated", func(d *FrozenData) { d.PostPosOff = d.PostPosOff[:2] }, false},
-		{"positions truncated", func(d *FrozenData) { d.Positions = d.Positions[:3] }, false},
+		{"term frequencies truncated", func(d *FrozenData) { d.PostFreq = d.PostFreq[:2] }, false},
+		{"term frequency zero", func(d *FrozenData) {
+			f := append([]uint32(nil), d.PostFreq...)
+			f[0] = 0
+			d.PostFreq = f
+		}, false},
+		{"term frequencies overcount", func(d *FrozenData) {
+			f := append([]uint32(nil), d.PostFreq...)
+			f[0]++
+			d.PostFreq = f
+		}, false},
 		{"posting doc out of range", func(d *FrozenData) {
 			p := append([]uint32(nil), d.PostDoc...)
 			p[0] = 1 << 30
@@ -144,6 +153,12 @@ func TestNewFrozenIndexRejectsMalformed(t *testing.T) {
 				}
 			}
 			d.PostDoc = p
+		}, false},
+		{"document samples truncated", func(d *FrozenData) { d.DocAt = d.DocAt[:len(d.DocAt)-1] }, false},
+		{"document sample wrong", func(d *FrozenData) {
+			a := append([]uint32(nil), d.DocAt...)
+			a[len(a)-1]++
+			d.DocAt = a
 		}, false},
 		{"token arrays disagree", func(d *FrozenData) { d.TokEnd = d.TokEnd[:1] }, false},
 		{"token offsets truncated", func(d *FrozenData) { d.DocTokOff = d.DocTokOff[:2] }, false},
@@ -171,6 +186,70 @@ func TestNewFrozenIndexRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: NewFrozenIndex accepted corrupt data", tc.name)
 		} else if !strings.Contains(err.Error(), "frozen index") {
 			t.Errorf("%s: unhelpful error %v", tc.name, err)
+		}
+	}
+}
+
+// TestNewFrozenIndexRejectsMalformedPairs corrupts the pair index of a
+// three-document corpus, "such" / "as delta" / "such as such as", whose
+// layout the cases rely on: the pair (such, as) occurs at tokens 3 and
+// 5, and tokens 0-1 spell it across the first document boundary. Each
+// case must fail with the named check.
+func TestNewFrozenIndexRejectsMalformedPairs(t *testing.T) {
+	e := NewEngine()
+	for _, text := range []string{"such", "as delta", "such as such as"} {
+		e.Add("t", text)
+	}
+	base := e.Index()
+	cq := e.Compile(`"such as"`)
+	p, occ := base.pairRange(cq.Phrase[0], cq.Phrase[1])
+	if got := base.d.PairTok[occ.lo:occ.hi]; len(got) != 2 || got[0] != 3 || got[1] != 5 {
+		t.Fatalf("(such, as) occurs at %v, want [3 5]", got)
+	}
+	if _, err := NewFrozenIndex(base.Terms(), base.Data()); err != nil {
+		t.Fatalf("built index fails validation: %v", err)
+	}
+	setTok := func(d *FrozenData, i uint64, g uint32) {
+		d.PairTok = append([]uint32(nil), d.PairTok...)
+		d.PairTok[i] = g
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(d *FrozenData)
+	}{
+		{"pair offsets truncated", "pair offsets", func(d *FrozenData) { d.PairOff = d.PairOff[:2] }},
+		{"pair document counts truncated", "pair document counts", func(d *FrozenData) { d.PairDocs = d.PairDocs[:1] }},
+		{"pair occurrence offsets short", "pair occurrence offsets", func(d *FrozenData) {
+			d.PairOccOff = d.PairOccOff[:len(d.PairOccOff)-1]
+		}},
+		{"occurrence dropped", "adjacent pairs", func(d *FrozenData) {
+			o := append([]uint64(nil), d.PairOccOff...)
+			o[len(o)-1]--
+			d.PairOccOff, d.PairTok = o, d.PairTok[:len(d.PairTok)-1]
+		}},
+		{"second terms not ascending", "not ascending at pair", func(d *FrozenData) {
+			// "as" is followed by "delta" and by "such": swap its two pairs.
+			n := append([]uint32(nil), d.PairNext...)
+			i := d.PairOff[cq.Phrase[1]]
+			n[i], n[i+1] = n[i+1], n[i]
+			d.PairNext = n
+		}},
+		{"occurrences not ascending", "not ascending at", func(d *FrozenData) { setTok(d, occ.lo+1, 3) }},
+		{"occurrence across a document boundary", "document boundary", func(d *FrozenData) { setTok(d, occ.lo, 0) }},
+		{"occurrence of another pair", "another pair", func(d *FrozenData) { setTok(d, occ.lo, 4) }},
+		{"document count off", "counts 2 documents", func(d *FrozenData) {
+			c := append([]uint32(nil), d.PairDocs...)
+			c[p]++
+			d.PairDocs = c
+		}},
+	}
+	for _, tc := range cases {
+		d := base.Data()
+		tc.mutate(&d)
+		if _, err := NewFrozenIndex(base.Terms(), d); err == nil {
+			t.Errorf("%s: NewFrozenIndex accepted corrupt data", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }

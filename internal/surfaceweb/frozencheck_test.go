@@ -8,6 +8,7 @@ package surfaceweb
 
 import (
 	"fmt"
+	"sort"
 
 	"webiq/internal/nlp"
 )
@@ -64,8 +65,8 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 	if err := checkOffsets("term offsets", d.TermOff, v, len(d.PostDoc)); err != nil {
 		return nil, err
 	}
-	if err := checkOffsets("position offsets", d.PostPosOff, len(d.PostDoc), len(d.Positions)); err != nil {
-		return nil, err
+	if len(d.PostFreq) != len(d.PostDoc) {
+		return nil, frozenErr("%d term frequencies for %d posting entries", len(d.PostFreq), len(d.PostDoc))
 	}
 	if len(d.TextOff) == 0 {
 		return nil, frozenErr("empty text offset table")
@@ -83,6 +84,16 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 	}
 	if err := checkOffsets("token offsets", d.DocTokOff, n, len(d.TokTerm)); err != nil {
 		return nil, err
+	}
+	// DocAt must name the document of every stride's first token:
+	// docOf searches forward from it.
+	if want := (len(d.TokTerm) + 1<<docAtShift - 1) >> docAtShift; len(d.DocAt) != want {
+		return nil, frozenErr("%d document samples, want %d", len(d.DocAt), want)
+	}
+	for k, doc := range d.DocAt {
+		if g := uint64(k) << docAtShift; uint64(doc) >= uint64(n) || g < d.DocTokOff[doc] || g >= d.DocTokOff[doc+1] {
+			return nil, frozenErr("document sample %d names document %d, which does not hold token %d", k, doc, g)
+		}
 	}
 	// Token byte spans must be ordered and inside their document's text:
 	// the snippet path slices text[TokStart[a]:TokEnd[b]] for a <= b.
@@ -113,7 +124,89 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 			}
 		}
 	}
+	// Every entry counts its term's occurrences in its document at least
+	// once, and the counts add up to the corpus.
+	freq := uint64(0)
+	for e, c := range d.PostFreq {
+		if c == 0 {
+			return nil, frozenErr("posting entry %d counts no occurrence", e)
+		}
+		freq += uint64(c)
+	}
+	if freq != uint64(len(d.TokTerm)) {
+		return nil, frozenErr("term frequencies add up to %d, corpus has %d tokens", freq, len(d.TokTerm))
+	}
+	if err := checkPairs(d, v, n); err != nil {
+		return nil, err
+	}
 	return &FrozenIndex{terms: terms, d: d, numDocs: n}, nil
+}
+
+// checkPairs validates the pair index: each first term's pairs have
+// ascending, known second terms; each pair's occurrences ascend, are
+// that pair and stay inside one document, and its document count is
+// right; and there are exactly as many occurrences as the documents
+// hold adjacent pairs, so (occurrences being distinct) every adjacent
+// pair inside a document is indexed once.
+func checkPairs(d FrozenData, v, n int) error {
+	if err := checkOffsets("pair offsets", d.PairOff, v, len(d.PairNext)); err != nil {
+		return err
+	}
+	if len(d.PairDocs) != len(d.PairNext) {
+		return frozenErr("%d pair document counts for %d pairs", len(d.PairDocs), len(d.PairNext))
+	}
+	if err := checkOffsets("pair occurrence offsets", d.PairOccOff, len(d.PairNext), len(d.PairTok)); err != nil {
+		return err
+	}
+	adjacent := 0
+	for doc := 0; doc < n; doc++ {
+		if k := int(d.DocTokOff[doc+1] - d.DocTokOff[doc]); k > 1 {
+			adjacent += k - 1
+		}
+	}
+	if len(d.PairTok) != adjacent {
+		return frozenErr("%d pair occurrences, documents hold %d adjacent pairs", len(d.PairTok), adjacent)
+	}
+	for a := 0; a < v; a++ {
+		for p := d.PairOff[a]; p < d.PairOff[a+1]; p++ {
+			if b := d.PairNext[p]; uint64(b) >= uint64(v) || (p > d.PairOff[a] && b <= d.PairNext[p-1]) {
+				return frozenErr("pairs of term %d not ascending at pair %d", a, p)
+			}
+		}
+	}
+	for a := 0; a < v; a++ {
+		for p := d.PairOff[a]; p < d.PairOff[a+1]; p++ {
+			b := d.PairNext[p]
+			lo, hi := d.PairOccOff[p], d.PairOccOff[p+1]
+			if lo == hi {
+				return frozenErr("pair %d has no occurrences", p)
+			}
+			docs, last := uint32(0), -1
+			for i := lo; i < hi; i++ {
+				g := uint64(d.PairTok[i])
+				if i > lo && g <= uint64(d.PairTok[i-1]) {
+					return frozenErr("occurrences of pair %d not ascending at %d", p, i-lo)
+				}
+				if g+1 >= uint64(len(d.TokTerm)) {
+					return frozenErr("pair %d occurs at token %d, corpus has %d", p, g, len(d.TokTerm))
+				}
+				doc := sort.Search(n, func(k int) bool { return d.DocTokOff[k+1] > g })
+				if g+1 >= d.DocTokOff[doc+1] {
+					return frozenErr("pair %d occurrence at token %d spans a document boundary", p, g)
+				}
+				if d.TokTerm[g] != uint32(a) || d.TokTerm[g+1] != b {
+					return frozenErr("pair %d occurrence at token %d is another pair", p, g)
+				}
+				if doc != last {
+					docs, last = docs+1, doc
+				}
+			}
+			if d.PairDocs[p] != docs {
+				return frozenErr("pair %d counts %d documents, occurs in %d", p, d.PairDocs[p], docs)
+			}
+		}
+	}
+	return nil
 }
 
 // loadedEngine wraps an index in an engine that is frozen from the

@@ -7,8 +7,10 @@ import "testing"
 
 // fuzzTexts is a small corpus of repeated words whose documents end
 // with the start of a phrase the next one continues ("such" / "as
-// Delta", "airlines" / "such as"), so a phrase check that crossed a
-// document boundary would find matches the oracle does not.
+// Delta", "airlines" / "such as"), so a phrase check or a word pair that
+// crossed a document boundary would find matches the oracle does not.
+// "daily as" and "united fly" occur only across a boundary; the pairs
+// of "delta fly such" each occur, never in sequence.
 var fuzzTexts = []string{
 	"Airlines such as Delta fly from Boston to Chicago daily.",
 	"as Delta and other airlines such",
@@ -16,6 +18,8 @@ var fuzzTexts = []string{
 	"Boston Boston, the Boston airlines",
 	"such as",
 	"Delta",
+	"fly such, such as United",
+	"fly Chicago",
 }
 
 // FuzzEngineQueries checks every read of a fuzzed query — hit count
@@ -26,6 +30,8 @@ func FuzzEngineQueries(f *testing.F) {
 	for _, q := range []string{
 		`"airlines such as" +delta`, "boston", `"`, `"such as delta"`, `"airlines such"`,
 		`"such airlines such as"`, `"as delta" +boston`, `"boston boston"`, `"zzzq such"`, `+such +united -x`,
+		`"delta fly such"`, `"daily as"`, `"united fly"`, `"airlines such such"`, `"such such as united"`,
+		`"delta zzzq"`, `"such as" +united`, `"fly such" +chicago`, `"chicago daily as delta"`, `"fly such such"`,
 	} {
 		f.Add(q)
 	}

@@ -200,22 +200,31 @@ func indexTexts(fi *FrozenIndex) []string {
 }
 
 // pivotTestTexts extend the batch corpus with documents that put a
-// phrase's rarest term (the pivot the index drives phrase matching
-// from) at a document's first token and at its last, and repeat terms
-// inside a phrase. Each document starts with words that end or continue
-// a phrase of its neighbour, so a phrase check that read past a
-// document boundary would find false matches.
+// phrase's rarest term or pair (the pivot the index drives phrase
+// matching from) at a document's first token and at its last, and
+// repeat terms inside a phrase. Each document starts with words that
+// end or continue a phrase of its neighbour, so a phrase check or a pair
+// that read past a document boundary would find false matches: "walrus
+// tusks" and "herds such as quagga" occur only across a boundary. The
+// pairs of "quagga herds such" each occur, never in sequence, and
+// punctuation the index drops sits inside "roam herds such".
 var pivotTestTexts = []string{
 	"such authors such as monet paint; many authors",
 	"zebra herds such as stripes write such as quagga",
 	"herds of authors zebra crossing",
+	"quagga herds roam. Herds such as these; such such as walrus",
+	"tusks of walrus herds such",
+	"as quagga",
 }
 
-// pivotTestQueries pin pivot matching: the rarest phrase term in the
-// middle or last, a pivot occurrence before the phrase could start
-// (the first token of a document), a phrase that would run past the
-// document end, a repeated term, a word the corpus lacks mid-phrase,
-// and required terms rarer than every phrase term.
+// pivotTestQueries pin pivot matching: the rarest phrase term or pair
+// in the middle or last, a pivot occurrence before the phrase could
+// start (the first token of a document), a phrase that would run past
+// the document end or exists only across a boundary, pairs that occur
+// but never in sequence, a repeated term, a word the corpus lacks
+// mid-phrase or second, two-word phrases counted alone and narrowed by
+// required terms, phrases across dropped punctuation, and required
+// terms rarer than every phrase term.
 var pivotTestQueries = []string{
 	`"as stripes write"`, `"such as monet paint"`, `"such as quagga"`, `"authors such as updike"`,
 	`"authors zebra"`, `"many authors zebra"`, `"authors zebra crossing"`, `"zebra herds"`,
@@ -224,6 +233,13 @@ var pivotTestQueries = []string{
 	`"authors zzzq such"`, `"such zzzq"`, `"zzzq as"`,
 	`"authors such as" +quagga`, `"such as" +quagga`, `"such as" +zebra +monet`, `"such as" +stripes +herds`,
 	`"authors" +zebra`, `+quagga +zebra`, `+such +quagga`,
+	`"quagga herds such"`, `"quagga herds such as"`, `"herds roam herds"`,
+	`"walrus tusks"`, `"as walrus tusks"`, `"walrus tusks of"`, `"herds such as quagga"`, `"crossing quagga"`,
+	`"such such as"`, `"such such as walrus"`, `"as such such"`, `"these such such as walrus"`,
+	`"walrus zzzq"`, `"quagga zzzq herds"`, `"zzzq zzzq"`,
+	`"walrus herds"`, `"walrus herds" +tusks`, `"walrus tusks" +herds`, `"herds such" +quagga`,
+	`"such such" +walrus`, `"such as" +walrus +tusks`, `"as quagga" +herds`,
+	`"roam herds"`, `"roam herds such"`, `"paint many authors"`, `"these such"`,
 }
 
 // TestEngineMatchesOracleBatchCorpus checks every read on the
