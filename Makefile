@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-gate perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke replica-smoke
+.PHONY: build vet test race examples bench bench-json bench-gate perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke replica-smoke
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,14 @@ test:
 # more than the default 10m package timeout.
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# Run every example program: `go build ./...` compiles them, but only
+# running them shows they still work. A non-zero exit fails the target.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || { echo "examples: $$d exited non-zero"; exit 1; }; \
+	done
 
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem ./...

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/experiments"
 	"webiq/internal/kb"
@@ -51,8 +50,8 @@ func benchEnvironment(b *testing.B) *experiments.Env {
 // against.
 func acquireDomain(env *experiments.Env, key string, comps iq.Components, cfg iq.Config) (*iq.Report, *schema.Dataset) {
 	dom := kb.DomainByKey(key)
-	ds := dataset.Generate(dom, env.DataCfg)
-	pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
+	ds := env.World.Dataset(dom)
+	pool := env.World.Pool(ds)
 	acq := iq.NewPipeline(env.Engine, pool, cfg, comps)
 	return acq.AcquireAllCtx(context.Background(), ds), ds
 }
@@ -83,8 +82,8 @@ func BenchmarkPipeline(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			for j := range conditions {
-				dss[j] = dataset.Generate(dom, env.DataCfg)
-				pools[j] = deepweb.BuildPool(dss[j], dom, env.DeepCfg)
+				dss[j] = env.World.Dataset(dom)
+				pools[j] = env.World.Pool(dss[j])
 			}
 			se := engine()
 			b.StartTimer()
@@ -427,7 +426,7 @@ func BenchmarkSearchEngine(b *testing.B) {
 // (the paper's largest).
 func BenchmarkMatcher(b *testing.B) {
 	env := benchEnvironment(b)
-	ds := dataset.Generate(kb.DomainByKey("airfare"), env.DataCfg)
+	ds := env.World.Dataset(kb.DomainByKey("airfare"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		matcher.New(matcher.DefaultConfig()).Match(ds)
@@ -476,8 +475,8 @@ func BenchmarkDeepProbe(b *testing.B) {
 	for _, pc := range cases {
 		b.Run(pc.name, func(b *testing.B) {
 			dom := kb.DomainByKey(pc.domain)
-			ds := dataset.Generate(dom, env.DataCfg)
-			pool := deepweb.BuildPool(ds, dom, env.DeepCfg)
+			ds := env.World.Dataset(dom)
+			pool := env.World.Pool(ds)
 			concepts := map[string]*kb.Concept{}
 			for _, c := range dom.Concepts {
 				concepts[c.ID] = c

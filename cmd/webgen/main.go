@@ -8,6 +8,7 @@
 //	webgen -what dataset -synth 5                # include synthetic sweep domains
 //	webgen -what corpus                          # corpus stats
 //	webgen -what corpus -query '"authors such as" +book'
+//	webgen -what corpus -synth 5                 # the corpus eval searches with 5 sweep domains
 //	webgen -what scenarios -synth 20             # the synthetic sweep table
 package main
 
@@ -19,10 +20,8 @@ import (
 	"sort"
 	"strings"
 
-	"webiq/internal/dataset"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
-	"webiq/internal/surfaceweb"
 	"webiq/internal/synth"
 )
 
@@ -39,9 +38,9 @@ func main() {
 	log.SetPrefix("webgen: ")
 
 	what := flag.String("what", "dataset", "what to generate: dataset, corpus, form, or scenarios")
-	domainFlag := flag.String("domain", "", "restrict to one domain (default: all)")
+	domainFlag := flag.String("domain", "", "restrict dataset and form output to one domain (default: all); the corpus is always the whole world")
 	seed := flag.Int64("seed", 1, "random seed")
-	jsonOut := flag.String("json", "", "write generated dataset(s) as JSON to this file")
+	jsonOut := flag.String("json", "", "with -what dataset: write the generated dataset as JSON to this file (needs -domain)")
 	query := flag.String("query", "", "with -what corpus: run this search query and show hits/snippets")
 	scale := flag.Float64("scale", 1, "with -what corpus: multiply the page counts by this factor (e.g. 10 for a 10x corpus)")
 	synthN := flag.Int("synth", 0, "include this many synthetic sweep domains (scenarios mode defaults to 20)")
@@ -62,18 +61,22 @@ func main() {
 		*synthN = 20
 	}
 	scenarios := synth.Sweep(*synthN, *seed)
+	world := synth.World{Seed: *seed, Scale: *scale, Domains: kb.Domains(), Scenarios: scenarios}
 
-	domains := kb.Domains()
+	domains := world.Domains
 	if *domainFlag != "" {
-		d := lookupDomain(*domainFlag, scenarios)
+		d := world.Domain(*domainFlag)
 		if d == nil {
 			log.Fatalf("unknown domain %q (see -list; synthetic keys need a matching -synth count)", *domainFlag)
 		}
 		domains = []*kb.Domain{d}
-	} else if *synthN > 0 {
+	} else {
 		for _, sc := range scenarios {
 			domains = append(domains, sc.Domain)
 		}
+	}
+	if *jsonOut != "" && *what == "dataset" && len(domains) != 1 {
+		log.Fatalf("-json writes one dataset: select its domain with -domain (%d selected)", len(domains))
 	}
 
 	switch *what {
@@ -81,8 +84,7 @@ func main() {
 		fmt.Printf("%-24s %5s %6s %9s %12s %12s\n",
 			"Domain", "Ifcs", "Attrs", "Avg/Ifc", "IfcNoInst%", "AttrNoInst%")
 		for _, d := range domains {
-			cfg := datasetConfig(d, scenarios, *seed)
-			ds := dataset.Generate(d, cfg)
+			ds := world.Dataset(d)
 			st := ds.ComputeStats()
 			fmt.Printf("%-24s %5d %6d %9.1f %12.0f %12.1f\n",
 				d.Key, st.Interfaces, st.Attributes, st.AvgAttrs,
@@ -100,10 +102,7 @@ func main() {
 			}
 		}
 	case "corpus":
-		engine := surfaceweb.NewEngine()
-		cfg := surfaceweb.DefaultCorpusConfig().Scaled(*scale)
-		cfg.Seed = *seed
-		surfaceweb.BuildCorpus(engine, domains, cfg)
+		engine := world.Corpus()
 		fmt.Printf("Corpus: %d pages\n", engine.NumDocs())
 		if *query != "" {
 			fmt.Printf("NumHits(%s) = %d\n", *query, engine.NumHits(*query))
@@ -112,8 +111,7 @@ func main() {
 			}
 		}
 	case "form":
-		cfg := datasetConfig(domains[0], scenarios, *seed)
-		ds := dataset.Generate(domains[0], cfg)
+		ds := world.Dataset(domains[0])
 		fmt.Print(htmlform.Render(ds.Interfaces[0]))
 	case "scenarios":
 		fmt.Printf("%-28s %8s %5s %-6s %3s %5s %4s %8s\n",
@@ -142,32 +140,6 @@ func whatNames() string {
 		names[i] = w.name
 	}
 	return strings.Join(names, ", ")
-}
-
-// lookupDomain resolves a paper domain key or a synthetic sweep key.
-func lookupDomain(key string, scenarios []*synth.Scenario) *kb.Domain {
-	if d := kb.DomainByKey(key); d != nil {
-		return d
-	}
-	for _, sc := range scenarios {
-		if sc.Domain.Key == key {
-			return sc.Domain
-		}
-	}
-	return nil
-}
-
-// datasetConfig picks the scenario-specific configuration for synthetic
-// domains and the paper default otherwise.
-func datasetConfig(d *kb.Domain, scenarios []*synth.Scenario, seed int64) dataset.Config {
-	for _, sc := range scenarios {
-		if sc.Domain == d {
-			return sc.DatasetConfig(seed)
-		}
-	}
-	cfg := dataset.DefaultConfig()
-	cfg.Seed = seed
-	return cfg
 }
 
 func mark(on bool) string {

@@ -32,14 +32,13 @@ import (
 	"strings"
 	"time"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/surfaceweb"
+	"webiq/internal/synth"
 	"webiq/internal/webiq"
 )
 
@@ -76,10 +75,8 @@ func main() {
 	}
 
 	fmt.Printf("Building Surface-Web corpus and %s dataset (seed %d)...\n", dom.Key, *seed)
-	engine := surfaceweb.NewEngine()
-	corpusCfg := surfaceweb.DefaultCorpusConfig()
-	corpusCfg.Seed = *seed
-	surfaceweb.BuildCorpus(engine, kb.Domains(), corpusCfg)
+	world := synth.World{Seed: *seed, Domains: kb.Domains()}
+	engine := world.Corpus()
 
 	var ds *schema.Dataset
 	if *jsonIn != "" {
@@ -96,14 +93,9 @@ func main() {
 			log.Fatalf("dataset file is for domain %q, -domain is %q", ds.Domain, dom.Key)
 		}
 	} else {
-		dataCfg := dataset.DefaultConfig()
-		dataCfg.Seed = *seed
-		ds = dataset.Generate(dom, dataCfg)
+		ds = world.Dataset(dom)
 	}
-
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = *seed
-	pool := deepweb.BuildPool(ds, dom, deepCfg)
+	pool := world.Pool(ds)
 
 	st := ds.ComputeStats()
 	fmt.Printf("Dataset: %d interfaces, %d attributes (%.1f per interface), %.1f%% attributes without instances\n",

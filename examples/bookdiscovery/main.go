@@ -13,13 +13,12 @@ import (
 	"webiq/internal/kb"
 	"webiq/internal/nlp"
 	"webiq/internal/schema"
-	"webiq/internal/surfaceweb"
+	"webiq/internal/synth"
 	"webiq/internal/webiq"
 )
 
 func main() {
-	engine := surfaceweb.NewEngine()
-	surfaceweb.BuildCorpus(engine, kb.Domains(), surfaceweb.DefaultCorpusConfig())
+	engine := synth.World{Seed: 1, Domains: kb.Domains()}.Corpus()
 	fmt.Printf("Surface Web ready: %d pages\n\n", engine.NumDocs())
 
 	ifc := &schema.Interface{

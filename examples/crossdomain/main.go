@@ -6,46 +6,32 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
-	"webiq/internal/kb"
-	"webiq/internal/matcher"
-	"webiq/internal/surfaceweb"
-	"webiq/internal/webiq"
+	"webiq"
 )
 
 func main() {
 	start := time.Now()
-	engine := surfaceweb.NewEngine()
-	surfaceweb.BuildCorpus(engine, kb.Domains(), surfaceweb.DefaultCorpusConfig())
-	fmt.Printf("Surface Web: %d pages (%v)\n\n", engine.NumDocs(), time.Since(start).Round(time.Millisecond))
+	sys := webiq.NewSystem(webiq.Options{})
+	fmt.Printf("Surface Web: %d pages (%v)\n\n", sys.CorpusSize(), time.Since(start).Round(time.Millisecond))
 
 	fmt.Printf("%-11s %9s %12s %9s %9s %9s\n",
 		"Domain", "Baseline", "AcqSuccess%", "F1+WebIQ", "F1+tau.1", "Queries")
-	for _, dom := range kb.Domains() {
-		ds := dataset.Generate(dom, dataset.DefaultConfig())
-		pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
+	for _, key := range sys.DomainKeys() {
+		ds := sys.GenerateDataset(key)
+		_, base := sys.Match(ds, 0)
 
-		base := matcher.Evaluate(
-			matcher.New(matcher.DefaultConfig()).Match(ds).Pairs, ds.GoldPairs())
+		q0, _ := sys.SearchQueries()
+		rep := sys.Acquire(ds)
+		q1, _ := sys.SearchQueries()
 
-		acq := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents())
-		q0 := engine.QueryCount()
-		rep := acq.AcquireAllCtx(context.Background(), ds)
-
-		after := matcher.Evaluate(
-			matcher.New(matcher.DefaultConfig()).Match(ds).Pairs, ds.GoldPairs())
-		thresh := matcher.Evaluate(
-			matcher.New(matcher.Config{Alpha: .6, Beta: .4, Threshold: .1}).Match(ds).Pairs,
-			ds.GoldPairs())
+		_, after := sys.Match(ds, 0)
+		_, thresh := sys.Match(ds, .1)
 
 		fmt.Printf("%-11s %9.1f %12.1f %9.1f %9.1f %9d\n",
-			dom.Key, 100*base.F1, rep.SuccessRate(), 100*after.F1, 100*thresh.F1,
-			engine.QueryCount()-q0)
+			key, 100*base.F1, rep.SuccessRate(), 100*after.F1, 100*thresh.F1, q1-q0)
 	}
 	fmt.Printf("\nTotal wall time: %v\n", time.Since(start).Round(time.Millisecond))
 }

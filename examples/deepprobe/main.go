@@ -13,24 +13,25 @@ import (
 	"context"
 	"fmt"
 
-	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/schema"
+	"webiq/internal/synth"
 	"webiq/internal/webiq"
 )
 
 func main() {
-	dom := kb.DomainByKey("airfare")
-	ds := dataset.Generate(dom, dataset.DefaultConfig())
-	cfg := deepweb.DefaultConfig()
-	cfg.PartialQueryProb = 1 // keep the demo deterministic
-	pool := deepweb.BuildPool(ds, dom, cfg)
+	world := synth.World{Seed: 1, Domains: kb.Domains()}
+	ds := world.Dataset(world.Domain("airfare"))
+	pool := world.Pool(ds)
 
-	// Find a free-text origin-city attribute backed by a source.
+	// Find a free-text origin-city attribute backed by a source that
+	// accepts partial queries: the others reject every probe that sets
+	// a single attribute.
 	var attr *schema.Attribute
 	for _, a := range ds.AllAttributes() {
-		if a.ConceptID == "airfare.origin_city" && !a.HasInstances() {
+		if a.ConceptID == "airfare.origin_city" && !a.HasInstances() &&
+			pool.Source(a.InterfaceID).AcceptsPartialQueries() {
 			attr = a
 			break
 		}

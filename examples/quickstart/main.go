@@ -15,24 +15,16 @@
 package main
 
 import (
-	"context"
 	"fmt"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
-	"webiq/internal/kb"
-	"webiq/internal/matcher"
-	"webiq/internal/schema"
-	"webiq/internal/surfaceweb"
-	"webiq/internal/unify"
-	"webiq/internal/webiq"
+	"webiq"
 )
 
 func main() {
 	// Figure 1's two interfaces, built by hand.
-	qa := &schema.Interface{
+	qa := &webiq.Interface{
 		ID: "qa", Domain: "airfare", Source: "figure-1-Qa",
-		Attributes: []*schema.Attribute{
+		Attributes: []*webiq.Attribute{
 			{ID: "qa/a1", InterfaceID: "qa", Label: "From city", ConceptID: "airfare.origin_city"},
 			{ID: "qa/a2", InterfaceID: "qa", Label: "Departure date", ConceptID: "airfare.departure_date"},
 			{ID: "qa/a3", InterfaceID: "qa", Label: "Number of passengers", ConceptID: "airfare.passengers",
@@ -43,9 +35,9 @@ func main() {
 				Instances: []string{"Air Canada", "American", "Delta", "United", "Northwest", "Southwest"}},
 		},
 	}
-	qb := &schema.Interface{
+	qb := &webiq.Interface{
 		ID: "qb", Domain: "airfare", Source: "figure-1-Qb",
-		Attributes: []*schema.Attribute{
+		Attributes: []*webiq.Attribute{
 			{ID: "qb/b1", InterfaceID: "qb", Label: "Departure city", ConceptID: "airfare.origin_city"},
 			{ID: "qb/b2", InterfaceID: "qb", Label: "Departure on", ConceptID: "airfare.departure_date"},
 			{ID: "qb/b3", InterfaceID: "qb", Label: "Carrier", ConceptID: "airfare.airline",
@@ -56,24 +48,20 @@ func main() {
 				Instances: []string{"1", "2", "3", "4"}},
 		},
 	}
-	ds := &schema.Dataset{
+	ds := &webiq.Dataset{
 		Domain: "airfare", EntityName: "flight", DomainKeyword: "airfare",
-		Interfaces: []*schema.Interface{qa, qb},
+		Interfaces: []*webiq.Interface{qa, qb},
 	}
 
 	// The substrates: a synthetic Surface Web and Deep-Web sources.
 	fmt.Println("Building the Surface Web and Deep-Web sources...")
-	engine := surfaceweb.NewEngine()
-	surfaceweb.BuildCorpus(engine, kb.Domains(), surfaceweb.DefaultCorpusConfig())
-	dom := kb.DomainByKey("airfare")
-	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
-	_ = dataset.DefaultConfig() // (the generator is unused here: interfaces are hand-built)
+	sys := webiq.NewSystem(webiq.Options{})
+	sys.LoadDataset(ds)
 
 	// Baseline matching: no instances for A1/B1, A2/B2; Airline/Carrier
 	// dissimilar.
 	match := func(header string) {
-		res := matcher.New(matcher.DefaultConfig()).Match(ds)
-		m := matcher.Evaluate(res.Pairs, ds.GoldPairs())
+		res, m := sys.Match(ds, 0)
 		fmt.Printf("\n%s  (P=%.2f R=%.2f F1=%.2f)\n", header, m.Precision, m.Recall, m.F1)
 		for _, c := range res.Clusters {
 			if len(c) >= 2 {
@@ -92,7 +80,7 @@ func main() {
 	match("Baseline matches (labels + predefined instances only):")
 
 	// WebIQ acquisition.
-	rep := webiq.NewPipeline(engine, pool, webiq.DefaultConfig(), webiq.AllComponents()).AcquireAllCtx(context.Background(), ds)
+	rep := sys.Acquire(ds)
 
 	fmt.Println("\nAcquired instances:")
 	for _, o := range rep.Outcomes {
@@ -110,8 +98,8 @@ func main() {
 	match("Matches after WebIQ:")
 
 	// The downstream artifact: the uniform query interface.
-	res := matcher.New(matcher.DefaultConfig()).Match(ds)
-	u := unify.Build(ds, res)
+	res, _ := sys.Match(ds, 0)
+	u := webiq.BuildUnified(ds, res)
 	fmt.Println("\nUnified query interface:")
 	for _, ua := range u.Attributes {
 		show := ua.Instances
@@ -122,7 +110,7 @@ func main() {
 	}
 }
 
-func findAttr(ds *schema.Dataset, id string) *schema.Attribute {
+func findAttr(ds *webiq.Dataset, id string) *webiq.Attribute {
 	for _, ifc := range ds.Interfaces {
 		if a := ifc.AttributeByID(id); a != nil {
 			return a

@@ -6,8 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/obs"
@@ -132,38 +130,27 @@ func Run(cfg RunConfig) (*Result, error) {
 
 // oneRun evaluates every domain once at the given seed.
 func oneRun(cfg *RunConfig, paper []*kb.Domain, profile *resilience.Profile, run int, seed int64) (*RunResult, error) {
-	engine := surfaceweb.NewEngine()
-	corpusCfg := surfaceweb.DefaultCorpusConfig()
-	corpusCfg.Seed = seed
-	if len(paper) > 0 {
-		surfaceweb.BuildCorpus(engine, paper, corpusCfg)
-	}
-	// Synthetic domains get scenario-specific corpus noise; BuildCorpus
-	// appends, so they share the one engine with the paper domains.
-	for _, sc := range cfg.Scenarios {
-		surfaceweb.BuildCorpus(engine, []*kb.Domain{sc.Domain}, sc.CorpusConfig(seed))
-	}
+	world := synth.World{Seed: seed, Domains: paper, Scenarios: cfg.Scenarios}
+	engine := world.Corpus()
 
 	rr := &RunResult{Run: run, Seed: seed}
 	perMetric := map[string][]map[string]float64{}
 
-	evalDomain := func(dom *kb.Domain, dsCfg dataset.Config, synthetic bool) {
+	evalDomain := func(dom *kb.Domain, synthetic bool) {
 		if cfg.Progress != nil {
 			cfg.Progress(run, dom.Key)
 		}
-		dr := evalOne(cfg, engine, dom, dsCfg, profile, seed, synthetic)
+		dr := evalOne(cfg, world, engine, dom, profile, synthetic)
 		rr.Domains = append(rr.Domains, dr)
 		for name, vals := range dr.Values {
 			perMetric[name] = append(perMetric[name], vals)
 		}
 	}
 	for _, dom := range paper {
-		dsCfg := dataset.DefaultConfig()
-		dsCfg.Seed = seed
-		evalDomain(dom, dsCfg, false)
+		evalDomain(dom, false)
 	}
 	for _, sc := range cfg.Scenarios {
-		evalDomain(sc.Domain, sc.DatasetConfig(seed), true)
+		evalDomain(sc.Domain, true)
 	}
 
 	rr.Pooled = map[string]map[string]float64{}
@@ -173,21 +160,19 @@ func oneRun(cfg *RunConfig, paper []*kb.Domain, profile *resilience.Profile, run
 	return rr, nil
 }
 
-// evalOne runs the full pipeline on one domain and scores it.
-func evalOne(cfg *RunConfig, engine *surfaceweb.Engine, dom *kb.Domain, dsCfg dataset.Config, profile *resilience.Profile, seed int64, synthetic bool) DomainResult {
-	ds := dataset.Generate(dom, dsCfg)
+// evalOne runs the full pipeline on one domain of the world and scores
+// it.
+func evalOne(cfg *RunConfig, world synth.World, engine *surfaceweb.Engine, dom *kb.Domain, profile *resilience.Profile, synthetic bool) DomainResult {
+	ds := world.Dataset(dom)
 	set := BuildSet(ds, dom, synthetic)
-
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = seed
-	pool := deepweb.BuildPool(ds, dom, deepCfg)
+	pool := world.Pool(ds)
 
 	iqCfg := iq.DefaultConfig()
 	iqCfg.Parallelism = cfg.Workers
 	se := surfaceweb.NewCachedEngine(engine, surfaceweb.DefaultCacheShards)
 	acq := iq.NewPipeline(se, pool, iqCfg, iq.AllComponents())
 	if profile != nil {
-		acq.SetFallible(iq.FaultClients(*profile, seed, se, pool.Source))
+		acq.SetFallible(iq.FaultClients(*profile, world.Seed, se, pool.Source))
 	}
 
 	ledger := obs.NewLedger(nil)

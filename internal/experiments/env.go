@@ -9,21 +9,20 @@ package experiments
 import (
 	"time"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/schema"
 	"webiq/internal/surfaceweb"
+	"webiq/internal/synth"
 	"webiq/internal/webiq"
 )
 
-// Env is a fully-wired experimental environment: the domain knowledge
-// bases, a Surface-Web corpus indexed once, and configuration for the
-// dataset generator, Deep-Web sources, WebIQ, and the matcher.
+// Env is a fully-wired experimental environment: the seeded synthetic
+// world (the five paper domains), its Surface-Web corpus indexed once,
+// and configuration for WebIQ and the matcher.
 type Env struct {
-	Domains []*kb.Domain
-	Engine  *surfaceweb.Engine
+	World  synth.World
+	Engine *surfaceweb.Engine
 
 	// Cache wraps Engine with the sharded query cache. Experiments that
 	// report accuracy (Table 1, Figures 6–7) query through it: results
@@ -33,11 +32,8 @@ type Env struct {
 	// charging the paper's full per-query overhead.
 	Cache *surfaceweb.CachedEngine
 
-	DataCfg   dataset.Config
-	CorpusCfg surfaceweb.CorpusConfig
-	DeepCfg   deepweb.Config
-	WebIQCfg  webiq.Config
-	MatchCfg  matcher.Config
+	WebIQCfg webiq.Config
+	MatchCfg matcher.Config
 
 	// Thresholded is the τ used for the "+ threshold" matcher variant
 	// (the paper uses .1, roughly the average of the thresholds IceQ
@@ -55,53 +51,29 @@ type Env struct {
 // synthetic corpus, and paper-faithful parameters (seed 1).
 func NewEnv() *Env { return NewEnvWithSeed(1) }
 
-// NewEnvWithSeed builds an environment whose generators all use the
-// given seed — corpus included, so the whole world is re-rolled.
+// NewEnvWithSeed builds an environment whose world is rolled from the
+// given seed — corpus, datasets and Deep-Web sources alike.
 func NewEnvWithSeed(seed int64) *Env {
 	e := &Env{
-		Domains:          kb.Domains(),
-		DataCfg:          dataset.DefaultConfig(),
-		CorpusCfg:        surfaceweb.DefaultCorpusConfig(),
-		DeepCfg:          deepweb.DefaultConfig(),
+		World:            synth.World{Seed: seed, Domains: kb.Domains()},
 		WebIQCfg:         webiq.DefaultConfig(),
 		MatchCfg:         matcher.DefaultConfig(),
 		Thresholded:      0.1,
 		MatchCostPerPair: 8 * time.Millisecond,
 	}
-	e.DataCfg.Seed = seed
-	e.CorpusCfg.Seed = seed
-	e.DeepCfg.Seed = seed
-	e.Engine = surfaceweb.NewEngine()
-	surfaceweb.BuildCorpus(e.Engine, e.Domains, e.CorpusCfg)
+	e.Engine = e.World.Corpus()
 	e.Cache = surfaceweb.NewCachedEngine(e.Engine, surfaceweb.DefaultCacheShards)
 	return e
 }
 
-// freshDataset generates an unmutated dataset for one domain.
-// Acquisition mutates attributes, so every experimental condition gets
-// its own copy (identical by determinism).
-func (e *Env) freshDataset(dom *kb.Domain) *schema.Dataset {
-	return dataset.Generate(dom, e.DataCfg)
-}
-
-// acquirer wires a WebIQ acquirer for one domain dataset with the given
-// component set, including accounting probes. It queries through the
-// query cache, so repeats are deduplicated; Figure 8 uses
-// acquirerUncached instead.
-func (e *Env) acquirer(ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
-	return e.acquirerOn(e.Cache, ds, dom, comps)
-}
-
-// acquirerUncached wires an acquirer against the raw engine — every
-// repeated query is issued and charged, the accounting regime of the
-// paper's Figure-8 overhead analysis.
-func (e *Env) acquirerUncached(ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
-	return e.acquirerOn(e.Engine, ds, dom, comps)
-}
-
-func (e *Env) acquirerOn(se webiq.MeteredEngine, ds *schema.Dataset, dom *kb.Domain, comps webiq.Components) (*webiq.Acquirer, *deepweb.Pool) {
-	pool := deepweb.BuildPool(ds, dom, e.DeepCfg)
-	return webiq.NewPipeline(se, pool, e.WebIQCfg, comps), pool
+// acquirer wires a WebIQ acquirer over the dataset and its Deep-Web
+// sources with the given component set. Acquisition mutates the
+// dataset, so every experimental condition passes its own
+// e.World.Dataset. The accuracy experiments query through e.Cache;
+// Figure 8 passes the raw e.Engine, so every repeated query is issued
+// and charged — the accounting regime of the paper's overhead analysis.
+func (e *Env) acquirer(se webiq.MeteredEngine, ds *schema.Dataset, comps webiq.Components) *webiq.Acquirer {
+	return webiq.NewPipeline(se, e.World.Pool(ds), e.WebIQCfg, comps)
 }
 
 // matchF1 runs the matcher at threshold tau and scores against gold.

@@ -22,16 +22,16 @@ type Fig6Row struct {
 // Figure6 runs the matching-accuracy experiment for each domain.
 func (e *Env) Figure6() []Fig6Row {
 	var rows []Fig6Row
-	for _, dom := range e.Domains {
+	for _, dom := range e.World.Domains {
 		row := Fig6Row{Domain: dom.DisplayName}
 
 		// Baseline: IceQ alone, no thresholding (τ = 0).
-		base := e.freshDataset(dom)
+		base := e.World.Dataset(dom)
 		row.Baseline = 100 * e.matchF1(base, 0).F1
 
 		// Baseline + WebIQ: acquire with all components, then match.
-		ds := e.freshDataset(dom)
-		acq, _ := e.acquirer(ds, dom, webiq.AllComponents())
+		ds := e.World.Dataset(dom)
+		acq := e.acquirer(e.Cache, ds, webiq.AllComponents())
 		acq.AcquireAllCtx(context.Background(), ds)
 		row.WithWebIQ = 100 * e.matchF1(ds, 0).F1
 
@@ -80,12 +80,12 @@ func (e *Env) Figure7() []Fig7Row {
 		{Surface: true, AttrDeep: true, AttrSurface: true},
 	}
 	var rows []Fig7Row
-	for _, dom := range e.Domains {
+	for _, dom := range e.World.Domains {
 		var f1s [4]float64
 		for i, comps := range configs {
-			ds := e.freshDataset(dom)
+			ds := e.World.Dataset(dom)
 			if comps != (webiq.Components{}) {
-				acq, _ := e.acquirer(ds, dom, comps)
+				acq := e.acquirer(e.Cache, ds, comps)
 				acq.AcquireAllCtx(context.Background(), ds)
 			}
 			f1s[i] = 100 * e.matchF1(ds, 0).F1
@@ -148,9 +148,9 @@ func (r Fig8Row) Total() time.Duration {
 // exactly).
 func (e *Env) Figure8() []Fig8Row {
 	var rows []Fig8Row
-	for _, dom := range e.Domains {
-		ds := e.freshDataset(dom)
-		acq, _ := e.acquirerUncached(ds, dom, webiq.AllComponents())
+	for _, dom := range e.World.Domains {
+		ds := e.World.Dataset(dom)
+		acq := e.acquirer(e.Engine, ds, webiq.AllComponents())
 		rep := acq.AcquireAllCtx(context.Background(), ds)
 
 		// Matching cost: simulated per-pair cost over all attribute

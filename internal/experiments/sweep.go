@@ -27,11 +27,11 @@ func (e *Env) TauSweep(taus []float64) []TauPoint {
 		taus = []float64{0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}
 	}
 	// Acquire once per domain, evaluate at every τ.
-	baseSets := make([]dsHolder, 0, len(e.Domains))
-	for _, dom := range e.Domains {
-		base := e.freshDataset(dom)
-		acq := e.freshDataset(dom)
-		acquirer, _ := e.acquirer(acq, dom, webiq.AllComponents())
+	baseSets := make([]dsHolder, 0, len(e.World.Domains))
+	for _, dom := range e.World.Domains {
+		base := e.World.Dataset(dom)
+		acq := e.World.Dataset(dom)
+		acquirer := e.acquirer(e.Cache, acq, webiq.AllComponents())
 		acquirer.AcquireAllCtx(context.Background(), acq)
 		baseSets = append(baseSets, dsHolder{base: base, acq: acq})
 	}
@@ -81,17 +81,17 @@ func SeedSweep(n int) SeedStats {
 	for seed := int64(1); seed <= int64(n); seed++ {
 		env := NewEnvWithSeed(seed)
 		var b, w, s float64
-		for _, dom := range env.Domains {
-			ds := env.freshDataset(dom)
+		for _, dom := range env.World.Domains {
+			ds := env.World.Dataset(dom)
 			b += 100 * env.matchF1(ds, 0).F1
 
-			acqDS := env.freshDataset(dom)
-			acq, _ := env.acquirer(acqDS, dom, webiq.AllComponents())
+			acqDS := env.World.Dataset(dom)
+			acq := env.acquirer(env.Cache, acqDS, webiq.AllComponents())
 			rep := acq.AcquireAllCtx(context.Background(), acqDS)
 			s += rep.SuccessRate()
 			w += 100 * env.matchF1(acqDS, 0).F1
 		}
-		k := float64(len(env.Domains))
+		k := float64(len(env.World.Domains))
 		base = append(base, b/k)
 		withIQ = append(withIQ, w/k)
 		success = append(success, s/k)

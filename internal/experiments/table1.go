@@ -39,10 +39,10 @@ type Table1Row struct {
 // domain.
 func (e *Env) Table1() []Table1Row {
 	var rows []Table1Row
-	for _, dom := range e.Domains {
+	for _, dom := range e.World.Domains {
 		row := Table1Row{Domain: dom.DisplayName}
 
-		base := e.freshDataset(dom)
+		base := e.World.Dataset(dom)
 		st := base.ComputeStats()
 		row.AvgAttrs = st.AvgAttrs
 		row.PctIntNoInst = st.PctInterfacesNoInst
@@ -50,13 +50,13 @@ func (e *Env) Table1() []Table1Row {
 		row.ExpInst = expectedFindable(dom, base)
 
 		// Column 6: Surface only.
-		ds := e.freshDataset(dom)
-		acq, _ := e.acquirer(ds, dom, webiq.Components{Surface: true})
+		ds := e.World.Dataset(dom)
+		acq := e.acquirer(e.Cache, ds, webiq.Components{Surface: true})
 		row.Surface = acq.AcquireAllCtx(context.Background(), ds).SuccessRate()
 
 		// Column 7: Surface + borrowing validated via the Deep Web.
-		ds = e.freshDataset(dom)
-		acq, _ = e.acquirer(ds, dom, webiq.Components{Surface: true, AttrDeep: true})
+		ds = e.World.Dataset(dom)
+		acq = e.acquirer(e.Cache, ds, webiq.Components{Surface: true, AttrDeep: true})
 		row.SurfaceDeep = acq.AcquireAllCtx(context.Background(), ds).SuccessRate()
 
 		rows = append(rows, row)

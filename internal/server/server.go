@@ -55,6 +55,7 @@ import (
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/snapshot"
+	"webiq/internal/synth"
 	"webiq/internal/translate"
 	iq "webiq/internal/webiq"
 )
@@ -205,15 +206,13 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 	ready := s.reg.GaugeVec("webiq_unified_ready", "1 when the domain's unified interface is installed.", "domain")
 	s.startup = s.reg.Gauge("webiq_startup_seconds", "Wall-clock seconds from process start until the server was constructed and ready to listen.")
 
-	domains := kb.Domains()
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = world.Meta.Seed
-	for _, dom := range domains {
+	sw := synth.World{Seed: world.Meta.Seed, Domains: kb.Domains()}
+	for _, dom := range sw.Domains {
 		ds := world.Dataset(dom.Key)
 		if ds == nil {
 			return nil, fmt.Errorf("server: world has no dataset for domain %q", dom.Key)
 		}
-		pool := deepweb.BuildPool(ds, dom, deepCfg)
+		pool := sw.Pool(ds)
 		pool.Instrument(s.reg)
 		s.byDomain[dom.Key] = &domainState{ds: ds, pool: pool}
 	}
@@ -239,7 +238,7 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 		d.explain = explain.Bytes()
 		ready.With(dw.Domain).Set(1)
 	}
-	for _, dom := range domains {
+	for _, dom := range sw.Domains {
 		if s.byDomain[dom.Key].view == nil {
 			return nil, fmt.Errorf("server: world has no unified interface for domain %q", dom.Key)
 		}

@@ -5,13 +5,11 @@ import (
 	"encoding/json"
 	"runtime"
 
-	"webiq/internal/dataset"
-	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/obs"
 	"webiq/internal/schema"
-	"webiq/internal/surfaceweb"
+	"webiq/internal/synth"
 	"webiq/internal/unify"
 	iq "webiq/internal/webiq"
 )
@@ -92,25 +90,14 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 	if cfg.Scale < 0 {
 		return nil, errf("negative corpus scale %g", cfg.Scale)
 	}
-	domains := kb.Domains()
-	engine := surfaceweb.NewEngine()
-	ccfg := surfaceweb.DefaultCorpusConfig()
-	ccfg.Seed = cfg.Seed
-	if cfg.Scale != 1 {
-		ccfg = ccfg.Scaled(cfg.Scale)
-	}
-	surfaceweb.BuildCorpus(engine, domains, ccfg)
-
-	dataCfg := dataset.DefaultConfig()
-	dataCfg.Seed = cfg.Seed
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = cfg.Seed
+	sw := synth.World{Seed: cfg.Seed, Scale: cfg.Scale, Domains: kb.Domains()}
+	engine := sw.Corpus()
 
 	w := &World{Meta: Meta{GoVersion: runtime.Version(), Seed: cfg.Seed, Scale: cfg.Scale}}
 	w.Fingerprint = fingerprint(w.Meta.GoVersion, w.Meta.Seed, w.Meta.Scale)
-	for _, dom := range domains {
-		ds := dataset.Generate(dom, dataCfg)
-		pool := deepweb.BuildPool(ds, dom, deepCfg)
+	for _, dom := range sw.Domains {
+		ds := sw.Dataset(dom)
+		pool := sw.Pool(ds)
 
 		ledger := obs.NewLedger(nil)
 		acq := iq.NewPipeline(engine, pool, iq.DefaultConfig(), iq.AllComponents())

@@ -16,6 +16,10 @@
 // Generation is fully deterministic in (count, seed): equal inputs give
 // byte-identical domains, so a committed quality baseline stays
 // comparable across machines.
+//
+// World assembles a whole seeded world — the corpus, the datasets and
+// the Deep-Web pools of the paper domains and any sweep scenarios — so
+// the seed fan-out and the corpus stream order live in one place.
 package synth
 
 import (

@@ -27,13 +27,13 @@ import (
 	"fmt"
 	"time"
 
-	"webiq/internal/dataset"
 	"webiq/internal/deepweb"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/schema"
 	"webiq/internal/surfaceweb"
+	"webiq/internal/synth"
 	"webiq/internal/unify"
 	iq "webiq/internal/webiq"
 )
@@ -110,11 +110,11 @@ func (o *Options) fill() {
 // and the WebIQ configuration. Construction indexes the corpus once;
 // datasets and Deep-Web sources are generated per domain on demand.
 type System struct {
-	opts    Options
-	engine  *surfaceweb.Engine
-	domains []*kb.Domain
-	pools   map[string]*deepweb.Pool
-	cfg     iq.Config
+	opts   Options
+	world  synth.World
+	engine *surfaceweb.Engine
+	pools  map[string]*deepweb.Pool
+	cfg    iq.Config
 }
 
 // NewSystem builds a fully-wired system.
@@ -125,23 +125,20 @@ func NewSystem(opts Options) *System {
 		domains = kb.ExtendedDomains()
 	}
 	s := &System{
-		opts:    opts,
-		engine:  surfaceweb.NewEngine(),
-		domains: domains,
-		pools:   map[string]*deepweb.Pool{},
-		cfg:     iq.DefaultConfig(),
+		opts:  opts,
+		world: synth.World{Seed: opts.Seed, Domains: domains, Interfaces: opts.Interfaces},
+		pools: map[string]*deepweb.Pool{},
+		cfg:   iq.DefaultConfig(),
 	}
 	s.cfg.K = opts.K
-	corpusCfg := surfaceweb.DefaultCorpusConfig()
-	corpusCfg.Seed = opts.Seed
-	surfaceweb.BuildCorpus(s.engine, s.domains, corpusCfg)
+	s.engine = s.world.Corpus()
 	return s
 }
 
 // DomainKeys returns the available domain keys.
 func (s *System) DomainKeys() []string {
-	out := make([]string, len(s.domains))
-	for i, d := range s.domains {
+	out := make([]string, len(s.world.Domains))
+	for i, d := range s.world.Domains {
 		out[i] = d.Key
 	}
 	return out
@@ -150,35 +147,27 @@ func (s *System) DomainKeys() []string {
 // GenerateDataset generates the query interfaces of one domain. It
 // panics on an unknown domain key; use DomainKeys to enumerate them.
 func (s *System) GenerateDataset(domain string) *Dataset {
-	d := s.domain(domain)
-	cfg := dataset.DefaultConfig()
-	cfg.Seed = s.opts.Seed
-	cfg.Interfaces = s.opts.Interfaces
-	return dataset.Generate(d, cfg)
+	d := s.world.Domain(domain)
+	if d == nil {
+		panic(fmt.Sprintf("webiq: unknown domain %q", domain))
+	}
+	return s.world.Dataset(d)
 }
 
 // LoadDataset registers an externally-built dataset (e.g. hand-written
 // interfaces, as in the quickstart example) so that Deep-Web sources
 // exist for its interfaces.
 func (s *System) LoadDataset(ds *Dataset) {
-	d := s.domain(ds.Domain)
-	deepCfg := deepweb.DefaultConfig()
-	deepCfg.Seed = s.opts.Seed
-	s.pools[ds.Domain] = deepweb.BuildPool(ds, d, deepCfg)
+	s.pools[ds.Domain] = s.world.Pool(ds)
 }
 
 // Acquire runs the WebIQ acquisition policy over the dataset, mutating
 // the attributes' Acquired fields, and returns the report.
 func (s *System) Acquire(ds *Dataset) *AcquireReport {
-	d := s.domain(ds.Domain)
-	pool, ok := s.pools[ds.Domain]
-	if !ok {
-		deepCfg := deepweb.DefaultConfig()
-		deepCfg.Seed = s.opts.Seed
-		pool = deepweb.BuildPool(ds, d, deepCfg)
-		s.pools[ds.Domain] = pool
+	if _, ok := s.pools[ds.Domain]; !ok {
+		s.LoadDataset(ds)
 	}
-	return iq.NewPipeline(s.engine, pool, s.cfg, s.opts.Components).AcquireAllCtx(context.Background(), ds)
+	return iq.NewPipeline(s.engine, s.pools[ds.Domain], s.cfg, s.opts.Components).AcquireAllCtx(context.Background(), ds)
 }
 
 // Match clusters the dataset's attributes at threshold tau and scores
@@ -227,13 +216,4 @@ func RenderInterfaceHTML(ifc *Interface) string {
 // labels and any predefined instances found in select boxes.
 func ExtractInterfaceHTML(html, interfaceID string) (*Interface, error) {
 	return htmlform.Extract(html, interfaceID)
-}
-
-func (s *System) domain(key string) *kb.Domain {
-	for _, d := range s.domains {
-		if d.Key == key {
-			return d
-		}
-	}
-	panic(fmt.Sprintf("webiq: unknown domain %q", key))
 }
