@@ -103,16 +103,16 @@ lint: vet
 
 # Chaos suite: drive the full pipeline through every fault profile
 # under the race detector, twice, plus every resilience test (the
-# retry/breaker/bulkhead primitives, fault profiles and injectors,
-# cancellation) and the admission/drain tests. -count=2 catches state
-# leaking between runs (stuck breakers, cache poisoning by injected
-# errors) that a single pass hides. The resilience package runs
-# unfiltered; the filter picks the chaos and cancellation tests out of
-# webiq and server.
+# retry/breaker primitives, fault profiles and injectors,
+# cancellation), every singleflight memo test and the admission/drain
+# tests. -count=2 catches state leaking between runs (stuck breakers,
+# cache poisoning by injected errors) that a single pass hides. The
+# resilience and memo packages run unfiltered; the filter picks the
+# chaos and cancellation tests out of webiq and server.
 chaos:
-	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/
+	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/ ./internal/memo/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'Chaos|Injector|Retrier|Breaker|Bulkhead|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel|Singleflight' \
+		-run 'Chaos|Injector|Retrier|Breaker|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel|Singleflight' \
 		./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded

@@ -97,7 +97,6 @@ func main() {
 	// Step 2: acquisition + matching.
 	fmt.Println("\nBuilding substrates and running WebIQ...")
 	sys := webiq.NewSystem(webiq.Options{})
-	sys.LoadDataset(ds)
 	sys.Acquire(ds)
 
 	res, m := sys.Match(ds, 0)

@@ -56,7 +56,6 @@ func main() {
 	// The substrates: a synthetic Surface Web and Deep-Web sources.
 	fmt.Println("Building the Surface Web and Deep-Web sources...")
 	sys := webiq.NewSystem(webiq.Options{})
-	sys.LoadDataset(ds)
 
 	// Baseline matching: no instances for A1/B1, A2/B2; Airline/Carrier
 	// dissimilar.

@@ -75,7 +75,6 @@ func main() {
 
 	fmt.Println("Building the Surface Web...")
 	sys := webiq.NewSystem(webiq.Options{})
-	sys.LoadDataset(ds)
 
 	_, before := sys.Match(ds, 0)
 	fmt.Printf("Column matching without acquisition: F1 = %.2f\n", before.F1)

@@ -12,21 +12,17 @@ import (
 type ClientOptions struct {
 	Retry   RetryPolicy
 	Breaker BreakerConfig
-	// MaxConcurrent bounds in-flight calls to the backend (the
-	// bulkhead); <= 0 means unlimited.
-	MaxConcurrent int
-	Clock         Clock
+	Clock   Clock
 	// Seed drives the retry jitter stream (deterministic tests).
 	Seed int64
 }
 
-// client is the shared resilient-call core: bulkhead -> retry ->
-// breaker -> backend.
+// client is the shared resilient-call core: retry -> breaker ->
+// backend.
 type client struct {
 	name string
 	retr *Retrier
 	br   *Breaker
-	bh   *Bulkhead
 
 	errs *obs.CounterVec // reason
 }
@@ -36,7 +32,6 @@ func newClient(name string, opts ClientOptions) *client {
 		name: name,
 		retr: NewRetrier(opts.Retry, opts.Clock, opts.Seed),
 		br:   NewBreaker(opts.Breaker, opts.Clock),
-		bh:   NewBulkhead(opts.MaxConcurrent),
 	}
 }
 
@@ -78,10 +73,6 @@ func (s *scopedCounterVec) With(state string) *obs.Counter {
 
 // do runs one logical call through the resilience layers.
 func (c *client) do(ctx context.Context, fn func(ctx context.Context) error) error {
-	if err := c.bh.Acquire(ctx); err != nil {
-		return err
-	}
-	defer c.bh.Release()
 	err := c.retr.Do(ctx, func(ctx context.Context) error {
 		if err := c.br.Allow(); err != nil {
 			return err
@@ -107,8 +98,8 @@ func (c *client) OnBreakerTransition(fn func(from, to BreakerState)) {
 }
 
 // EngineClient is the resilient search-engine client: every Search and
-// NumHits passes bulkhead -> bounded retry with backoff+jitter ->
-// circuit breaker -> the wrapped FallibleEngine.
+// NumHits passes bounded retry with backoff+jitter -> circuit breaker
+// -> the wrapped FallibleEngine.
 type EngineClient struct {
 	*client
 	inner FallibleEngine

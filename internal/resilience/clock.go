@@ -42,12 +42,12 @@ func (RealClock) Sleep(ctx context.Context, d time.Duration) error {
 // until Advance moves the clock past their wake time (or their context
 // is done).
 type FakeClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*fakeWaiter
+	mu       sync.Mutex
+	now      time.Time
+	sleepers []*sleeper
 }
 
-type fakeWaiter struct {
+type sleeper struct {
 	at time.Time
 	ch chan struct{}
 }
@@ -72,14 +72,14 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	}
 	c.mu.Lock()
-	w := &fakeWaiter{at: c.now.Add(d), ch: make(chan struct{})}
-	c.waiters = append(c.waiters, w)
+	w := &sleeper{at: c.now.Add(d), ch: make(chan struct{})}
+	c.sleepers = append(c.sleepers, w)
 	c.mu.Unlock()
 	select {
 	case <-w.ch:
 		return nil
 	case <-ctx.Done():
-		// Deregister, or the abandoned waiter would sit in c.waiters
+		// Deregister, or the abandoned sleeper would sit in c.sleepers
 		// until an Advance passes its deadline — inflating Sleepers()
 		// and growing the slice for the clock's whole lifetime.
 		c.remove(w)
@@ -87,13 +87,13 @@ func (c *FakeClock) Sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// remove drops a canceled waiter; a no-op if Advance already woke it.
-func (c *FakeClock) remove(w *fakeWaiter) {
+// remove drops a canceled sleeper; a no-op if Advance already woke it.
+func (c *FakeClock) remove(w *sleeper) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, x := range c.waiters {
+	for i, x := range c.sleepers {
 		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+			c.sleepers = append(c.sleepers[:i], c.sleepers[i+1:]...)
 			return
 		}
 	}
@@ -104,7 +104,7 @@ func (c *FakeClock) remove(w *fakeWaiter) {
 func (c *FakeClock) Sleepers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.waiters)
+	return len(c.sleepers)
 }
 
 // Advance moves the clock forward by d and wakes every sleeper whose
@@ -112,14 +112,14 @@ func (c *FakeClock) Sleepers() int {
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	c.now = c.now.Add(d)
-	var keep []*fakeWaiter
-	for _, w := range c.waiters {
+	var keep []*sleeper
+	for _, w := range c.sleepers {
 		if !w.at.After(c.now) {
 			close(w.ch)
 		} else {
 			keep = append(keep, w)
 		}
 	}
-	c.waiters = keep
+	c.sleepers = keep
 	c.mu.Unlock()
 }

@@ -16,10 +16,8 @@
 //     instant;
 //   - Breaker: a per-backend circuit breaker (closed / open /
 //     half-open with cooldown);
-//   - Bulkhead: a concurrency-limiting semaphore;
 //   - EngineClient / SourceClient: the resilient clients layering
-//     bulkhead -> retry -> breaker -> backend, with retry/breaker
-//     metrics.
+//     retry -> breaker -> backend, with retry/breaker metrics.
 //
 // With no injector and no client installed the pipeline never sees
 // this package: the webiq components keep calling the infallible

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -354,36 +353,6 @@ func TestBreakerNeutralOnContextErrors(t *testing.T) {
 	b.Record(context.Canceled)
 	if b.State() != BreakerClosed {
 		t.Fatalf("context cancellation tripped the breaker: %v", b.State())
-	}
-}
-
-func TestBulkheadLimitsConcurrency(t *testing.T) {
-	b := NewBulkhead(2)
-	var inFlight, maxSeen atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := b.Acquire(context.Background()); err != nil {
-				t.Error(err)
-				return
-			}
-			n := inFlight.Add(1)
-			for {
-				m := maxSeen.Load()
-				if n <= m || maxSeen.CompareAndSwap(m, n) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			b.Release()
-		}()
-	}
-	wg.Wait()
-	if maxSeen.Load() > 2 {
-		t.Errorf("bulkhead of 2 saw %d concurrent calls", maxSeen.Load())
 	}
 }
 

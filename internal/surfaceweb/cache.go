@@ -1,11 +1,13 @@
 package surfaceweb
 
 import (
+	"context"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"webiq/internal/memo"
 	"webiq/internal/obs"
 )
 
@@ -17,8 +19,8 @@ import (
 // candidates across attributes and components — can be answered from
 // the cache without touching the engine at all. Concurrent requests for
 // the same uncached query are collapsed into a single engine execution
-// (singleflight), so a burst of identical queries from parallel workers
-// charges the engine exactly once.
+// (singleflight, by internal/memo), so a burst of identical queries
+// from parallel workers charges the engine exactly once.
 //
 // Accounting policy: the wrapper keeps two views of the workload.
 //
@@ -37,8 +39,11 @@ import (
 // CachedEngine implements the same Search/NumHits surface as Engine and
 // is safe for concurrent use.
 type CachedEngine struct {
-	inner  *Engine
-	shards []cacheShard
+	inner *Engine
+	// counts and snippets memoize NumHits and Search answers apart, so
+	// a stored hit count takes no room for a snippet list.
+	counts   *memo.Memo[int]
+	snippets *memo.Memo[[]Snippet]
 
 	rawQueries atomic.Int64
 	rawVirtual atomic.Int64 // nanoseconds
@@ -51,42 +56,19 @@ type CachedEngine struct {
 	mEntries *obs.Gauge
 }
 
-// cacheShard is one lock-striped slice of the cache. Each key is owned
-// by exactly one shard, chosen by hash, so concurrent queries for
-// different keys rarely contend on the same mutex.
-type cacheShard struct {
-	mu       sync.Mutex
-	vals     map[string]cacheValue
-	inflight map[string]*flight
-}
-
-// cacheValue is a completed query result.
-type cacheValue struct {
-	hits  int
-	snips []Snippet
-}
-
-// flight is an in-progress engine execution other callers wait on.
-type flight struct {
-	done chan struct{}
-	val  cacheValue
-}
-
 // DefaultCacheShards is the shard count used by NewCachedEngine when
 // shards <= 0.
 const DefaultCacheShards = 32
 
 // NewCachedEngine wraps e with a query cache of the given shard count
-// (<= 0 uses DefaultCacheShards).
+// (<= 0 uses DefaultCacheShards). Each key is owned by one shard,
+// chosen by hash, so concurrent queries for different keys rarely
+// contend on the same mutex.
 func NewCachedEngine(e *Engine, shards int) *CachedEngine {
 	if shards <= 0 {
 		shards = DefaultCacheShards
 	}
-	c := &CachedEngine{inner: e, shards: make([]cacheShard, shards)}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{vals: map[string]cacheValue{}, inflight: map[string]*flight{}}
-	}
-	return c
+	return &CachedEngine{inner: e, counts: memo.New[int](shards), snippets: memo.New[[]Snippet](shards)}
 }
 
 // Instrument registers the cache's metrics on r:
@@ -101,39 +83,6 @@ func (c *CachedEngine) Instrument(r *obs.Registry) {
 	c.mHits = r.CounterVec("webiq_engine_cache_hits_total", "Search-engine queries answered from the query cache, by operation.", "op")
 	c.mMisses = r.CounterVec("webiq_engine_cache_misses_total", "Search-engine queries executed on the engine after a cache miss, by operation.", "op")
 	c.mEntries = r.Gauge("webiq_engine_cache_entries", "Query results held in the cache.")
-}
-
-// lookup serves key from the cache, collapsing concurrent misses into
-// one call to exec. It reports whether the value came from the cache
-// (including waiting on another caller's in-flight execution). The key
-// is passed as bytes and probed zero-copy; it is materialized to a
-// string only when this caller has to register the miss.
-func (c *CachedEngine) lookup(keyb []byte, exec func() cacheValue) (cacheValue, bool) {
-	sh := &c.shards[hash32b(keyb)%uint32(len(c.shards))]
-	sh.mu.Lock()
-	if v, ok := sh.vals[string(keyb)]; ok {
-		sh.mu.Unlock()
-		return v, true
-	}
-	if f, ok := sh.inflight[string(keyb)]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		return f.val, true
-	}
-	key := string(keyb)
-	f := &flight{done: make(chan struct{})}
-	sh.inflight[key] = f
-	sh.mu.Unlock()
-
-	f.val = exec()
-
-	sh.mu.Lock()
-	sh.vals[key] = f.val
-	delete(sh.inflight, key)
-	sh.mu.Unlock()
-	close(f.done)
-	c.mEntries.Inc()
-	return f.val, false
 }
 
 // keyScratch is the pooled key-construction buffer of the NumHits and
@@ -153,6 +102,7 @@ func (c *CachedEngine) account(query, op string, hit bool) {
 	} else {
 		c.misses.Add(1)
 		c.mMisses.With(op).Inc()
+		c.mEntries.Inc()
 	}
 }
 
@@ -168,13 +118,13 @@ func (c *CachedEngine) account(query, op string, hit bool) {
 func (c *CachedEngine) NumHits(query string) int {
 	cq := c.inner.Compile(query)
 	ks := keyPool.Get().(*keyScratch)
-	ks.buf = cq.AppendKey(append(ks.buf[:0], 'h', 0))
-	v, hit := c.lookup(ks.buf, func() cacheValue {
-		return cacheValue{hits: c.inner.NumHitsCompiled(cq, query)}
+	ks.buf = cq.AppendKey(ks.buf[:0])
+	n, hit, _ := c.counts.Do(context.Background(), ks.buf, func(string) (int, error) {
+		return c.inner.NumHitsCompiled(cq, query), nil
 	})
 	keyPool.Put(ks)
 	c.account(query, "numhits", hit)
-	return v.hits
+	return n
 }
 
 // NumHitsBatch returns the hit count of each query in input order. It
@@ -195,17 +145,15 @@ func (c *CachedEngine) NumHitsBatch(queries []string) []int {
 func (c *CachedEngine) Search(query string, k int) []Snippet {
 	cq := c.inner.Compile(query)
 	ks := keyPool.Get().(*keyScratch)
-	buf := append(ks.buf[:0], 's', 0)
-	buf = strconv.AppendInt(buf, int64(k), 10)
-	buf = append(buf, 0)
-	ks.buf = cq.AppendKey(buf)
-	v, hit := c.lookup(ks.buf, func() cacheValue {
-		return cacheValue{snips: c.inner.SearchCompiled(cq, query, k)}
+	buf := strconv.AppendInt(ks.buf[:0], int64(k), 10)
+	ks.buf = cq.AppendKey(append(buf, 0))
+	snips, hit, _ := c.snippets.Do(context.Background(), ks.buf, func(string) ([]Snippet, error) {
+		return c.inner.SearchCompiled(cq, query, k), nil
 	})
 	keyPool.Put(ks)
 	c.account(query, "search", hit)
-	out := make([]Snippet, len(v.snips))
-	copy(out, v.snips)
+	out := make([]Snippet, len(snips))
+	copy(out, snips)
 	return out
 }
 
@@ -233,30 +181,6 @@ func (c *CachedEngine) Hits() int { return int(c.hits.Load()) }
 // Misses returns how many queries were executed on the engine.
 func (c *CachedEngine) Misses() int { return int(c.misses.Load()) }
 
-// Len returns the number of cached results.
-func (c *CachedEngine) Len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += len(sh.vals)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Reset drops every cached result and zeroes the cache's raw/hit/miss
-// accounting (the inner engine's accounting is left alone).
-func (c *CachedEngine) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.vals = map[string]cacheValue{}
-		sh.mu.Unlock()
-	}
-	c.rawQueries.Store(0)
-	c.rawVirtual.Store(0)
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.mEntries.Set(0)
-}
+// Len returns the number of cached results; queries in flight are not
+// counted.
+func (c *CachedEngine) Len() int { return c.counts.Len() + c.snippets.Len() }

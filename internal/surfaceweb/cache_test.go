@@ -148,23 +148,6 @@ func TestCachedEngineMetrics(t *testing.T) {
 	}
 }
 
-func TestCachedEngineReset(t *testing.T) {
-	e := cacheFixture()
-	c := NewCachedEngine(e, 2)
-	c.NumHits(`"makes such as"`)
-	c.NumHits(`"makes such as"`)
-	c.Reset()
-	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 || c.RawQueryCount() != 0 {
-		t.Errorf("Reset left state: len=%d hits=%d misses=%d raw=%d",
-			c.Len(), c.Hits(), c.Misses(), c.RawQueryCount())
-	}
-	before := e.QueryCount()
-	c.NumHits(`"makes such as"`)
-	if e.QueryCount() != before+1 {
-		t.Error("query not re-executed after Reset")
-	}
-}
-
 // TestCachedNumHitsConcurrent hammers one cached engine with
 // overlapping NumHits bursts from many goroutines (run under -race).
 // Every answer must be correct and the raw accounting must add up: each

@@ -474,16 +474,6 @@ func hash32(s string) uint32 {
 	return h
 }
 
-// hash32b is hash32 over a byte slice; the two agree on equal contents.
-func hash32b(b []byte) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(b); i++ {
-		h ^= uint32(b[i])
-		h *= 16777619
-	}
-	return h
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -73,11 +73,10 @@ func BenchmarkNumHitsCompiled(b *testing.B) {
 // book author attribute through the query cache, one NumHits per query
 // as the validator asks it: the 3 validation phrases × 20 candidates as
 // joint phrases, plus every phrase and candidate alone (the PMI
-// denominators). The cache is reset before each burst, so every
-// distinct query is a miss that reaches the engine, as on a cold
-// acquisition.
+// denominators). Each burst runs on a fresh cache, so every distinct
+// query is a miss that reaches the engine, as on a cold acquisition.
 func BenchmarkCachedNumHitsBurst(b *testing.B) {
-	c := NewCachedEngine(benchCorpusEngine(b), 0)
+	e := benchCorpusEngine(b)
 	phrases := []string{"author", "authors such as", "such authors as"}
 	xs := kb.DomainByKey("book").ConceptByName("author").AllInstances()[:20]
 	var qs []string
@@ -93,7 +92,7 @@ func BenchmarkCachedNumHitsBurst(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Reset()
+		c := NewCachedEngine(e, 0)
 		for _, q := range qs {
 			c.NumHits(q)
 		}

@@ -85,8 +85,9 @@ type Config struct {
 	// probing. Results and substrate query counts are identical to the
 	// sequential run: Surface discovery depends only on labels and
 	// dataset metadata, the per-attribute validations are independent
-	// per value and merged in index order, and the validator's per-key
-	// singleflight memo keeps every engine query issued exactly once.
+	// per value and merged in index order, and the singleflight memo
+	// (internal/memo) under both the validator and the query cache
+	// issues every engine query once however many workers ask it.
 	Parallelism int
 	// SurfaceForPredef also runs Surface discovery for attributes that
 	// already have predefined instances. The paper's Section-5 scheme

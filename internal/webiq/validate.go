@@ -3,8 +3,8 @@ package webiq
 import (
 	"context"
 	"strings"
-	"sync"
 
+	"webiq/internal/memo"
 	"webiq/internal/nlp"
 	"webiq/internal/resilience"
 )
@@ -38,25 +38,16 @@ type Validator struct {
 	adapter resilience.FallibleEngine
 	cfg     Config
 
-	mu       sync.Mutex
-	cache    map[string]int
-	inflight map[string]*hitsCall
-}
-
-// hitsCall is an in-progress engine query other workers wait on. The
-// first waiter makes done (under Validator.mu), so a miss nobody waits
-// on allocates no channel.
-type hitsCall struct {
-	done chan struct{}
-	n    int
-	err  error
+	// hits has one shard: workers rarely wait on its lock (a mutex
+	// profile of BenchmarkPipeline/cached-parallel on 2 CPUs measured
+	// 2.3 ms of wait in a 0.35 s run).
+	hits *memo.Memo[int]
 }
 
 // NewValidator returns a Validator over the given engine.
 func NewValidator(engine SearchEngine, cfg Config) *Validator {
 	a := resilience.AdaptEngine(engine)
-	return &Validator{engine: a, adapter: a, cfg: cfg,
-		cache: map[string]int{}, inflight: map[string]*hitsCall{}}
+	return &Validator{engine: a, adapter: a, cfg: cfg, hits: memo.New[int](1)}
 }
 
 // SetFallible installs an error-aware engine for hit counting; nil
@@ -188,45 +179,13 @@ func (v *Validator) scores(ctx context.Context, phrases []string, x string, s []
 	return nil
 }
 
-// numHits returns the hit count of one memo key. A cached count is
-// returned directly; a key another goroutine is already asking is
-// waited on (or abandoned when ctx ends first); otherwise this call
-// registers the key, asks the engine, caches the answer only if the
-// query succeeded, and releases the waiters with its result. A failed
-// key is never cached: a later need of it asks the engine again.
+// numHits returns the hit count of one memo key, asking the engine
+// with ctx on a miss. memo.Memo.Do holds the sharing, failure and
+// cancel rules: a failed key is not stored, so its next need asks the
+// engine again.
 func (v *Validator) numHits(ctx context.Context, key []byte) (int, error) {
-	v.mu.Lock()
-	if n, ok := v.cache[string(key)]; ok {
-		v.mu.Unlock()
-		return n, nil
-	}
-	if c, ok := v.inflight[string(key)]; ok {
-		if c.done == nil {
-			c.done = make(chan struct{})
-		}
-		v.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.n, c.err
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-	}
-	query := string(key)
-	c := &hitsCall{}
-	v.inflight[query] = c
-	v.mu.Unlock()
-
-	c.n, c.err = v.engine.NumHits(ctx, query)
-	v.mu.Lock()
-	if c.err == nil {
-		v.cache[query] = c.n
-	}
-	delete(v.inflight, query)
-	done := c.done
-	v.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	return c.n, c.err
+	n, _, err := v.hits.Do(ctx, key, func(q string) (int, error) {
+		return v.engine.NumHits(ctx, q)
+	})
+	return n, err
 }

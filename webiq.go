@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"time"
 
-	"webiq/internal/deepweb"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
@@ -108,12 +107,12 @@ func (o *Options) fill() {
 
 // System bundles the synthetic Surface Web, the domain knowledge bases,
 // and the WebIQ configuration. Construction indexes the corpus once;
-// datasets and Deep-Web sources are generated per domain on demand.
+// datasets are generated per domain on demand, and each Acquire builds
+// the Deep-Web sources of the dataset it is given.
 type System struct {
 	opts   Options
 	world  synth.World
 	engine *surfaceweb.Engine
-	pools  map[string]*deepweb.Pool
 	cfg    iq.Config
 }
 
@@ -127,7 +126,6 @@ func NewSystem(opts Options) *System {
 	s := &System{
 		opts:  opts,
 		world: synth.World{Seed: opts.Seed, Domains: domains, Interfaces: opts.Interfaces},
-		pools: map[string]*deepweb.Pool{},
 		cfg:   iq.DefaultConfig(),
 	}
 	s.cfg.K = opts.K
@@ -154,20 +152,13 @@ func (s *System) GenerateDataset(domain string) *Dataset {
 	return s.world.Dataset(d)
 }
 
-// LoadDataset registers an externally-built dataset (e.g. hand-written
-// interfaces, as in the quickstart example) so that Deep-Web sources
-// exist for its interfaces.
-func (s *System) LoadDataset(ds *Dataset) {
-	s.pools[ds.Domain] = s.world.Pool(ds)
-}
-
 // Acquire runs the WebIQ acquisition policy over the dataset, mutating
-// the attributes' Acquired fields, and returns the report.
+// the attributes' Acquired fields, and returns the report. The dataset
+// may be generated or built by hand (as in the quickstart example); its
+// Deep-Web sources are built from its own interfaces. It panics when
+// the dataset's domain is not one of DomainKeys.
 func (s *System) Acquire(ds *Dataset) *AcquireReport {
-	if _, ok := s.pools[ds.Domain]; !ok {
-		s.LoadDataset(ds)
-	}
-	return iq.NewPipeline(s.engine, s.pools[ds.Domain], s.cfg, s.opts.Components).AcquireAllCtx(context.Background(), ds)
+	return iq.NewPipeline(s.engine, s.world.Pool(ds), s.cfg, s.opts.Components).AcquireAllCtx(context.Background(), ds)
 }
 
 // Match clusters the dataset's attributes at threshold tau and scores

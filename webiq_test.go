@@ -70,9 +70,10 @@ func TestSystemEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSystemLoadDataset(t *testing.T) {
-	s := sharedSystem(t)
-	ds := &webiq.Dataset{
+// oneAuthorDataset is a hand-built book dataset of one interface with
+// one instance-less attribute.
+func oneAuthorDataset() *webiq.Dataset {
+	return &webiq.Dataset{
 		Domain: "book", EntityName: "book", DomainKeyword: "book",
 		Interfaces: []*webiq.Interface{
 			{ID: "x", Domain: "book", Attributes: []*webiq.Attribute{
@@ -80,10 +81,30 @@ func TestSystemLoadDataset(t *testing.T) {
 			}},
 		},
 	}
-	s.LoadDataset(ds)
-	rep := s.Acquire(ds)
+}
+
+func TestSystemAcquireHandBuiltDataset(t *testing.T) {
+	s := sharedSystem(t)
+	rep := s.Acquire(oneAuthorDataset())
 	if len(rep.Outcomes) != 1 {
 		t.Fatalf("outcomes = %d", len(rep.Outcomes))
+	}
+}
+
+// TestSystemAcquireProbesItsOwnSources: acquiring a hand-built dataset
+// first must not leave its Deep-Web sources behind for a later dataset
+// of the same domain — a generated book dataset makes the same Attr-Deep
+// probes as on a fresh System.
+func TestSystemAcquireProbesItsOwnSources(t *testing.T) {
+	fresh := webiq.NewSystem(webiq.Options{})
+	want := fresh.Acquire(fresh.GenerateDataset("book")).AttrDeepQueries
+	if want == 0 {
+		t.Fatal("a fresh System made no Attr-Deep probes for book")
+	}
+	s := webiq.NewSystem(webiq.Options{})
+	s.Acquire(oneAuthorDataset())
+	if got := s.Acquire(s.GenerateDataset("book")).AttrDeepQueries; got != want {
+		t.Errorf("after a hand-built dataset: %d Attr-Deep probes, want %d as on a fresh System", got, want)
 	}
 }
 
