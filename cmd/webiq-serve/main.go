@@ -91,7 +91,7 @@ func main() {
 		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
 			log.Fatal(err)
 		}
-		opts = append(opts, server.WithFlightRecorder(server.FlightConfig{
+		opts = append(opts, server.WithFlightRecorder(obs.FlightOptions{
 			Dir:      *flightDir,
 			Window:   *flightWindow,
 			Triggers: triggers,

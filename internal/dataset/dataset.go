@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"webiq/internal/fnv1a"
 	"webiq/internal/kb"
 	"webiq/internal/schema"
 )
@@ -46,7 +47,7 @@ func DefaultConfig() Config {
 
 // Generate builds the dataset for one domain.
 func Generate(d *kb.Domain, cfg Config) *schema.Dataset {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hash(d.Key))))
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(fnv1a.String(d.Key))))
 	ds := &schema.Dataset{
 		Domain:        d.Key,
 		EntityName:    d.EntityName,
@@ -167,13 +168,4 @@ func pickInstances(c *kb.Concept, cfg Config, rng *rand.Rand, region int) []stri
 		out = append(out, cand)
 	}
 	return out
-}
-
-func hash(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

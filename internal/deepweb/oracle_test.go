@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"webiq/internal/dataset"
+	"webiq/internal/fnv1a"
 	"webiq/internal/kb"
 	"webiq/internal/schema"
 )
@@ -34,7 +35,7 @@ type refSource struct {
 }
 
 func buildRefPool(ds *schema.Dataset, dom *kb.Domain, cfg Config) *refPool {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hash32(ds.Domain))))
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(fnv1a.String(ds.Domain))))
 	conceptByID := map[string]*kb.Concept{}
 	for _, c := range dom.Concepts {
 		conceptByID[c.ID] = c

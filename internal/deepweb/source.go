@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"webiq/internal/fnv1a"
 	"webiq/internal/htmlform"
 	"webiq/internal/kb"
 	"webiq/internal/obs"
@@ -111,7 +112,7 @@ func (p *Pool) Instrument(r *obs.Registry) {
 // as predefined options); numeric attributes draw from 50 values
 // sampled per attribute.
 func BuildPool(ds *schema.Dataset, dom *kb.Domain, cfg Config) *Pool {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(hash32(ds.Domain))))
+	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(fnv1a.String(ds.Domain))))
 	conceptByID := map[string]*kb.Concept{}
 	for _, c := range dom.Concepts {
 		conceptByID[c.ID] = c
@@ -207,7 +208,7 @@ func (p *Pool) ResetAccounting() {
 // charge accounts one probe. Its simulated latency hashes the key
 // sourceID|attrID|value.
 func (p *Pool) charge(sourceID, attrID, value string) {
-	h := fnv32(fnv32(fnv32(fnv32(fnv32(fnvOffset, sourceID), "|"), attrID), "|"), value)
+	h := fnv1a.Add(fnv1a.Add(fnv1a.Add(fnv1a.Add(fnv1a.String(sourceID), "|"), attrID), "|"), value)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.queries++
@@ -373,7 +374,7 @@ var errorTemplates = []string{
 }
 
 func renderError(msg string) string {
-	return fmt.Sprintf(errorTemplates[int(hash32(msg))%len(errorTemplates)], msg)
+	return fmt.Sprintf(errorTemplates[int(fnv1a.String(msg))%len(errorTemplates)], msg)
 }
 
 // The fixed error pages, rendered once.
@@ -409,18 +410,4 @@ func parseNumber(s string) (float64, bool) {
 	s = strings.ReplaceAll(s, ",", "")
 	v, err := strconv.ParseFloat(s, 64)
 	return v, err == nil
-}
-
-const fnvOffset uint32 = 2166136261
-
-func hash32(s string) uint32 { return fnv32(fnvOffset, s) }
-
-// fnv32 continues the FNV-1a hash h over s, so hashing the parts of a
-// key in turn equals hashing their concatenation.
-func fnv32(h uint32, s string) uint32 {
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }

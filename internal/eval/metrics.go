@@ -323,10 +323,3 @@ func poolPRF(vals []map[string]float64) map[string]float64 {
 	}
 	return prf(correct, accepted, got, target)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -77,15 +77,22 @@ func TestQualityReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMeanStddev pins the cross-run aggregate: the mean and population
+// stddev of each pooled component, and no entry for a component no run
+// reported.
 func TestMeanStddev(t *testing.T) {
-	a := meanStddev([]float64{1, 2, 3})
+	var runs []RunResult
+	for _, f1 := range []float64{1, 2, 3} {
+		runs = append(runs, RunResult{Pooled: map[string]map[string]float64{"match": {"f1": f1}}})
+	}
+	a := aggregate(runs)["match"]["f1"]
 	if a.Mean != 2 {
 		t.Fatalf("mean = %v, want 2", a.Mean)
 	}
 	if a.Stddev < 0.81 || a.Stddev > 0.82 { // sqrt(2/3)
 		t.Fatalf("stddev = %v, want ~0.816", a.Stddev)
 	}
-	if z := meanStddev(nil); z.Mean != 0 || z.Stddev != 0 {
-		t.Fatalf("empty = %+v, want zero", z)
+	if z, ok := aggregate(nil)["match"]["f1"]; ok {
+		t.Fatalf("aggregate over no runs = %+v, want no entry", z)
 	}
 }

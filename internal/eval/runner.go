@@ -3,13 +3,13 @@ package eval
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 
 	"webiq/internal/kb"
 	"webiq/internal/matcher"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
+	"webiq/internal/stats"
 	"webiq/internal/surfaceweb"
 	"webiq/internal/synth"
 	iq "webiq/internal/webiq"
@@ -240,28 +240,12 @@ func aggregate(runs []RunResult) map[string]map[string]Aggregate {
 		}
 		agg := map[string]Aggregate{}
 		for comp, xs := range comps {
-			agg[comp] = meanStddev(xs)
+			mean, std := stats.MeanStd(xs)
+			agg[comp] = Aggregate{Mean: mean, Stddev: std}
 		}
 		out[name] = agg
 	}
 	return out
-}
-
-func meanStddev(xs []float64) Aggregate {
-	if len(xs) == 0 {
-		return Aggregate{}
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		d := x - mean
-		sq += d * d
-	}
-	return Aggregate{Mean: mean, Stddev: math.Sqrt(sq / float64(len(xs)))}
 }
 
 // emitObs publishes the aggregate means as webiq_eval_* gauges:

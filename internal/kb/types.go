@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+
+	"webiq/internal/fnv1a"
 )
 
 // Type is the value type of an attribute domain, matching the type
@@ -190,7 +192,7 @@ type Concept struct {
 // deterministic in the concept ID.
 func (c *Concept) AllInstances() []string {
 	if c.Numeric != nil {
-		rng := rand.New(rand.NewSource(int64(hashString(c.ID))))
+		rng := rand.New(rand.NewSource(int64(fnv1a.String(c.ID))))
 		return c.Numeric.Sample(rng, 20)
 	}
 	var out []string
@@ -202,15 +204,6 @@ func (c *Concept) AllInstances() []string {
 
 // IsNumeric reports whether the concept has a numeric instance domain.
 func (c *Concept) IsNumeric() bool { return c.Numeric != nil }
-
-func hashString(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
 
 // Domain is one of the five evaluation domains.
 type Domain struct {

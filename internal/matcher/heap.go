@@ -1,13 +1,5 @@
 package matcher
 
-import (
-	"runtime"
-	"sync"
-)
-
-// defaultWorkers is the worker count used when Config.Workers is 0.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // pairEntry is a candidate cluster pair in the merge heap, keyed by the
 // cluster-similarity value it was pushed with; a popped entry whose
 // value no longer matches the live matrix is a stale duplicate.
@@ -43,45 +35,4 @@ func (h *pairHeap) Pop() any {
 	e := old[n-1]
 	*h = old[:n-1]
 	return e
-}
-
-// parallelRows runs f(i) for every row i in [0, n) on up to workers
-// goroutines (workers <= 0 means GOMAXPROCS), blocking until all rows
-// are done. Rows are handed out dynamically, which balances the
-// triangular row costs of a pairwise matrix build.
-func parallelRows(n, workers int, f func(int)) {
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next struct {
-		sync.Mutex
-		i int
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				next.Lock()
-				i := next.i
-				next.i++
-				next.Unlock()
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -4,10 +4,12 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 
 	"webiq/internal/obs"
+	"webiq/internal/parallel"
 	"webiq/internal/schema"
 	"webiq/internal/sim"
 )
@@ -52,8 +54,9 @@ type Config struct {
 	// Linkage selects the agglomerative linkage (default SingleLink).
 	Linkage Linkage
 	// Workers bounds the goroutines used to build the pairwise
-	// similarity matrix; 0 means GOMAXPROCS. The matrix is identical for
-	// any worker count — each pair is scored once into its own slot.
+	// similarity matrix; 0 means GOMAXPROCS, and any count is clamped to
+	// the CPUs that can run at once. The matrix is identical for any
+	// worker count — each pair is scored once into its own slot.
 	Workers int
 }
 
@@ -162,12 +165,17 @@ func (m *Matcher) MatchCtx(ctx context.Context, ds *schema.Dataset) *Result {
 	// pair is scored exactly once into its own slot, so the matrix (and
 	// the pairs-scored counter, which is atomic) is bitwise identical to
 	// a sequential build of AttrSim calls.
-	profiles, labelSims := buildProfiles(attrs, m.cfg.Workers)
+	workers := m.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	profiles, labelSims := buildProfiles(attrs, workers)
 	simMat := make([][]float64, n)
 	for i := range simMat {
 		simMat[i] = make([]float64, n)
 	}
-	parallelRows(n, m.cfg.Workers, func(i int) {
+	// The matrix needs every row, so its build does not stop on ctx.
+	parallel.For(context.Background(), n, workers, func(i int) {
 		for j := i + 1; j < n; j++ {
 			m.mPairs.Inc()
 			ls := labelSims[profiles[i].labelID][profiles[j].labelID]

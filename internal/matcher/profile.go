@@ -1,7 +1,10 @@
 package matcher
 
 import (
+	"context"
+
 	"webiq/internal/nlp"
+	"webiq/internal/parallel"
 	"webiq/internal/schema"
 	"webiq/internal/sim"
 )
@@ -45,7 +48,7 @@ func buildProfiles(attrs []*schema.Attribute, workers int) ([]attrProfile, [][]f
 	// this profile set, and the table (with its interned strings) is
 	// released when the profiles are.
 	terms := nlp.NewTermTable()
-	parallelRows(n, workers, func(i int) {
+	parallel.For(context.Background(), n, workers, func(i int) {
 		values := attrs[i].AllInstances()
 		p := &profiles[i]
 		if len(values) == 0 {
@@ -64,11 +67,11 @@ func buildProfiles(attrs []*schema.Attribute, workers int) ([]attrProfile, [][]f
 	})
 
 	vecs := make([]sim.Vector, len(labels))
-	parallelRows(len(labels), workers, func(i int) {
+	parallel.For(context.Background(), len(labels), workers, func(i int) {
 		vecs[i] = sim.LabelVector(labels[i])
 	})
 	labelSims := make([][]float64, len(labels))
-	parallelRows(len(labels), workers, func(i int) {
+	parallel.For(context.Background(), len(labels), workers, func(i int) {
 		labelSims[i] = make([]float64, len(labels))
 		for j := range labels {
 			labelSims[i][j] = vecs[i].Cosine(vecs[j])

@@ -65,24 +65,14 @@ type Tagger struct{}
 
 // Tag tokenizes text and returns the tagged tokens.
 func (tg Tagger) Tag(text string) []TaggedToken {
-	return tg.TagTokens(Tokenize(text))
-}
-
-// TagTokens tags an already-tokenized input.
-func (tg Tagger) TagTokens(tokens []Token) []TaggedToken {
-	out := make([]TaggedToken, len(tokens))
-	for i, t := range tokens {
-		out[i] = TaggedToken{Token: t, Tag: initialTag(t)}
-	}
-	applyRules(out)
-	return out
+	return tg.TagAppend(nil, text)
 }
 
 // TagAppend tokenizes and tags text, appending the result to dst and
-// returning the extended slice. It produces exactly the tokens Tag
-// would, but reuses dst's capacity, so a caller tagging many snippets
-// can hold one buffer and pass dst[:0] each time. Contextual rules see
-// only the tokens of text, never earlier contents of dst.
+// returning the extended slice. It is Tag reusing dst's capacity, so a
+// caller tagging many snippets can hold one buffer and pass dst[:0]
+// each time. Contextual rules see only the tokens of text, never
+// earlier contents of dst.
 func (tg Tagger) TagAppend(dst []TaggedToken, text string) []TaggedToken {
 	start := len(dst)
 	var sc TokenScanner

@@ -232,31 +232,3 @@ func AppendWords(dst []string, text string) []string {
 	}
 	return dst
 }
-
-// Sentences splits text into sentences on '.', '!', '?' boundaries,
-// keeping abbreviations with a trailing digit or single letter intact
-// well enough for snippet processing.
-func Sentences(text string) []string {
-	var out []string
-	var b strings.Builder
-	runes := []rune(text)
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		b.WriteRune(r)
-		if r == '.' || r == '!' || r == '?' {
-			// Don't split "3.5" or "U.S." style internals.
-			if i+1 < len(runes) && !unicode.IsSpace(runes[i+1]) {
-				continue
-			}
-			s := strings.TrimSpace(b.String())
-			if s != "" {
-				out = append(out, s)
-			}
-			b.Reset()
-		}
-	}
-	if s := strings.TrimSpace(b.String()); s != "" {
-		out = append(out, s)
-	}
-	return out
-}

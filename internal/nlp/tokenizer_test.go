@@ -2,7 +2,6 @@ package nlp
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"unicode"
@@ -103,23 +102,6 @@ func TestWords(t *testing.T) {
 	want := []string{"from", "city", "boston"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Words = %v, want %v", got, want)
-	}
-}
-
-func TestSentences(t *testing.T) {
-	got := Sentences("Airlines such as Delta fly here. Fares start at $99. Book now!")
-	if len(got) != 3 {
-		t.Fatalf("got %d sentences: %q", len(got), got)
-	}
-	if !strings.HasPrefix(got[1], "Fares") {
-		t.Errorf("sentence 1 = %q", got[1])
-	}
-}
-
-func TestSentencesKeepsDecimals(t *testing.T) {
-	got := Sentences("The price is 3.5 dollars today.")
-	if len(got) != 1 {
-		t.Errorf("decimal split: got %d sentences %q", len(got), got)
 	}
 }
 

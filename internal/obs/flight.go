@@ -44,7 +44,7 @@ type WideEvent struct {
 	Status  int     `json:"status"`
 	Seconds float64 `json:"seconds"`
 	// TraceID links the event to /trace/{id}; empty for shed requests,
-	// which never reach the tracing middleware.
+	// which are never traced.
 	TraceID string `json:"trace_id,omitempty"`
 	// ShedReason is set when the admission queue rejected the request
 	// (queue-full, draining, canceled).
@@ -105,6 +105,9 @@ type FlightOptions struct {
 	// CPUProfileDuration is how long the auto-captured CPU profile runs
 	// (500ms when 0, disabled when < 0).
 	CPUProfileDuration time.Duration
+	// SampleInterval is the background runtime-sampling period Start
+	// begins (2s when 0, no background sampling when < 0).
+	SampleInterval time.Duration
 	// Identity labels every bundle with the world being served (snapshot
 	// fingerprint, seed, scale, build info).
 	Identity map[string]string
@@ -152,6 +155,9 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 	if opts.CPUProfileDuration == 0 {
 		opts.CPUProfileDuration = 500 * time.Millisecond
 	}
+	if opts.SampleInterval == 0 {
+		opts.SampleInterval = 2 * time.Second
+	}
 	f := &FlightRecorder{
 		opts:  opts,
 		slots: make([]eventSlot, opts.Capacity),
@@ -170,17 +176,17 @@ func NewFlightRecorder(opts FlightOptions) *FlightRecorder {
 }
 
 // Start snapshots the metric baseline and begins background runtime
-// sampling at the given interval (no sampling when interval <= 0 or the
+// sampling every SampleInterval (none when it is negative or the
 // recorder has no sampler). Call Close to stop.
-func (f *FlightRecorder) Start(sampleInterval time.Duration) {
+func (f *FlightRecorder) Start() {
 	if f == nil {
 		return
 	}
 	f.dumpMu.Lock()
 	f.baseline = f.opts.Registry.Values()
 	f.dumpMu.Unlock()
-	if sampleInterval > 0 {
-		f.opts.Sampler.Start(sampleInterval)
+	if f.opts.SampleInterval > 0 {
+		f.opts.Sampler.Start(f.opts.SampleInterval)
 	}
 }
 

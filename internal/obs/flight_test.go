@@ -132,9 +132,10 @@ func TestSnapshotBundle(t *testing.T) {
 		Tracer:             tr,
 		Sampler:            NewRuntimeSampler(16, time.Millisecond),
 		CPUProfileDuration: -1, // keep the test fast
+		SampleInterval:     -1,
 		Identity:           map[string]string{"seed": "1"},
 	})
-	f.Start(0)
+	f.Start()
 	c.Add(3)
 	f.Record(WideEvent{Route: "unified", Status: 500, Seconds: 0.2, TraceID: "tr-err"})
 	f.Record(WideEvent{Route: "stats", Status: 200, Seconds: 0.001})
@@ -205,7 +206,7 @@ func TestTriggerDebounceAndPrune(t *testing.T) {
 		CPUProfileDuration: -1,
 		Triggers:           TriggerConfig{Debounce: time.Hour},
 	})
-	f.Start(0)
+	f.Start()
 	if !f.Trigger("5xx", "") {
 		t.Fatal("first trigger suppressed")
 	}
@@ -306,7 +307,7 @@ func TestFlightNilSafety(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(WideEvent{})
 	f.Close()
-	f.Start(time.Second)
+	f.Start()
 	if f.EventsSince(0) != nil || f.EventCount() != 0 || f.Trigger("x", "") {
 		t.Error("nil recorder not inert")
 	}
@@ -325,7 +326,7 @@ func TestBundleFilesAtomic(t *testing.T) {
 	// No stray temp files after dumps.
 	dir := t.TempDir()
 	f := NewFlightRecorder(FlightOptions{Dir: dir, CPUProfileDuration: -1})
-	f.Start(0)
+	f.Start()
 	if _, _, err := f.Snapshot("x", ""); err != nil {
 		t.Fatal(err)
 	}

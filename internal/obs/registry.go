@@ -1,7 +1,8 @@
 // Package obs is the observability layer shared by every WebIQ
 // subsystem: a dependency-free metrics registry (counters, gauges,
-// histograms) with Prometheus text-format exposition, a span-style
-// tracer with NDJSON export, and HTTP middleware.
+// histograms) with Prometheus text-format exposition and its /metrics
+// handler, a span-style tracer with NDJSON export, the decision ledger,
+// and the flight recorder.
 //
 // Every instrument is safe for concurrent use and nil-safe: methods on
 // a nil *Counter, *Gauge, *Histogram, *CounterVec, *Tracer, or *Span

@@ -1,4 +1,7 @@
-package webiq
+// Package parallel is the worker pool the pipeline and the matcher
+// share: a loop over [0, n) run on a bounded number of goroutines, each
+// call writing its result into its own index's slot.
+package parallel
 
 import (
 	"context"
@@ -23,9 +26,11 @@ func clampWorkers(workers int) int {
 	return workers
 }
 
-// parallelForCtx runs f(i) for every i in [0, n) on up to workers
-// goroutines, blocking until all calls return. With workers <= 1 (or a
-// trivial n) it degenerates to a plain loop on the calling goroutine.
+// For runs f(i) for every i in [0, n) on up to workers goroutines
+// (clamped to the CPUs that can run them), blocking until all calls
+// return; indexes are handed out dynamically, which balances uneven
+// per-index costs. With workers <= 1 (or a trivial n) it degenerates to
+// a plain loop on the calling goroutine.
 //
 // Callers write results into per-index slots, so the merge order is the
 // index order and the outcome is identical to the sequential loop
@@ -36,7 +41,7 @@ func clampWorkers(workers int) int {
 // waits for the in-flight calls — no goroutine outlives the return —
 // and callers detect the partial result via ctx.Err() plus whichever
 // per-index slots were never written.
-func parallelForCtx(ctx context.Context, n, workers int, f func(int)) {
+func For(ctx context.Context, n, workers int, f func(int)) {
 	workers = clampWorkers(workers)
 	if workers > n {
 		workers = n

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -116,9 +117,8 @@ func (a *admission) retryAfterHint(reason string) int {
 	}
 }
 
-// shed writes the 503 + Retry-After rejection. X-Shed-Reason is how the
-// flight middleware (sitting outside this layer) learns the request was
-// shed rather than served slowly.
+// shed writes the 503 + Retry-After rejection; X-Shed-Reason and the
+// body name the reason.
 func (a *admission) shed(w http.ResponseWriter, reason string) {
 	a.mShed.With(reason).Inc()
 	w.Header().Set("X-Shed-Reason", reason)
@@ -128,47 +128,49 @@ func (a *admission) shed(w http.ResponseWriter, reason string) {
 	w.Write([]byte(`{"error":"server overloaded, retry later","reason":"` + reason + `"}` + "\n"))
 }
 
-// wrap applies admission control to h. Operational endpoints (health,
-// readiness, metrics) bypass the queue in the caller, so they stay
-// observable exactly when the queue is the interesting signal.
-func (a *admission) wrap(h http.Handler) http.Handler {
+// enter takes an admission slot, waiting in the bounded queue while
+// every slot is busy. It returns "" once the request holds a slot,
+// which it gives back with release, or the reason it was refused one:
+// "draining", "queue-full", or "canceled" when ctx ends while queued.
+// A nil *admission admits everything.
+func (a *admission) enter(ctx context.Context) string {
 	if a == nil {
-		return h
+		return ""
 	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if a.draining.Load() {
-			a.shed(w, "draining")
-			return
+	if a.draining.Load() {
+		return "draining"
+	}
+	select {
+	case a.slots <- struct{}{}:
+		// Fast path: a slot is free.
+	default:
+		// Reserve a queue place atomically; overshoot backs out.
+		if q := a.queued.Add(1); int(q) > a.cfg.MaxQueued {
+			a.queued.Add(-1)
+			return "queue-full"
 		}
+		a.gQueued.Set(float64(a.queued.Load()))
 		select {
 		case a.slots <- struct{}{}:
-			// Fast path: a slot is free.
-		default:
-			// Reserve a queue place atomically; overshoot backs out.
-			if q := a.queued.Add(1); int(q) > a.cfg.MaxQueued {
-				a.queued.Add(-1)
-				a.shed(w, "queue-full")
-				return
-			}
+			a.queued.Add(-1)
 			a.gQueued.Set(float64(a.queued.Load()))
-			select {
-			case a.slots <- struct{}{}:
-				a.queued.Add(-1)
-				a.gQueued.Set(float64(a.queued.Load()))
-			case <-r.Context().Done():
-				a.queued.Add(-1)
-				a.gQueued.Set(float64(a.queued.Load()))
-				// The client is gone; 503 is the least-wrong status
-				// for whoever is still listening.
-				a.shed(w, "canceled")
-				return
-			}
+		case <-ctx.Done():
+			a.queued.Add(-1)
+			a.gQueued.Set(float64(a.queued.Load()))
+			// The client is gone; the 503 is the least-wrong status
+			// for whoever is still listening.
+			return "canceled"
 		}
-		a.gInFlight.Set(float64(len(a.slots)))
-		defer func() {
-			<-a.slots
-			a.gInFlight.Set(float64(len(a.slots)))
-		}()
-		h.ServeHTTP(w, r)
-	})
+	}
+	a.gInFlight.Set(float64(len(a.slots)))
+	return ""
+}
+
+// release gives back the slot enter took.
+func (a *admission) release() {
+	if a == nil {
+		return
+	}
+	<-a.slots
+	a.gInFlight.Set(float64(len(a.slots)))
 }

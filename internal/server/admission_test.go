@@ -27,17 +27,25 @@ func (b *blockingHandler) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func TestAdmissionShedsWhenFull(t *testing.T) {
-	a := newAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueued: 0})
+// blockingServer boots a test server under the admission config with
+// the blocking handler registered as the admitted route /block.
+func blockingServer(t *testing.T, cfg AdmissionConfig) (*Server, *blockingHandler) {
+	t.Helper()
+	s := newTestServer(t, WithAdmission(cfg))
 	bh := newBlockingHandler()
-	h := a.wrap(bh)
+	s.handle("block", admitted, bh.ServeHTTP, "/block")
+	return s, bh
+}
+
+func TestAdmissionShedsWhenFull(t *testing.T) {
+	s, bh := blockingServer(t, AdmissionConfig{MaxInFlight: 1, MaxQueued: 0})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 		if rec.Code != http.StatusOK {
 			t.Errorf("in-flight request got %d, want 200", rec.Code)
 		}
@@ -45,7 +53,7 @@ func TestAdmissionShedsWhenFull(t *testing.T) {
 	<-bh.entered // the slot is now held
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overload request got %d, want 503", rec.Code)
 	}
@@ -92,16 +100,14 @@ func TestAdmissionRetryAfterScalesWithQueue(t *testing.T) {
 // the HTTP surface: with the only slot held and the queue holding
 // waiters, a shed response's Retry-After must exceed the base hint.
 func TestAdmissionRetryAfterHeaderReflectsDepth(t *testing.T) {
-	a := newAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueued: 2})
-	bh := newBlockingHandler()
-	h := a.wrap(bh)
+	s, bh := blockingServer(t, AdmissionConfig{MaxInFlight: 1, MaxQueued: 2})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 	}()
 	<-bh.entered // slot held
 
@@ -111,13 +117,13 @@ func TestAdmissionRetryAfterHeaderReflectsDepth(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 		}()
 	}
-	waitFor(t, func() bool { return a.queued.Load() == 2 })
+	waitFor(t, func() bool { return s.adm.queued.Load() == 2 })
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow request got %d, want 503", rec.Code)
 	}
@@ -142,9 +148,7 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
-	a := newAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueued: 1})
-	bh := newBlockingHandler()
-	h := a.wrap(bh)
+	s, bh := blockingServer(t, AdmissionConfig{MaxInFlight: 1, MaxQueued: 1})
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -152,7 +156,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+			s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 			if rec.Code != http.StatusOK {
 				t.Errorf("request got %d, want 200", rec.Code)
 			}
@@ -167,26 +171,24 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 }
 
 func TestAdmissionDrainShedsNewKeepsInFlight(t *testing.T) {
-	a := newAdmission(AdmissionConfig{MaxInFlight: 2, MaxQueued: 2})
-	bh := newBlockingHandler()
-	h := a.wrap(bh)
+	s, bh := blockingServer(t, AdmissionConfig{MaxInFlight: 2, MaxQueued: 2})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+		s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 		if rec.Code != http.StatusOK {
 			t.Errorf("in-flight request got %d during drain, want 200", rec.Code)
 		}
 	}()
 	<-bh.entered
 
-	a.beginDrain()
+	s.BeginDrain()
 
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/block", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain arrival got %d, want 503", rec.Code)
 	}

@@ -4,40 +4,20 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 )
 
-// FlightConfig enables the flight recorder: a ring of wide events (one
-// per request), periodic runtime sampling, and anomaly-triggered
-// diagnostic bundles written under Dir. See obs.FlightRecorder.
-type FlightConfig struct {
-	// Dir is where diagnostic bundles are written (required).
-	Dir string
-	// Capacity is the wide-event ring size (obs.DefFlightCapacity when 0).
-	Capacity int
-	// Window is how much recent history a bundle includes
-	// (obs.DefFlightWindow when 0).
-	Window time.Duration
-	// Triggers are the anomaly rules firing automatic dumps.
-	Triggers obs.TriggerConfig
-	// MaxBundles caps retained bundle files (16 when 0).
-	MaxBundles int
-	// CPUProfileDuration is the auto-captured CPU profile length
-	// (500ms when 0, disabled when < 0).
-	CPUProfileDuration time.Duration
-	// SampleInterval is the background runtime-sampling period
-	// (2s when 0, no background sampling when < 0).
-	SampleInterval time.Duration
-}
-
-// WithFlightRecorder enables the flight recorder. With this option
-// absent the server records nothing and every flight hook is free, so
-// experiment outputs are byte-identical to a recorder-less build.
-func WithFlightRecorder(cfg FlightConfig) Option {
-	return func(s *Server) { s.flightCfg = &cfg }
+// WithFlightRecorder enables the flight recorder: a ring of wide events
+// (one per admitted request), periodic runtime sampling, and
+// anomaly-triggered diagnostic bundles written under opts.Dir. The
+// server fills in the options' Identity, Registry, Tracer and Sampler.
+// With this option absent the server records nothing and every flight
+// hook is free, so experiment outputs are byte-identical to a
+// recorder-less build.
+func WithFlightRecorder(opts obs.FlightOptions) Option {
+	return func(s *Server) { s.flightOpts = &opts }
 }
 
 // snapshotInfo is the world identity reported on /healthz, /stats, and
@@ -51,33 +31,19 @@ type snapshotInfo struct {
 // setupFlight builds the recorder and wires the breaker-open trigger;
 // it runs inside finish, after the resilient source client exists.
 func (s *Server) setupFlight() {
-	if s.flightCfg == nil {
+	if s.flightOpts == nil {
 		return
 	}
-	cfg := *s.flightCfg
-	identity := map[string]string{}
+	opts := *s.flightOpts
+	opts.Identity = map[string]string{}
 	if s.snapInfo != nil {
-		identity["snapshot_fingerprint"] = s.snapInfo.Fingerprint
-		identity["seed"] = fmt.Sprintf("%d", s.snapInfo.Seed)
-		identity["scale"] = fmt.Sprintf("%g", s.snapInfo.Scale)
+		opts.Identity["snapshot_fingerprint"] = s.snapInfo.Fingerprint
+		opts.Identity["seed"] = fmt.Sprintf("%d", s.snapInfo.Seed)
+		opts.Identity["scale"] = fmt.Sprintf("%g", s.snapInfo.Scale)
 	}
-	s.flight = obs.NewFlightRecorder(obs.FlightOptions{
-		Dir:                cfg.Dir,
-		Capacity:           cfg.Capacity,
-		Window:             cfg.Window,
-		Triggers:           cfg.Triggers,
-		MaxBundles:         cfg.MaxBundles,
-		CPUProfileDuration: cfg.CPUProfileDuration,
-		Identity:           identity,
-		Registry:           s.reg,
-		Tracer:             s.tracer,
-		Sampler:            s.sampler,
-	})
-	interval := cfg.SampleInterval
-	if interval == 0 {
-		interval = 2 * time.Second
-	}
-	s.flight.Start(interval)
+	opts.Registry, opts.Tracer, opts.Sampler = s.reg, s.tracer, s.sampler
+	s.flight = obs.NewFlightRecorder(opts)
+	s.flight.Start()
 
 	if s.flight.Triggers().OnBreakerOpen && s.srcClient != nil {
 		s.srcClient.OnBreakerTransition(func(_, to resilience.BreakerState) {
@@ -86,19 +52,6 @@ func (s *Server) setupFlight() {
 			}
 		})
 	}
-}
-
-// statusCapture records the status code written by the inner handler
-// chain (the flight middleware sits outside obs.HTTPMetrics.Wrap, so it
-// cannot see that layer's recorder).
-type statusCapture struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusCapture) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // probeCount sums the deep-web probes served across every pool.
@@ -117,53 +70,6 @@ func (s *Server) degradationCount() int {
 		n += len(d.degradations)
 	}
 	return n
-}
-
-// flightWrap is the outermost middleware: it observes the whole
-// request — including admission sheds, which never reach the metrics
-// middleware — as one wide event, and evaluates the trigger rules.
-// With the recorder disabled it is the identity function.
-func (s *Server) flightWrap(route string, next http.Handler) http.Handler {
-	if s.flight == nil {
-		return next
-	}
-	tc := s.flight.Triggers()
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		probeBefore := s.probeCount()
-		sw := &statusCapture{ResponseWriter: w, code: http.StatusOK}
-		next.ServeHTTP(sw, r)
-
-		ev := obs.WideEvent{
-			TimeNS:       time.Now().UnixNano(),
-			Route:        route,
-			Method:       r.Method,
-			Path:         r.URL.Path,
-			Status:       sw.code,
-			Seconds:      time.Since(start).Seconds(),
-			TraceID:      w.Header().Get("X-Trace-ID"),
-			ShedReason:   w.Header().Get("X-Shed-Reason"),
-			ProbeQueries: s.probeCount() - probeBefore,
-			Degradations: s.degradationCount(),
-		}
-		if s.srcClient != nil {
-			ev.BreakerDeep = s.srcClient.BreakerState().String()
-		}
-		if s.adm != nil {
-			inFlight, queued, _, _, _ := s.adm.stats()
-			ev.AdmInFlight, ev.AdmQueued = inFlight, queued
-		}
-		ev.Trigger = tc.Match(ev)
-		if ev.Trigger == "" && tc.P99Budget > 0 {
-			if p99, n := s.httpm.RouteP99(route); n >= tc.P99MinCount && p99 > tc.P99Budget.Seconds() {
-				ev.Trigger = "p99-budget"
-			}
-		}
-		s.flight.Record(ev)
-		if ev.Trigger != "" {
-			s.flight.Trigger(ev.Trigger, ev.TraceID)
-		}
-	})
 }
 
 // flightStatus is the GET /debug/flight JSON shape.
@@ -199,7 +105,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		bundles, _ := s.flight.Bundles()
 		writeJSON(w, flightStatus{
 			Enabled:    true,
-			Dir:        s.flightCfg.Dir,
+			Dir:        s.flightOpts.Dir,
 			Triggers:   s.flight.Triggers().String(),
 			WindowSecs: s.flight.Window().Seconds(),
 			Events:     s.flight.EventCount(),

@@ -63,7 +63,7 @@ func TestFlightDisabled(t *testing.T) {
 // and checks wide events carry trace IDs resolvable via /trace/{id}.
 func TestFlightEndpoints(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestServer(t, WithFlightRecorder(FlightConfig{
+	s := newTestServer(t, WithFlightRecorder(obs.FlightOptions{
 		Dir:                dir,
 		Triggers:           obs.TriggerConfig{On5xx: true, Debounce: time.Hour},
 		CPUProfileDuration: -1,
@@ -136,15 +136,15 @@ func TestFlightEndpoints(t *testing.T) {
 	}
 }
 
-// TestFlightShedWideEvents pins the reason the flight middleware sits
-// outside admission: a shed request still produces a wide event (with
-// the shed reason) and fires the shed trigger.
+// TestFlightShedWideEvents pins that a shed request still produces a
+// wide event (with the shed reason, and no trace ID) and fires the shed
+// trigger.
 func TestFlightShedWideEvents(t *testing.T) {
 	dir := t.TempDir()
 	block := make(chan struct{})
 	s := newTestServer(t,
 		WithAdmission(AdmissionConfig{MaxInFlight: 1, MaxQueued: 0}),
-		WithFlightRecorder(FlightConfig{
+		WithFlightRecorder(obs.FlightOptions{
 			Dir:                dir,
 			Triggers:           obs.TriggerConfig{OnShed: true, Debounce: -1},
 			CPUProfileDuration: -1,
@@ -153,8 +153,7 @@ func TestFlightShedWideEvents(t *testing.T) {
 	defer s.Close()
 
 	// Occupy the only slot with a request that blocks in the handler.
-	s.mux.Handle("/block", s.flightWrap("block", s.adm.wrap(
-		s.httpm.WrapFunc("block", func(_ http.ResponseWriter, _ *http.Request) { <-block }))))
+	s.handle("block", admitted, func(_ http.ResponseWriter, _ *http.Request) { <-block }, "/block")
 	release := make(chan struct{})
 	go func() {
 		get(t, s, "/block")
@@ -225,7 +224,7 @@ func TestFlightEventsLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, WithFlightRecorder(FlightConfig{
+	s := newTestServer(t, WithFlightRecorder(obs.FlightOptions{
 		Dir:                dir,
 		Triggers:           triggers,
 		CPUProfileDuration: -1,
@@ -298,7 +297,7 @@ func TestFlightEventsLogOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, WithFlightRecorder(FlightConfig{
+	s := newTestServer(t, WithFlightRecorder(obs.FlightOptions{
 		Dir:                dir,
 		Triggers:           triggers,
 		CPUProfileDuration: -1,
@@ -380,7 +379,7 @@ func TestFlightP99TraceExemplar(t *testing.T) {
 	}
 	_, body := get(t, s, "/stats")
 	var info struct {
-		Routes map[string]obs.RouteSummary `json:"routes"`
+		Routes map[string]routeSummary `json:"routes"`
 	}
 	if err := json.Unmarshal([]byte(body), &info); err != nil {
 		t.Fatal(err)

@@ -28,12 +28,14 @@
 //	GET /stats                substrate usage + route latency (JSON)
 //	GET /metrics              Prometheus text-format metrics
 //
-// Every route is instrumented (request counters by status class, a
-// latency histogram, an in-flight gauge) and minted a root trace span
-// (X-Trace-ID response header); the substrate and pipeline metrics of
-// internal/obs are exposed on /metrics. Under a fault profile
-// (WithFaultProfile) the request-time deep-web probes go through a
-// resilient source client, whose breaker /stats reports.
+// Every route is registered once, with its label and its class, and
+// every request runs one path (route.ServeHTTP): admission on the
+// admitted routes, a root trace span (X-Trace-ID response header), the
+// request counters by status class, a latency histogram and an
+// in-flight gauge, and the flight recorder's wide event. The substrate
+// and pipeline metrics of internal/obs are exposed on /metrics. Under a
+// fault profile (WithFaultProfile) the request-time deep-web probes go
+// through a resilient source client, whose breaker /stats reports.
 package server
 
 import (
@@ -65,8 +67,14 @@ type Server struct {
 	mux     *http.ServeMux
 	reg     *obs.Registry
 	tracer  *obs.Tracer
-	httpm   *obs.HTTPMetrics
 	startup *obs.Gauge // webiq_startup_seconds
+
+	// routes are the registered routes (see handle); the HTTP
+	// instruments are shared by all of them, the route being a label.
+	routes       []*route
+	httpRequests *obs.CounterVec   // webiq_http_requests_total{route,class}
+	httpLatency  *obs.HistogramVec // webiq_http_request_seconds{route}
+	httpInFlight *obs.Gauge        // webiq_http_in_flight
 
 	// startupNs mirrors the startup gauge for /stats (gauges are
 	// write-only); set once by RecordStartup.
@@ -86,15 +94,15 @@ type Server struct {
 	traceRetention    int
 	traceRetentionSet bool
 
-	// Flight recorder (WithFlightRecorder); the config is held until
+	// Flight recorder (WithFlightRecorder); the options are held until
 	// finish so the recorder can see the resilient client. The runtime
 	// sampler exists unconditionally — /stats serves its on-demand
 	// sample — but only samples in the background when the recorder is
 	// on. snapInfo identifies the snapshot world, when booted from one.
-	flightCfg *FlightConfig
-	flight    *obs.FlightRecorder
-	sampler   *obs.RuntimeSampler
-	snapInfo  *snapshotInfo
+	flightOpts *obs.FlightOptions
+	flight     *obs.FlightRecorder
+	sampler    *obs.RuntimeSampler
+	snapInfo   *snapshotInfo
 
 	// byDomain is the served world, one entry per domain. It is fixed
 	// at boot, so handlers read it without locking.
@@ -124,8 +132,8 @@ type Option func(*Server)
 
 // WithAdmission enables the bounded admission queue: up to
 // cfg.MaxInFlight requests run concurrently, up to cfg.MaxQueued wait,
-// and the rest are shed with 503 + Retry-After. Operational endpoints
-// (/healthz, /readyz, /metrics) bypass the queue.
+// and the rest are shed with 503 + Retry-After. The operational routes
+// (/healthz, /readyz, /stats, /metrics, /debug/flight) bypass the queue.
 func WithAdmission(cfg AdmissionConfig) Option {
 	return func(s *Server) { s.adm = newAdmission(cfg) }
 }
@@ -257,27 +265,19 @@ func (s *Server) finish() {
 	s.adm.instrument(s.reg)
 	s.setupFlight()
 
-	s.httpm = obs.NewHTTPMetrics(s.reg)
-	s.httpm.SetTracer(s.tracer)
-	// Operational endpoints (health, readiness, stats, metrics) bypass
-	// the admission queue: they must stay reachable exactly when the
-	// queue is full or draining. The flight middleware sits outermost so
-	// shed requests — which never reach the metrics middleware — still
-	// leave a wide event; with the recorder off it is the identity.
-	adm := func(route string, h http.Handler) http.Handler {
-		return s.flightWrap(route, s.adm.wrap(h))
-	}
-	s.mux.Handle("/", adm("index", s.httpm.WrapFunc("index", s.handleIndex)))
-	s.mux.Handle("/sources", adm("sources", s.httpm.WrapFunc("sources", s.handleSources)))
-	s.mux.Handle("/source/", adm("source", s.httpm.WrapFunc("source", s.handleSource)))
-	s.mux.Handle("/unified/", adm("unified", s.httpm.WrapFunc("unified", s.handleUnified)))
-	s.mux.Handle("/trace/", adm("trace", s.httpm.WrapFunc("trace", s.handleTrace)))
-	s.mux.Handle("/healthz", s.httpm.WrapFunc("healthz", s.handleHealthz))
-	s.mux.Handle("/readyz", s.httpm.WrapFunc("readyz", s.handleReadyz))
-	s.mux.Handle("/stats", s.httpm.WrapFunc("stats", s.handleStats))
-	s.mux.Handle("/metrics", s.httpm.Wrap("metrics", s.reg.Handler()))
-	s.mux.Handle("/debug/flight", s.httpm.WrapFunc("debug-flight", s.handleFlight))
-	s.mux.Handle("/debug/flight/", s.httpm.WrapFunc("debug-flight", s.handleFlight))
+	s.httpRequests = s.reg.CounterVec("webiq_http_requests_total", "HTTP requests served, by route and status class.", "route", "class")
+	s.httpLatency = s.reg.HistogramVec("webiq_http_request_seconds", "HTTP request latency in seconds, by route.", nil, "route")
+	s.httpInFlight = s.reg.Gauge("webiq_http_in_flight", "HTTP requests currently in flight.")
+	s.handle("index", admitted, s.handleIndex, "/")
+	s.handle("sources", admitted, s.handleSources, "/sources")
+	s.handle("source", admitted, s.handleSource, "/source/")
+	s.handle("unified", admitted, s.handleUnified, "/unified/")
+	s.handle("trace", admitted, s.handleTrace, "/trace/")
+	s.handle("healthz", operational, s.handleHealthz, "/healthz")
+	s.handle("readyz", operational, s.handleReadyz, "/readyz")
+	s.handle("stats", operational, s.handleStats, "/stats")
+	s.handle("metrics", operational, s.reg.Handler().ServeHTTP, "/metrics")
+	s.handle("debug-flight", operational, s.handleFlight, "/debug/flight", "/debug/flight/")
 }
 
 // RecordStartup publishes how long process startup took, as the
@@ -577,10 +577,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 type statsInfo struct {
 	// StartupSeconds is how long the process took to construct the
 	// server (see RecordStartup); 0 until recorded.
-	StartupSeconds     float64                     `json:"startup_seconds"`
-	ProbesByPool       map[string]int              `json:"probes_by_domain"`
-	ProbeVirtualByPool map[string]float64          `json:"probe_virtual_seconds_by_domain"`
-	Routes             map[string]obs.RouteSummary `json:"routes"`
+	StartupSeconds     float64                 `json:"startup_seconds"`
+	ProbesByPool       map[string]int          `json:"probes_by_domain"`
+	ProbeVirtualByPool map[string]float64      `json:"probe_virtual_seconds_by_domain"`
+	Routes             map[string]routeSummary `json:"routes"`
 	// Admission is present when the bounded admission queue is on.
 	Admission *admissionInfo `json:"admission,omitempty"`
 	// Breakers maps backend name to circuit-breaker state when a fault
@@ -613,7 +613,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		StartupSeconds:     time.Duration(s.startupNs.Load()).Seconds(),
 		ProbesByPool:       map[string]int{},
 		ProbeVirtualByPool: map[string]float64{},
-		Routes:             s.httpm.RouteSummaries(),
+		Routes:             s.routeSummaries(),
 		Runtime:            s.sampler.Sample(),
 		Snapshot:           s.snapInfo,
 	}

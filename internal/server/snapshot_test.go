@@ -229,10 +229,3 @@ func grepMetric(metrics, name string) map[string]string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"webiq/internal/fnv1a"
 	"webiq/internal/nlp"
 	"webiq/internal/obs"
 )
@@ -349,7 +350,7 @@ func (e *Engine) VirtualTime() time.Duration {
 func (e *Engine) QueryLatency(q string) time.Duration {
 	lat := e.MinLatency
 	if span := e.MaxLatency - e.MinLatency; span > 0 {
-		lat += time.Duration(int64(hash32(q)) % int64(span))
+		lat += time.Duration(int64(fnv1a.String(q)) % int64(span))
 	}
 	return lat
 }
@@ -464,26 +465,3 @@ type searchScratch struct {
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-func hash32(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"webiq/internal/obs"
+	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/sim"
@@ -249,7 +250,7 @@ func (a *Acquirer) parallelSurface(ctx context.Context, ds *schema.Dataset, rep 
 	// finish (they observe the context themselves) and unclaimed
 	// attributes surface as Interrupted partial results.
 	results := make([][]string, len(jobs))
-	parallelForCtx(spCtx, len(jobs), a.cfg.Parallelism, func(i int) {
+	parallel.For(spCtx, len(jobs), a.cfg.Parallelism, func(i int) {
 		results[i] = a.surface.DiscoverInstancesCtx(spCtx, jobs[i].attr, jobs[i].ifc, ds)
 	})
 	t1, q1 := readClock(a.surfaceClock)

@@ -6,6 +6,7 @@ import (
 
 	"webiq/internal/deepweb"
 	"webiq/internal/obs"
+	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 )
 
@@ -85,7 +86,7 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 	oks := make([]bool, len(probes))
 	ran := make([]bool, len(probes))
 	failed := make([]error, len(probes))
-	parallelForCtx(ctx, len(probes), ad.cfg.Parallelism, func(i int) {
+	parallel.For(ctx, len(probes), ad.cfg.Parallelism, func(i int) {
 		page, err := ad.source.Probe(ctx, interfaceID, attrID, probes[i])
 		ran[i] = true
 		if err != nil {

@@ -15,6 +15,7 @@ import (
 	"webiq/internal/deepweb"
 	"webiq/internal/kb"
 	"webiq/internal/obs"
+	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
 	"webiq/internal/surfaceweb"
@@ -24,7 +25,7 @@ func TestParallelForCtxStopsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int64
-	parallelForCtx(ctx, 100000, 4, func(i int) {
+	parallel.For(ctx, 100000, 4, func(i int) {
 		if ran.Add(1) == 8 {
 			cancel()
 		}
@@ -38,7 +39,7 @@ func TestParallelForCtxSequentialStops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ran := 0
-	parallelForCtx(ctx, 1000, 1, func(i int) {
+	parallel.For(ctx, 1000, 1, func(i int) {
 		ran++
 		if ran == 5 {
 			cancel()
@@ -53,7 +54,7 @@ func TestParallelForCtxPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
-	parallelForCtx(ctx, 100, 4, func(i int) { ran.Add(1) })
+	parallel.For(ctx, 100, 4, func(i int) { ran.Add(1) })
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d iterations ran on a pre-canceled context", n)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"webiq/internal/memo"
 	"webiq/internal/nlp"
+	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 )
 
@@ -121,7 +122,7 @@ func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, xs []string
 	// per candidate.
 	np := len(phrases)
 	flat := make([]float64, len(xs)*np)
-	parallelForCtx(ctx, len(xs), workers, func(i int) {
+	parallel.For(ctx, len(xs), workers, func(i int) {
 		s := flat[i*np : (i+1)*np : (i+1)*np]
 		if errs[i] = v.scores(ctx, phrases, xs[i], s); errs[i] == nil {
 			out[i] = s

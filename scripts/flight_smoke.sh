@@ -166,8 +166,8 @@ m_5xx = sum(
 )
 m_shed = counter_sum("webiq_admission_shed_total")
 
-# The bundle window covers the whole run (sheds never reach the metrics
-# middleware, so 5xx counters exclude them).
+# The bundle window covers the whole run (shed requests are never
+# counted by route, so 5xx counters exclude them).
 if ev_shed != m_shed:
     sys.exit(f"FAIL: bundle has {ev_shed} shed events, admission counted {m_shed}")
 if ev_5xx != m_5xx + m_shed:
