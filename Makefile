@@ -123,8 +123,10 @@ chaos:
 # packed snippet tags (expansion must equal tagging the text afresh),
 # the search engine's reads (every hit count and ranked search, on
 # the engine and through the query cache, must equal the linear-scan
-# oracle's), and the matcher's value typing (the byte scanners must
-# type every value as the reference regexps do).
+# oracle's), the matcher's value typing (the byte scanners must
+# type every value as the reference regexps do), and Attr-Deep's early
+# stop (over long uncapped outcome sequences, the verdict must be the
+# whole sample's one-third verdict, decided by its shortest prefix).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzClassifyValue -fuzztime 30s ./internal/matcher/
+	$(GO) test -fuzz FuzzOneThirdStop -fuzztime 30s ./internal/webiq/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

@@ -49,8 +49,7 @@ type WideEvent struct {
 	// ShedReason is set when the admission queue rejected the request
 	// (queue-full, draining, canceled).
 	ShedReason string `json:"shed_reason,omitempty"`
-	// ProbeQueries is how many deep-web probes the substrate served
-	// while this request ran.
+	// ProbeQueries is how many deep-web probes this request issued.
 	ProbeQueries int `json:"probe_queries,omitempty"`
 	// Degradations is the cumulative graceful-degradation count across
 	// all domains when the request finished.

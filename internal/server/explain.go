@@ -28,8 +28,9 @@ type ExplainInstance struct {
 	// Verdict is "predefined" for native values, "accept" otherwise.
 	Verdict string `json:"verdict"`
 	// Score/Threshold carry the acceptance evidence: PMI confidence vs
-	// MinScore (surface), posterior vs 0.5 (attr-surface), or probe
-	// success fraction vs 1/3 (attr-deep). Zero for native values.
+	// MinScore (surface), the deciding posterior bound vs 0.5
+	// (attr-surface), or the success fraction of the probes issued vs
+	// 1/3 (attr-deep). Zero for native values.
 	Score     float64 `json:"score,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Evidence is the human-readable detail of the accepting decision.

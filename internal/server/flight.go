@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
@@ -54,22 +56,15 @@ func (s *Server) setupFlight() {
 	}
 }
 
-// probeCount sums the deep-web probes served across every pool.
-func (s *Server) probeCount() int {
-	n := 0
-	for _, d := range s.byDomain {
-		n += d.pool.QueryCount()
-	}
-	return n
-}
+// probeCounterKey keys a request's probe counter in its context.
+type probeCounterKey struct{}
 
-// degradationCount sums recorded degradations across every domain.
-func (s *Server) degradationCount() int {
-	n := 0
-	for _, d := range s.byDomain {
-		n += len(d.degradations)
+// countProbe adds one to the probe counter ctx carries, if any: the
+// wide event's count of the probes its own request issued.
+func countProbe(ctx context.Context) {
+	if n, _ := ctx.Value(probeCounterKey{}).(*atomic.Int64); n != nil {
+		n.Add(1)
 	}
-	return n
 }
 
 // flightStatus is the GET /debug/flight JSON shape.

@@ -4,13 +4,16 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"webiq/internal/obs"
+	"webiq/internal/unify"
 )
 
 // TestStatsRuntimeBlock pins the /stats runtime block: it is present on
@@ -393,5 +396,71 @@ func TestFlightP99TraceExemplar(t *testing.T) {
 	}
 	if code, _ := get(t, s, "/trace/"+sum.P99TraceID); code != 200 {
 		t.Errorf("p99 exemplar trace %s not resolvable: %d", sum.P99TraceID, code)
+	}
+}
+
+// TestFlightProbeQueriesPerRequest pins that a wide event counts the
+// probes its own request issued: fan-outs to two domains run
+// concurrently, and each event records exactly its unified attribute's
+// member count, however the other domain's probes interleave.
+func TestFlightProbeQueriesPerRequest(t *testing.T) {
+	s := newTestServer(t, WithFlightRecorder(obs.FlightOptions{
+		Dir:                t.TempDir(),
+		CPUProfileDuration: -1,
+		SampleInterval:     -1,
+	}))
+	defer s.Close()
+	want := map[string]int{} // fan-out path -> probes it issues
+	var paths []string
+	for _, dw := range testWorld(t).Domains {
+		if dw.Domain != "airfare" && dw.Domain != "book" {
+			continue
+		}
+		// airfare's widest attribute against book's narrowest, so the
+		// two counts differ and a leak between them shows.
+		var best *unify.UnifiedAttribute
+		for _, ua := range dw.Unified.Attributes {
+			if len(ua.Instances) == 0 {
+				continue
+			}
+			if best == nil || (dw.Domain == "airfare") == (len(ua.Members) > len(best.Members)) {
+				best = ua
+			}
+		}
+		path := "/unified/" + dw.Domain + "/search"
+		want[path] = len(best.Members)
+		paths = append(paths, path+"?attr="+url.QueryEscape(best.Label)+"&value="+url.QueryEscape(best.Instances[0]))
+	}
+	if len(want) != 2 || want["/unified/airfare/search"] == want["/unified/book/search"] {
+		t.Fatalf("fan-outs %q probing %v: need two domains with different member counts", paths, want)
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	for _, p := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				req := httptest.NewRequest("GET", p, nil)
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					t.Errorf("%s = %d", p, rec.Code)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n := 0
+	for _, ev := range s.Flight().EventsSince(0) {
+		if w, ok := want[ev.Path]; ok {
+			n++
+			if ev.ProbeQueries != w {
+				t.Errorf("%s: wide event records %d probes, the request issued %d", ev.Path, ev.ProbeQueries, w)
+			}
+		}
+	}
+	if n != 2*rounds {
+		t.Errorf("%d fan-out wide events, want %d", n, 2*rounds)
 	}
 }

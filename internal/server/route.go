@@ -1,8 +1,10 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"webiq/internal/obs"
@@ -61,9 +63,10 @@ func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	probesBefore := s.probeCount()
+	var probes atomic.Int64
+	r = r.WithContext(context.WithValue(r.Context(), probeCounterKey{}, &probes))
 	traceID, status, shed := rt.admit(w, r)
-	rt.record(r, time.Since(start), s.probeCount()-probesBefore, traceID, status, shed)
+	rt.record(r, time.Since(start), int(probes.Load()), traceID, status, shed)
 }
 
 // admit serves the request under an admission slot, or sheds it with
@@ -116,7 +119,7 @@ func (rt *route) record(r *http.Request, elapsed time.Duration, probes int, trac
 		TraceID:      traceID,
 		ShedReason:   shed,
 		ProbeQueries: probes,
-		Degradations: s.degradationCount(),
+		Degradations: s.degradations,
 	}
 	if s.srcClient != nil {
 		ev.BreakerDeep = s.srcClient.BreakerState().String()

@@ -107,6 +107,9 @@ type Server struct {
 	// byDomain is the served world, one entry per domain. It is fixed
 	// at boot, so handlers read it without locking.
 	byDomain map[string]*domainState
+	// degradations is the number of degradations the served world's
+	// builds absorbed, summed over every domain at boot.
+	degradations int
 }
 
 // domainState is one domain's slice of the served world: the
@@ -242,6 +245,7 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 		}
 		d.translator = translate.New(dw.Unified, d.ds, s.probe)
 		d.degradations = dw.Degradations
+		s.degradations += len(dw.Degradations)
 		d.view = []byte(htmlform.Render(dw.Unified.AsInterface("unified-" + dw.Domain)))
 		d.explain = explain.Bytes()
 		ready.With(dw.Domain).Set(1)
@@ -317,7 +321,10 @@ func (s *Server) source(ifcID string) *deepweb.Source {
 
 // probe submits one form query at request time: through the resilient
 // source client under a fault profile, else straight to the source.
+// Every request-time probe goes through here, so it counts the probe
+// against the request that issued it (countProbe).
 func (s *Server) probe(ctx context.Context, ifcID, attrID, value string) (string, error) {
+	countProbe(ctx)
 	if s.srcClient == nil {
 		src := s.source(ifcID)
 		if src == nil {

@@ -6,7 +6,6 @@ import (
 
 	"webiq/internal/deepweb"
 	"webiq/internal/obs"
-	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 )
 
@@ -66,12 +65,12 @@ func (ad *AttrDeep) SetLedger(l *obs.Ledger) { ad.ledger = l }
 // and each accepted value are recorded as "attr-deep" ledger decisions
 // under the attribute and donor labels, carrying ctx's trace identity.
 //
-// With Config.Parallelism > 1 the probes run on a bounded worker pool.
-// Every probe is issued either way (the one-third rule needs the full
-// sample), so the probe count, the pool's virtual-time charge, and the
-// accept/reject decision are identical to the sequential run. Probes
-// that fail, or that cancellation kept from running, shrink the sample
-// instead of voting.
+// The sample's values are probed one at a time, in order, and probing
+// stops as soon as no outcome of the probes left can change the
+// verdict (see oneThirdFixed), so the probes issued are the shortest
+// prefix of the sample that decides it, at any Config.Parallelism.
+// Probes that fail, or that cancellation kept from running, shrink the
+// sample instead of voting.
 func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID, attrLabel, donorLabel string, donorValues []string) ([]string, bool) {
 	if len(donorValues) == 0 {
 		return nil, false
@@ -83,29 +82,24 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 	if ad.cfg.MaxBorrowProbes > 0 && len(probes) > ad.cfg.MaxBorrowProbes {
 		probes = probes[:ad.cfg.MaxBorrowProbes]
 	}
-	oks := make([]bool, len(probes))
-	ran := make([]bool, len(probes))
-	failed := make([]error, len(probes))
-	parallel.For(ctx, len(probes), ad.cfg.Parallelism, func(i int) {
-		page, err := ad.source.Probe(ctx, interfaceID, attrID, probes[i])
-		ran[i] = true
-		if err != nil {
-			failed[i] = err
-			return
+	issued, answered, success := 0, 0, 0
+	for _, v := range probes {
+		if oneThirdFixed(success, answered, len(probes)-issued) || ctx.Err() != nil {
+			break
 		}
-		oks[i] = deepweb.AnalyzeResponse(page)
-	})
-	answered := 0
-	for i := range probes {
-		switch {
-		case failed[i] != nil:
+		issued++
+		page, err := ad.source.Probe(ctx, interfaceID, attrID, v)
+		if err != nil {
 			degrade(ctx, Degradation{
-				Stage: "attr-deep", Reason: resilience.Reason(failed[i]),
+				Stage: "attr-deep", Reason: resilience.Reason(err),
 				AttrID: attrID, Label: attrLabel,
-				Detail: "probe failed: " + probes[i],
+				Detail: "probe failed: " + v,
 			})
-		case ran[i]:
-			answered++
+			continue
+		}
+		answered++
+		if deepweb.AnalyzeResponse(page) {
+			success++
 		}
 	}
 	if answered == 0 {
@@ -119,17 +113,11 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 		if ad.ledger != nil {
 			ad.ledger.RecordCtx(ctx, obs.Decision{
 				Component: "attr-deep", Verdict: "skip",
-				AttrID: attrID, Label: attrLabel, Count: len(probes),
-				Detail: fmt.Sprintf("donor %q: 0/%d probes answered", donorLabel, len(probes)),
+				AttrID: attrID, Label: attrLabel, Count: issued,
+				Detail: fmt.Sprintf("donor %q: 0/%d probes answered", donorLabel, issued),
 			})
 		}
 		return nil, false
-	}
-	success := 0
-	for _, ok := range oks {
-		if ok {
-			success++
-		}
 	}
 	// The one-third rule runs over the probes that actually got an
 	// answer; a backend failure shrinks the sample, it does not vote.
@@ -143,8 +131,9 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 		ad.ledger.RecordCtx(ctx, obs.Decision{
 			Component: "attr-deep", Verdict: verdict,
 			AttrID: attrID, Label: attrLabel,
-			Score: frac, Threshold: 1.0 / 3.0, Count: len(probes),
-			Detail: fmt.Sprintf("donor %q: %d/%d probes succeeded", donorLabel, success, answered),
+			Score: frac, Threshold: 1.0 / 3.0, Count: issued,
+			Detail: fmt.Sprintf("donor %q: %d/%d probes succeeded, decided after %d of %d",
+				donorLabel, success, answered, issued, len(probes)),
 		})
 		if accepted {
 			for _, v := range donorValues {
@@ -161,4 +150,14 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 		return donorValues, true
 	}
 	return nil, false
+}
+
+// oneThirdFixed reports whether the one-third verdict over s successes
+// of a answered probes is fixed whatever the r probes left answer: each
+// may succeed, reject, or fail and shrink the sample. It is fixed at
+// accept when even r rejections keep 3s >= a+r, and at reject when even
+// r successes keep 3(s+r) < a+r. With nothing answered yet it is never
+// fixed: r failures would make the verdict a skip.
+func oneThirdFixed(s, a, r int) bool {
+	return a > 0 && (3*s >= a+r || 3*(s+r) < a+r)
 }

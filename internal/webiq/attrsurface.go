@@ -65,7 +65,7 @@ func trainClassifier(ctx context.Context, v *Validator, label string, positives,
 	xs := make([]string, 0, len(positives)+len(negatives))
 	xs = append(xs, positives...)
 	xs = append(xs, negatives...)
-	scores, errs := v.ScoresCtx(ctx, phrases, xs, v.cfg.Parallelism)
+	scores, errs := v.ScoresCtx(ctx, phrases, xs, v.cfg.Parallelism, nil)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -193,6 +193,45 @@ func (c *Classifier) ProbPositive(scores []float64) float64 {
 	return pPos / (pPos + pNeg)
 }
 
+// bounds returns the least and greatest Formula 1 posterior over every
+// completion of a scored prefix: scores holds the validation scores of
+// the first k phrases, and each of the 2^(n-k) completions gives the
+// features past k each value, 0 or 1. Every completion is evaluated
+// with ProbPositive's own products in its order, so a full vector
+// yields lo == hi == ProbPositive(scores), and the decision
+// ProbPositive(full) > 0.5 is fixed by the prefix exactly when lo > 0.5
+// (accept) or hi <= 0.5 (reject).
+func (c *Classifier) bounds(scores []float64) (lo, hi float64) {
+	k, n := len(scores), len(c.PF)
+	lo, hi = 1, 0
+	for m := 0; m < 1<<(n-k); m++ {
+		pPos, pNeg := c.PPos, c.PNeg
+		for i := 0; i < n; i++ {
+			var f int
+			if i >= k {
+				f = m >> (i - k) & 1
+			} else if scores[i] > c.Thresholds[i] {
+				f = 1
+			}
+			pPos *= c.PF[i][f][1]
+			pNeg *= c.PF[i][f][0]
+		}
+		p := 0.5
+		if pPos+pNeg != 0 {
+			p = pPos / (pPos + pNeg)
+		}
+		lo, hi = min(lo, p), max(hi, p)
+	}
+	return lo, hi
+}
+
+// decided reports whether the scored prefix fixes the decision: the
+// stop predicate Attr-Surface scores borrowed values under.
+func (c *Classifier) decided(scores []float64) bool {
+	lo, hi := c.bounds(scores)
+	return lo > 0.5 || hi <= 0.5
+}
+
 // AttrSurface borrows instances for an attribute and validates them via
 // the Surface Web using the validation-based classifier.
 type AttrSurface struct {
@@ -266,11 +305,13 @@ func (as *AttrSurface) ValidateBorrowedCtx(ctx context.Context, attrID, label st
 			Detail: fmt.Sprintf("info-gain thresholds %.4g (priors +%.3f/-%.3f)", clf.Thresholds, clf.PPos, clf.PNeg),
 		})
 	}
-	phrases := clf.Phrases
 	// Scoring each borrowed value is independent; score them on the
 	// worker pool and decide in index order, so accepted preserves the
-	// borrowed order exactly as a sequential loop would.
-	scores, errs := as.validator.ScoresCtx(ctx, phrases, borrowed, as.cfg.Parallelism)
+	// borrowed order exactly as a sequential loop would. Each value is
+	// scored phrase by phrase only until its decision is fixed, so the
+	// keys asked depend on the value's own scores, not on the width.
+	n := len(clf.Phrases)
+	scores, errs := as.validator.ScoresCtx(ctx, clf.Phrases, borrowed, as.cfg.Parallelism, clf.decided)
 	for i, b := range borrowed {
 		if errs[i] != nil {
 			// The value could not be scored (backend failure, or the
@@ -284,23 +325,22 @@ func (as *AttrSurface) ValidateBorrowedCtx(ctx context.Context, attrID, label st
 			as.mDecisions.With("skip").Inc()
 			continue
 		}
-		p := clf.ProbPositive(scores[i])
-		if p > 0.5 {
+		// The deciding bound: the least posterior over the unscored
+		// phrases' completions for an accept, the greatest for a
+		// reject; the posterior itself once every phrase is scored.
+		lo, hi := clf.bounds(scores[i])
+		verdict, bound := "reject", hi
+		if lo > 0.5 {
+			verdict, bound = "accept", lo
 			accepted = append(accepted, b)
-			as.mDecisions.With("accept").Inc()
-		} else {
-			as.mDecisions.With("reject").Inc()
 		}
+		as.mDecisions.With(verdict).Inc()
 		if as.ledger != nil {
-			verdict := "reject"
-			if p > 0.5 {
-				verdict = "accept"
-			}
 			as.ledger.RecordCtx(ctx, obs.Decision{
 				Component: "attr-surface", Verdict: verdict,
 				AttrID: attrID, Label: label, Value: b,
-				Score: p, Threshold: 0.5,
-				Detail: "validation-based naive Bayes posterior",
+				Score: bound, Threshold: 0.5, Count: len(scores[i]),
+				Detail: fmt.Sprintf("posterior bound over %d of %d phrases", len(scores[i]), n),
 			})
 		}
 	}

@@ -79,7 +79,7 @@ func TestScoresCtxMatchesScalar(t *testing.T) {
 			wantScores = append(wantScores, ref.scores(phrases, x))
 			wantConfs = append(wantConfs, ref.confidence(phrases, x))
 		}
-		gotScores, errs := v.ScoresCtx(context.Background(), phrases, xs, cfg.Parallelism)
+		gotScores, errs := v.ScoresCtx(context.Background(), phrases, xs, cfg.Parallelism, nil)
 		if !reflect.DeepEqual(gotScores, wantScores) || !reflect.DeepEqual(errs, make([]error, len(xs))) {
 			t.Errorf("raw=%v: ScoresCtx %v (errs %v), scalar %v", raw, gotScores, errs, wantScores)
 		}
@@ -105,7 +105,7 @@ func TestConfidenceDelegatesToScores(t *testing.T) {
 	v := NewValidator(eng, DefaultConfig())
 	phrases := v.Phrases("author")
 	xs := []string{"Hemingway", "zzz"}
-	scores, _ := v.ScoresCtx(context.Background(), phrases, xs, 1)
+	scores, _ := v.ScoresCtx(context.Background(), phrases, xs, 1, nil)
 	confs, _ := v.ConfidenceCtx(context.Background(), phrases, xs)
 	for i, x := range xs {
 		var sum float64
@@ -155,15 +155,17 @@ func ledgeredRun(t *testing.T, domain string) (*Report, []byte) {
 
 // pinnedAcquisition holds SHA-256 digests of the fault-free Report JSON
 // and ledger NDJSON of a sequential acquisition of each paper domain
-// (seed 1), recorded before the validation, extraction and probing
-// stages were collapsed onto one call path each. Every backend runs
-// behind a zero-fault adapter; outputs must not move.
+// (seed 1). They were last re-recorded when Attr-Deep and Attr-Surface
+// began stopping once a verdict is fixed, which moved the Report's
+// per-component charges and the ledger's attr-deep and attr-surface
+// records. Every backend runs behind a zero-fault adapter; outputs must
+// not move.
 var pinnedAcquisition = map[string][2]string{
-	"airfare":    {"fa675e52c252b8cdbb3011fabedb468ae994d6cec7d595956369c08b60f34d4f", "cf78deb3e0895ab816e60ed4af961fd83cd4fd0ec395379b7269f0bca77efce2"},
-	"auto":       {"5c137efc17184531c32d28c0252c5c8b542f5e44b837b127f676873ce8047b1a", "a496d516133d69468ade7b593ade27b1ae6cdeaf1aa63886bfe1201bf418943e"},
-	"book":       {"3a46822326b3804c762c3f20849ba94380bc8890f36cd15d60e387d39236e398", "d81fcb16631f24ed8284821f834b0b6603272e0c41db9a2f5b36126c313fa713"},
-	"job":        {"8323abfdd1f2fbde83b36e5fd0b93c77332b36b603ea8457d8d36d8374465e28", "abbeea599cba71dc6efd4c38a31002f5f8dc8819f0d7887c0d07d91d74dc9cca"},
-	"realestate": {"551daa7257e633138c4679e13d56eb9a9cc890fc3637f9c379f9f326c2eaa780", "d2f983e3a9cf441c0c883a0fe3af5cd1cfca7e04761437bf24cae6be99c6d417"},
+	"airfare":    {"2fc4cbb075694b80ec3d49cf115f7b832a4adca7d3e185e9fd25def8ee0630a9", "046e3e3f15e5a60047abd44134ea6bfee785689071f26217d91cac36ee27314a"},
+	"auto":       {"a48fec6f9b11f72c4b2da57374439af18bfb52b9816ac5320afb4e8e6652c203", "dc2419f8ef248ad0d845556c8819f6ee2743ff99df5cb799f24e35ea8694c394"},
+	"book":       {"7e897c25b41bfdfa37047c4777a6ae2b82df5b6c7cabfe52d71c95ace95cd15d", "72dfe6cdbb8773c554f80acfac41f1d90670aa074f65c197c6f8548261f62377"},
+	"job":        {"ac2885bcdee9ed5853bd0e2e3078c837b4e380f0771ccda4d0b2d2a7ccecb6de", "c4296d949e2e6ab81e0c80cf9bb1dadfb1bbe22ca8b92b32dae4f7d69c444f04"},
+	"realestate": {"a0409c3a83b42441c37ce38a6db960f975b1b0693a61dd2de32d83f8bd3f2b0c", "0afb6d4a6a603c51d01d0c44c1824d45bf3e60c2a12d16c3ee9b5273d5095ad0"},
 }
 
 func sha(b []byte) string {
@@ -199,11 +201,11 @@ var pinnedCachedAcquisition = map[string]struct {
 	report string
 	acct   [5]int
 }{
-	"airfare":    {"224e1e725159a06d1833ed30150dec7ccde65d75419a5a7d31bbd6186501dc48", [5]int{80, 5259, 5339, 5259, 5259}},
-	"auto":       {"066f338983334d577668cf71963d6952a59101bac7d43d550dbf3ff0fd7e2fa6", [5]int{72, 3046, 3118, 3046, 3046}},
-	"book":       {"abe262598c323e62f295928c18af9e826d864c7a85244f6a7d1f20d99dbf5be8", [5]int{236, 1970, 2206, 1970, 1970}},
-	"job":        {"358403401235a90d010c71e8560e6651eebd18d53b6edfddac264cb24c6632b6", [5]int{160, 2111, 2271, 2111, 2111}},
-	"realestate": {"f69e0d65c49c4e58a90e5f9f7941548d4c95e529a2d2d18e3722344737c06ac3", [5]int{128, 2967, 3095, 2967, 2967}},
+	"airfare":    {"049a966ca62102d88145ce0ac2760ef58e0aaa7a2445d465d57775fc539c2e9e", [5]int{80, 5044, 5124, 5044, 5044}},
+	"auto":       {"5931b3a8ed980f6470496259c155e1f756815f18287f32326f9ca18c1d31f2df", [5]int{72, 2846, 2918, 2846, 2846}},
+	"book":       {"23d3431fd4761c64183e7cb88c1d763c2f436d6cab6e582727dbb29f508048d7", [5]int{236, 1888, 2124, 1888, 1888}},
+	"job":        {"f38e614baef2107e16dac6a7429f147183e4ffc8b811f71fef7132a76f83d955", [5]int{160, 2067, 2227, 2067, 2067}},
+	"realestate": {"354e332be9974433d057dc3ab01f1194f6fc823ab9c18729e70dba894cf3e05f", [5]int{128, 2795, 2923, 2795, 2795}},
 }
 
 // TestBatchedCachedAcquisitionAccounting runs the worker-pool

@@ -187,9 +187,10 @@ func (c cancelAfterSource) Probe(ctx context.Context, ifcID, attrID, value strin
 
 // TestAttrDeepLateCancelCountsAnsweredProbes pins the one-third rule
 // under late cancellation: when the context is canceled only after
-// every probe answered, a probe that answered with a rejection still
-// votes. The verdict and its ledger record must equal the uncanceled
-// run's.
+// every probe the verdict needs answered, a probe that answered with a
+// rejection still votes. The verdict and its ledger record must equal
+// the uncanceled run's. The all-reject donor's verdict is fixed after
+// five rejections, so its sixth probe is never issued.
 func TestAttrDeepLateCancelCountsAnsweredProbes(t *testing.T) {
 	_, _, pools := fixture(t)
 	pool := pools["airfare"]
@@ -197,10 +198,11 @@ func TestAttrDeepLateCancelCountsAnsweredProbes(t *testing.T) {
 	unknown := []string{"Qzxv One", "Qzxv Two", "Qzxv Three", "Qzxv Four", "Qzxv Five"}
 	cases := []struct {
 		donors []string
+		probes int64
 		want   string
 	}{
-		{append([]string{"Geneva"}, unknown...), `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0.16666666666666666,"threshold":0.3333333333333333,"count":6,"detail":"donor \"City\": 1/6 probes succeeded"`},
-		{append([]string{"Qzxv Six"}, unknown...), `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0,"threshold":0.3333333333333333,"count":6,"detail":"donor \"City\": 0/6 probes succeeded"`},
+		{append([]string{"Geneva"}, unknown...), 6, `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0.16666666666666666,"threshold":0.3333333333333333,"count":6,"detail":"donor \"City\": 1/6 probes succeeded, decided after 6 of 6"`},
+		{append([]string{"Qzxv Six"}, unknown...), 5, `"verdict":"reject","attr_id":"airfare/if01/a1","label":"Going to","score":0,"threshold":0.3333333333333333,"count":5,"detail":"donor \"City\": 0/5 probes succeeded, decided after 5 of 6"`},
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{0, 4} {
@@ -213,14 +215,18 @@ func TestAttrDeepLateCancelCountsAnsweredProbes(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				after := int64(-1)
 				if late {
-					after = int64(len(tc.donors))
+					after = tc.probes
 				}
+				answered := new(atomic.Int64)
 				NewAcquirer(nil, ad, nil, Components{AttrDeep: true}, cfg).SetFallible(nil,
-					cancelAfterSource{pool: pool, answered: new(atomic.Int64), after: after, cancel: cancel})
+					cancelAfterSource{pool: pool, answered: answered, after: after, cancel: cancel})
 				vals, ok := ad.ValidateBorrowedCtx(ctx, ifcID, attrID, "Going to", "City", tc.donors)
 				cancel()
 				if ok || vals != nil {
 					t.Errorf("donors %q, workers %d, late cancel %v: accepted %v", tc.donors, workers, late, vals)
+				}
+				if n := answered.Load(); n != tc.probes {
+					t.Errorf("donors %q, workers %d, late cancel %v: %d probes issued, want %d", tc.donors, workers, late, n, tc.probes)
 				}
 				if !strings.Contains(buf.String(), tc.want) {
 					t.Errorf("donors %q, workers %d, late cancel %v: ledger\n%s\nwant a decision containing %s",
@@ -266,15 +272,15 @@ func TestValidatorCancelMidBurstCachesNoFailedKey(t *testing.T) {
 	phrases := refV.Phrases("author")
 	// k is how many queries scoring xs[0] alone asks; the cancel lands
 	// as the last of them answers.
-	refV.ScoresCtx(context.Background(), phrases, xs[:1], 1)
+	refV.ScoresCtx(context.Background(), phrases, xs[:1], 1, nil)
 	k := len(ref.log())
-	want, _ := refV.ScoresCtx(context.Background(), phrases, xs, 1)
+	want, _ := refV.ScoresCtx(context.Background(), phrases, xs, 1, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ce := &cancelAtHitsEngine{recordingEngine: recordingEngine{inner: eng}, after: k, cancel: cancel}
 	v := NewValidator(ce, DefaultConfig())
-	got, errs := v.ScoresCtx(ctx, phrases, xs, 1)
+	got, errs := v.ScoresCtx(ctx, phrases, xs, 1, nil)
 	first := ce.multiset()
 	if len(first) != k {
 		t.Fatalf("%d queries reached the engine, want %d: no key after the cancel may be asked", len(first), k)
@@ -288,7 +294,7 @@ func TestValidatorCancelMidBurstCachesNoFailedKey(t *testing.T) {
 		}
 	}
 
-	got, errs = v.ScoresCtx(context.Background(), phrases, xs, 1)
+	got, errs = v.ScoresCtx(context.Background(), phrases, xs, 1, nil)
 	if !reflect.DeepEqual(errs, make([]error, len(xs))) || !reflect.DeepEqual(got, want) {
 		t.Errorf("rerun on a live context: scores %v (errs %v), fresh validator %v", got, errs, want)
 	}

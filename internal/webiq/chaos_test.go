@@ -162,14 +162,19 @@ func TestChaosDifferentSeedsDiffer(t *testing.T) {
 
 // TestChaosAttrDeepMatchesOracle runs Attr-Deep validation under every
 // named fault profile over the book domain's real (attribute, donor)
-// pairs. For every donor the ledger's per-donor verdict and Score must
-// equal the one-third rule applied to the probes that answered: each
-// answered probe votes with the fault-free page the source would have
-// served, unless the injector swapped in a malformed page, which votes
-// as it reads. A failed probe shrinks the sample, and a donor with no
-// answered probe must be recorded as "skip". Probes run sequentially,
-// retries are off and the breaker is out of reach, so every fault
-// reaches the component undiluted and lines up with its probe.
+// pairs. For every donor the ledger's per-donor verdict must equal the
+// one-third rule applied to the probes of the whole capped sample that
+// answered: each answered probe votes with the fault-free page the
+// source would have served, unless the injector swapped in a malformed
+// page, which votes as it reads. A failed probe shrinks the sample, and
+// a donor with no answered probe must be recorded as "skip". The probes
+// the early stop skipped are replayed right after the issued ones, so
+// they draw the faults a full-sample run would have drawn. The issued
+// probes must be the shortest prefix of the sample that fixes the
+// verdict, and the ledger's Score and Count must be that prefix's.
+// Probes run sequentially, retries are off and the breaker is out of
+// reach, so every fault reaches the component undiluted and lines up
+// with its probe.
 func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 	dom := kb.DomainByKey("book")
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
@@ -226,21 +231,27 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 				values := p.donor.AllInstances()
 				_, ok := ad.ValidateBorrowedCtx(context.Background(), p.ifc.ID, p.attr.ID, p.attr.Label, p.donor.Label, values)
 
-				probes := len(values)
-				if cfg.MaxBorrowProbes > 0 && probes > cfg.MaxBorrowProbes {
-					probes = cfg.MaxBorrowProbes
+				sample := values
+				if cfg.MaxBorrowProbes > 0 && len(sample) > cfg.MaxBorrowProbes {
+					sample = sample[:cfg.MaxBorrowProbes]
 				}
-				if len(log.calls) != probes {
-					t.Fatalf("%s via %q: %d probes issued, want %d", p.attr.ID, p.donor.Label, len(log.calls), probes)
+				issued := len(log.calls)
+				if issued > len(sample) {
+					t.Fatalf("%s via %q: %d probes issued from a sample of %d", p.attr.ID, p.donor.Label, issued, len(sample))
 				}
-				answered, success := 0, 0
+				calls := append([]probeCall(nil), log.calls...)
+				for _, v := range sample[issued:] {
+					page, err := log.inner.Probe(context.Background(), p.ifc.ID, p.attr.ID, v)
+					calls = append(calls, probeCall{v, page, err})
+				}
+				outcomes := make([]byte, len(calls))
 				src := pool.Source(p.ifc.ID)
-				for _, c := range log.calls {
+				for i, c := range calls {
 					if c.err != nil {
 						failed++
+						outcomes[i] = 'f'
 						continue
 					}
-					answered++
 					page := src.Probe(p.attr.ID, c.value)
 					if c.page != page {
 						if !malformed[c.page] {
@@ -249,9 +260,13 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 						swapped++
 						page = c.page
 					}
+					outcomes[i] = 'r'
 					if deepweb.AnalyzeResponse(page) {
-						success++
+						outcomes[i] = 's'
 					}
+				}
+				if m := minimalPrefix(outcomes); issued != m {
+					t.Errorf("%s via %q: outcomes %s, %d probes issued, the verdict is fixed after %d", p.attr.ID, p.donor.Label, outcomes, issued, m)
 				}
 
 				var verdicts []obs.Decision
@@ -264,18 +279,18 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 					t.Fatalf("%s via %q: %d per-donor verdicts, want 1: %+v", p.attr.ID, p.donor.Label, len(verdicts), verdicts)
 				}
 				got := verdicts[0]
-				want, score := "skip", 0.0
+				want := oneThirdVerdict(outcomes)
+				success, answered := tally(outcomes[:issued])
+				score := 0.0
 				if answered > 0 {
-					want, score = "reject", float64(success)/float64(answered)
-					if 3*success >= answered {
-						want = "accept"
-					}
-				} else {
+					score = float64(success) / float64(answered)
+				}
+				if want == "skip" {
 					skipped++
 				}
-				if got.Component != "attr-deep" || got.Verdict != want || got.Score != score || got.Count != probes {
-					t.Errorf("%s via %q: ledger %s score=%v count=%d, oracle %s score=%v count=%d (%d/%d answered)",
-						p.attr.ID, p.donor.Label, got.Verdict, got.Score, got.Count, want, score, probes, answered, probes)
+				if got.Component != "attr-deep" || got.Verdict != want || got.Score != score || got.Count != issued {
+					t.Errorf("%s via %q: ledger %s score=%v count=%d, oracle %s score=%v count=%d (outcomes %s)",
+						p.attr.ID, p.donor.Label, got.Verdict, got.Score, got.Count, want, score, issued, outcomes)
 				}
 				if ok != (want == "accept") {
 					t.Errorf("%s via %q: returned ok=%v for verdict %s", p.attr.ID, p.donor.Label, ok, want)
@@ -496,7 +511,7 @@ func TestChaosValidatorMatchesOracle(t *testing.T) {
 
 			scored, failed := 0, 0
 			for pass := 0; pass < 2; pass++ {
-				scores, errs := v.ScoresCtx(context.Background(), phrases, xs, cfg.Parallelism)
+				scores, errs := v.ScoresCtx(context.Background(), phrases, xs, cfg.Parallelism, nil)
 				for i, x := range xs {
 					if errs[i] == nil {
 						scored++

@@ -65,8 +65,9 @@ type Config struct {
 	// MinScore is the minimum average validation score for a candidate
 	// to survive Web validation.
 	MinScore float64
-	// MaxBorrowProbes caps how many of a donor attribute's instances
-	// Attr-Deep probes before applying the one-third rule.
+	// MaxBorrowProbes caps the sample of a donor attribute's instances
+	// the one-third rule is applied to: Attr-Deep probes at most this
+	// many, stopping earlier once the verdict is fixed (0: no cap).
 	MaxBorrowProbes int
 	// BorrowLabelSim is the minimum label similarity for a borrowing
 	// donor in Step 1.b of Section 5.
@@ -81,9 +82,10 @@ type Config struct {
 	// once: the Surface discovery phase across attributes (each
 	// attribute's candidates are then scored serially), and — within
 	// each attribute — Attr-Surface classifier training and
-	// borrowed-value scoring, one candidate per worker, and Attr-Deep
-	// probing. Results and substrate query counts are identical to the
-	// sequential run: Surface discovery depends only on labels and
+	// borrowed-value scoring, one candidate per worker. Attr-Deep
+	// probes one value at a time at any width, since its early stop
+	// needs each outcome before the next probe. Results and substrate
+	// query counts are identical to the sequential run: Surface discovery depends only on labels and
 	// dataset metadata, the per-attribute validations are independent
 	// per value and merged in index order, and the singleflight memo
 	// (internal/memo) under both the validator and the query cache

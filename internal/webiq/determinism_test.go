@@ -50,48 +50,50 @@ func acquisitionRun(t *testing.T, domain string, seed int64, compCfg, acqCfg Con
 }
 
 // TestParallelValidationReportsByteIdentical pins the determinism
-// contract of the parallel validation paths added to Attr-Surface
-// (classifier training and borrowed-value scoring) and Attr-Deep
-// (probing): with the components running 8 workers but the acquisition
-// policy visiting attributes in the usual order, the Report — outcomes,
-// per-component virtual times, and query counts — must be byte-for-byte
-// the sequential run's across seeds, and so must every attribute's
-// acquired instances and the total substrate query counts.
+// contract of the parallel validation paths of Attr-Surface
+// (classifier training and borrowed-value scoring, each value stopping
+// on its own scores): with the components running 2 or 8 workers but
+// the acquisition policy visiting attributes in the usual order, the
+// Report — outcomes, per-component virtual times, and query counts —
+// must be byte-for-byte the sequential run's across seeds, and so must
+// every attribute's acquired instances and the total substrate query
+// counts.
 func TestParallelValidationReportsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acquisition runs; skipped in -short")
 	}
 	for _, seed := range []int64{1, 2, 3} {
 		seqCfg := DefaultConfig()
-		parCfg := DefaultConfig()
-		parCfg.Parallelism = 8
-
 		seqRep, seqGot, seqQ, seqP := acquisitionRun(t, "job", seed, seqCfg, seqCfg)
-		parRep, parGot, parQ, parP := acquisitionRun(t, "job", seed, parCfg, seqCfg)
-
 		seqJSON, err := json.Marshal(seqRep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parJSON, err := json.Marshal(parRep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(seqJSON) != string(parJSON) {
-			t.Errorf("seed %d: parallel-validation Report differs from sequential:\nseq: %s\npar: %s",
-				seed, seqJSON, parJSON)
-		}
-		if !reflect.DeepEqual(seqGot, parGot) {
-			for id := range seqGot {
-				if !reflect.DeepEqual(seqGot[id], parGot[id]) {
-					t.Errorf("seed %d attr %s: sequential %v vs parallel %v",
-						seed, id, seqGot[id], parGot[id])
+		for _, width := range []int{2, 8} {
+			parCfg := DefaultConfig()
+			parCfg.Parallelism = width
+			parRep, parGot, parQ, parP := acquisitionRun(t, "job", seed, parCfg, seqCfg)
+
+			parJSON, err := json.Marshal(parRep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(seqJSON) != string(parJSON) {
+				t.Errorf("seed %d, %d workers: parallel-validation Report differs from sequential:\nseq: %s\npar: %s",
+					seed, width, seqJSON, parJSON)
+			}
+			if !reflect.DeepEqual(seqGot, parGot) {
+				for id := range seqGot {
+					if !reflect.DeepEqual(seqGot[id], parGot[id]) {
+						t.Errorf("seed %d attr %s: sequential %v vs parallel %v",
+							seed, id, seqGot[id], parGot[id])
+					}
 				}
 			}
-		}
-		if seqQ != parQ || seqP != parP {
-			t.Errorf("seed %d: query counts differ: sequential %d/%d, parallel %d/%d",
-				seed, seqQ, seqP, parQ, parP)
+			if seqQ != parQ || seqP != parP {
+				t.Errorf("seed %d, %d workers: query counts differ: sequential %d/%d, parallel %d/%d",
+					seed, width, seqQ, seqP, parQ, parP)
+			}
 		}
 	}
 }
@@ -146,9 +148,9 @@ func TestFullParallelOutcomesAndTotals(t *testing.T) {
 	}
 }
 
-// TestParallelValidationStress drives the parallel Attr-Surface and
-// Attr-Deep paths with many workers; under -race it pins the worker-pool
-// and singleflight synchronization.
+// TestParallelValidationStress drives the parallel Attr-Surface path
+// with many workers, Attr-Deep beside it; under -race it pins the
+// worker-pool and singleflight synchronization.
 func TestParallelValidationStress(t *testing.T) {
 	eng, data, pools := fixture(t)
 	ds := data["airfare"]

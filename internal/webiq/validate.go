@@ -95,7 +95,7 @@ func (v *Validator) ConfidenceCtx(ctx context.Context, phrases []string, xs []st
 	if len(phrases) == 0 {
 		return confs, make([]error, len(xs))
 	}
-	scores, errs := v.ScoresCtx(ctx, phrases, xs, 1)
+	scores, errs := v.ScoresCtx(ctx, phrases, xs, 1, nil)
 	for i := range xs {
 		if errs[i] == nil {
 			confs[i] = mean(scores[i])
@@ -109,12 +109,14 @@ func (v *Validator) ConfidenceCtx(ctx context.Context, phrases []string, xs []st
 // the candidates on up to workers goroutines. Each candidate is scored
 // in the scalar probe order (see scores), and the memo issues each
 // distinct key to the engine once, so without faults the engine sees
-// the same set of queries for any worker count. A candidate whose hit
+// the same set of queries for any worker count. A non-nil stop ends a
+// candidate's scoring early: out[i] is then the prefix of the vector
+// scored before stop reported true for it. A candidate whose hit
 // counts cannot all be answered fails alone: errs[i] is the first
 // failed key's error (or the context's error when cancellation stopped
 // the pool before xs[i] was scored) and out[i] is nil; the other
 // candidates still score.
-func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, xs []string, workers int) ([][]float64, []error) {
+func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, xs []string, workers int, stop func(scored []float64) bool) ([][]float64, []error) {
 	out := make([][]float64, len(xs))
 	errs := make([]error, len(xs))
 	// One flat backing array for all score vectors: out[i] is its own
@@ -124,8 +126,9 @@ func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, xs []string
 	flat := make([]float64, len(xs)*np)
 	parallel.For(ctx, len(xs), workers, func(i int) {
 		s := flat[i*np : (i+1)*np : (i+1)*np]
-		if errs[i] = v.scores(ctx, phrases, xs[i], s); errs[i] == nil {
-			out[i] = s
+		var n int
+		if n, errs[i] = v.scores(ctx, phrases, xs[i], s, stop); errs[i] == nil {
+			out[i] = s[:n]
 		}
 	})
 	for i := range out {
@@ -139,13 +142,18 @@ func (v *Validator) ScoresCtx(ctx context.Context, phrases []string, xs []string
 // scores fills s with x's score on each phrase in the scalar probe
 // order: the joint NumHits(V + x) first, then NumHits(V) and NumHits(x)
 // only when the joint is non-zero and PMI (not raw counts) is scored.
-// It stops at, and returns, the first failed key's error.
-func (v *Validator) scores(ctx context.Context, phrases []string, x string, s []float64) error {
+// Before each phrase it asks stop (nil: never stop) whether the scores
+// so far, s[:j], are enough, and returns j if so; otherwise it returns
+// len(phrases). It stops at, and returns, the first failed key's error.
+func (v *Validator) scores(ctx context.Context, phrases []string, x string, s []float64, stop func(scored []float64) bool) (int, error) {
 	// Keys are built in stack buffers; the memo copies one into a
 	// string only on a miss.
 	var kb, lb [128]byte
 	lx := nlp.AppendLower(lb[:0], x)
 	for j, p := range phrases {
+		if stop != nil && stop(s[:j]) {
+			return j, nil
+		}
 		k := append(kb[:0], '"')
 		k = append(k, p...)
 		k = append(k, ' ')
@@ -153,7 +161,7 @@ func (v *Validator) scores(ctx context.Context, phrases []string, x string, s []
 		k = append(k, '"')
 		joint, err := v.numHits(ctx, k)
 		if err != nil {
-			return err
+			return j, err
 		}
 		if v.cfg.UseRawHitCounts {
 			s[j] = float64(joint)
@@ -165,19 +173,19 @@ func (v *Validator) scores(ctx context.Context, phrases []string, x string, s []
 		k = append(append(append(kb[:0], '"'), p...), '"')
 		hv, err := v.numHits(ctx, k)
 		if err != nil {
-			return err
+			return j, err
 		}
 		k = append(append(append(kb[:0], '"'), lx...), '"')
 		hx, err := v.numHits(ctx, k)
 		if err != nil {
-			return err
+			return j, err
 		}
 		if hv == 0 || hx == 0 {
 			continue
 		}
 		s[j] = float64(joint) / (float64(hv) * float64(hx))
 	}
-	return nil
+	return len(phrases), nil
 }
 
 // numHits returns the hit count of one memo key, asking the engine

@@ -84,7 +84,7 @@ func (r *refValidator) confidence(phrases []string, x string) float64 {
 // pmi scores one (phrase, x) pair through the production path.
 func pmi(t *testing.T, v *Validator, phrase, x string) float64 {
 	t.Helper()
-	scores, errs := v.ScoresCtx(context.Background(), []string{phrase}, []string{x}, 1)
+	scores, errs := v.ScoresCtx(context.Background(), []string{phrase}, []string{x}, 1, nil)
 	if errs[0] != nil {
 		t.Fatalf("PMI(%q, %q): %v", phrase, x, errs[0])
 	}
@@ -242,7 +242,7 @@ func TestScoresVector(t *testing.T) {
 		`"a x"`: 2, `"a"`: 10, `"x"`: 5,
 	}}
 	v := NewValidator(eng, DefaultConfig())
-	scores, errs := v.ScoresCtx(context.Background(), []string{"a", "b"}, []string{"x"}, 1)
+	scores, errs := v.ScoresCtx(context.Background(), []string{"a", "b"}, []string{"x"}, 1, nil)
 	if errs[0] != nil {
 		t.Fatal(errs[0])
 	}
