@@ -108,11 +108,12 @@ lint: vet
 # tests. -count=2 catches state leaking between runs (stuck breakers,
 # cache poisoning by injected errors) that a single pass hides. The
 # resilience and memo packages run unfiltered; the filter picks the
-# chaos and cancellation tests out of webiq and server.
+# chaos, cancellation and component-memo (Attr-Deep probe, Surface
+# search) tests out of webiq and server.
 chaos:
 	$(GO) test -race -count=2 -timeout 20m ./internal/resilience/ ./internal/memo/
 	$(GO) test -race -count=2 -timeout 20m \
-		-run 'Chaos|Injector|Retrier|Breaker|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel|Singleflight' \
+		-run 'Chaos|Injector|Retrier|Breaker|Client|Admission|ServerDrain|ParallelForCtx|AcquireAllCtx|Cancel|Singleflight|ProbeMemo|SearchMemo' \
 		./internal/webiq/ ./internal/server/
 
 # Short fuzz passes: the deep-web response-analysis heuristics (seeded

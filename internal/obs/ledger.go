@@ -51,8 +51,8 @@ type Decision struct {
 	// MergeOrder is the 1-based position of a merge in the clustering
 	// sequence.
 	MergeOrder int `json:"merge_order,omitempty"`
-	// Count carries a batch size (donors borrowed, probes issued), when
-	// meaningful.
+	// Count carries a batch size (donors borrowed, sample values
+	// consulted), when meaningful.
 	Count int `json:"count,omitempty"`
 	// Detail carries human-readable context (donor label, thresholds,
 	// failure reason).

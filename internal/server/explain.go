@@ -29,8 +29,8 @@ type ExplainInstance struct {
 	Verdict string `json:"verdict"`
 	// Score/Threshold carry the acceptance evidence: PMI confidence vs
 	// MinScore (surface), the deciding posterior bound vs 0.5
-	// (attr-surface), or the success fraction of the probes issued vs
-	// 1/3 (attr-deep). Zero for native values.
+	// (attr-surface), or the success fraction of the sample values
+	// consulted vs 1/3 (attr-deep). Zero for native values.
 	Score     float64 `json:"score,omitempty"`
 	Threshold float64 `json:"threshold,omitempty"`
 	// Evidence is the human-readable detail of the accepting decision.

@@ -127,15 +127,20 @@ type Report struct {
 	Outcomes []Outcome
 
 	// SurfaceTime/SurfaceQueries: search-engine time and queries spent
-	// gathering instances from the Web (the Surface component).
+	// gathering instances from the Web (the Surface component). Only
+	// asks that reached the engine count: a search or hit count the
+	// run's memos already answered costs nothing.
 	SurfaceTime    time.Duration
 	SurfaceQueries int
 	// AttrSurfaceTime/AttrSurfaceQueries: search-engine time and queries
-	// spent validating borrowed instances via the Surface Web.
+	// spent validating borrowed instances via the Surface Web; a hit
+	// count the run already asked costs nothing.
 	AttrSurfaceTime    time.Duration
 	AttrSurfaceQueries int
 	// AttrDeepTime/AttrDeepQueries: source probing time and probes spent
-	// validating borrowed instances via the Deep Web.
+	// validating borrowed instances via the Deep Web. Only probes that
+	// reached a source count: a submission the run already answered is
+	// remembered.
 	AttrDeepTime    time.Duration
 	AttrDeepQueries int
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"webiq/internal/deepweb"
+	"webiq/internal/memo"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 )
@@ -25,11 +26,19 @@ type AttrDeep struct {
 	source resilience.FallibleSource
 	cfg    Config
 	ledger *obs.Ledger
+
+	// verdicts remembers the response-page verdict of every answered
+	// probe for the component's lifetime (one run), keyed by interface
+	// ID, attribute ID and value: a target's donors share values, and a
+	// submission the source has answered is not sent again. It sits
+	// above source, so a remembered verdict never draws a fresh fault,
+	// and a failed probe is not stored. One shard: probing is serial.
+	verdicts *memo.Memo[bool]
 }
 
 // NewAttrDeep returns the Attr-Deep component over the source pool.
 func NewAttrDeep(pool *deepweb.Pool, cfg Config) *AttrDeep {
-	return &AttrDeep{pool: pool, source: sourceProbe(pool.Source), cfg: cfg}
+	return &AttrDeep{pool: pool, source: sourceProbe(pool.Source), cfg: cfg, verdicts: memo.New[bool](1)}
 }
 
 // setFallible installs an error-aware probing backend; nil restores the
@@ -67,10 +76,11 @@ func (ad *AttrDeep) SetLedger(l *obs.Ledger) { ad.ledger = l }
 //
 // The sample's values are probed one at a time, in order, and probing
 // stops as soon as no outcome of the probes left can change the
-// verdict (see oneThirdFixed), so the probes issued are the shortest
+// verdict (see oneThirdFixed), so the values consulted are the shortest
 // prefix of the sample that decides it, at any Config.Parallelism.
-// Probes that fail, or that cancellation kept from running, shrink the
-// sample instead of voting.
+// Each value's answer comes from the source only the first time the
+// run consults that submission (see probe). Probes that fail, or that
+// cancellation kept from running, shrink the sample instead of voting.
 func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID, attrLabel, donorLabel string, donorValues []string) ([]string, bool) {
 	if len(donorValues) == 0 {
 		return nil, false
@@ -88,7 +98,7 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 			break
 		}
 		issued++
-		page, err := ad.source.Probe(ctx, interfaceID, attrID, v)
+		ok, err := ad.probe(ctx, interfaceID, attrID, v)
 		if err != nil {
 			degrade(ctx, Degradation{
 				Stage: "attr-deep", Reason: resilience.Reason(err),
@@ -98,7 +108,7 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 			continue
 		}
 		answered++
-		if deepweb.AnalyzeResponse(page) {
+		if ok {
 			success++
 		}
 	}
@@ -150,6 +160,29 @@ func (ad *AttrDeep) ValidateBorrowedCtx(ctx context.Context, interfaceID, attrID
 		return donorValues, true
 	}
 	return nil, false
+}
+
+// probe returns whether the source behind interfaceID answers value for
+// attribute attrID with a success page (deepweb.AnalyzeResponse). The
+// verdict of a submission the run already answered is remembered; only
+// a new one reaches the source.
+func (ad *AttrDeep) probe(ctx context.Context, interfaceID, attrID, value string) (bool, error) {
+	// The key is built in a stack buffer; the memo copies it into a
+	// string only on a miss.
+	var kb [128]byte
+	k := append(kb[:0], interfaceID...)
+	k = append(k, 0)
+	k = append(k, attrID...)
+	k = append(k, 0)
+	k = append(k, value...)
+	ok, _, err := ad.verdicts.Do(ctx, k, func(string) (bool, error) {
+		page, err := ad.source.Probe(ctx, interfaceID, attrID, value)
+		if err != nil {
+			return false, err
+		}
+		return deepweb.AnalyzeResponse(page), nil
+	})
+	return ok, err
 }
 
 // oneThirdFixed reports whether the one-third verdict over s successes

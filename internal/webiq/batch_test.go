@@ -155,17 +155,17 @@ func ledgeredRun(t *testing.T, domain string) (*Report, []byte) {
 
 // pinnedAcquisition holds SHA-256 digests of the fault-free Report JSON
 // and ledger NDJSON of a sequential acquisition of each paper domain
-// (seed 1). They were last re-recorded when Attr-Deep and Attr-Surface
-// began stopping once a verdict is fixed, which moved the Report's
-// per-component charges and the ledger's attr-deep and attr-surface
-// records. Every backend runs behind a zero-fault adapter; outputs must
-// not move.
+// (seed 1). The Report digests were last re-recorded when Surface's
+// extraction searches and Attr-Deep's probes began asking each distinct
+// query once per run, which lowered the Report's Surface and Attr-Deep
+// charges; the ledger digests did not move. Every backend runs behind a
+// zero-fault adapter; outputs must not move.
 var pinnedAcquisition = map[string][2]string{
-	"airfare":    {"2fc4cbb075694b80ec3d49cf115f7b832a4adca7d3e185e9fd25def8ee0630a9", "046e3e3f15e5a60047abd44134ea6bfee785689071f26217d91cac36ee27314a"},
-	"auto":       {"a48fec6f9b11f72c4b2da57374439af18bfb52b9816ac5320afb4e8e6652c203", "dc2419f8ef248ad0d845556c8819f6ee2743ff99df5cb799f24e35ea8694c394"},
-	"book":       {"7e897c25b41bfdfa37047c4777a6ae2b82df5b6c7cabfe52d71c95ace95cd15d", "72dfe6cdbb8773c554f80acfac41f1d90670aa074f65c197c6f8548261f62377"},
-	"job":        {"ac2885bcdee9ed5853bd0e2e3078c837b4e380f0771ccda4d0b2d2a7ccecb6de", "c4296d949e2e6ab81e0c80cf9bb1dadfb1bbe22ca8b92b32dae4f7d69c444f04"},
-	"realestate": {"a0409c3a83b42441c37ce38a6db960f975b1b0693a61dd2de32d83f8bd3f2b0c", "0afb6d4a6a603c51d01d0c44c1824d45bf3e60c2a12d16c3ee9b5273d5095ad0"},
+	"airfare":    {"ff3ba38d4263a9824711ea963fc86cb23a45c7706e1f135f37ccf1c9135d2dd7", "046e3e3f15e5a60047abd44134ea6bfee785689071f26217d91cac36ee27314a"},
+	"auto":       {"1785c16bfd6cebef9d732166a7cce88bc91f989ddd868bcb7d4a4c8a362a9597", "dc2419f8ef248ad0d845556c8819f6ee2743ff99df5cb799f24e35ea8694c394"},
+	"book":       {"429eafc58a70333170440ac513726bea59cb6130b260b73b2b9a4deee0f2bc12", "72dfe6cdbb8773c554f80acfac41f1d90670aa074f65c197c6f8548261f62377"},
+	"job":        {"b4211d4e8c20a310e1088a77b4304299e805ebabd51c575c564f9c3bdb71ba65", "c4296d949e2e6ab81e0c80cf9bb1dadfb1bbe22ca8b92b32dae4f7d69c444f04"},
+	"realestate": {"6d84063241bd6bef29e4cd0fda28952c4fafadc08a187718cbe6af3f77b1b47f", "0afb6d4a6a603c51d01d0c44c1824d45bf3e60c2a12d16c3ee9b5273d5095ad0"},
 }
 
 func sha(b []byte) string {
@@ -197,15 +197,18 @@ func TestBatchedAcquisitionByteIdentical(t *testing.T) {
 // Report JSON of an 8-worker acquisition through a CachedEngine (the
 // benchmark's configuration) and the cache's accounting: hits, misses,
 // raw queries, deduplicated queries charged to the engine, entries.
+// Hits are 0 and raw queries equal misses: every repeated query is
+// answered by the component memos above the cache (the validator's hit
+// counts, Surface's extraction searches) and never reaches it.
 var pinnedCachedAcquisition = map[string]struct {
 	report string
 	acct   [5]int
 }{
-	"airfare":    {"049a966ca62102d88145ce0ac2760ef58e0aaa7a2445d465d57775fc539c2e9e", [5]int{80, 5044, 5124, 5044, 5044}},
-	"auto":       {"5931b3a8ed980f6470496259c155e1f756815f18287f32326f9ca18c1d31f2df", [5]int{72, 2846, 2918, 2846, 2846}},
-	"book":       {"23d3431fd4761c64183e7cb88c1d763c2f436d6cab6e582727dbb29f508048d7", [5]int{236, 1888, 2124, 1888, 1888}},
-	"job":        {"f38e614baef2107e16dac6a7429f147183e4ffc8b811f71fef7132a76f83d955", [5]int{160, 2067, 2227, 2067, 2067}},
-	"realestate": {"354e332be9974433d057dc3ab01f1194f6fc823ab9c18729e70dba894cf3e05f", [5]int{128, 2795, 2923, 2795, 2795}},
+	"airfare":    {"483127187188d8b6cfa38456da4a41b74908efb0126daf2054a2268c38804e55", [5]int{0, 5044, 5044, 5044, 5044}},
+	"auto":       {"a6f2dfcca35ec455b301f134359857806c93500e729780fc27fa813198062dc3", [5]int{0, 2846, 2846, 2846, 2846}},
+	"book":       {"2f3bf4b3f71d332a180aed8ea6357f4c8e772b033b93cd306ba70030f24827bb", [5]int{0, 1888, 1888, 1888, 1888}},
+	"job":        {"3e820fe04635e18d5f553197ae92209e44935eeebb8e0d41a49affee7a21992c", [5]int{0, 2067, 2067, 2067, 2067}},
+	"realestate": {"7286c08f928881d9838c44aa5d89d5eb872f055cd24640e4279f730e2b369f04", [5]int{0, 2795, 2795, 2795, 2795}},
 }
 
 // TestBatchedCachedAcquisitionAccounting runs the worker-pool

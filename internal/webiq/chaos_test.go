@@ -174,29 +174,14 @@ func TestChaosDifferentSeedsDiffer(t *testing.T) {
 // verdict, and the ledger's Score and Count must be that prefix's.
 // Probes run sequentially, retries are off and the breaker is out of
 // reach, so every fault reaches the component undiluted and lines up
-// with its probe.
+// with its probe. Each pair gets a fresh component, so its probe memo
+// starts empty and every value the pair consults reaches the log.
 func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 	dom := kb.DomainByKey("book")
 	ds := dataset.Generate(dom, dataset.DefaultConfig())
 	pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
 	cfg := DefaultConfig()
-	type pair struct {
-		ifc         *schema.Interface
-		attr, donor *schema.Attribute
-	}
-	var pairs []pair
-	sel := NewAcquirer(nil, nil, nil, Components{}, cfg)
-	ix := newDonorIndex()
-	for _, ifc := range ds.Interfaces {
-		for _, attr := range ifc.Attributes {
-			if attr.HasInstances() {
-				continue
-			}
-			for _, donor := range sel.borrowDonorsFreeText(ix, ds, ifc, attr) {
-				pairs = append(pairs, pair{ifc, attr, donor})
-			}
-		}
-	}
+	pairs := donorPairs(ds, cfg)
 	if len(pairs) == 0 {
 		t.Fatal("book has no Attr-Deep donor pairs; the test is vacuous")
 	}
@@ -214,18 +199,17 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 			prof := resilience.Profiles[name]
 			log := &probeLog{inner: resilience.NewSourceClient(
 				resilience.FaultySource(sourceProbe(pool.Source), resilience.NewInjector(prof, 7)),
-				resilience.ClientOptions{
-					Seed:    7,
-					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
-					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
-				})}
-			ad := NewAttrDeep(pool, cfg)
-			ad.setFallible(log)
+				noRetry)}
 			ledger := obs.NewLedger(nil)
-			ad.SetLedger(ledger)
 
 			failed, swapped, skipped := 0, 0, 0
 			for _, p := range pairs {
+				// A fresh component per pair: its probe memo would
+				// otherwise answer values an earlier pair probed, and
+				// those answers would never reach the log.
+				ad := NewAttrDeep(pool, cfg)
+				ad.setFallible(log)
+				ad.SetLedger(ledger)
 				log.calls = nil
 				n0 := ledger.Len()
 				values := p.donor.AllInstances()
@@ -242,7 +226,7 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 				calls := append([]probeCall(nil), log.calls...)
 				for _, v := range sample[issued:] {
 					page, err := log.inner.Probe(context.Background(), p.ifc.ID, p.attr.ID, v)
-					calls = append(calls, probeCall{v, page, err})
+					calls = append(calls, probeCall{p.ifc.ID, p.attr.ID, v, page, err})
 				}
 				outcomes := make([]byte, len(calls))
 				src := pool.Source(p.ifc.ID)
@@ -309,6 +293,14 @@ func TestChaosAttrDeepMatchesOracle(t *testing.T) {
 	}
 }
 
+// noRetry keeps every injected fault visible to the component: one
+// attempt per ask, and a breaker that never opens.
+var noRetry = resilience.ClientOptions{
+	Seed:    7,
+	Retry:   resilience.RetryPolicy{MaxAttempts: 1},
+	Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
+}
+
 // probeLog passes probes through to a fallible source and remembers
 // every answer, in call order.
 type probeLog struct {
@@ -318,14 +310,14 @@ type probeLog struct {
 }
 
 type probeCall struct {
-	value, page string
-	err         error
+	ifc, attr, value, page string
+	err                    error
 }
 
 func (p *probeLog) Probe(ctx context.Context, interfaceID, attrID, value string) (string, error) {
 	page, err := p.inner.Probe(ctx, interfaceID, attrID, value)
 	p.mu.Lock()
-	p.calls = append(p.calls, probeCall{value, page, err})
+	p.calls = append(p.calls, probeCall{interfaceID, attrID, value, page, err})
 	p.mu.Unlock()
 	return page, err
 }
@@ -376,9 +368,10 @@ func (l *searchLog) NumHits(ctx context.Context, q string) (int, error) {
 	return l.inner.NumHits(ctx, q)
 }
 
-// replayEngine replays a fault run's searches on the fault-free engine,
-// which never fails: a search that failed in the fault run answers no
-// snippets, and one that answered gets the fault-free answer cut to the
+// replayEngine replays a fault run's searches on the fault-free engine:
+// a search that failed in the fault run fails again, so it finds
+// nothing and, as in the fault run, Surface's search memo does not
+// remember it; one that answered gets the fault-free answer cut to the
 // length the fault run got (the injector may truncate a result list).
 // Every answer of the fault run must be a prefix of the fault-free one.
 type replayEngine struct {
@@ -395,7 +388,7 @@ func (r *replayEngine) Search(ctx context.Context, q string, limit int) ([]surfa
 	c := r.calls[r.next]
 	r.next++
 	if c.failed {
-		return nil, nil
+		return nil, resilience.ErrTransient
 	}
 	snips, err := r.inner.Search(ctx, q, limit)
 	if err != nil || len(c.snips) > len(snips) || !reflect.DeepEqual(c.snips, snips[:len(c.snips)]) {
@@ -416,7 +409,9 @@ func (r *replayEngine) NumHits(ctx context.Context, q string) (int, error) {
 // search may only cost the candidates its own snippets would have
 // yielded: extraction must equal a fault-free run over the same
 // searches in which the failed ones found nothing and the truncated
-// ones were cut.
+// ones were cut. Both components keep their search memos across the
+// attributes, so a query the fault run answered once is not asked
+// again, and one that failed is.
 func TestChaosSurfaceExtractMatchesOracle(t *testing.T) {
 	eng, data, _ := fixture(t)
 	names := make([]string, 0, len(resilience.Profiles))
@@ -431,11 +426,7 @@ func TestChaosSurfaceExtractMatchesOracle(t *testing.T) {
 			surface := NewSurface(eng, NewValidator(eng, cfg), cfg)
 			log := &searchLog{inner: resilience.NewEngineClient(
 				resilience.FaultyEngine(resilience.AdaptEngine(eng), resilience.NewInjector(prof, 7)),
-				resilience.ClientOptions{
-					Seed:    7,
-					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
-					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
-				})}
+				noRetry)}
 			surface.setFallible(log)
 			clean := NewSurface(eng, NewValidator(eng, cfg), cfg)
 			replay := &replayEngine{t: t, inner: resilience.AdaptEngine(eng)}
@@ -502,11 +493,7 @@ func TestChaosValidatorMatchesOracle(t *testing.T) {
 			phrases := v.Phrases("author")
 			log := &failLog{failed: map[string]bool{}, inner: resilience.NewEngineClient(
 				resilience.FaultyEngine(resilience.AdaptEngine(eng), resilience.NewInjector(prof, 7)),
-				resilience.ClientOptions{
-					Seed:    7,
-					Retry:   resilience.RetryPolicy{MaxAttempts: 1},
-					Breaker: resilience.BreakerConfig{FailureThreshold: 1 << 30, Cooldown: time.Hour, HalfOpenProbes: 1},
-				})}
+				noRetry)}
 			v.SetFallible(log)
 
 			scored, failed := 0, 0

@@ -5,10 +5,12 @@ import (
 	"sort"
 	"strings"
 
+	"webiq/internal/memo"
 	"webiq/internal/nlp"
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
+	"webiq/internal/surfaceweb"
 )
 
 // Surface discovers instances for an attribute from the Surface Web,
@@ -29,13 +31,21 @@ type Surface struct {
 	// ledger, when set, records every verification decision (outlier
 	// removals, PMI accept/reject) for the provenance ledger. nil-safe.
 	ledger *obs.Ledger
+
+	// searches remembers each extraction search's snippets for the
+	// component's lifetime (one run), keyed by the raw query: interfaces
+	// share labels, so attributes formulate the same queries. It sits
+	// above engine, so a remembered answer never draws a fresh fault,
+	// and a failed search is not stored. Callers only read the shared
+	// slices.
+	searches *memo.Memo[[]surfaceweb.Snippet]
 }
 
 // NewSurface returns a Surface component sharing the given validator's
 // hit-count cache.
 func NewSurface(engine SearchEngine, validator *Validator, cfg Config) *Surface {
 	a := resilience.AdaptEngine(engine)
-	return &Surface{engine: a, adapter: a, validator: validator, cfg: cfg}
+	return &Surface{engine: a, adapter: a, validator: validator, cfg: cfg, searches: memo.New[[]surfaceweb.Snippet](1)}
 }
 
 // setFallible installs an error-aware engine for extraction searches;
@@ -112,7 +122,7 @@ func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *sche
 	var order []string
 	for _, np := range ls.NPs {
 		for _, q := range FormulateQueries(np, ds.EntityName, ds.DomainKeyword, siblings, s.cfg) {
-			snips, err := s.engine.Search(ctx, q.Query, s.cfg.SnippetsPerQuery)
+			snips, err := s.search(ctx, q.Query)
 			if err != nil {
 				degrade(ctx, Degradation{
 					Stage: "surface", Reason: resilience.Reason(err),
@@ -139,6 +149,18 @@ func (s *Surface) extractCtx(ctx context.Context, a *schema.Attribute, ifc *sche
 		}
 	}
 	return candidateList(order, freq)
+}
+
+// search returns the snippets of one extraction query, asking the
+// engine only for a query the run has not answered yet.
+func (s *Surface) search(ctx context.Context, query string) ([]surfaceweb.Snippet, error) {
+	// The key is built in a stack buffer; the memo copies it into a
+	// string only on a miss.
+	var kb [128]byte
+	snips, _, err := s.searches.Do(ctx, append(kb[:0], query...), func(q string) ([]surfaceweb.Snippet, error) {
+		return s.engine.Search(ctx, q, s.cfg.SnippetsPerQuery)
+	})
+	return snips, err
 }
 
 // candidateList materializes the extraction candidates in first-seen
@@ -268,12 +290,6 @@ func (s *Surface) verifyScored(ctx context.Context, a *schema.Attribute, cands [
 	return scored
 }
 
-// rejectCandidate drops degenerate candidates: the label itself, label
-// words, or single characters.
-func (s *Surface) rejectCandidate(label, c string) bool {
-	return rejectWith(labelRejectSet(label), c)
-}
-
 // labelRejectSet precomputes the degenerate forms rejected for a label:
 // the lowered label itself plus every label word with its plural and
 // singular. extractCtx builds it once per attribute instead of
@@ -288,8 +304,9 @@ func labelRejectSet(label string) map[string]bool {
 	return rej
 }
 
-// rejectWith is rejectCandidate against a precomputed reject set; the
-// pooled buffer keeps the lowered-candidate probe allocation-free.
+// rejectWith drops degenerate candidates: single characters and the
+// forms in rej (see labelRejectSet). The pooled buffer keeps the
+// lowered-candidate probe allocation-free.
 func rejectWith(rej map[string]bool, c string) bool {
 	if len(c) <= 1 {
 		return true

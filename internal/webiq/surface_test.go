@@ -115,7 +115,7 @@ func TestSurfaceVerifyDropsZeroScore(t *testing.T) {
 }
 
 func TestSurfaceRejectCandidateRules(t *testing.T) {
-	s := &Surface{cfg: DefaultConfig()}
+	rej := labelRejectSet("Make")
 	cases := map[string]bool{
 		"Honda":          false,
 		"h":              true, // single character
@@ -124,8 +124,8 @@ func TestSurfaceRejectCandidateRules(t *testing.T) {
 		"Departure city": false,
 	}
 	for c, want := range cases {
-		if got := s.rejectCandidate("Make", c); got != want {
-			t.Errorf("rejectCandidate(Make, %q) = %v, want %v", c, got, want)
+		if got := rejectWith(rej, c); got != want {
+			t.Errorf("rejectWith(labelRejectSet(Make), %q) = %v, want %v", c, got, want)
 		}
 	}
 }
