@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"webiq/internal/server"
+	"webiq/internal/unify"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var payload server.ExplainPayload
+	var payload unify.ExplainPayload
 	if err := json.Unmarshal(body, &payload); err != nil {
 		log.Fatal(err)
 	}

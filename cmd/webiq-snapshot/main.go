@@ -9,8 +9,9 @@
 // build runs the full pipeline offline (corpus, datasets, deep-web
 // pools, acquisition, matching, unification for every domain) and
 // writes the result atomically; the corpus itself is not stored.
-// verify re-validates every checksum and cross-section invariant and
-// prints what it found; info prints the header and section table
+// verify re-validates every checksum and cross-section invariant,
+// decodes every domain's decisions, and prints what it found; info
+// prints the header, section table and meta (with its decision count)
 // without touching the bulk payloads. verify and info exit nonzero on
 // any corruption, and take -json on either side of the path.
 package main
@@ -103,7 +104,7 @@ func runVerify(args []string) {
 		printJSON(info)
 		return
 	}
-	log.Printf("%s: OK in %v (every checksum and invariant verified)", path, time.Since(start).Round(time.Millisecond))
+	log.Printf("%s: OK in %v (every checksum and invariant verified, every decision decoded)", path, time.Since(start).Round(time.Millisecond))
 	printInfo(info)
 }
 

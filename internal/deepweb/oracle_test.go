@@ -226,7 +226,11 @@ func TestProbeMatchesRowScan(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s %s=%q:\n got %s\nwant %s", ifc.ID, attrID, v, got, want)
 				}
-				if AnalyzeResponse(got) {
+				ok := AnalyzeResponse(got)
+				if ok != refAnalyzeResponse(got) {
+					t.Fatalf("%s %s=%q: AnalyzeResponse = %v, the oracle disagrees", ifc.ID, attrID, v, ok)
+				}
+				if ok {
 					hits++
 				}
 			}

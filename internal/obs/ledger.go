@@ -94,10 +94,18 @@ func (l *Ledger) Instrument(r *Registry) {
 		return
 	}
 	l.mu.Lock()
-	l.decisions = r.CounterVec("webiq_decisions_total",
+	l.decisions = DecisionCounter(r)
+	l.mu.Unlock()
+}
+
+// DecisionCounter registers (or fetches) the decision counter family
+// on r, webiq_decisions_total{component,verdict}: the family an
+// instrumented ledger bumps, for callers that count decisions recorded
+// elsewhere.
+func DecisionCounter(r *Registry) *CounterVec {
+	return r.CounterVec("webiq_decisions_total",
 		"Pipeline decisions recorded in the provenance ledger, by component and verdict.",
 		"component", "verdict")
-	l.mu.Unlock()
 }
 
 // Record appends a decision (stamping its Seq) and streams it when an

@@ -1,69 +1,15 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"reflect"
 	"strconv"
 	"testing"
 
 	"webiq/internal/htmlform"
-	"webiq/internal/obs"
+	"webiq/internal/unify"
 )
-
-// refMergesAmong is the per-attribute ledger walk explain used to make:
-// every decision of the ledger, filtered to the matcher merges within
-// the member set.
-func refMergesAmong(ledger *obs.Ledger, members []string) []obs.Decision {
-	if len(members) < 2 {
-		return nil
-	}
-	in := map[string]bool{}
-	for _, m := range members {
-		in[m] = true
-	}
-	var out []obs.Decision
-	for _, d := range ledger.Decisions() {
-		if d.Component == "matcher" && d.Verdict == "merge" && in[d.AttrID] && in[d.OtherID] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// replayLedger records a domain's stored decisions into a fresh ledger,
-// as boot does.
-func replayLedger(decisions []obs.Decision) *obs.Ledger {
-	l := obs.NewLedger(nil)
-	for _, d := range decisions {
-		l.Record(d)
-	}
-	return l
-}
-
-// TestMergesAmongMatchesLedgerFilter pins the one-walk merge lists: for
-// every domain and unified attribute, filtering the domain's merges
-// equals filtering the whole ledger per attribute.
-func TestMergesAmongMatchesLedgerFilter(t *testing.T) {
-	w := testWorld(t)
-	total := 0
-	for _, dw := range w.Domains {
-		ledger := replayLedger(dw.Decisions)
-		merges := matcherMerges(ledger)
-		for _, ua := range dw.Unified.Attributes {
-			got, want := mergesAmong(merges, ua.Members), refMergesAmong(ledger, ua.Members)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s/%s: merges %v, want %v", dw.Domain, ua.Label, got, want)
-			}
-			total += len(got)
-		}
-	}
-	if total == 0 {
-		t.Fatal("no unified attribute has a merge; the comparison is vacuous")
-	}
-}
 
 // writeCounter counts the Write calls a handler makes.
 type writeCounter struct {
@@ -76,30 +22,33 @@ func (w *writeCounter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// TestBootRendersExplainAndView checks the pages boot stores: for every
-// domain of a snapshot-booted server, /unified/{d}/explain serves
-// explainUnified over the world's decisions in writeJSON's encoding and
+// TestBootRendersExplainAndView checks the pages boot installs: for
+// every domain of a snapshot-booted server, /unified/{d}/explain serves
+// unify.RenderExplain over the world's decoded decisions and
 // /unified/{d} serves the rendered unified interface, each in one
-// Write; and webiq_decisions_total still counts every stored decision.
+// Write; and webiq_decisions_total counts every stored decision.
 func TestBootRendersExplainAndView(t *testing.T) {
 	snap, _ := snapshotPair(t)
 	w := testWorld(t)
 	counts := map[string]int{}
 	for _, dw := range w.Domains {
-		var want bytes.Buffer
-		ledger := replayLedger(dw.Decisions)
-		if err := encodeJSON(&want, explainUnified(dw.Domain, dw.Unified, w.Dataset(dw.Domain), ledger)); err != nil {
+		decisions, err := w.Decisions(dw.Domain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := unify.RenderExplain(dw.Domain, dw.Unified, w.Dataset(dw.Domain), decisions)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, page := range []struct{ path, ctype, body string }{
-			{"/unified/" + dw.Domain + "/explain", "application/json", want.String()},
+			{"/unified/" + dw.Domain + "/explain", "application/json", string(want)},
 			{"/unified/" + dw.Domain, "text/html; charset=utf-8", htmlform.Render(dw.Unified.AsInterface("unified-" + dw.Domain))},
 		} {
 			rec := httptest.NewRecorder()
 			wc := &writeCounter{ResponseWriter: rec}
 			snap.ServeHTTP(wc, httptest.NewRequest("GET", page.path, nil))
 			if rec.Code != 200 || rec.Body.String() != page.body {
-				t.Errorf("%s: status %d, body differs from the boot render (%d bytes, want %d)",
+				t.Errorf("%s: status %d, body differs from the render over the decoded decisions (%d bytes, want %d)",
 					page.path, rec.Code, rec.Body.Len(), len(page.body))
 			}
 			if ct := rec.Header().Get("Content-Type"); ct != page.ctype {
@@ -109,9 +58,12 @@ func TestBootRendersExplainAndView(t *testing.T) {
 				t.Errorf("%s: %d writes, want 1", page.path, wc.writes)
 			}
 		}
-		for _, d := range dw.Decisions {
+		for _, d := range decisions {
 			counts[`webiq_decisions_total{component="`+d.Component+`",verdict="`+d.Verdict+`"}`]++
 		}
+	}
+	if len(counts) == 0 {
+		t.Fatal("the world decoded no decision; the comparison is vacuous")
 	}
 	_, metrics := get(t, snap, "/metrics")
 	got := grepMetric(metrics, "webiq_decisions_total{")

@@ -5,6 +5,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"webiq/internal/unify"
 )
 
 func TestHealthz(t *testing.T) {
@@ -78,7 +80,7 @@ func TestExplainProvenance(t *testing.T) {
 	if traceID == "" {
 		t.Fatal("no X-Trace-ID response header")
 	}
-	var p ExplainPayload
+	var p unify.ExplainPayload
 	if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
 		t.Fatal(err)
 	}

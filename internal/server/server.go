@@ -115,7 +115,7 @@ type Server struct {
 // domainState is one domain's slice of the served world: the
 // post-acquisition dataset, the deep-web pool behind its sources, the
 // translator over its unified interface, the degradations its build
-// absorbed, and the unified view and explain pages, rendered at boot.
+// absorbed, and the unified view and explain pages.
 type domainState struct {
 	ds           *schema.Dataset
 	pool         *deepweb.Pool
@@ -123,7 +123,8 @@ type domainState struct {
 	degradations []iq.Degradation
 	// view and explain are the /unified/{domain} HTML and the
 	// /unified/{domain}/explain JSON. The world is frozen, so they are
-	// rendered once and every request writes the stored bytes.
+	// rendered once (the view at boot, the explain by the world's
+	// build) and every request writes the stored bytes.
 	view, explain []byte
 	// probeFailures counts request-time probes that failed terminally
 	// under a fault profile.
@@ -194,11 +195,11 @@ func NewFromSnapshot(world *snapshot.World, opts ...Option) (*Server, error) {
 }
 
 // boot installs a built world: the stored datasets, deep-web pools
-// rebuilt deterministically from them, and the stored unified
-// interfaces and degradations. It renders each domain's view and
-// explain pages from the world, replaying its decisions into a ledger
-// that lives only for that render, then wires the optional subsystems
-// and the HTTP surface.
+// rebuilt deterministically from them, the stored unified interfaces
+// and degradations, and each domain's stored explain page; it renders
+// each domain's view page and adds the world's decision counts to
+// webiq_decisions_total, then wires the optional subsystems and the
+// HTTP surface. It reads no decision.
 func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, error) {
 	s := &Server{
 		mux:      http.NewServeMux(),
@@ -227,27 +228,23 @@ func boot(world *snapshot.World, info *snapshotInfo, opts []Option) (*Server, er
 		pool.Instrument(s.reg)
 		s.byDomain[dom.Key] = &domainState{ds: ds, pool: pool}
 	}
+	decisions := obs.DecisionCounter(s.reg)
 	for _, dw := range world.Domains {
 		d := s.byDomain[dw.Domain]
 		if d == nil {
 			return nil, fmt.Errorf("server: world for unknown domain %q", dw.Domain)
 		}
-		// Replay after Instrument so webiq_decisions_total counts every
-		// decision of the build.
-		ledger := obs.NewLedger(nil)
-		ledger.Instrument(s.reg)
-		for _, dec := range dw.Decisions {
-			ledger.Record(dec)
+		if len(dw.Explain) == 0 {
+			return nil, fmt.Errorf("server: world has no explain page for domain %q", dw.Domain)
 		}
-		var explain bytes.Buffer
-		if err := encodeJSON(&explain, explainUnified(dw.Domain, dw.Unified, d.ds, ledger)); err != nil {
-			return nil, fmt.Errorf("server: render explain for domain %q: %w", dw.Domain, err)
+		for _, c := range dw.DecisionCounts {
+			decisions.With(c.Component, c.Verdict).Add(float64(c.N))
 		}
 		d.translator = translate.New(dw.Unified, d.ds, s.probe)
 		d.degradations = dw.Degradations
 		s.degradations += len(dw.Degradations)
 		d.view = []byte(htmlform.Render(dw.Unified.AsInterface("unified-" + dw.Domain)))
-		d.explain = explain.Bytes()
+		d.explain = dw.Explain
 		ready.With(dw.Domain).Set(1)
 	}
 	for _, dom := range sw.Domains {
@@ -480,6 +477,18 @@ func (s *Server) handleUnified(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.Write(d.view)
+}
+
+// handleExplain serves GET /unified/{domain}/explain: the decision
+// provenance the world's build rendered (unify.Explain).
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, domain string) {
+	d := s.byDomain[domain]
+	if d == nil {
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(d.explain)
 }
 
 // handleUnifiedSearch translates a unified query to every source and

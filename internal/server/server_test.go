@@ -246,8 +246,8 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsCoverAcquisition asserts the build's decisions are on
-// /metrics from boot: the replayed ledgers count every acquisition
-// component's and the matcher's decisions.
+// /metrics from boot: the world's stored counts cover every
+// acquisition component's and the matcher's decisions.
 func TestMetricsCoverAcquisition(t *testing.T) {
 	s := testServer(t)
 	_, body := get(t, s, "/metrics")

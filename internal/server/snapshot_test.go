@@ -176,7 +176,7 @@ func TestSnapshotServerStartupMetric(t *testing.T) {
 	}
 }
 
-// TestSnapshotServerDecisionCounters checks ledger replay restored the
+// TestSnapshotServerDecisionCounters checks the stored counts restored the
 // same decision metrics on both boot paths.
 func TestSnapshotServerDecisionCounters(t *testing.T) {
 	snap, fresh := snapshotPair(t)

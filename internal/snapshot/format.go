@@ -1,9 +1,10 @@
 // Package snapshot persists a fully built WebIQ world — the generated
-// datasets and, per domain, the unified interface, acquisition report
-// and decision ledger — in a versioned, checksum-gated binary file, so
-// a server boots what the offline pipeline built without rerunning it.
-// The surface-web corpus is not stored: only acquisition searches it,
-// and acquisition regenerates it from the seed.
+// datasets and, per domain, the unified interface, acquisition report,
+// rendered explain page and decision ledger — in a versioned,
+// checksum-gated binary file, so a server boots what the offline
+// pipeline built without rerunning it. The surface-web corpus is not
+// stored: only acquisition searches it, and acquisition regenerates it
+// from the seed.
 //
 // File layout (all integers little-endian, fixed width):
 //
@@ -25,6 +26,17 @@
 // followed by one trailing CRC64 over all entry bytes. Every section
 // payload starts at an 8-byte-aligned file offset (zero padding between
 // sections) and carries its own CRC64, verified in full on every load.
+//
+// The sections, in file order: meta, datasets and world are JSON;
+// explains and decisions are blob sections, one byte string per domain
+// in meta's domain order:
+//
+//	n uint64            number of strings (= meta's domain count)
+//	end [n]uint64       end offset of string i within data (non-decreasing)
+//	data                the strings, back to back
+//
+// An explain string is the domain's /unified/{domain}/explain JSON; a
+// decisions string is the domain's ledger NDJSON, one decision per line.
 // Any mismatch — magic, version, bounds, alignment, checksum — is a
 // hard refusal with a descriptive error, never a panic.
 //
@@ -46,7 +58,7 @@ import (
 const Magic = "WIQSNAP\x00"
 
 // FormatVersion is the snapshot format this build reads and writes.
-const FormatVersion = 2
+const FormatVersion = 3
 
 const (
 	headerSize  = 64
@@ -57,19 +69,22 @@ const (
 // Section IDs, in file order. IDs 2-15 are retired (format version 1
 // stored the search index there); do not reuse them.
 const (
-	secMeta     uint32 = 1  // build metadata (JSON)
-	secDatasets uint32 = 16 // post-acquisition datasets (JSON)
-	secWorld    uint32 = 17 // unified interfaces + ledgers + reports (JSON)
+	secMeta      uint32 = 1  // build metadata (JSON)
+	secDatasets  uint32 = 16 // post-acquisition datasets (JSON)
+	secWorld     uint32 = 17 // unified interfaces, reports, decision counts (JSON)
+	secExplains  uint32 = 18 // explain pages (blob)
+	secDecisions uint32 = 19 // ledger NDJSON (blob)
 )
 
 // sectionNames maps IDs to the names webiq-snapshot info prints.
 var sectionNames = map[uint32]string{
 	secMeta: "meta", secDatasets: "datasets", secWorld: "world",
+	secExplains: "explains", secDecisions: "decisions",
 }
 
 // requiredSections lists every section a reader needs, in the order
 // the writer emits them.
-var requiredSections = []uint32{secMeta, secDatasets, secWorld}
+var requiredSections = []uint32{secMeta, secDatasets, secWorld, secExplains, secDecisions}
 
 // SectionName returns the human-readable name of a section ID.
 func SectionName(id uint32) string {
@@ -188,6 +203,57 @@ func verifySection(payload []byte, s SectionInfo) error {
 		return errf("section %s checksum mismatch: file %#x, computed %#x", s.Name, s.CRC, got)
 	}
 	return nil
+}
+
+// packBlobs lays out a blob section holding parts.
+func packBlobs(parts [][]byte) []byte {
+	head := 8 + 8*len(parts)
+	out := make([]byte, head, head+blobLen(parts))
+	binary.LittleEndian.PutUint64(out, uint64(len(parts)))
+	for i, p := range parts {
+		out = append(out, p...)
+		binary.LittleEndian.PutUint64(out[8+8*i:], uint64(len(out)-head))
+	}
+	return out
+}
+
+func blobLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
+}
+
+// splitBlobs checks that a blob section holds exactly n strings and
+// returns them as capacity-capped sub-slices of one copy of its data,
+// so the caller keeps no reference to the payload.
+func splitBlobs(payload []byte, name string, n int) ([][]byte, error) {
+	if len(payload) < 8 {
+		return nil, errf("%s section truncated: %d bytes", name, len(payload))
+	}
+	if count := binary.LittleEndian.Uint64(payload); count != uint64(n) {
+		return nil, errf("%s section holds %d entries, meta lists %d domains", name, count, n)
+	}
+	head := 8 + 8*uint64(n)
+	if uint64(len(payload)) < head {
+		return nil, errf("%s section truncated: %d bytes, its offsets need %d", name, len(payload), head)
+	}
+	data := append([]byte(nil), payload[head:]...)
+	parts := make([][]byte, n)
+	prev := uint64(0)
+	for i := range parts {
+		end := binary.LittleEndian.Uint64(payload[8+8*i:])
+		if end < prev || end > uint64(len(data)) {
+			return nil, errf("%s section: entry %d ends at %d, outside [%d,%d]", name, i, end, prev, len(data))
+		}
+		parts[i] = data[prev:end:end]
+		prev = end
+	}
+	if prev != uint64(len(data)) {
+		return nil, errf("%s section: %d bytes after the last entry", name, uint64(len(data))-prev)
+	}
+	return parts, nil
 }
 
 // fingerprint derives the build fingerprint from the generator

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -23,8 +24,9 @@ type FileInfo struct {
 }
 
 // Load maps the snapshot at path, decodes the world from it, and unmaps
-// it again: everything decoded is a copy, so the returned world does
-// not depend on the file.
+// it again: everything it keeps is a copy, so the returned world does
+// not depend on the file. The decisions stay encoded until
+// World.Decisions asks for them.
 func Load(path string) (*World, error) {
 	data, closer, err := mapFile(path)
 	if err != nil {
@@ -42,14 +44,17 @@ func Load(path string) (*World, error) {
 
 // LoadBytes decodes a world from an in-memory snapshot image. Any
 // []byte works (fuzzing, network transfer); the world keeps no
-// reference to it.
+// reference to it: the explains and decisions sections are kept as one
+// pointer-free copy each, and the decisions are decoded only by
+// World.Decisions.
 func LoadBytes(b []byte) (*World, error) {
 	w, _, err := parse(b)
 	return w, err
 }
 
 // Verify fully loads the snapshot — every checksum, every structural
-// invariant — and reports what it found.
+// invariant, every domain's decisions decoded — and reports what it
+// found.
 func Verify(path string) (*FileInfo, error) {
 	data, closer, err := mapFile(path)
 	if err != nil {
@@ -61,6 +66,11 @@ func Verify(path string) (*FileInfo, error) {
 	w, sections, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
+	}
+	for _, key := range w.Meta.Domains {
+		if _, err := w.Decisions(key); err != nil {
+			return nil, fmt.Errorf("%w (file %s)", err, path)
+		}
 	}
 	h, _ := decodeHeader(data)
 	return &FileInfo{
@@ -168,32 +178,65 @@ func parse(data []byte) (*World, []SectionInfo, error) {
 	if err := json.Unmarshal(byID[secWorld], &w.Domains); err != nil {
 		return nil, nil, errf("world section: %v", err)
 	}
-	if err := w.checkConsistent(); err != nil {
+	explains, err := splitBlobs(byID[secExplains], "explains", len(w.Meta.Domains))
+	if err != nil {
+		return nil, nil, err
+	}
+	ledgers, err := splitBlobs(byID[secDecisions], "decisions", len(w.Meta.Domains))
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := w.checkConsistent(explains, ledgers); err != nil {
 		return nil, nil, err
 	}
 	return w, sections, nil
 }
 
-// checkConsistent cross-checks the datasets and world sections against
-// the meta section, so a snapshot whose sections were swapped in from
-// different builds cannot pass as valid.
-func (w *World) checkConsistent() error {
+// checkConsistent cross-checks the datasets, world, explains and
+// decisions sections against the meta section, so a snapshot whose
+// sections were swapped in from different builds cannot pass as valid,
+// and installs each domain's explain page and ledger. It decodes no
+// decision: each domain's ledger must hold one NDJSON line per decision
+// its counts count, and the counts must sum to meta's.
+func (w *World) checkConsistent(explains, ledgers [][]byte) error {
 	if len(w.Datasets) != len(w.Meta.Domains) || len(w.Domains) != len(w.Meta.Domains) {
 		return errf("meta lists %d domains, snapshot has %d datasets and %d worlds",
 			len(w.Meta.Domains), len(w.Datasets), len(w.Domains))
 	}
 	decisions := 0
 	for i, key := range w.Meta.Domains {
+		dw := &w.Domains[i]
 		if w.Datasets[i] == nil || w.Datasets[i].Domain != key {
 			return errf("dataset %d is not for domain %s", i, key)
 		}
-		if w.Domains[i].Domain != key {
-			return errf("world %d is for domain %q, meta says %q", i, w.Domains[i].Domain, key)
+		if dw.Domain != key {
+			return errf("world %d is for domain %q, meta says %q", i, dw.Domain, key)
 		}
-		if w.Domains[i].Unified == nil {
+		if dw.Unified == nil {
 			return errf("domain %s has no unified interface", key)
 		}
-		decisions += len(w.Domains[i].Decisions)
+		if len(explains[i]) == 0 {
+			return errf("domain %s has no explain page", key)
+		}
+		ledger := ledgers[i]
+		counted := 0
+		for _, c := range dw.DecisionCounts {
+			// A count can be no larger than its ledger, so the sums
+			// below cannot overflow.
+			if c.N <= 0 || c.N > len(ledger) {
+				return errf("domain %s counts %d %s/%s decisions in a %d-byte ledger",
+					key, c.N, c.Component, c.Verdict, len(ledger))
+			}
+			counted += c.N
+		}
+		if len(ledger) > 0 && ledger[len(ledger)-1] != '\n' {
+			return errf("decisions of %s: last line is not terminated", key)
+		}
+		if lines := bytes.Count(ledger, []byte{'\n'}); lines != counted {
+			return errf("domain %s counts %d decisions, its ledger has %d lines", key, counted, lines)
+		}
+		decisions += counted
+		dw.Explain, dw.ledger = explains[i], ledger
 	}
 	if decisions != w.Meta.Decisions {
 		return errf("meta says %d decisions, snapshot has %d", w.Meta.Decisions, decisions)

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"webiq/internal/obs"
 )
 
 // testWorld builds one small world per test binary; every test reads it
@@ -43,9 +41,14 @@ func testWorld(t *testing.T) (*World, []byte) {
 	return testWorldValue, testWorldBytes
 }
 
-// ledgerNDJSON renders decisions the way a ledger streams them.
-func ledgerNDJSON(t *testing.T, decisions []obs.Decision) []byte {
+// ledgerNDJSON decodes one domain's decisions and renders them the way
+// a ledger streams them.
+func ledgerNDJSON(t *testing.T, w *World, domain string) []byte {
 	t.Helper()
+	decisions, err := w.Decisions(domain)
+	if err != nil {
+		t.Fatalf("decisions of %s: %v", domain, err)
+	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, d := range decisions {
@@ -92,8 +95,14 @@ func requireEqualWorlds(t *testing.T, got, want *World) {
 		if !bytes.Equal(g.ReportJSON, w.ReportJSON) {
 			t.Errorf("%s: report JSON differs after round trip", w.Domain)
 		}
-		if !bytes.Equal(ledgerNDJSON(t, g.Decisions), ledgerNDJSON(t, w.Decisions)) {
+		if !bytes.Equal(ledgerNDJSON(t, got, w.Domain), ledgerNDJSON(t, want, w.Domain)) {
 			t.Errorf("%s: ledger NDJSON differs after round trip", w.Domain)
+		}
+		if !bytes.Equal(g.Explain, w.Explain) {
+			t.Errorf("%s: explain page differs after round trip", w.Domain)
+		}
+		if !reflect.DeepEqual(g.DecisionCounts, w.DecisionCounts) {
+			t.Errorf("%s: decision counts differ after round trip", w.Domain)
 		}
 		gu, _ := json.Marshal(g.Unified)
 		wu, _ := json.Marshal(w.Unified)
@@ -193,6 +202,15 @@ func TestCorruptTruncations(t *testing.T) {
 	_, raw := testWorld(t)
 	cuts := []int{0, 1, 8, headerSize - 1, headerSize, headerSize + 5,
 		headerSize + len(requiredSections)*entrySize + 7, len(raw) / 3, len(raw) / 2, len(raw) - 1}
+	// Inside every section: its first byte, its blob offsets (if any),
+	// and its middle.
+	info, err := Verify(writeTemp(t, raw))
+	if err != nil {
+		t.Fatalf("Verify pristine: %v", err)
+	}
+	for _, s := range info.Sections {
+		cuts = append(cuts, int(s.Off)+1, int(s.Off)+12, int(s.Off+s.Len/2))
+	}
 	for _, n := range cuts {
 		what := fmt.Sprintf("truncate to %d", n)
 		mustNotPanic(t, what, func() {
@@ -223,6 +241,12 @@ func TestCorruptBitFlips(t *testing.T) {
 			continue
 		}
 		offsets = append(offsets, int(s.Off), int(s.Off+s.Len/2), int(s.Off+s.Len-1))
+		if s.ID == secExplains || s.ID == secDecisions {
+			// Every byte of a blob section's count and offsets.
+			for i := 1; i < 8*(1+len(want.Domains)); i++ {
+				offsets = append(offsets, int(s.Off)+i)
+			}
+		}
 	}
 	for _, off := range offsets {
 		for _, bit := range []byte{0x01, 0x80} {
@@ -281,9 +305,10 @@ func TestCorruptGarbage(t *testing.T) {
 		})
 	}
 	// Any other version is refused by name, with a valid header CRC so
-	// the version check is what refuses it: one from the future, and
-	// version 1, which also stored the search index.
-	for what, v := range map[string]uint32{"future version": FormatVersion + 1, "format version 1": 1} {
+	// the version check is what refuses it: one from the future,
+	// version 1, which also stored the search index, and version 2,
+	// which stored the decisions inside the world JSON.
+	for what, v := range map[string]uint32{"future version": FormatVersion + 1, "format version 1": 1, "format version 2": 2} {
 		b := withVersion(raw, v)
 		mustNotPanic(t, what, func() {
 			_, err := LoadBytes(b)
@@ -318,6 +343,100 @@ func TestCorruptSectionSwap(t *testing.T) {
 		t.Error("loader accepted a snapshot whose meta disagrees with its world section")
 	} else if !strings.Contains(err.Error(), "decisions") {
 		t.Errorf("unhelpful error %v", err)
+	}
+}
+
+// mutantWorld copies the test world with its own Domains slice, so a
+// test can rewrite one domain and serialize it with valid CRCs.
+func mutantWorld(t *testing.T) *World {
+	w, _ := testWorld(t)
+	m := *w
+	m.Domains = append([]DomainWorld(nil), w.Domains...)
+	return &m
+}
+
+// TestCorruptDecisionCounts crafts snapshots whose every CRC is valid
+// but whose decisions section disagrees with the stored counts: the
+// loader refuses what it can see without decoding (a line count, an
+// unterminated line), and World.Decisions and Verify refuse the rest.
+func TestCorruptDecisionCounts(t *testing.T) {
+	first := func(m *World) *DomainWorld { return &m.Domains[0] }
+	for _, tc := range []struct {
+		what   string
+		mutate func(m *World)
+		// lazy: the loader accepts the file, World.Decisions refuses.
+		lazy bool
+	}{
+		{"count without a line", func(m *World) {
+			dw := first(m)
+			dw.DecisionCounts = append([]DecisionCount(nil), dw.DecisionCounts...)
+			dw.DecisionCounts[0].N++
+			m.Meta.Decisions++
+		}, false},
+		{"line without a count", func(m *World) {
+			dw := first(m)
+			dw.ledger = append(append([]byte(nil), dw.ledger...), dw.ledger[:bytes.IndexByte(dw.ledger, '\n')+1]...)
+		}, false},
+		{"unterminated last line", func(m *World) {
+			dw := first(m)
+			dw.ledger = dw.ledger[:len(dw.ledger)-1]
+		}, false},
+		{"zero count", func(m *World) {
+			dw := first(m)
+			dw.DecisionCounts = append(append([]DecisionCount(nil), dw.DecisionCounts...), DecisionCount{Component: "zz", Verdict: "none"})
+		}, false},
+		{"counts moved between verdicts", func(m *World) {
+			dw := first(m)
+			dw.DecisionCounts = append([]DecisionCount(nil), dw.DecisionCounts...)
+			dw.DecisionCounts[0].N--
+			dw.DecisionCounts[1].N++
+		}, true},
+		{"garbage line", func(m *World) {
+			dw := first(m)
+			nl := bytes.IndexByte(dw.ledger, '\n')
+			dw.ledger = append([]byte("{not json}"), dw.ledger[nl:]...)
+		}, true},
+		{"reordered lines", func(m *World) {
+			dw := first(m)
+			nl := bytes.IndexByte(dw.ledger, '\n') + 1
+			dw.ledger = append(append([]byte(nil), dw.ledger[nl:]...), dw.ledger[:nl]...)
+		}, true},
+	} {
+		m := mutantWorld(t)
+		tc.mutate(m)
+		b, err := m.Bytes()
+		if err != nil {
+			t.Fatalf("%s: Bytes: %v", tc.what, err)
+		}
+		mustNotPanic(t, tc.what, func() {
+			w, err := LoadBytes(b)
+			if !tc.lazy {
+				if err == nil {
+					t.Errorf("%s: loader accepted it", tc.what)
+				} else if !strings.Contains(err.Error(), "decisions") {
+					t.Errorf("%s: unhelpful error %v", tc.what, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("%s: LoadBytes: %v", tc.what, err)
+			}
+			if _, err := w.Decisions(m.Domains[0].Domain); err == nil {
+				t.Errorf("%s: World.Decisions accepted it", tc.what)
+			}
+			for _, dw := range m.Domains[1:] {
+				if _, err := w.Decisions(dw.Domain); err != nil {
+					t.Errorf("%s: untouched domain %s: %v", tc.what, dw.Domain, err)
+				}
+			}
+			if _, err := Verify(writeTemp(t, b)); err == nil {
+				t.Errorf("%s: Verify accepted it", tc.what)
+			}
+		})
+	}
+	w, _ := testWorld(t)
+	if _, err := w.Decisions("no-such-domain"); err == nil {
+		t.Error("World.Decisions answered for an unknown domain")
 	}
 }
 

@@ -30,10 +30,17 @@ func (w *World) payloads() ([]sectionPayload, error) {
 	if err != nil {
 		return nil, errf("marshal world: %v", err)
 	}
+	explains := make([][]byte, len(w.Domains))
+	ledgers := make([][]byte, len(w.Domains))
+	for i, dw := range w.Domains {
+		explains[i], ledgers[i] = dw.Explain, dw.ledger
+	}
 	return []sectionPayload{
 		{secMeta, metaJSON},
 		{secDatasets, dsJSON},
 		{secWorld, worldJSON},
+		{secExplains, packBlobs(explains)},
+		{secDecisions, packBlobs(ledgers)},
 	}, nil
 }
 

@@ -1,21 +1,21 @@
-package server
+package unify
 
 import (
-	"net/http"
+	"bytes"
+	"encoding/json"
 	"strings"
 
 	"webiq/internal/obs"
 	"webiq/internal/schema"
-	"webiq/internal/unify"
 )
 
-// Decision provenance for the unified interface: GET
-// /unified/{domain}/explain reports, for every attribute of the
-// domain's unified interface, where each instance came from (the
+// Decision provenance for the unified interface: for every attribute of
+// a domain's unified interface, where each instance came from (the
 // acquiring component) and the numeric evidence behind its acceptance
 // (PMI confidence, classifier posterior, or probe-success fraction),
 // plus the matcher merges that formed the attribute with their
-// LabelSim/DomSim breakdowns.
+// LabelSim/DomSim breakdowns. The snapshot builder renders it once per
+// domain; the server's GET /unified/{domain}/explain serves the bytes.
 
 // ExplainInstance attributes one unified-interface instance.
 type ExplainInstance struct {
@@ -56,25 +56,26 @@ type ExplainPayload struct {
 	Attributed int `json:"attributed"`
 }
 
-// handleExplain serves GET /unified/{domain}/explain: the payload boot
-// rendered from the world's decisions.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, domain string) {
-	d := s.byDomain[domain]
-	if d == nil {
-		http.NotFound(w, r)
-		return
+// RenderExplain renders Explain's payload as the explain route serves
+// it: two-space indented JSON with a trailing newline.
+func RenderExplain(domain string, u *UnifiedInterface, ds *schema.Dataset, decisions []obs.Decision) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(Explain(domain, u, ds, decisions)); err != nil {
+		return nil, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(d.explain)
+	return buf.Bytes(), nil
 }
 
-// explainUnified resolves the provenance of every instance of the
-// unified interface. It replays unify.Build's member walk exactly
-// (predefined values first, then acquired, case-folded dedup), so each
-// unified instance maps back to the member attribute that contributed
-// it; predefined values are attributed as "native", acquired values to
-// the ledger's accept decision recorded by the acquiring component.
-func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset, ledger *obs.Ledger) *ExplainPayload {
+// Explain resolves the provenance of every instance of the unified
+// interface from the domain's ledger decisions, in emission order. It
+// replays Build's member walk exactly (predefined values first, then
+// acquired, case-folded dedup), so each unified instance maps back to
+// the member attribute that contributed it; predefined values are
+// attributed as "native", acquired values to the accept decision
+// recorded by the acquiring component.
+func Explain(domain string, u *UnifiedInterface, ds *schema.Dataset, decisions []obs.Decision) *ExplainPayload {
 	byID := map[string]*schema.Attribute{}
 	if ds != nil {
 		for _, ifc := range ds.Interfaces {
@@ -83,7 +84,13 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 			}
 		}
 	}
-	merges := matcherMerges(ledger)
+	byAttr := map[string][]int{}
+	for i, d := range decisions {
+		if d.AttrID != "" {
+			byAttr[d.AttrID] = append(byAttr[d.AttrID], i)
+		}
+	}
+	merges := matcherMerges(decisions)
 	out := &ExplainPayload{Domain: domain}
 	for _, ua := range u.Attributes {
 		ea := ExplainAttribute{
@@ -99,10 +106,10 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 					continue
 				}
 				vals := a.Instances
-				var decisions []obs.Decision
+				var idx []int
 				if pass == 1 {
 					vals = a.Acquired
-					decisions = ledger.ByAttr(id)
+					idx = byAttr[id]
 				}
 				for _, v := range vals {
 					f := strings.ToLower(v)
@@ -116,7 +123,7 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 						inst.Verdict = "predefined"
 						inst.Evidence = "predefined on the source interface"
 						out.Attributed++
-					} else if d, ok := acceptDecision(decisions, v); ok {
+					} else if d, ok := acceptDecision(decisions, idx, v); ok {
 						inst.Component = d.Component
 						inst.Verdict = d.Verdict
 						inst.Score = d.Score
@@ -137,30 +144,30 @@ func explainUnified(domain string, u *unify.UnifiedInterface, ds *schema.Dataset
 	return out
 }
 
-// acceptDecision finds, among one attribute's decisions, the one that
-// accepted value v — exact value match first, case-folded as a
-// fallback. The first accept wins: it is the decision that actually
-// added the value (later duplicates were deduplicated away).
-func acceptDecision(decisions []obs.Decision, v string) (obs.Decision, bool) {
-	for _, d := range decisions {
-		if d.Verdict == "accept" && d.Value == v {
+// acceptDecision finds, among one attribute's decisions (the indexes idx
+// into decisions), the one that accepted value v — exact value match
+// first, case-folded as a fallback. The first accept wins: it is the
+// decision that actually added the value (later duplicates were
+// deduplicated away).
+func acceptDecision(decisions []obs.Decision, idx []int, v string) (obs.Decision, bool) {
+	for _, i := range idx {
+		if d := decisions[i]; d.Verdict == "accept" && d.Value == v {
 			return d, true
 		}
 	}
 	f := strings.ToLower(v)
-	for _, d := range decisions {
-		if d.Verdict == "accept" && strings.ToLower(d.Value) == f {
+	for _, i := range idx {
+		if d := decisions[i]; d.Verdict == "accept" && strings.ToLower(d.Value) == f {
 			return d, true
 		}
 	}
 	return obs.Decision{}, false
 }
 
-// matcherMerges returns the ledger's matcher merge decisions, in
-// ledger order.
-func matcherMerges(ledger *obs.Ledger) []obs.Decision {
+// matcherMerges returns the matcher merge decisions, in ledger order.
+func matcherMerges(decisions []obs.Decision) []obs.Decision {
 	var out []obs.Decision
-	for _, d := range ledger.Decisions() {
+	for _, d := range decisions {
 		if d.Component == "matcher" && d.Verdict == "merge" {
 			out = append(out, d)
 		}

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # End-to-end cold-start smoke test: build a world snapshot, verify it,
-# require exactly the meta, datasets and world sections, boot
+# require exactly the meta, datasets, world, explains and decisions
+# sections and a non-zero decision count in meta, boot
 # webiq-serve from it, and require the instant-readiness contract —
 # /readyz answers 200 with every domain ready before any other request,
 # /unified/{domain} renders for each domain, and each domain's
@@ -26,14 +27,21 @@ echo "==> verifying snapshot"
 $GO run ./cmd/webiq-snapshot verify "$SNAP"
 
 # The path comes before -json on purpose: both orders must parse. The
-# world carries no search corpus, so the file holds exactly three
-# sections, in this order.
+# world carries no search corpus, so the file holds exactly five
+# sections, in this order. info reads only meta, whose decision count
+# must cover a real ledger.
 echo "==> listing sections"
 $GO run ./cmd/webiq-snapshot info "$SNAP" -json >"$DIR/info.json"
 SECTIONS=$(python3 -c 'import json, sys; print(" ".join(s["name"] for s in json.load(open(sys.argv[1]))["sections"]))' "$DIR/info.json")
 echo "    $SECTIONS"
-if [ "$SECTIONS" != "meta datasets world" ]; then
-	echo "FAIL: snapshot sections '$SECTIONS', want 'meta datasets world'" >&2
+if [ "$SECTIONS" != "meta datasets world explains decisions" ]; then
+	echo "FAIL: snapshot sections '$SECTIONS', want 'meta datasets world explains decisions'" >&2
+	exit 1
+fi
+DECISIONS=$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["meta"]["decisions"])' "$DIR/info.json")
+echo "    $DECISIONS decisions"
+if [ "$DECISIONS" -le 0 ]; then
+	echo "FAIL: meta counts $DECISIONS decisions, want > 0" >&2
 	exit 1
 fi
 
