@@ -122,6 +122,8 @@ chaos:
 # loader (seeded with a real snapshot plus truncated/bit-flipped
 # variants — corruption must produce an error, never a panic), the
 # packed snippet tags (expansion must equal tagging the text afresh),
+# the search query parser (it must agree with the reference splice
+# parser, and a compiled query must answer as its string does),
 # the search engine's reads (every hit count and ranked search, on
 # the engine and through the query cache, must equal the linear-scan
 # oracle's), the matcher's value typing (the byte scanners must
@@ -133,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
 	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
+	$(GO) test -fuzz FuzzParseQuery -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzClassifyValue -fuzztime 30s ./internal/matcher/
 	$(GO) test -fuzz FuzzOneThirdStop -fuzztime 30s ./internal/webiq/

@@ -37,7 +37,6 @@ import (
 	"webiq/internal/obs"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
-	"webiq/internal/surfaceweb"
 	"webiq/internal/synth"
 	"webiq/internal/webiq"
 )
@@ -58,7 +57,6 @@ func main() {
 	ledgerFile := flag.String("ledger", "", "write the decision-provenance ledger as NDJSON to this file")
 	explainAttr := flag.String("explain", "", "print the provenance decisions for this attribute (ID or exact label) after the run")
 	learn := flag.Int("learn-tau", 0, "learn the threshold interactively with this question budget (0 = use -tau)")
-	queryCache := flag.Bool("query-cache", true, "deduplicate repeated search-engine queries through the sharded query cache (results are identical; raw and deduplicated costs are both reported)")
 	workers := flag.Int("workers", 0, "worker-pool size for the parallel acquisition phases and the matcher's similarity matrix (0 = sequential acquisition, GOMAXPROCS matcher)")
 	faults := flag.String("faults", "", "inject the named fault profile into the pipeline backends (p10, p30, latency2x, burst, malformed); the run degrades gracefully and reports what it gave up")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault-injection stream")
@@ -104,19 +102,13 @@ func main() {
 
 	cfg := webiq.DefaultConfig()
 	cfg.Parallelism = *workers
-	var se webiq.MeteredEngine = engine
-	var cache *surfaceweb.CachedEngine
-	if *queryCache {
-		cache = surfaceweb.NewCachedEngine(engine, surfaceweb.DefaultCacheShards)
-		se = cache
-	}
-	acq := webiq.NewPipeline(se, pool, cfg, comps)
+	acq := webiq.NewPipeline(engine, pool, cfg, comps)
 	if *faults != "" {
 		prof, err := resilience.ProfileByName(*faults)
 		if err != nil {
 			log.Fatal(err)
 		}
-		acq.SetFallible(webiq.FaultClients(prof, *faultSeed, se, pool.Source))
+		acq.SetFallible(webiq.FaultClients(prof, *faultSeed, engine, pool.Source))
 		fmt.Printf("Fault injection on: profile %s, seed %d (retry + circuit breaker active)\n", prof.Name, *faultSeed)
 	}
 
@@ -124,9 +116,6 @@ func main() {
 	if *metricsDump {
 		reg = obs.NewRegistry()
 		engine.Instrument(reg)
-		if cache != nil {
-			cache.Instrument(reg)
-		}
 		pool.Instrument(reg)
 		acq.SetObserver(reg)
 	}
@@ -167,15 +156,6 @@ func main() {
 		time.Since(start).Round(time.Millisecond),
 		engine.QueryCount(), engine.VirtualTime().Minutes(),
 		pool.QueryCount(), pool.VirtualTime().Minutes())
-	if cache != nil {
-		raw := cache.RawQueryCount()
-		hitRate := 0.0
-		if raw > 0 {
-			hitRate = 100 * float64(cache.Hits()) / float64(raw)
-		}
-		fmt.Printf("Query cache: %d raw queries, %d answered from cache (%.1f%% hit rate); a cacheless client would have spent %.1f simulated minutes\n",
-			raw, cache.Hits(), hitRate, cache.RawVirtualTime().Minutes())
-	}
 	fmt.Printf("Acquisition success rate on instance-less attributes: %.1f%%\n\n", rep.SuccessRate())
 	if len(rep.Degradations) > 0 || rep.Interrupted != nil {
 		counts := map[string]int{}

@@ -169,10 +169,9 @@ func evalOne(cfg *RunConfig, world synth.World, engine *surfaceweb.Engine, dom *
 
 	iqCfg := iq.DefaultConfig()
 	iqCfg.Parallelism = cfg.Workers
-	se := surfaceweb.NewCachedEngine(engine, surfaceweb.DefaultCacheShards)
-	acq := iq.NewPipeline(se, pool, iqCfg, iq.AllComponents())
+	acq := iq.NewPipeline(engine, pool, iqCfg, iq.AllComponents())
 	if profile != nil {
-		acq.SetFallible(iq.FaultClients(*profile, world.Seed, se, pool.Source))
+		acq.SetFallible(iq.FaultClients(*profile, world.Seed, engine, pool.Source))
 	}
 
 	ledger := obs.NewLedger(nil)

@@ -15,10 +15,10 @@ import (
 // The flight recorder is the after-the-fact half of the observability
 // layer: /metrics and /stats show the present, the recorder retains the
 // recent past. It keeps one wide event — a single structured record
-// merging route, status, latency, trace ID, substrate-usage deltas,
-// degradation totals, breaker states, and admission-queue depth — per
-// request in a lock-light ring buffer, samples the Go runtime
-// periodically, and, when a trigger rule fires (5xx, slow request,
+// merging route, status, latency, trace ID, the request's own probe
+// count, the degradation total, breaker states, and admission-queue
+// depth — per request in a lock-light ring buffer, samples the Go
+// runtime periodically, and, when a trigger rule fires (5xx, slow request,
 // breaker-open transition, admission shed, p99 budget breach), dumps a
 // timestamped diagnostic bundle: the recent wide events, the live span
 // trees of in-flight traces, a metrics snapshot with deltas, and
@@ -30,9 +30,9 @@ import (
 // WideEvent is one request, wide: everything the server knew about the
 // request when it finished, denormalized into a single record so a
 // bundle (or an operator grepping NDJSON) never has to join streams.
-// Substrate fields are deltas of process-global counters taken at
-// request start/end; under concurrency they attribute overlapping work
-// approximately, which is the right trade for a diagnostic record.
+// Substrate fields count the request's own work: the server counts
+// each probe against the request that issued it, so concurrent
+// requests never share each other's probes.
 type WideEvent struct {
 	// TimeNS is the completion time, nanoseconds since the Unix epoch.
 	TimeNS int64 `json:"time_ns"`
@@ -51,8 +51,9 @@ type WideEvent struct {
 	ShedReason string `json:"shed_reason,omitempty"`
 	// ProbeQueries is how many deep-web probes this request issued.
 	ProbeQueries int `json:"probe_queries,omitempty"`
-	// Degradations is the cumulative graceful-degradation count across
-	// all domains when the request finished.
+	// Degradations is the graceful-degradation count of the served
+	// world, summed over every domain at boot; it is the same for every
+	// request a node serves.
 	Degradations int `json:"degradations,omitempty"`
 	// BreakerDeep is the deep-web source client's circuit-breaker state
 	// at completion, when a fault profile is on.

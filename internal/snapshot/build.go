@@ -176,6 +176,11 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 
 	w := &World{Meta: Meta{GoVersion: runtime.Version(), Seed: cfg.Seed, Scale: cfg.Scale}}
 	w.Fingerprint = fingerprint(w.Meta.GoVersion, w.Meta.Seed, w.Meta.Scale)
+	// Every domain's ledger NDJSON is encoded into one scratch buffer,
+	// and the World keeps an exact-size copy: neither the buffer's
+	// doubling nor its spare capacity stays with the World.
+	var nd bytes.Buffer
+	enc := json.NewEncoder(&nd)
 	for _, dom := range sw.Domains {
 		ds := sw.Dataset(dom)
 		pool := sw.Pool(ds)
@@ -199,8 +204,7 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 		if err != nil {
 			return nil, errf("render explain for %s: %v", dom.Key, err)
 		}
-		var nd bytes.Buffer
-		enc := json.NewEncoder(&nd)
+		nd.Reset()
 		for _, d := range decisions {
 			if err := enc.Encode(d); err != nil {
 				return nil, errf("encode decision for %s: %v", dom.Key, err)
@@ -214,7 +218,7 @@ func BuildWorld(cfg BuildConfig) (*World, error) {
 			Degradations:   rep.Degradations,
 			DecisionCounts: countDecisions(decisions),
 			Explain:        explain,
-			ledger:         nd.Bytes(),
+			ledger:         bytes.Clone(nd.Bytes()),
 		})
 		w.Meta.Domains = append(w.Meta.Domains, dom.Key)
 		w.Meta.Decisions += len(decisions)

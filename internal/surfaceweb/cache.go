@@ -3,24 +3,24 @@ package surfaceweb
 import (
 	"context"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"webiq/internal/memo"
-	"webiq/internal/obs"
 )
 
 // CachedEngine wraps an Engine with a sharded, singleflight-deduplicated
-// query cache. The corpus behind the engine is immutable during
-// acquisition, so a query's hit count and snippet list never change and
-// repeated queries — which dominate WebIQ's cost, because PMI validation
-// re-issues NumHits(V) and NumHits(x) for the same phrases and
-// candidates across attributes and components — can be answered from
-// the cache without touching the engine at all. Concurrent requests for
-// the same uncached query are collapsed into a single engine execution
-// (singleflight, by internal/memo), so a burst of identical queries
-// from parallel workers charges the engine exactly once.
+// query cache that outlives one acquisition run. The corpus behind the
+// engine is immutable, so a query's hit count and snippet list never
+// change, and a run that repeats an earlier run's queries (warm
+// re-acquisition, the experiments' shared cache) is answered without
+// touching the engine. Within one run the pipeline's own memos already
+// ask each distinct query once, so a cache that lives for one run
+// answers nothing. Entries are keyed by the raw query string. Concurrent
+// requests for the same uncached query are collapsed into a single
+// engine execution (singleflight, by internal/memo), so a burst of
+// identical queries from parallel workers charges the engine exactly
+// once.
 //
 // Accounting policy: the wrapper keeps two views of the workload.
 //
@@ -49,11 +49,6 @@ type CachedEngine struct {
 	rawVirtual atomic.Int64 // nanoseconds
 	hits       atomic.Int64
 	misses     atomic.Int64
-
-	// Optional metrics; nil-safe no-ops when Instrument was not called.
-	mHits    *obs.CounterVec // op: numhits, search
-	mMisses  *obs.CounterVec // op: numhits, search
-	mEntries *obs.Gauge
 }
 
 // DefaultCacheShards is the shard count used by NewCachedEngine when
@@ -71,59 +66,30 @@ func NewCachedEngine(e *Engine, shards int) *CachedEngine {
 	return &CachedEngine{inner: e, counts: memo.New[int](shards), snippets: memo.New[[]Snippet](shards)}
 }
 
-// Instrument registers the cache's metrics on r:
-//
-//	webiq_engine_cache_hits_total{op}    queries answered from the cache
-//	webiq_engine_cache_misses_total{op}  queries executed on the engine
-//	webiq_engine_cache_entries           cached results held
-//
-// op is "numhits" or "search". Passing nil leaves the cache
-// uninstrumented (the default).
-func (c *CachedEngine) Instrument(r *obs.Registry) {
-	c.mHits = r.CounterVec("webiq_engine_cache_hits_total", "Search-engine queries answered from the query cache, by operation.", "op")
-	c.mMisses = r.CounterVec("webiq_engine_cache_misses_total", "Search-engine queries executed on the engine after a cache miss, by operation.", "op")
-	c.mEntries = r.Gauge("webiq_engine_cache_entries", "Query results held in the cache.")
-}
-
-// keyScratch is the pooled key-construction buffer of the NumHits and
-// Search probes.
-type keyScratch struct{ buf []byte }
-
-var keyPool = sync.Pool{New: func() any { return new(keyScratch) }}
-
 // account records one logical query in the raw view and the hit/miss
 // outcome.
-func (c *CachedEngine) account(query, op string, hit bool) {
+func (c *CachedEngine) account(query string, hit bool) {
 	c.rawQueries.Add(1)
 	c.rawVirtual.Add(int64(c.inner.QueryLatency(query)))
 	if hit {
 		c.hits.Add(1)
-		c.mHits.With(op).Inc()
 	} else {
 		c.misses.Add(1)
-		c.mMisses.With(op).Inc()
-		c.mEntries.Inc()
 	}
 }
 
 // NumHits returns the number of documents matching the query, answering
-// from the cache when possible.
-//
-// Cache keys are the canonical compiled form of the query, not the raw
-// string, so queries differing only in whitespace, '+' markers, or
-// required-term order share one entry and one engine execution. The raw
-// view still accounts each logical query by its raw string — the
-// simulated latency a cacheless client would have paid for exactly that
-// request.
+// from the cache when possible. Entries are keyed by the raw query
+// string: a lookup compiles nothing, and only a miss reaches the
+// engine.
 func (c *CachedEngine) NumHits(query string) int {
-	cq := c.inner.Compile(query)
-	ks := keyPool.Get().(*keyScratch)
-	ks.buf = cq.AppendKey(ks.buf[:0])
-	n, hit, _ := c.counts.Do(context.Background(), ks.buf, func(string) (int, error) {
-		return c.inner.NumHitsCompiled(cq, query), nil
+	// The key is built in a stack buffer; the memo copies it into a
+	// string only on a miss.
+	var kb [128]byte
+	n, hit, _ := c.counts.Do(context.Background(), append(kb[:0], query...), func(string) (int, error) {
+		return c.inner.NumHits(query), nil
 	})
-	keyPool.Put(ks)
-	c.account(query, "numhits", hit)
+	c.account(query, hit)
 	return n
 }
 
@@ -140,18 +106,15 @@ func (c *CachedEngine) NumHitsBatch(queries []string) []int {
 }
 
 // Search returns up to k result snippets for the query, answering from
-// the cache when possible. Results are cached per (compiled query, k)
-// and the returned slice is the caller's to keep.
+// the cache when possible. Results are cached per (k, raw query) and
+// the returned slice is the caller's to keep.
 func (c *CachedEngine) Search(query string, k int) []Snippet {
-	cq := c.inner.Compile(query)
-	ks := keyPool.Get().(*keyScratch)
-	buf := strconv.AppendInt(ks.buf[:0], int64(k), 10)
-	ks.buf = cq.AppendKey(append(buf, 0))
-	snips, hit, _ := c.snippets.Do(context.Background(), ks.buf, func(string) ([]Snippet, error) {
-		return c.inner.SearchCompiled(cq, query, k), nil
+	var kb [128]byte
+	key := append(strconv.AppendInt(kb[:0], int64(k), 10), 0)
+	snips, hit, _ := c.snippets.Do(context.Background(), append(key, query...), func(string) ([]Snippet, error) {
+		return c.inner.Search(query, k), nil
 	})
-	keyPool.Put(ks)
-	c.account(query, "search", hit)
+	c.account(query, hit)
 	out := make([]Snippet, len(snips))
 	copy(out, snips)
 	return out

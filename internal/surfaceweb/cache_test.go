@@ -3,12 +3,9 @@ package surfaceweb
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"webiq/internal/obs"
 )
 
 // cacheFixture builds a small engine with a few pages.
@@ -20,10 +17,14 @@ func cacheFixture() *Engine {
 	return e
 }
 
+// rawVariants parse to one query but are three raw strings, so the
+// cache keeps three entries for them.
+var rawVariants = []string{`makes honda`, `makes  honda`, `+honda +makes`}
+
 func TestCachedEngineSameResults(t *testing.T) {
 	e := cacheFixture()
 	c := NewCachedEngine(e, 4)
-	queries := []string{`"makes such as"`, `"authors such as"`, `"honda"`, `"no such phrase"`}
+	queries := append([]string{`"makes such as"`, `"authors such as"`, `"honda"`, `"no such phrase"`}, rawVariants...)
 	for _, q := range queries {
 		want := e.NumHits(q)
 		if got := c.NumHits(q); got != want {
@@ -70,6 +71,28 @@ func TestCachedEngineDedupAccounting(t *testing.T) {
 	if got := e.VirtualTime(); got != e.QueryLatency(q) {
 		t.Errorf("engine virtual time = %v, want one query's %v", got, e.QueryLatency(q))
 	}
+
+	// The cache is keyed by the raw string: each variant of one parsed
+	// query is its own entry, missed once and hit on its repeat, and
+	// answers what the engine answers for that string.
+	ref := cacheFixture()
+	for _, v := range rawVariants {
+		for i := 0; i < 2; i++ {
+			if got, want := c.NumHits(v), ref.NumHits(v); got != want {
+				t.Errorf("NumHits(%q) = %d, engine %d", v, got, want)
+			}
+		}
+	}
+	n := len(rawVariants)
+	if got := e.QueryCount(); got != 1+n {
+		t.Errorf("engine executed %d queries, want %d (one per raw string)", got, 1+n)
+	}
+	if c.Hits() != repeats-1+n || c.Misses() != 1+n || c.Len() != 1+n {
+		t.Errorf("hits=%d misses=%d entries=%d, want %d, %d and %d", c.Hits(), c.Misses(), c.Len(), repeats-1+n, 1+n, 1+n)
+	}
+	if got := c.RawQueryCount(); got != repeats+2*n {
+		t.Errorf("raw query count = %d, want %d (every call)", got, repeats+2*n)
+	}
 }
 
 func TestCachedEngineSearchCopies(t *testing.T) {
@@ -93,6 +116,15 @@ func TestCachedEngineSearchKeyedByLimit(t *testing.T) {
 	}
 	if got, want := len(c.Search(`"makes such as"`, 5)), len(e.Search(`"makes such as"`, 5)); got != want {
 		t.Fatalf("k=5: got %d snippets, want %d", got, want)
+	}
+	// Raw variants of one search are separate entries too.
+	for _, v := range rawVariants {
+		if got, want := c.Search(v, 5), e.Search(v, 5); !reflect.DeepEqual(got, want) {
+			t.Errorf("Search(%q, 5) = %+v, engine %+v", v, got, want)
+		}
+	}
+	if got, want := c.Len(), 2+len(rawVariants); got != want {
+		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 }
 
@@ -123,28 +155,6 @@ func TestCachedEngineSingleflight(t *testing.T) {
 	}
 	if got := c.RawQueryCount(); got != goroutines*20 {
 		t.Errorf("raw count = %d, want %d", got, goroutines*20)
-	}
-}
-
-func TestCachedEngineMetrics(t *testing.T) {
-	c := NewCachedEngine(cacheFixture(), 2)
-	r := obs.NewRegistry()
-	c.Instrument(r)
-	c.NumHits(`"makes such as"`)
-	c.NumHits(`"makes such as"`)
-	c.Search(`"honda"`, 3)
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	out := b.String()
-	for _, want := range []string{
-		`webiq_engine_cache_hits_total{op="numhits"} 1`,
-		`webiq_engine_cache_misses_total{op="numhits"} 1`,
-		`webiq_engine_cache_misses_total{op="search"} 1`,
-		"webiq_engine_cache_entries 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q in:\n%s", want, out)
-		}
 	}
 }
 
@@ -186,7 +196,7 @@ func TestCachedNumHitsConcurrent(t *testing.T) {
 	if c.Hits()+c.Misses() != c.RawQueryCount() {
 		t.Errorf("accounting leak: hits %d + misses %d != raw %d", c.Hits(), c.Misses(), c.RawQueryCount())
 	}
-	// Every distinct canonical key executed exactly once despite the
+	// Every distinct raw query executed exactly once despite the
 	// concurrency: the deduped count equals the cache size.
 	if c.QueryCount() != c.Len() {
 		t.Errorf("deduped query count %d != cache entries %d", c.QueryCount(), c.Len())

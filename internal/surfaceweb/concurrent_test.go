@@ -17,7 +17,6 @@ func TestConcurrentQueryStress(t *testing.T) {
 	r := obs.NewRegistry()
 	e.Instrument(r)
 	c := NewCachedEngine(e, 4)
-	c.Instrument(r)
 
 	queries := []string{
 		`"makes such as"`, `"authors such as"`, `"honda"`, `"toyota"`,

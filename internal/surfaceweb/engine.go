@@ -13,7 +13,6 @@ package surfaceweb
 import (
 	"cmp"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,77 +116,6 @@ func ParseQuery(q string) Query {
 type CompiledQuery struct {
 	Phrase   []uint32
 	Required []uint32
-
-	// words is the parsed query the IDs were resolved from; the cache
-	// key spells out its NoTerm words.
-	words Query
-}
-
-// Key returns a canonical cache key for the compiled query: queries
-// that differ only in whitespace, '+' prefixes, quoting of individual
-// words, or required-term order ("a b" vs "a  b" vs "+b a") map to the
-// same key. Required-term duplicates are preserved — they affect
-// relevance scores — but their order is normalized by sorting; phrase
-// order is significant and kept. Every word the corpus never contains
-// compiles to nlp.NoTerm, so the key carries the raw text of those
-// words: "authors such as zzzq" and "authors such as yyyq" stay two
-// keys, as they are two queries.
-func (cq CompiledQuery) Key() string {
-	return string(cq.AppendKey(nil))
-}
-
-// AppendKey appends the canonical cache key (see Key) to dst and
-// returns the extended slice. Callers holding a reusable buffer avoid
-// the per-probe key allocation Key incurs.
-func (cq CompiledQuery) AppendKey(dst []byte) []byte {
-	for i, id := range cq.Phrase {
-		dst = appendKeyTerm(dst, id, cq.words.Phrase, i)
-	}
-	dst = append(dst, '|')
-	if len(cq.Required) == 0 {
-		return dst
-	}
-	var stack [16]uint32
-	req := append(stack[:0], cq.Required...)
-	slices.Sort(req)
-	// NoTerm is the largest ID, so unseen words sort last; order them
-	// by their text instead.
-	known := len(req)
-	for known > 0 && req[known-1] == nlp.NoTerm {
-		known--
-	}
-	for _, id := range req[:known] {
-		dst = appendKeyTerm(dst, id, nil, 0)
-	}
-	if known < len(req) {
-		var wstack [4]string
-		unseen := wstack[:0]
-		for i, id := range cq.Required {
-			if id == nlp.NoTerm {
-				unseen = append(unseen, cq.words.Required[i])
-			}
-		}
-		slices.Sort(unseen)
-		for i := range unseen {
-			dst = appendKeyTerm(dst, nlp.NoTerm, unseen, i)
-		}
-	}
-	return dst
-}
-
-// appendKeyTerm appends one term of a cache key: its ID, or for an
-// unseen word (nlp.NoTerm) the length-prefixed text words[i], so
-// distinct unseen words never share a key.
-func appendKeyTerm(dst []byte, id uint32, words []string, i int) []byte {
-	if id == nlp.NoTerm {
-		dst = append(dst, '~')
-		dst = strconv.AppendInt(dst, int64(len(words[i])), 10)
-		dst = append(dst, ':')
-		dst = append(dst, words[i]...)
-	} else {
-		dst = strconv.AppendUint(dst, uint64(id), 10)
-	}
-	return append(dst, ',')
 }
 
 // Engine is the in-memory search engine.
@@ -372,7 +300,7 @@ func (e *Engine) charge(q string) {
 func (e *Engine) Compile(query string) CompiledQuery {
 	terms := e.Index().terms
 	q := ParseQuery(query)
-	return CompiledQuery{Phrase: internAll(terms, q.Phrase), Required: internAll(terms, q.Required), words: q}
+	return CompiledQuery{Phrase: internAll(terms, q.Phrase), Required: internAll(terms, q.Required)}
 }
 
 // internAll resolves words against a frozen table, nil for none.
@@ -389,16 +317,9 @@ func internAll(terms *nlp.TermTable, words []string) []uint32 {
 
 // NumHits returns the number of documents matching the query.
 func (e *Engine) NumHits(query string) int {
-	return e.NumHitsCompiled(e.Compile(query), query)
-}
-
-// NumHitsCompiled counts the documents matching an already-compiled
-// query. charged is the raw query string the virtual clock is billed
-// for — accounting is deterministic in it.
-func (e *Engine) NumHitsCompiled(cq CompiledQuery, charged string) int {
-	fi := e.Index()
-	e.charge(charged)
-	return fi.count(&cq)
+	cq := e.Compile(query)
+	e.charge(query)
+	return e.Index().count(&cq)
 }
 
 // Search returns up to k result snippets for the query, ranked by
@@ -407,14 +328,15 @@ func (e *Engine) NumHitsCompiled(cq CompiledQuery, charged string) int {
 // tie-break. Each snippet comes tokenized and tagged (Snippet.Tagged),
 // so readers of a cached result never tag it again.
 func (e *Engine) Search(query string, k int) []Snippet {
-	return e.SearchCompiled(e.Compile(query), query, k)
+	cq := e.Compile(query)
+	e.charge(query)
+	return e.search(cq, k)
 }
 
-// SearchCompiled is Search for an already-compiled query; charged is
-// the raw query string billed to the virtual clock.
-func (e *Engine) SearchCompiled(cq CompiledQuery, charged string, k int) []Snippet {
+// search ranks and snippets the documents matching a compiled query,
+// charging nothing.
+func (e *Engine) search(cq CompiledQuery, k int) []Snippet {
 	fi := e.Index()
-	e.charge(charged)
 	sc := searchPool.Get().(*searchScratch)
 	ranked := sc.ranked[:0]
 	var first termSpan

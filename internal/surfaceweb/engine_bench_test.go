@@ -59,16 +59,6 @@ func BenchmarkNumHits(b *testing.B) {
 	}
 }
 
-func BenchmarkNumHitsCompiled(b *testing.B) {
-	e := benchCorpusEngine(b)
-	cq := e.Compile(benchPhraseQuery)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.NumHitsCompiled(cq, benchPhraseQuery)
-	}
-}
-
 // BenchmarkCachedNumHitsBurst asks one PMI validation burst for the
 // book author attribute through the query cache, one NumHits per query
 // as the validator asks it: the 3 validation phrases × 20 candidates as

@@ -272,20 +272,3 @@ func batchTestQueries() []string {
 		`"such as"`,
 	}
 }
-
-// TestAppendKeyMatchesKey pins the AppendKey refactor against the
-// string-returning Key.
-func TestAppendKeyMatchesKey(t *testing.T) {
-	e := batchTestEngine()
-	for _, q := range batchTestQueries() {
-		cq := e.Compile(q)
-		if got, want := string(cq.AppendKey(nil)), cq.Key(); got != want {
-			t.Errorf("query %q: AppendKey %q, Key %q", q, got, want)
-		}
-	}
-	// Required-term count past the stack-buffer size still sorts.
-	cq := CompiledQuery{Required: []uint32{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}}
-	if got, want := string(cq.AppendKey(nil)), cq.Key(); got != want {
-		t.Errorf("long required list: AppendKey %q, Key %q", got, want)
-	}
-}

@@ -143,8 +143,7 @@ func oracleSearch(docs []oracleDoc, query string, radius int) []oracleHit {
 // Search at several k, on the engine and through a CachedEngine in
 // front of it, comparing each answer with the oracle. Every cached read
 // is asked twice, once as a miss and once as a hit. One cache serves
-// all the queries, so two queries that share a canonical key share an
-// entry, and the oracle must agree with the answer of both.
+// all the queries, each raw string its own entry.
 func checkAgainstOracle(t *testing.T, e *Engine, texts []string, queries []string) {
 	t.Helper()
 	docs := newOracleDocs(texts)

@@ -121,43 +121,11 @@ func FuzzParseQuery(f *testing.F) {
 		for i, id := range cq.Required {
 			checkTerm("required", i, id, want.Required[i])
 		}
-		if nh, nc := e.NumHits(q), e.NumHitsCompiled(cq, q); nh != nc {
+		if nh, nc := e.NumHits(q), e.Index().count(&cq); nh != nc {
 			t.Fatalf("NumHits(%q) = %d, compiled = %d", q, nh, nc)
 		}
-		if sh, scm := e.Search(q, 5), e.SearchCompiled(cq, q, 5); !reflect.DeepEqual(sh, scm) {
+		if sh, scm := e.Search(q, 5), e.search(cq, 5); !reflect.DeepEqual(sh, scm) {
 			t.Fatalf("Search(%q) = %+v, compiled = %+v", q, sh, scm)
 		}
-
-		// Key canonicalization must be stable under recompilation.
-		if k1, k2 := cq.Key(), e.Compile(q).Key(); k1 != k2 {
-			t.Fatalf("Key not stable for %q: %q vs %q", q, k1, k2)
-		}
 	})
-}
-
-func TestCompiledKeyCanonicalizes(t *testing.T) {
-	e := NewEngine()
-	same := [][]string{
-		{`a b`, `a  b`, ` a b `, `+a +b`, `b a`, "a\tb"},
-		{`"a b" c`, `"a b"  +c`},
-	}
-	for _, group := range same {
-		want := e.Compile(group[0]).Key()
-		for _, q := range group[1:] {
-			if got := e.Compile(q).Key(); got != want {
-				t.Errorf("Key(%q) = %q, want %q (same as %q)", q, got, want, group[0])
-			}
-		}
-	}
-	diff := [][2]string{
-		{`"a b"`, `"b a"`},   // phrase order matters
-		{`a b`, `a b b`},     // required duplicates matter
-		{`"a b" c`, `a b c`}, // phrase vs bare terms
-		{`a`, `b`},
-	}
-	for _, p := range diff {
-		if e.Compile(p[0]).Key() == e.Compile(p[1]).Key() {
-			t.Errorf("Key(%q) == Key(%q), want distinct", p[0], p[1])
-		}
-	}
 }

@@ -240,3 +240,72 @@ func TestBatchedCachedAcquisitionAccounting(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCacheReuse acquires the five paper domains twice through one
+// CachedEngine, as a warm re-acquisition and the experiments' shared
+// cache do. The second pass must be answered entirely by the cache —
+// no miss, no engine query, no Surface or Attr-Surface charge — and
+// must reproduce the first pass's outcomes, acquired instances and
+// ledger NDJSON byte for byte.
+func TestWarmCacheReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full acquisition runs; skipped in -short")
+	}
+	eng := surfaceweb.NewEngine()
+	surfaceweb.BuildCorpus(eng, kb.Domains(), surfaceweb.DefaultCorpusConfig())
+	cache := surfaceweb.NewCachedEngine(eng, 0)
+	type pass struct {
+		outcomes, instances, ledger []byte
+		rep                         *Report
+	}
+	run := func(dom *kb.Domain) pass {
+		ds := dataset.Generate(dom, dataset.DefaultConfig())
+		pool := deepweb.BuildPool(ds, dom, deepweb.DefaultConfig())
+		acq := NewPipeline(cache, pool, DefaultConfig(), AllComponents())
+		var ledger bytes.Buffer
+		acq.SetLedger(obs.NewLedger(&ledger))
+		rep := acq.AcquireAllCtx(context.Background(), ds)
+		outcomes, err := json.Marshal(rep.Outcomes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instances bytes.Buffer
+		if err := ds.WriteJSON(&instances); err != nil {
+			t.Fatal(err)
+		}
+		return pass{outcomes, instances.Bytes(), ledger.Bytes(), rep}
+	}
+	first := map[string]pass{}
+	for _, dom := range kb.Domains() {
+		first[dom.Key] = run(dom)
+	}
+	misses, queries := cache.Misses(), eng.QueryCount()
+	for _, dom := range kb.Domains() {
+		got, want := run(dom), first[dom.Key]
+		if !bytes.Equal(got.outcomes, want.outcomes) {
+			t.Errorf("%s: warm outcomes differ from the cold pass's", dom.Key)
+		}
+		if !bytes.Equal(got.instances, want.instances) {
+			t.Errorf("%s: warm acquired instances differ from the cold pass's", dom.Key)
+		}
+		if !bytes.Equal(got.ledger, want.ledger) {
+			t.Errorf("%s: warm ledger NDJSON differs from the cold pass's", dom.Key)
+		}
+		if r := got.rep; r.SurfaceQueries != 0 || r.SurfaceTime != 0 || r.AttrSurfaceQueries != 0 || r.AttrSurfaceTime != 0 {
+			t.Errorf("%s: warm pass charged Surface %d queries (%v), Attr-Surface %d (%v); want 0",
+				dom.Key, r.SurfaceQueries, r.SurfaceTime, r.AttrSurfaceQueries, r.AttrSurfaceTime)
+		}
+		if want.rep.SurfaceQueries == 0 || want.rep.AttrSurfaceQueries == 0 {
+			t.Errorf("%s: cold pass charged no Surface or Attr-Surface query; the warm check is vacuous", dom.Key)
+		}
+	}
+	if d := cache.Misses() - misses; d != 0 {
+		t.Errorf("warm pass missed the cache %d times, want 0", d)
+	}
+	if d := eng.QueryCount() - queries; d != 0 {
+		t.Errorf("warm pass sent %d queries to the engine, want 0", d)
+	}
+	if cache.Hits() == 0 {
+		t.Error("warm pass answered nothing from the cache")
+	}
+}
