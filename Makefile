@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race examples bench bench-json bench-gate perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke replica-smoke
+.PHONY: build vet test race examples bench bench-json bench-gate bench-stages perfbench perfbench-test eval-json eval-gate check lint explain-demo chaos fuzz snapshot snapshot-verify snapshot-smoke flight-smoke replica-smoke
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,15 @@ bench-json:
 	( GOMAXPROCS=8 $(GO) test -run=^$$ -bench=BenchmarkPipeline -benchmem -benchtime 3x . && \
 	  GOMAXPROCS=8 $(GO) test -run=^$$ -bench=BenchmarkColdStart -benchmem -benchtime 1x . ) \
 		| GOMAXPROCS=8 $(GO) run ./cmd/benchjson > BENCH_pipeline.json
+
+# Stage microbenchmarks of a build's serial region — borrow-donor
+# selection and the matcher (the matrix build plus the merge loop, with
+# and without a decision ledger) — committed as BENCH_stages.json for
+# before/after comparison. Not gated: ns/op of these lines moves with
+# the host, and benchjson records the CPU count next to them.
+bench-stages:
+	$(GO) test -run=^$$ -bench='BenchmarkDonorSelection|BenchmarkMatchDomains|BenchmarkMatchMergeLoop' -benchmem \
+		./internal/webiq/ ./internal/matcher/ | $(GO) run ./cmd/benchjson > BENCH_stages.json
 
 # Perf-regression gate: rerun the benchmarks and compare against the
 # committed baseline. allocs/op and B/op are deterministic enough for a
@@ -127,9 +136,11 @@ chaos:
 # the search engine's reads (every hit count and ranked search, on
 # the engine and through the query cache, must equal the linear-scan
 # oracle's), the matcher's value typing (the byte scanners must
-# type every value as the reference regexps do), and Attr-Deep's early
+# type every value as the reference regexps do), Attr-Deep's early
 # stop (over long uncapped outcome sequences, the verdict must be the
-# whole sample's one-third verdict, decided by its shortest prefix).
+# whole sample's one-third verdict, decided by its shortest prefix), and
+# the donor index's very-similar test (over fresh and extended views,
+# it must agree with the per-call near-duplicate scan).
 fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
@@ -139,6 +150,7 @@ fuzz:
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzClassifyValue -fuzztime 30s ./internal/matcher/
 	$(GO) test -fuzz FuzzOneThirdStop -fuzztime 30s ./internal/webiq/
+	$(GO) test -fuzz FuzzDomainsVerySimilar -fuzztime 30s ./internal/webiq/
 
 # Build the world snapshot webiq-serve -snapshot boots from, then
 # re-verify every checksum and structural invariant.

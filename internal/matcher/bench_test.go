@@ -6,6 +6,7 @@ import (
 
 	"webiq/internal/dataset"
 	"webiq/internal/kb"
+	"webiq/internal/obs"
 	"webiq/internal/schema"
 )
 
@@ -46,6 +47,7 @@ func BenchmarkMatchMergeLoop(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ds := syntheticDataset(size.ifaces, size.attrs)
 			m := New(DefaultConfig())
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.Match(ds)
@@ -55,16 +57,29 @@ func BenchmarkMatchMergeLoop(b *testing.B) {
 }
 
 // BenchmarkMatchDomains is the end-to-end matcher cost on the five
-// paper domains with predefined values only (no acquisition).
+// paper domains with predefined values only (no acquisition). The
+// ledger/<domain> lines run the same matches with a decision ledger
+// installed, as a pipeline build does, so every merge also pays for its
+// provenance record.
 func BenchmarkMatchDomains(b *testing.B) {
-	for _, dom := range kb.Domains() {
-		ds := dataset.Generate(dom, dataset.DefaultConfig())
-		b.Run(dom.Key, func(b *testing.B) {
-			m := New(DefaultConfig())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Match(ds)
+	for _, ledgered := range []bool{false, true} {
+		for _, dom := range kb.Domains() {
+			ds := dataset.Generate(dom, dataset.DefaultConfig())
+			name := dom.Key
+			if ledgered {
+				name = "ledger/" + name
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				m := New(DefaultConfig())
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if ledgered {
+						m.SetLedger(obs.NewLedger(nil))
+					}
+					m.Match(ds)
+				}
+			})
+		}
 	}
 }

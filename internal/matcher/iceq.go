@@ -1,11 +1,10 @@
 package matcher
 
 import (
-	"container/heap"
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"time"
 
 	"webiq/internal/obs"
@@ -170,10 +169,7 @@ func (m *Matcher) MatchCtx(ctx context.Context, ds *schema.Dataset) *Result {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	profiles, labelSims := buildProfiles(attrs, workers)
-	simMat := make([][]float64, n)
-	for i := range simMat {
-		simMat[i] = make([]float64, n)
-	}
+	simMat := squareMatrix(n)
 	// The matrix needs every row, so its build does not stop on ctx.
 	parallel.For(context.Background(), n, workers, func(i int) {
 		for j := i + 1; j < n; j++ {
@@ -189,29 +185,34 @@ func (m *Matcher) MatchCtx(ctx context.Context, ds *schema.Dataset) *Result {
 	}
 
 	// Cluster state: each cluster tracks its member indices, the
-	// interfaces covered, and single-link similarities to other
-	// clusters (maintained with Lance–Williams updates).
-	type cluster struct {
-		members []int
-		ifaces  map[string]bool
-		alive   bool
-	}
-	clusters := make([]*cluster, n)
-	cs := make([][]float64, n) // cluster-to-cluster average-link sims
-	for i := range clusters {
-		clusters[i] = &cluster{
-			members: []int{i},
-			ifaces:  map[string]bool{attrs[i].InterfaceID: true},
-			alive:   true,
+	// interfaces covered (a bitset over the dataset's interfaces, one
+	// row of ifaces per cluster), and linkage similarities to other
+	// clusters in cs (maintained with Lance–Williams updates).
+	members := make([][]int, n)
+	alive := make([]bool, n)
+	ifcIdx := map[string]int{}
+	for _, a := range attrs {
+		if _, ok := ifcIdx[a.InterfaceID]; !ok {
+			ifcIdx[a.InterfaceID] = len(ifcIdx)
 		}
-		cs[i] = make([]float64, n)
+	}
+	words := (len(ifcIdx) + 63) / 64
+	ifaces := make([]uint64, n*words)
+	ifaceSet := func(c int) []uint64 { return ifaces[c*words : (c+1)*words] }
+	cs := squareMatrix(n)
+	for i := range members {
+		members[i] = []int{i}
+		alive[i] = true
+		b := ifcIdx[attrs[i].InterfaceID]
+		ifaceSet(i)[b/64] |= 1 << (b % 64)
 		copy(cs[i], simMat[i])
 	}
 
 	var mergeSims []float64
-	conflict := func(a, b *cluster) bool {
-		for ifc := range b.ifaces {
-			if a.ifaces[ifc] {
+	conflict := func(a, b int) bool {
+		sa, sb := ifaceSet(a), ifaceSet(b)
+		for w := range sa {
+			if sa[w]&sb[w] != 0 {
 				return true
 			}
 		}
@@ -226,78 +227,94 @@ func (m *Matcher) MatchCtx(ctx context.Context, ds *schema.Dataset) *Result {
 	// value; anything else is a superseded duplicate. Conflicting pairs
 	// are dropped for good — interface sets only grow, so a conflict
 	// never clears.
-	h := make(pairHeap, 0, n*(n-1)/2)
+	//
+	// So every live pair whose similarity exceeds the threshold and that
+	// does not conflict has an entry carrying its current similarity. A
+	// merge that leaves a pair's similarity unchanged pushes nothing: the
+	// entry it would push is already in the heap, or the pair conflicted
+	// before the merge and still does.
+	var h pairHeap
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if cs[i][j] > m.cfg.Threshold && attrs[i].InterfaceID != attrs[j].InterfaceID {
-				h = append(h, pairEntry{sim: cs[i][j], i: i, j: j})
+			if cs[i][j] > m.cfg.Threshold && !conflict(i, j) {
+				h = append(h, pairEntry{sim: cs[i][j], i: int32(i), j: int32(j)})
 			}
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(pairEntry)
-		if !clusters[e.i].alive || !clusters[e.j].alive || cs[e.i][e.j] != e.sim {
+	var detail []byte
+	for len(h) > 0 {
+		e := h.pop()
+		bi, bj, best := int(e.i), int(e.j), e.sim
+		if !alive[bi] || !alive[bj] || cs[bi][bj] != best {
 			continue
 		}
-		if conflict(clusters[e.i], clusters[e.j]) {
+		if conflict(bi, bj) {
 			continue
 		}
-		bi, bj, best := e.i, e.j, e.sim
 		if m.ledger != nil {
-			m.recordMerge(ctx, attrs, profiles, labelSims, simMat,
-				clusters[bi].members, clusters[bj].members, best, len(mergeSims)+1)
+			detail = m.recordMerge(ctx, detail, attrs, profiles, labelSims, simMat,
+				members[bi], members[bj], best, len(mergeSims)+1)
 		}
 		mergeSims = append(mergeSims, best)
 		m.mMerges.Inc()
 		// Merge bj into bi; update cluster similarities per the linkage
-		// (Lance–Williams updates) and push the refreshed pairs.
-		ni := float64(len(clusters[bi].members))
-		nj := float64(len(clusters[bj].members))
-		clusters[bi].members = append(clusters[bi].members, clusters[bj].members...)
-		for ifc := range clusters[bj].ifaces {
-			clusters[bi].ifaces[ifc] = true
+		// (Lance–Williams updates) and push the pairs whose similarity
+		// changed.
+		ni := float64(len(members[bi]))
+		nj := float64(len(members[bj]))
+		members[bi] = append(members[bi], members[bj]...)
+		si, sj := ifaceSet(bi), ifaceSet(bj)
+		for w := range si {
+			si[w] |= sj[w]
 		}
-		clusters[bj].alive = false
+		alive[bj] = false
 		for k := 0; k < n; k++ {
-			if k == bi || k == bj || !clusters[k].alive {
+			if k == bi || k == bj || !alive[k] {
 				continue
 			}
+			old := cs[bi][k]
 			var v float64
 			switch m.cfg.Linkage {
 			case AverageLink:
-				v = (ni*cs[bi][k] + nj*cs[bj][k]) / (ni + nj)
+				v = (ni*old + nj*cs[bj][k]) / (ni + nj)
 			case CompleteLink:
-				v = cs[bi][k]
+				v = old
 				if cs[bj][k] < v {
 					v = cs[bj][k]
 				}
 			default: // SingleLink
-				v = cs[bi][k]
+				v = old
 				if cs[bj][k] > v {
 					v = cs[bj][k]
 				}
 			}
 			cs[bi][k] = v
 			cs[k][bi] = v
-			if v > m.cfg.Threshold && !conflict(clusters[bi], clusters[k]) {
+			if v != old && v > m.cfg.Threshold && !conflict(bi, k) {
 				lo, hi := bi, k
 				if k < bi {
 					lo, hi = k, bi
 				}
-				heap.Push(&h, pairEntry{sim: v, i: lo, j: hi})
+				h.push(pairEntry{sim: v, i: int32(lo), j: int32(hi)})
 			}
 		}
 	}
 
-	res := &Result{Pairs: map[schema.MatchPair]bool{}, MergeSims: mergeSims}
-	for _, c := range clusters {
-		if !c.alive {
+	pairs := 0
+	for c := range members {
+		if alive[c] {
+			pairs += len(members[c]) * (len(members[c]) - 1) / 2
+		}
+	}
+	res := &Result{Pairs: make(map[schema.MatchPair]bool, pairs), MergeSims: mergeSims}
+	for c := range members {
+		if !alive[c] {
 			continue
 		}
-		ids := make([]string, len(c.members))
-		for k, idx := range c.members {
+		ids := make([]string, len(members[c]))
+		for k, idx := range members[c] {
 			ids[k] = attrs[idx].ID
 		}
 		sort.Strings(ids)
@@ -319,8 +336,9 @@ func (m *Matcher) MatchCtx(ctx context.Context, ds *schema.Dataset) *Result {
 // whose Sim realizes a single-link merge; the best evidence pair under
 // the other linkages), with its α·LabelSim + β·DomSim breakdown. Ties
 // resolve to the lowest attribute indices, so the record is
-// deterministic.
-func (m *Matcher) recordMerge(ctx context.Context, attrs []*schema.Attribute, profiles []attrProfile, labelSims [][]float64, simMat [][]float64, membersA, membersB []int, clusterSim float64, order int) {
+// deterministic. The Detail text is built in buf, which is returned for
+// reuse.
+func (m *Matcher) recordMerge(ctx context.Context, buf []byte, attrs []*schema.Attribute, profiles []attrProfile, labelSims [][]float64, simMat [][]float64, membersA, membersB []int, clusterSim float64, order int) []byte {
 	bx, by, best := -1, -1, -1.0
 	for _, x := range membersA {
 		for _, y := range membersB {
@@ -330,13 +348,29 @@ func (m *Matcher) recordMerge(ctx context.Context, attrs []*schema.Attribute, pr
 		}
 	}
 	if bx < 0 {
-		return
+		return buf
 	}
 	if by < bx {
 		bx, by = by, bx
 	}
 	ls := labelSims[profiles[bx].labelID][profiles[by].labelID]
 	dsim := domSim(&profiles[bx], &profiles[by])
+	// The fmt form "strongest pair %q~%q: %.3f = %.1f·%.3f + %.1f·%.3f",
+	// byte for byte: %q is strconv's quoting and %.Nf its 'f' format.
+	buf = append(buf[:0], "strongest pair "...)
+	buf = strconv.AppendQuote(buf, attrs[bx].Label)
+	buf = append(buf, '~')
+	buf = strconv.AppendQuote(buf, attrs[by].Label)
+	buf = append(buf, ": "...)
+	buf = strconv.AppendFloat(buf, best, 'f', 3, 64)
+	buf = append(buf, " = "...)
+	buf = strconv.AppendFloat(buf, m.cfg.Alpha, 'f', 1, 64)
+	buf = append(buf, "·"...)
+	buf = strconv.AppendFloat(buf, ls, 'f', 3, 64)
+	buf = append(buf, " + "...)
+	buf = strconv.AppendFloat(buf, m.cfg.Beta, 'f', 1, 64)
+	buf = append(buf, "·"...)
+	buf = strconv.AppendFloat(buf, dsim, 'f', 3, 64)
 	m.ledger.RecordCtx(ctx, obs.Decision{
 		Component: "matcher", Verdict: "merge",
 		AttrID: attrs[bx].ID, OtherID: attrs[by].ID,
@@ -345,7 +379,18 @@ func (m *Matcher) recordMerge(ctx context.Context, attrs []*schema.Attribute, pr
 		LabelSim: ls, DomSim: dsim,
 		MergeOrder: order,
 		Count:      len(membersA) + len(membersB),
-		Detail: fmt.Sprintf("strongest pair %q~%q: %.3f = %.1f·%.3f + %.1f·%.3f",
-			attrs[bx].Label, attrs[by].Label, best, m.cfg.Alpha, ls, m.cfg.Beta, dsim),
+		Detail:     string(buf),
 	})
+	return buf
+}
+
+// squareMatrix returns n zeroed rows of n values over one backing
+// array.
+func squareMatrix(n int) [][]float64 {
+	back := make([]float64, n*n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
 }

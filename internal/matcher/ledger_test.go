@@ -2,12 +2,14 @@ package matcher
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 
 	"webiq/internal/dataset"
 	"webiq/internal/kb"
 	"webiq/internal/obs"
+	"webiq/internal/schema"
 )
 
 // TestMergeDecisionsMatchMergeSims pins the matcher's provenance
@@ -107,6 +109,41 @@ func TestMatchLedgerDoesNotPerturbResult(t *testing.T) {
 	for i := range plain.MergeSims {
 		if plain.MergeSims[i] != led.MergeSims[i] {
 			t.Errorf("merge %d sim %v vs %v with ledger", i, plain.MergeSims[i], led.MergeSims[i])
+		}
+	}
+}
+
+// TestMergeDetailMatchesSprintf pins the hand-built Detail of a merge
+// record to the fmt form it replaced, over labels that need quoting and
+// the float values fmt spells specially.
+func TestMergeDetailMatchesSprintf(t *testing.T) {
+	labels := []string{"Author", `Say "hi"`, "Größe", "tab\there", "\x00\xff", ""}
+	floats := []float64{0, 0.0005, 0.0015, 0.9995, 1, 0.6, 0.4, -0.0, math.Copysign(0, -1),
+		1e-9, 123.4565, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}
+	for _, a := range labels {
+		for _, b := range labels {
+			for k, y := range floats {
+				// x is a strongest-pair similarity, which a record needs
+				// above -1; the weights and label similarity take any value.
+				x, z := math.Abs(floats[(k+3)%len(floats)]), floats[(k+7)%len(floats)]
+				if math.IsNaN(x) {
+					x = 0.25
+				}
+				m := New(Config{Alpha: y, Beta: z})
+				led := obs.NewLedger(nil)
+				m.SetLedger(led)
+				attrs := []*schema.Attribute{{ID: "i/a", Label: a}, {ID: "j/b", Label: b}}
+				profiles := []attrProfile{{labelID: 0, empty: true}, {labelID: 1, empty: true}}
+				labelSims := [][]float64{{0, z}, {z, 0}}
+				simMat := [][]float64{{0, x}, {x, 0}}
+				m.recordMerge(context.Background(), nil, attrs, profiles, labelSims, simMat, []int{0}, []int{1}, x, 1)
+				ds := led.Decisions()
+				// domSim of two empty profiles is 0.
+				want := fmt.Sprintf("strongest pair %q~%q: %.3f = %.1f·%.3f + %.1f·%.3f", a, b, x, y, z, z, 0.0)
+				if len(ds) != 1 || ds[0].Detail != want {
+					t.Fatalf("decisions %+v, want one with detail %q", ds, want)
+				}
+			}
 		}
 	}
 }

@@ -20,8 +20,8 @@ import (
 type attrProfile struct {
 	labelID int
 	typ     ValueType
-	empty   bool                // no instances at all
-	foldSet map[uint32]struct{} // interned folded values; month-normalized when typ is date
+	empty   bool     // no instances at all
+	foldSet []uint32 // sorted interned folded values; month-normalized when typ is date
 	lo, hi  float64
 	rangeOK bool
 }

@@ -10,7 +10,6 @@ import (
 	"webiq/internal/parallel"
 	"webiq/internal/resilience"
 	"webiq/internal/schema"
-	"webiq/internal/sim"
 )
 
 // Components selects which WebIQ components the Acquirer applies; the
@@ -400,7 +399,7 @@ func (a *Acquirer) borrowDonorsFreeText(ix *donorIndex, ds *schema.Dataset, ifc 
 		sim  float64
 	}
 	var donors []scored
-	label := ix.labelVector(attr)
+	label := ix.labelID(attr)
 	for _, other := range ds.Interfaces {
 		if other.ID == ifc.ID {
 			continue
@@ -409,7 +408,7 @@ func (a *Acquirer) borrowDonorsFreeText(ix *donorIndex, ds *schema.Dataset, ifc 
 			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			ls := label.Cosine(ix.labelVector(cand))
+			ls := ix.labelSim(label, ix.labelID(cand))
 			if ls < a.cfg.BorrowLabelSim {
 				continue
 			}
@@ -435,14 +434,14 @@ func (a *Acquirer) borrowDonorsFreeText(ix *donorIndex, ds *schema.Dataset, ifc 
 // domainMatchesSibling reports whether the candidate donor's domain
 // overlaps the domain of some predefined-value sibling of attr — the
 // exclusion condition of Section 5, case 1 — by sim.ValueOverlap over
-// the index's fold sets.
+// the index's views.
 func (a *Acquirer) domainMatchesSibling(ix *donorIndex, ifc *schema.Interface, attr *schema.Attribute, cand *schema.Attribute) bool {
-	candSet := ix.values(cand).foldSet()
+	candVals := ix.values(cand)
 	for _, y := range ifc.Attributes {
 		if y.ID == attr.ID || !y.HasInstances() {
 			continue
 		}
-		if sim.OverlapSets(candSet, ix.predefined(y).foldSet()) >= 0.3 {
+		if foldOverlap(candVals, ix.predefined(y)) >= 0.3 {
 			return true
 		}
 	}
@@ -482,6 +481,10 @@ func (a *Acquirer) collectBorrowValues(ix *donorIndex, ds *schema.Dataset, ifc *
 	}
 	var out []string
 	seen := map[string]bool{}
+	var x1 *donorValues
+	if requireSimilar {
+		x1 = ix.predefined(attr)
+	}
 	for _, other := range ds.Interfaces {
 		if other.ID == ifc.ID {
 			continue
@@ -493,10 +496,10 @@ func (a *Acquirer) collectBorrowValues(ix *donorIndex, ds *schema.Dataset, ifc *
 			if len(cand.Instances)+len(cand.Acquired) == 0 {
 				continue
 			}
-			if requireSimilar && !ix.verySimilar(attr, cand, a.cfg.BorrowValueMatches) {
+			vals := ix.values(cand)
+			if requireSimilar && !ix.domainsVerySimilar(x1, vals, a.cfg.BorrowValueMatches) {
 				continue
 			}
-			vals := ix.values(cand)
 			for k, list := range [2][]string{cand.Instances, cand.Acquired} {
 				for i, v := range list {
 					// Zero-copy map probes against the index's folded

@@ -192,6 +192,13 @@ func referenceCollectBorrowValues(cfg Config, ds *schema.Dataset, ifc *schema.In
 	return out
 }
 
+// verySimilar reports whether X1's predefined values and cand's values
+// (predefined and acquired) share at least minMatches very similar
+// values: the Step-2 donor test as collectBorrowValues runs it.
+func (ix *donorIndex) verySimilar(x1, cand *schema.Attribute, minMatches int) bool {
+	return ix.domainsVerySimilar(ix.predefined(x1), ix.values(cand), minMatches)
+}
+
 // indexedVerySimilar runs the production test over two plain lists.
 func indexedVerySimilar(a, b []string, minMatches int) bool {
 	x1 := &schema.Attribute{ID: "x/a", Instances: a}
@@ -324,6 +331,55 @@ func TestDonorIndexMatchesReference(t *testing.T) {
 		t.Errorf("weak generator: %d true outcomes, %d decided by near-duplicates, %d windowed comparisons",
 			decided, nearDecided, windowed)
 	}
+}
+
+// FuzzDomainsVerySimilar checks the index's value test against the
+// per-call oracle on fuzzed value lists, one value per line. The
+// candidate starts with a prefix of its list as predefined values and
+// acquires the rest in two steps, so the test runs on a fresh view and
+// on views extended twice; minMatches runs from 1 to 4. The seeds hold
+// ASCII and non-ASCII lists, values on both sides of the 10-, 20- and
+// 30-byte steps of the edit budget, and values that fold alike while
+// their ASCII-lowered forms differ (case of a non-ASCII letter,
+// surrounding space).
+func FuzzDomainsVerySimilar(f *testing.F) {
+	rng := rand.New(rand.NewSource(29))
+	for k := 0; k < 24; k++ {
+		g := newDonorValueGen(rng, k%2 == 0)
+		f.Add(strings.Join(g.list(), "\n"), strings.Join(g.list(), "\n"), uint8(k), uint8(k))
+	}
+	steps := []string{
+		"abcdefghi", "abcdefghij", "abcdefghijk",
+		"abcdefghijklmnopqrs", "abcdefghijklmnopqrst", "abcdefghijklmnopqrstu",
+		"abcdefghijklmnopqrstuvwxyzabc", "abcdefghijklmnopqrstuvwxyzabcd", "abcdefghijklmnopqrstuvwxyzabcde",
+	}
+	for k, v := range steps {
+		// One edit across a budget step, one deletion and two edits.
+		f.Add(v, v[:len(v)-1]+"Z\n"+v[1:]+"\nx"+v[2:]+"y", uint8(k), uint8(k))
+	}
+	f.Add("Boston\n  Chicago\nÉcole\nDenver", "boston\nchicago \nécole\nÉCOLE\ndenver", uint8(2), uint8(1))
+	f.Add("école\nParis", "école\nÉcole", uint8(2), uint8(1))
+	f.Add("Größe Straße\nKÖLN\nmünchen", "größe strasse\nKöln\nMünchen\nköln", uint8(1), uint8(2))
+	f.Add("\xffabcdefghij\nabcdefghij\xff", "abcdefghij\nabcdefghijk", uint8(0), uint8(3))
+	f.Fuzz(func(t *testing.T, as, bs string, cut, min uint8) {
+		if len(as)+len(bs) > 2048 {
+			return
+		}
+		a, b := strings.Split(as, "\n"), strings.Split(bs, "\n")
+		minMatches := 1 + int(min%4)
+		c := int(cut) % (len(b) + 1)
+		mid := (c + len(b)) / 2
+		x1 := &schema.Attribute{ID: "x/a", Instances: a}
+		cand := &schema.Attribute{ID: "y/b", Instances: b[:c:c]}
+		ix := newDonorIndex()
+		for step, acq := range [][]string{nil, b[c:mid], b[mid:]} {
+			addAcquired(cand, acq, 1<<20)
+			all := cand.AllInstances()
+			if got, want := ix.verySimilar(x1, cand, minMatches), referenceDomainsVerySimilar(a, all, minMatches); got != want {
+				t.Fatalf("step %d min %d: indexed %v, reference %v\nX1 %q\ncand %q", step, minMatches, got, want, a, all)
+			}
+		}
+	})
 }
 
 // TestDonorIndexSeesMidRunAcquisitions pins the invalidation rule: a
