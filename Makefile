@@ -40,14 +40,17 @@ bench-json:
 	  GOMAXPROCS=8 $(GO) test -run=^$$ -bench=BenchmarkColdStart -benchmem -benchtime 1x . ) \
 		| GOMAXPROCS=8 $(GO) run ./cmd/benchjson > BENCH_pipeline.json
 
-# Stage microbenchmarks of a build's serial region — borrow-donor
+# Stage microbenchmarks, committed as BENCH_stages.json for
+# before/after comparison: a build's serial region — borrow-donor
 # selection and the matcher (the matrix build plus the merge loop, with
-# and without a decision ledger) — committed as BENCH_stages.json for
-# before/after comparison. Not gated: ns/op of these lines moves with
-# the host, and benchjson records the CPU count next to them.
+# and without a decision ledger) — and the cold query path's text work —
+# compiling a query, an extraction search with its snippet tags, and
+# Surface extraction over served snippets. Not gated: ns/op of these
+# lines moves with the host, and benchjson records the CPU count next
+# to them.
 bench-stages:
-	$(GO) test -run=^$$ -bench='BenchmarkDonorSelection|BenchmarkMatchDomains|BenchmarkMatchMergeLoop' -benchmem \
-		./internal/webiq/ ./internal/matcher/ | $(GO) run ./cmd/benchjson > BENCH_stages.json
+	$(GO) test -run=^$$ -bench='BenchmarkDonorSelection|BenchmarkMatchDomains|BenchmarkMatchMergeLoop|BenchmarkSurfaceExtract|BenchmarkCompile|BenchmarkSearch' -benchmem \
+		./internal/webiq/ ./internal/matcher/ ./internal/surfaceweb/ | $(GO) run ./cmd/benchjson > BENCH_stages.json
 
 # Perf-regression gate: rerun the benchmarks and compare against the
 # committed baseline. allocs/op and B/op are deterministic enough for a
