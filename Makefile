@@ -133,9 +133,11 @@ chaos:
 # page must equal the reference row-map scan's), the binary snapshot
 # loader (seeded with a real snapshot plus truncated/bit-flipped
 # variants — corruption must produce an error, never a panic), the
-# packed snippet tags (expansion must equal tagging the text afresh),
-# the search query parser (it must agree with the reference splice
-# parser, and a compiled query must answer as its string does),
+# snippet views (every window of a document, expanded with its stored
+# tags, must equal tagging the window's text afresh), the search query
+# parser (it must agree with the reference splice parser, Compile must
+# equal ParseQuery plus interning, and a compiled query must answer as
+# its string does),
 # the search engine's reads (every hit count and ranked search, on
 # the engine and through the query cache, must equal the linear-scan
 # oracle's), the matcher's value typing (the byte scanners must
@@ -148,7 +150,7 @@ fuzz:
 	$(GO) test -fuzz FuzzAnalyzeResponse -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzProbe -fuzztime 30s ./internal/deepweb/
 	$(GO) test -fuzz FuzzLoadBytes -fuzztime 30s ./internal/snapshot/
-	$(GO) test -fuzz FuzzPackedTags -fuzztime 30s ./internal/nlp/
+	$(GO) test -fuzz FuzzSnippetView -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzParseQuery -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzEngineQueries -fuzztime 30s ./internal/surfaceweb/
 	$(GO) test -fuzz FuzzClassifyValue -fuzztime 30s ./internal/matcher/

@@ -17,10 +17,11 @@ import (
 // use.
 //
 // Each key lives in one shard, chosen by hash, and a shard holds one
-// map: an entry is an in-flight call until the call completes, and is
-// then overwritten with the answer stored inline. A failed call is not
-// stored — its entry is removed, so the next ask runs the call again —
-// and its error reaches the callers that waited on it.
+// map from key to entry. A miss writes the map once: its entry is in
+// flight until the call completes, and is then filled in place with
+// the answer. A failed call is not stored — its entry is removed, so
+// the next ask runs the call again — and its error reaches the callers
+// that waited on it.
 type Memo[V any] struct {
 	seed   maphash.Seed
 	shards []shard[V]
@@ -28,22 +29,19 @@ type Memo[V any] struct {
 
 type shard[V any] struct {
 	mu     sync.Mutex
-	m      map[string]entry[V] // nil until the shard's first miss
-	stored int                 // entries holding an answer
+	m      map[string]*entry[V] // nil until the shard's first miss
+	stored int                  // entries holding an answer
 }
 
-// entry is a stored answer (c == nil) or an in-flight call.
+// entry is one key's answer, or its call while pending. The first
+// waiter makes done (under the shard lock), so a miss nobody waits on
+// allocates no channel. The caller running the call fills val and err
+// and clears pending under the shard lock, before closing done.
 type entry[V any] struct {
-	val V
-	c   *call[V]
-}
-
-// call is an in-flight execution. The first waiter makes done (under
-// the shard lock), so a miss nobody waits on allocates no channel.
-type call[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
+	val     V
+	err     error
+	pending bool
+	done    chan struct{}
 }
 
 // New returns an empty memo of n >= 1 shards.
@@ -65,41 +63,41 @@ func (m *Memo[V]) Do(ctx context.Context, key []byte, fn func(key string) (V, er
 	}
 	sh.mu.Lock()
 	if e, ok := sh.m[string(key)]; ok {
-		if e.c == nil {
+		if !e.pending {
+			v = e.val
 			sh.mu.Unlock()
-			return e.val, true, nil
+			return v, true, nil
 		}
-		c := e.c
-		if c.done == nil {
-			c.done = make(chan struct{})
+		if e.done == nil {
+			e.done = make(chan struct{})
 		}
+		done := e.done
 		sh.mu.Unlock()
 		select {
-		case <-c.done:
-			return c.val, true, c.err
+		case <-done:
+			return e.val, true, e.err
 		case <-ctx.Done():
 			return v, true, ctx.Err()
 		}
 	}
 	k := string(key)
-	c := &call[V]{}
+	e := &entry[V]{pending: true}
 	if sh.m == nil {
-		sh.m = map[string]entry[V]{}
+		sh.m = map[string]*entry[V]{}
 	}
-	sh.m[k] = entry[V]{c: c}
+	sh.m[k] = e
 	sh.mu.Unlock()
 
 	v, err = fn(k)
 
 	sh.mu.Lock()
+	e.val, e.err, e.pending = v, err, false
 	if err == nil {
-		sh.m[k] = entry[V]{val: v}
 		sh.stored++
 	} else {
 		delete(sh.m, k)
 	}
-	c.val, c.err = v, err
-	done := c.done
+	done := e.done
 	sh.mu.Unlock()
 	if done != nil {
 		close(done)

@@ -203,3 +203,109 @@ func TestSingleflightBurst(t *testing.T) {
 		t.Errorf("%d calls, %d misses, %d stored; want %d of each", calls.Load(), misses.Load(), m.Len(), M)
 	}
 }
+
+// inFlight returns key's entry as its shard holds it.
+func inFlight(m *Memo[int], key string) *entry[int] {
+	for i := range m.shards {
+		sh := &m.shards[i]
+		sh.mu.Lock()
+		e := sh.m[key]
+		sh.mu.Unlock()
+		if e != nil {
+			return e
+		}
+	}
+	return nil
+}
+
+// TestInPlaceFill: a completed call fills the entry its miss wrote
+// while in flight — the shard map is not written again — and a waiter
+// parked on it reads the filled answer.
+func TestInPlaceFill(t *testing.T) {
+	m := New[int](4)
+	g := newGate(result{v: 5})
+	owner, waiter := ownerAndWaiter(t, m, g, "k", newWaitingCtx(context.Background()))
+	pending := inFlight(m, "k")
+	if pending == nil || !pending.pending {
+		t.Fatalf("in-flight entry %+v, want a pending entry", pending)
+	}
+	close(g.release)
+	<-owner
+	if r := <-waiter; r != (result{5, true, nil}) {
+		t.Errorf("waiter got %+v, want a hit with 5", r)
+	}
+	if e := inFlight(m, "k"); e != pending || e.pending || e.val != 5 || e.err != nil {
+		t.Errorf("stored entry %p %+v, want the in-flight entry %p filled with 5", e, e, pending)
+	}
+}
+
+// TestFailedCallRemovesEntry: every waiter on a failed call gets its
+// error, the entry leaves the shard map, and a later ask runs the call
+// again; answers stored before and after are unaffected.
+func TestFailedCallRemovesEntry(t *testing.T) {
+	boom := errors.New("backend down")
+	m := New[int](1)
+	ok := func(string) (int, error) { return 1, nil }
+	if _, _, err := m.Do(context.Background(), []byte("a"), ok); err != nil {
+		t.Fatal(err)
+	}
+	g := newGate(result{err: boom}, result{v: 3})
+	owner, waiter := ownerAndWaiter(t, m, g, "k", newWaitingCtx(context.Background()))
+	second := make(chan result, 1)
+	wctx := newWaitingCtx(context.Background())
+	go func() {
+		v, hit, err := m.Do(wctx, []byte("k"), g.call)
+		second <- result{v, hit, err}
+	}()
+	<-wctx.waiting
+	close(g.release)
+	for name, ch := range map[string]chan result{"owner": owner, "waiter": waiter, "second waiter": second} {
+		if r := <-ch; !errors.Is(r.err, boom) {
+			t.Errorf("%s got %+v, want the owner's error", name, r)
+		}
+	}
+	if e := inFlight(m, "k"); e != nil {
+		t.Errorf("the failed key is still in the map: %+v", e)
+	}
+	if n := len(m.shards[0].m); n != 1 || m.Len() != 1 {
+		t.Errorf("map holds %d keys and Len is %d after a failure, want 1 and 1", n, m.Len())
+	}
+	if v, hit, err := m.Do(context.Background(), []byte("k"), g.call); v != 3 || hit || err != nil {
+		t.Errorf("retry got (%d, %v, %v), want (3, false, nil)", v, hit, err)
+	}
+	if m.Len() != 2 {
+		t.Errorf("Len %d after the retry stored its answer, want 2", m.Len())
+	}
+}
+
+// TestLenCountsStoredAnswers: Len counts answers, not calls in flight
+// nor failed calls, across shards.
+func TestLenCountsStoredAnswers(t *testing.T) {
+	m := New[int](4)
+	for i := 0; i < 10; i++ {
+		m.Do(context.Background(), []byte(fmt.Sprint(i)), func(string) (int, error) { return i, nil })
+		m.Do(context.Background(), []byte(fmt.Sprint("fail", i)), func(string) (int, error) { return 0, errors.New("no") })
+	}
+	g := newGate(result{v: 1})
+	owner, waiter := ownerAndWaiter(t, m, g, "slow", newWaitingCtx(context.Background()))
+	if n := m.Len(); n != 10 {
+		t.Errorf("Len %d with one call in flight, want 10", n)
+	}
+	close(g.release)
+	<-owner
+	<-waiter
+	if n := m.Len(); n != 11 {
+		t.Errorf("Len %d, want 11", n)
+	}
+}
+
+// TestHitAllocatesNothing: asking a stored key allocates nothing.
+func TestHitAllocatesNothing(t *testing.T) {
+	m := New[int](1)
+	key := []byte("stored")
+	fn := func(string) (int, error) { return 1, nil }
+	m.Do(context.Background(), key, fn)
+	if n := testing.AllocsPerRun(100, func() { m.Do(context.Background(), key, fn) }); n != 0 {
+		t.Errorf("a hit allocates %v times, want 0", n)
+	}
+}

@@ -156,6 +156,19 @@ func (t *TermTable) Term(id uint32) string {
 	return s
 }
 
+// Terms returns every interned term, indexed by ID. The slice is the
+// table's own: callers must not modify it, and on a table that is not
+// frozen it may miss terms interned after the call.
+func (t *TermTable) Terms() []string {
+	if t.frozen.Load() {
+		return t.terms
+	}
+	t.mu.RLock()
+	terms := t.terms
+	t.mu.RUnlock()
+	return terms
+}
+
 // Len returns the number of distinct terms interned.
 func (t *TermTable) Len() int {
 	if t.frozen.Load() {
@@ -165,4 +178,27 @@ func (t *TermTable) Len() int {
 	n := len(t.terms)
 	t.mu.RUnlock()
 	return n
+}
+
+// AppendWordIDs appends to dst the ID of every word and number of text
+// — the norms Words returns, in order — and returns the extended slice.
+// A norm the table has never interned appends NoTerm; nothing is
+// interned. Each word is lower-cased into a stack buffer and looked up
+// by its bytes, so a call allocates only when dst grows or a word is
+// longer than the buffer.
+func (t *TermTable) AppendWordIDs(dst []uint32, text string) []uint32 {
+	var nb [64]byte
+	sc := TokenScanner{keepCase: true}
+	for sc.Reset(text); sc.Scan(); {
+		tok := sc.Token()
+		if tok.Kind == Punct {
+			continue
+		}
+		id, ok := t.LookupBytes(AppendLower(nb[:0], tok.Text))
+		if !ok {
+			id = NoTerm
+		}
+		dst = append(dst, id)
+	}
+	return dst
 }

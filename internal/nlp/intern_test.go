@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -109,5 +110,28 @@ func TestTermTableLookupBytesNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("LookupBytes/InternBytes hit path allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestAppendWordIDs requires the IDs of Words' norms, in order, with
+// NoTerm for a word never interned — including words whose lower-case
+// form changes byte length (U+0130, the Kelvin sign).
+func TestAppendWordIDs(t *testing.T) {
+	tab := NewTermTable()
+	for _, w := range Words("such authors as \u0130stanbul \u212aelvin $15,200 3.5") {
+		tab.Intern(w)
+	}
+	tab.Freeze()
+	for _, in := range []string{
+		"", "  ,; ", "Such AUTHORS as", "\"authors such as\" +book", "\u0130STANBUL \u212aELVIN Kelvin",
+		"$15,200 and 3.5 unknownword", "such-as o'hare \xff",
+	} {
+		var want []uint32
+		for _, w := range Words(in) {
+			want = append(want, tab.Intern(w))
+		}
+		if got := tab.AppendWordIDs(nil, in); !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendWordIDs(%q) = %v, want %v", in, got, want)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package nlp
 
+import "fmt"
+
 // Tag is a part-of-speech tag. We use a compact subset of the Penn
 // Treebank tag set — everything the label-syntax analysis and snippet
 // chunking in WebIQ require.
@@ -26,6 +28,60 @@ const (
 	SYM Tag = "SYM" // symbol / punctuation
 	WDT Tag = "WDT" // wh-determiner: which, what
 )
+
+// TagCode is a tag's index in the tag inventory: the tag in one byte,
+// for callers that store many tags.
+type TagCode uint8
+
+// tagInventory lists every tag in TagCode order.
+var tagInventory = [...]Tag{DT, NN, NNS, NNP, JJ, IN, CC, VB, VBZ, VBG, VBN, VBD, CD, RB, TO, PRP, SYM, WDT}
+
+// Code returns the tag's TagCode. It panics on a tag outside the
+// inventory.
+func (t Tag) Code() TagCode {
+	switch t {
+	case DT:
+		return 0
+	case NN:
+		return 1
+	case NNS:
+		return 2
+	case NNP:
+		return 3
+	case JJ:
+		return 4
+	case IN:
+		return 5
+	case CC:
+		return 6
+	case VB:
+		return 7
+	case VBZ:
+		return 8
+	case VBG:
+		return 9
+	case VBN:
+		return 10
+	case VBD:
+		return 11
+	case CD:
+		return 12
+	case RB:
+		return 13
+	case TO:
+		return 14
+	case PRP:
+		return 15
+	case SYM:
+		return 16
+	case WDT:
+		return 17
+	}
+	panic(fmt.Sprintf("nlp: tag %q is not in the tag inventory", t))
+}
+
+// Tag returns the tag c encodes.
+func (c TagCode) Tag() Tag { return tagInventory[c] }
 
 // IsNoun reports whether the tag denotes a noun of any kind.
 func (t Tag) IsNoun() bool { return t == NN || t == NNS || t == NNP }

@@ -92,6 +92,19 @@ func tagAll(tt []TaggedToken) {
 	applyRules(tt)
 }
 
+// InitialTag returns the tag a token carries before the contextual
+// rules run. It depends only on the token's Kind, its Norm and whether
+// it is capitalized, so a caller tagging one word many times can
+// compute it once: TagAppend is InitialTag on every token followed by
+// ApplyRules over the sequence.
+func InitialTag(t Token) Tag { return initialTag(t) }
+
+// ApplyRules runs the contextual rules once over a sequence whose tags
+// are initial tags (InitialTag), in place. The rules read each token's
+// Tag, Kind and Norm and the tags of its neighbours, never Text or
+// Pos.
+func ApplyRules(tt []TaggedToken) { applyRules(tt) }
+
 // initialTag assigns the most likely tag from the lexicon, falling back
 // to morphological heuristics for unknown words.
 func initialTag(t Token) Tag {

@@ -1,6 +1,9 @@
 package nlp
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func tagsOf(text string) []Tag {
 	var tg Tagger
@@ -164,5 +167,46 @@ func TestTagIsNounIsVerbHelpers(t *testing.T) {
 	}
 	if NN.IsVerb() {
 		t.Error("NN recognized as verb")
+	}
+}
+
+// TestTagCodesCoverLexicon requires every lexicon tag, every rule tag
+// and the whole inventory to round-trip through TagCode; the tags
+// morphology and token kinds assign are inventory constants.
+func TestTagCodesCoverLexicon(t *testing.T) {
+	check := func(tag Tag) {
+		t.Helper()
+		if got := tag.Code().Tag(); got != tag {
+			t.Errorf("tag %q round-trips to %q", tag, got)
+		}
+	}
+	for _, tags := range lexicon {
+		for _, tag := range tags {
+			check(tag)
+		}
+	}
+	for _, r := range contextualRules {
+		check(r.From)
+		check(r.To)
+	}
+	for _, tag := range tagInventory {
+		check(tag)
+	}
+}
+
+// TestInitialTagThenRules pins the split the search engine relies on:
+// InitialTag on every token, then ApplyRules over the sequence, is
+// TagAppend.
+func TestInitialTagThenRules(t *testing.T) {
+	var tg Tagger
+	for _, in := range scannerInputs {
+		var got []TaggedToken
+		for _, tok := range Tokenize(in) {
+			got = append(got, TaggedToken{Token: tok, Tag: InitialTag(tok)})
+		}
+		ApplyRules(got)
+		if want := tg.TagAppend(nil, in); !reflect.DeepEqual(got, want) {
+			t.Errorf("InitialTag+ApplyRules(%q) = %v, want %v", in, got, want)
+		}
 	}
 }

@@ -65,13 +65,20 @@ type Decision struct {
 // guards record sites with a single nil check and the disabled path
 // costs nothing (the PR-3 bench gate covers it).
 type Ledger struct {
-	mu     sync.Mutex
-	enc    *json.Encoder
-	all    []Decision
+	mu  sync.Mutex
+	enc *json.Encoder
+	// chunks holds the decisions in emission order, ledgerChunk to a
+	// chunk: a chunk is allocated full-size and never copied, so a
+	// growing ledger moves no decision it already holds.
+	chunks [][]Decision
+	n      int
 	byAttr map[string][]int
 
 	decisions *CounterVec // component, verdict
 }
+
+// ledgerChunk is the number of decisions per chunk: about 47 KiB.
+const ledgerChunk = 256
 
 // NewLedger returns a ledger. If w is non-nil every decision is also
 // written to it as one JSON object per line.
@@ -115,8 +122,13 @@ func (l *Ledger) Record(d Decision) {
 		return
 	}
 	l.mu.Lock()
-	d.Seq = len(l.all)
-	l.all = append(l.all, d)
+	d.Seq = l.n
+	if l.n%ledgerChunk == 0 {
+		l.chunks = append(l.chunks, make([]Decision, 0, ledgerChunk))
+	}
+	c := &l.chunks[len(l.chunks)-1]
+	*c = append(*c, d)
+	l.n++
 	if d.AttrID != "" {
 		l.byAttr[d.AttrID] = append(l.byAttr[d.AttrID], d.Seq)
 	}
@@ -151,7 +163,7 @@ func (l *Ledger) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.all)
+	return l.n
 }
 
 // Decisions returns a copy of all decisions in emission order.
@@ -161,8 +173,10 @@ func (l *Ledger) Decisions() []Decision {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Decision, len(l.all))
-	copy(out, l.all)
+	out := make([]Decision, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
 	return out
 }
 
@@ -183,7 +197,7 @@ func (l *Ledger) pick(idx []int) []Decision {
 	}
 	out := make([]Decision, len(idx))
 	for i, j := range idx {
-		out[i] = l.all[j]
+		out[i] = l.chunks[j/ledgerChunk][j%ledgerChunk]
 	}
 	return out
 }

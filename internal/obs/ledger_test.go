@@ -118,3 +118,39 @@ func TestLedgerNilSafe(t *testing.T) {
 		t.Fatal("nil ledger must no-op")
 	}
 }
+
+// TestLedgerAcrossChunks records past several chunk boundaries: every
+// decision keeps its Seq and place, ByAttr picks across chunks, and a
+// decision already recorded never moves as the ledger grows.
+func TestLedgerAcrossChunks(t *testing.T) {
+	l := NewLedger(nil)
+	const n = 3*ledgerChunk + 5
+	var first *Decision
+	for i := 0; i < n; i++ {
+		l.Record(Decision{Component: "surface", Verdict: "accept", AttrID: []string{"a", "b", "c"}[i%3], Count: i})
+		if i == 0 {
+			first = &l.chunks[0][0]
+		}
+	}
+	if &l.chunks[0][0] != first {
+		t.Error("the first decision moved while the ledger grew")
+	}
+	all := l.Decisions()
+	if len(all) != n || l.Len() != n {
+		t.Fatalf("Decisions %d, Len %d, want %d", len(all), l.Len(), n)
+	}
+	for i, d := range all {
+		if d.Seq != i || d.Count != i {
+			t.Fatalf("decision %d has Seq %d, Count %d", i, d.Seq, d.Count)
+		}
+	}
+	b := l.ByAttr("b")
+	if want := (n + 1) / 3; len(b) != want {
+		t.Fatalf("ByAttr(b) = %d decisions, want %d", len(b), want)
+	}
+	for k, d := range b {
+		if d.Seq != 3*k+1 || d.AttrID != "b" {
+			t.Errorf("ByAttr(b)[%d] = Seq %d attr %q, want Seq %d", k, d.Seq, d.AttrID, 3*k+1)
+		}
+	}
+}

@@ -30,27 +30,6 @@ type Document struct {
 	Text  string
 }
 
-// Snippet is a search-result excerpt containing the matched phrase.
-type Snippet struct {
-	DocID int
-	Text  string
-	// Tagged is Text tokenized and POS-tagged once, where the engine
-	// built the snippet; a cached result shares it with every hit.
-	Tagged nlp.TaggedText
-}
-
-// Tokens appends the tagged tokens of the snippet text to dst: the
-// engine's packed tags, expanded, or — for a snippet built by hand
-// without them — Text tagged afresh. Either way the result equals
-// nlp.Tagger.TagAppend(dst, s.Text).
-func (s Snippet) Tokens(dst []nlp.TaggedToken) []nlp.TaggedToken {
-	if s.Tagged.Text() != s.Text {
-		var tg nlp.Tagger
-		return tg.TagAppend(dst, s.Text)
-	}
-	return s.Tagged.AppendTokens(dst)
-}
-
 // Query is a parsed search-engine query: an optional exact phrase (the
 // double-quoted part) plus required keywords (the '+' terms). Bare terms
 // are treated as required keywords too, matching how WebIQ uses the
@@ -246,7 +225,7 @@ func (e *Engine) Index() *FrozenIndex {
 	e.terms.Freeze()
 	d := e.build
 	d.TextBlob, d.TitleBlob = e.text.String(), e.title.String()
-	d.build(e.terms.Len())
+	d.build(e.terms)
 	fi := &FrozenIndex{terms: e.terms, d: d, numDocs: len(d.TextOff) - 1}
 	e.build = FrozenData{}
 	e.text.Reset()
@@ -294,25 +273,61 @@ func (e *Engine) charge(q string) {
 	e.mLatency.Observe(lat.Seconds())
 }
 
-// Compile parses query and resolves it against the term table. It
-// freezes the engine first, so query-only words never enter the corpus
-// vocabulary: they compile to nlp.NoTerm and match nothing.
+// Compile resolves query against the term table in one pass over its
+// bytes, with ParseQuery's syntax: the words of the first quoted
+// segment that has any are the phrase; the words of every later quoted
+// segment, then those outside complete quote pairs, are required
+// terms. Each word is folded and looked up by its bytes
+// (nlp.TermTable.AppendWordIDs), so no word becomes a string and
+// nothing is interned. Compile freezes the engine first, so query-only
+// words never enter the corpus vocabulary: they compile to nlp.NoTerm
+// and match nothing.
 func (e *Engine) Compile(query string) CompiledQuery {
 	terms := e.Index().terms
-	q := ParseQuery(query)
-	return CompiledQuery{Phrase: internAll(terms, q.Phrase), Required: internAll(terms, q.Required)}
-}
-
-// internAll resolves words against a frozen table, nil for none.
-func internAll(terms *nlp.TermTable, words []string) []uint32 {
-	if len(words) == 0 {
-		return nil
+	// ParseQuery lists the later quoted segments' words before the
+	// unquoted ones, so the two are gathered apart.
+	var pb, qb, ub [16]uint32
+	phrase, quoted, plain := pb[:0], qb[:0], ub[:0]
+	i := 0
+	for {
+		start := strings.IndexByte(query[i:], '"')
+		if start < 0 {
+			break
+		}
+		start += i
+		end := strings.IndexByte(query[start+1:], '"')
+		if end < 0 {
+			break
+		}
+		seg := query[start+1 : start+1+end]
+		if len(phrase) == 0 {
+			phrase = terms.AppendWordIDs(phrase, seg)
+		} else {
+			quoted = terms.AppendWordIDs(quoted, seg)
+		}
+		// A '+' is never part of a word, so the unquoted text needs no
+		// field splitting or prefix stripping to yield ParseQuery's
+		// words.
+		plain = terms.AppendWordIDs(plain, query[i:start])
+		i = start + 1 + end + 1
 	}
-	ids := make([]uint32, len(words))
-	for i, w := range words {
-		ids[i] = terms.Intern(w)
+	if i < len(query) {
+		plain = terms.AppendWordIDs(plain, query[i:])
 	}
-	return ids
+	n := len(phrase) + len(quoted) + len(plain)
+	if n == 0 {
+		return CompiledQuery{}
+	}
+	ids := make([]uint32, 0, n)
+	ids = append(append(append(ids, phrase...), quoted...), plain...)
+	var cq CompiledQuery
+	if p := len(phrase); p > 0 {
+		cq.Phrase = ids[:p:p]
+	}
+	if len(ids) > len(phrase) {
+		cq.Required = ids[len(phrase):]
+	}
+	return cq
 }
 
 // NumHits returns the number of documents matching the query.
@@ -325,7 +340,7 @@ func (e *Engine) NumHits(query string) int {
 // Search returns up to k result snippets for the query, ranked by
 // relevance: documents with more phrase occurrences and more required-
 // term occurrences score higher, with document ID as a deterministic
-// tie-break. Each snippet comes tokenized and tagged (Snippet.Tagged),
+// tie-break. Each snippet comes with its window's tags (Snippet.Tokens),
 // so readers of a cached result never tag it again.
 func (e *Engine) Search(query string, k int) []Snippet {
 	cq := e.Compile(query)
@@ -356,12 +371,21 @@ func (e *Engine) search(cq CompiledQuery, k int) []Snippet {
 	if k > 0 && len(ranked) > k {
 		ranked = ranked[:k]
 	}
-	out := make([]Snippet, 0, len(ranked))
-	var tg nlp.Tagger
-	for _, r := range ranked {
-		text := fi.snippet(r.id, cq, e.SnippetRadius)
-		out = append(out, Snippet{DocID: r.id, Text: text, Tagged: tg.PackWith(&sc.pack, text)})
+	out := make([]Snippet, len(ranked))
+	tags, ends := sc.tags[:0], sc.ends[:0]
+	for i, r := range ranked {
+		lo, hi := fi.window(r.id, cq, e.SnippetRadius)
+		text := fi.windowText(r.id, lo, hi)
+		tags = fi.appendTags(tags, &sc.toks, text, lo, hi)
+		ends = append(ends, len(tags))
+		out[i] = Snippet{DocID: r.id, Text: text, view: snippetView{fi: fi, lo: lo, hi: hi, text: text}}
 	}
+	// One string holds every snippet's tags.
+	all, from := string(tags), 0
+	for i, end := range ends {
+		out[i].view.tags, from = all[from:end], end
+	}
+	sc.tags, sc.ends = tags, ends
 	searchPool.Put(sc)
 	return out
 }
@@ -376,14 +400,16 @@ type scoredDoc struct {
 type termSpan struct{ lo, hi uint64 }
 
 // searchScratch holds the per-query working set — the required terms'
-// posting spans, matched IDs, ranking buffer, and the buffer snippets
-// are tagged and packed in — pooled so steady-state query execution
-// allocates only its result snippets.
+// posting spans, matched IDs, ranking buffer, and the buffers snippets
+// are tagged in — pooled so steady-state query execution allocates
+// only its result snippets and their tags.
 type searchScratch struct {
 	spans  []termSpan
 	ids    []int
 	ranked []scoredDoc
-	pack   nlp.PackBuffer
+	toks   []nlp.TaggedToken
+	tags   []byte
+	ends   []int
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}

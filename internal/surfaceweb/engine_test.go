@@ -118,7 +118,7 @@ func TestSnippetTokens(t *testing.T) {
 		t.Fatal("no snippets")
 	}
 	for _, s := range snips {
-		if s.Tagged.Text() != s.Text {
+		if !s.Tagged() {
 			t.Errorf("engine snippet %q served without its tags", s.Text)
 		}
 		if got, want := s.Tokens(nil), tg.TagAppend(nil, s.Text); !reflect.DeepEqual(got, want) {
@@ -130,6 +130,23 @@ func TestSnippetTokens(t *testing.T) {
 	for _, s := range []Snippet{{Text: "Airlines such as KLM."}, stale, {}} {
 		if got, want := s.Tokens(nil), tg.TagAppend(nil, s.Text); !reflect.DeepEqual(got, want) {
 			t.Errorf("hand-built Tokens(%q) = %v, want %v", s.Text, got, want)
+		}
+	}
+}
+
+// TestSnippetViewSize pins the per-token footprint of a served
+// snippet: a search cache holds every served snippet, so growth here is
+// heap growth on warm runs. The view stores one tag byte per token of
+// the text, punctuation included, and no per-token strings.
+func TestSnippetViewSize(t *testing.T) {
+	var tg nlp.Tagger
+	snips := newTestEngine().Search(`"such as"`, 10)
+	if len(snips) == 0 {
+		t.Fatal("no snippets")
+	}
+	for _, s := range snips {
+		if n := len(tg.TagAppend(nil, s.Text)); len(s.view.tags) != n {
+			t.Errorf("%q: %d tokens stored in %d tag bytes, want %d", s.Text, n, len(s.view.tags), n)
 		}
 	}
 }

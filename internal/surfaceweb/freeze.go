@@ -11,6 +11,8 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"unicode"
+	"unicode/utf8"
 
 	"webiq/internal/nlp"
 )
@@ -27,7 +29,10 @@ import (
 //	PairTok[i]                      global token index g with TokTerm[g], TokTerm[g+1] the pair,
 //	                                both inside one document
 //	PairDocs[p]                     documents pair p occurs in
-//	DocTokOff[d]..DocTokOff[d+1]    tokens of document d in TokTerm/TokStart/TokEnd
+//	DocTokOff[d]..DocTokOff[d+1]    tokens of document d in TokTerm/TokStart/TokEnd/TokTag
+//	TokTag[g]                       token g's initial part-of-speech tag (nlp.TagCode),
+//	                                with tokNumber set for a number and tokOwnNorm for a
+//	                                token whose norm is its text
 //	DocAt[k]                        document holding token k<<docAtShift
 //	TextOff[d]..TextOff[d+1]        text of document d in TextBlob
 //	TitleOff[d]..TitleOff[d+1]      title of document d in TitleBlob
@@ -51,6 +56,7 @@ type FrozenData struct {
 	TokTerm   []uint32
 	TokStart  []uint32
 	TokEnd    []uint32
+	TokTag    []uint8
 
 	TextOff  []uint64
 	TextBlob string
@@ -67,15 +73,76 @@ type FrozenIndex struct {
 	numDocs int
 }
 
-// build fills d's posting and pair arrays from its token arrays over a
-// vocabulary of v terms.
-func (d *FrozenData) build(v int) {
+// build fills d's posting, pair and tag arrays from its token arrays
+// and texts over the frozen term table.
+func (d *FrozenData) build(terms *nlp.TermTable) {
 	if uint64(len(d.TokTerm)) > math.MaxUint32 {
 		panic("surfaceweb: corpus exceeds 2^32 tokens")
 	}
+	v := terms.Len()
 	d.buildPostings(v)
 	d.buildDocAt()
 	d.buildPairs(v)
+	d.buildTags(terms)
+}
+
+// Flags of a TokTag byte, above every nlp.TagCode: tokNumber marks a
+// number token, tokOwnNorm a token whose norm equals its text (a number,
+// or a word without upper-case letters), so reading the token needs no
+// term-table lookup.
+const (
+	tokNumber  = 0x80
+	tokOwnNorm = 0x40
+	tokFlags   = tokNumber | tokOwnNorm
+)
+
+// buildTags fills TokTag. A token's initial tag depends only on its
+// kind, its norm — its term — and whether it is capitalized, and its
+// kind on its term, so the tag is computed once per term and
+// capitalization, not once per token.
+func (d *FrozenData) buildTags(terms *nlp.TermTable) {
+	n := len(d.DocTokOff) - 1
+	norms := terms.Terms()
+	d.TokTag = make([]uint8, len(d.TokTerm))
+	// Per term and capitalization: 1 + its TokTag byte, 0 until known.
+	known := make([]uint8, 2*len(norms))
+	for doc := 0; doc < n; doc++ {
+		text := d.TextBlob[d.TextOff[doc]:d.TextOff[doc+1]]
+		for g := d.DocTokOff[doc]; g < d.DocTokOff[doc+1]; g++ {
+			word, t := text[d.TokStart[g]:d.TokEnd[g]], d.TokTerm[g]
+			k := 2 * int(t)
+			if c := word[0]; 'A' <= c && c <= 'Z' || c >= utf8.RuneSelf && (nlp.Token{Text: word}).IsCapitalized() {
+				k++
+			}
+			if known[k] == 0 {
+				// A word starts with a letter; a number with a digit or '$'.
+				tok, b := nlp.Token{Text: word, Norm: norms[t], Kind: nlp.Word}, uint8(0)
+				if r, _ := utf8.DecodeRuneInString(word); !unicode.IsLetter(r) {
+					tok.Kind, b = nlp.Number, tokNumber
+				}
+				known[k] = 1 + (b | uint8(nlp.InitialTag(tok).Code()))
+			}
+			d.TokTag[g] = known[k] - 1
+			if ownNorm(word, norms[t]) {
+				d.TokTag[g] |= tokOwnNorm
+			}
+		}
+	}
+}
+
+// ownNorm reports whether word is its own norm (word == norm, where
+// norm is its lower-cased form). An ASCII word is decided from its own
+// bytes, without reading norm.
+func ownNorm(word, norm string) bool {
+	for i := 0; i < len(word); i++ {
+		switch c := word[i]; {
+		case c >= utf8.RuneSelf:
+			return word == norm
+		case 'A' <= c && c <= 'Z':
+			return false
+		}
+	}
+	return true
 }
 
 // buildPostings fills d's posting arrays (TermOff, PostDoc, PostFreq)
@@ -439,11 +506,11 @@ func (f *FrozenIndex) relevance(doc int, cq CompiledQuery, first *termSpan) int 
 	return score
 }
 
-// snippet builds the text window around the first phrase match (or
-// the document head when the query has no phrase), sliced straight out
-// of the text blob: byte spans recorded at indexing time, no
-// reconstruction or copying.
-func (f *FrozenIndex) snippet(doc int, cq CompiledQuery, radius int) string {
+// window returns the global token span of a document's snippet: the
+// first phrase match with radius tokens of context on each side, or
+// the document head when the query has no phrase (or the phrase does
+// not occur).
+func (f *FrozenIndex) window(doc int, cq CompiledQuery, radius int) (lo, hi uint32) {
 	base := f.d.DocTokOff[doc]
 	n := int(f.d.DocTokOff[doc+1] - base)
 	start, end := 0, min(n, 2*radius)
@@ -454,10 +521,20 @@ func (f *FrozenIndex) snippet(doc int, cq CompiledQuery, radius int) string {
 		}
 	}
 	if start >= end {
+		return uint32(base), uint32(base)
+	}
+	return uint32(base + uint64(start)), uint32(base + uint64(end))
+}
+
+// windowText returns the text of a document's token span [lo, hi),
+// sliced straight out of the text blob: byte spans recorded at indexing
+// time, no reconstruction or copying.
+func (f *FrozenIndex) windowText(doc int, lo, hi uint32) string {
+	if lo >= hi {
 		return ""
 	}
 	text := f.d.TextBlob[f.d.TextOff[doc]:f.d.TextOff[doc+1]]
-	return text[f.d.TokStart[base+uint64(start)]:f.d.TokEnd[base+uint64(end-1)]]
+	return text[f.d.TokStart[lo]:f.d.TokEnd[hi-1]]
 }
 
 // count returns the number of documents matching cq.

@@ -161,6 +161,7 @@ func TestNewFrozenIndexRejectsMalformed(t *testing.T) {
 			d.DocAt = a
 		}, false},
 		{"token arrays disagree", func(d *FrozenData) { d.TokEnd = d.TokEnd[:1] }, false},
+		{"token tags truncated", func(d *FrozenData) { d.TokTag = d.TokTag[:1] }, false},
 		{"token offsets truncated", func(d *FrozenData) { d.DocTokOff = d.DocTokOff[:2] }, false},
 		{"token span outside text", func(d *FrozenData) {
 			e := append([]uint32(nil), d.TokEnd...)

@@ -78,9 +78,9 @@ func NewFrozenIndex(terms *nlp.TermTable, d FrozenData) (*FrozenIndex, error) {
 	if err := checkOffsets("title offsets", d.TitleOff, n, len(d.TitleBlob)); err != nil {
 		return nil, err
 	}
-	if len(d.TokStart) != len(d.TokTerm) || len(d.TokEnd) != len(d.TokTerm) {
-		return nil, frozenErr("token arrays disagree: %d terms, %d starts, %d ends",
-			len(d.TokTerm), len(d.TokStart), len(d.TokEnd))
+	if len(d.TokStart) != len(d.TokTerm) || len(d.TokEnd) != len(d.TokTerm) || len(d.TokTag) != len(d.TokTerm) {
+		return nil, frozenErr("token arrays disagree: %d terms, %d starts, %d ends, %d tags",
+			len(d.TokTerm), len(d.TokStart), len(d.TokEnd), len(d.TokTag))
 	}
 	if err := checkOffsets("token offsets", d.DocTokOff, n, len(d.TokTerm)); err != nil {
 		return nil, err

@@ -60,6 +60,49 @@ var parseCases = []string{
 	`"$15,200 or 3.5"`,
 	`"`,
 	`"""`,
+	// An empty first quoted phrase passes the phrase role on.
+	`"" "a"`,
+	`"+ ," "authors such as" "b c" +book`,
+	"\"\u0130STANBUL \u212aelvin\" +AUTHORS",
+}
+
+// internAll is the compiled form's oracle: ParseQuery's words resolved
+// one string at a time against a frozen table, nil for none.
+func internAll(terms *nlp.TermTable, words []string) []uint32 {
+	if len(words) == 0 {
+		return nil
+	}
+	ids := make([]uint32, len(words))
+	for i, w := range words {
+		ids[i] = terms.Intern(w)
+	}
+	return ids
+}
+
+// compileReference is Compile's oracle: ParseQuery, then internAll.
+func compileReference(e *Engine, q string) CompiledQuery {
+	terms := e.Index().terms
+	pq := ParseQuery(q)
+	return CompiledQuery{Phrase: internAll(terms, pq.Phrase), Required: internAll(terms, pq.Required)}
+}
+
+// fuzzQueryEngine is the small corpus FuzzParseQuery compiles against.
+func fuzzQueryEngine() *Engine {
+	e := NewEngine()
+	e.MinLatency, e.MaxLatency = 0, 0
+	e.Add("a", "authors such as Jane Austen, Mark Twain, and Leo Tolstoy wrote books")
+	e.Add("b", "book title isbn price publisher format")
+	e.Add("c", "such as a b a b repeated phrase material such as \u0130stanbul \u212aelvin")
+	return e
+}
+
+func TestCompileMatchesReference(t *testing.T) {
+	e := fuzzQueryEngine()
+	for _, q := range parseCases {
+		if got, want := e.Compile(q), compileReference(e, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("Compile(%q) = %+v, reference %+v", q, got, want)
+		}
+	}
 }
 
 func TestParseQueryMatchesReference(t *testing.T) {
@@ -72,17 +115,14 @@ func TestParseQueryMatchesReference(t *testing.T) {
 }
 
 // FuzzParseQuery checks that the parser never panics, agrees with the
-// reference implementation, and that the compiled term-ID form answers
-// every query exactly like the string form.
+// reference implementation, that Compile equals ParseQuery+internAll,
+// and that the compiled term-ID form answers every query exactly like
+// the string form.
 func FuzzParseQuery(f *testing.F) {
 	for _, q := range parseCases {
 		f.Add(q)
 	}
-	e := NewEngine()
-	e.MinLatency, e.MaxLatency = 0, 0
-	e.Add("a", "authors such as Jane Austen, Mark Twain, and Leo Tolstoy wrote books")
-	e.Add("b", "book title isbn price publisher format")
-	e.Add("c", "such as a b a b repeated phrase material such as")
+	e := fuzzQueryEngine()
 
 	f.Fuzz(func(t *testing.T, q string) {
 		got := ParseQuery(q)
@@ -104,6 +144,9 @@ func FuzzParseQuery(f *testing.F) {
 		// Round-trip: the compiled query must preserve the parsed
 		// terms and the string/compiled execution paths must agree.
 		cq := e.Compile(q)
+		if ref := compileReference(e, q); !reflect.DeepEqual(cq, ref) {
+			t.Fatalf("Compile(%q) = %+v, ParseQuery+internAll %+v", q, cq, ref)
+		}
 		if len(cq.Phrase) != len(want.Phrase) || len(cq.Required) != len(want.Required) {
 			t.Fatalf("Compile(%q) shape %d/%d, parsed %d/%d",
 				q, len(cq.Phrase), len(cq.Required), len(want.Phrase), len(want.Required))

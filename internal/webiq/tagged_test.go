@@ -25,7 +25,7 @@ func (e *tagCheckEngine) Search(query string, limit int) []surfaceweb.Snippet {
 	out := e.MeteredEngine.Search(query, limit)
 	var tg nlp.Tagger
 	for _, snip := range out {
-		if snip.Tagged.Text() != snip.Text {
+		if !snip.Tagged() {
 			e.t.Errorf("%q: snippet of doc %d served without its tags", query, snip.DocID)
 		}
 		got, want := snip.Tokens(nil), tg.TagAppend(nil, snip.Text)
